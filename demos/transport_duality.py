@@ -1,8 +1,9 @@
 """Exact optimal transport on finite spaces, with its category structure.
 
-Everything here is rational arithmetic: the primal and dual programs
-solve by exact simplex and must agree to the last digit, plans compose
-by disintegration, and invertibility is readable off the norm.
+Everything here is rational arithmetic: one exact transportation simplex
+yields the optimal plan and a 1-Lipschitz potential whose values must
+agree to the last digit, plans compose by disintegration, and
+invertibility is readable off the norm.
 """
 
 import random

@@ -293,6 +293,7 @@ def cmd_transport(args) -> int:
                     "dual": str(res.dual),
                     "plan": res.plan.to_json()["gamma"],
                     "potential": [str(v) for v in res.potential.values],
+                    "pivots": res.pivots,
                 }, indent=2))
             else:
                 print(f"value = {res.primal} (primal = dual, exactly)")

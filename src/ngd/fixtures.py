@@ -28,7 +28,15 @@ from .emergent import check_pplay, gamma_irq_from_dilation, sample_point_quads
 from .limits import BoundedSampler, check_A3
 from .models import EuclideanGroup, HeisenbergGroup, PairModel
 from .scales import as_scale, dyadic_grid
-from .transport import Coupling, Measure, two_point_space
+from .transport import (
+    Coupling,
+    Measure,
+    _integer_problem,
+    _northwest_corner,
+    _read_basis,
+    check_kantorovich_certificate,
+    two_point_space,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +205,28 @@ def mismatched_transport_pair():
     return gamma, gamma_prime
 
 
+def unpivoted_transport_basis():
+    """The exact transport solver stopped before its first pivot.
+
+    Three points with c between a and b: d(a, b) = 2, d(a, c) =
+    d(b, c) = 1; mu = (1/2, 1/2, 0), nu = (0, 1/2, 1/2).  The
+    northwest-corner basis ships a to b and b to c at cost 3/2, while the
+    optimum sends a to c and leaves b in place at cost 1/2.  Its plan is
+    a coupling and the c-transform of its tree potential is 1-Lipschitz,
+    so only the zero-gap and complementary-slackness laws of the
+    certificate can catch it.  Returns (mu, nu, gamma, u)."""
+    X = FiniteMetricSpace(
+        points=["a", "b", "c"],
+        dist=[[0, 2, 1], [2, 0, 1], [1, 1, 0]],
+    )
+    h = Fraction(1, 2)
+    mu = Measure(X, (h, h, 0))
+    nu = Measure(X, (0, h, h))
+    supply, demand, cost, L, D = _integer_problem(mu, nu)
+    gamma, u = _read_basis(cost, _northwest_corner(supply, demand), L, D)
+    return mu, nu, gamma, u
+
+
 # ---------------------------------------------------------------------------
 # malformed DSL inputs (for the CLI's positioned parse errors)
 
@@ -298,4 +328,10 @@ def run_planted_suite(seed: int = 0, samples: int = 200):
     except MarginalMismatch as e:
         law.fail(index=e.index, left=str(e.left), right=str(e.right))
     out.append(("mismatched middle marginals vs composability", rep))
+
+    mu, nu, gamma, u = unpivoted_transport_basis()
+    out.append((
+        "unpivoted transport basis vs the optimality certificate",
+        check_kantorovich_certificate(mu, nu, gamma, u),
+    ))
     return out

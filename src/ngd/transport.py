@@ -5,14 +5,18 @@ Plans over a finite metric space form a category with an involutive
 inverse (transposition).  It is deliberately NOT a groupoid: gamma^-1
 composed with gamma is usually not an identity plan, and the plans of
 the form h^-1 h include fat things like the quarter-uniform plan on two
-points.  Everything here is exact Fraction arithmetic; the LP solver is
-a small two-phase simplex with Bland's rule, so the Kantorovich duality
-gap comes out identically zero rather than merely small.
+points.  Everything here is exact Fraction arithmetic.  Kantorovich
+problems are solved by the transportation (network) simplex on
+integer-scaled data, with Bland's rule, and every answer must pass an
+exact optimality certificate, so the duality gap comes out identically
+zero rather than merely small.  The dense two-phase simplex solve_lp is
+kept as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -473,87 +477,235 @@ def solve_lp(A, b, c):
 
 @dataclass
 class KantorovichResult:
-    """Optimal plan, optimal potential, and the two LP values (equal)."""
+    """Optimal plan, optimal potential, the two values (equal), and the
+    number of simplex pivots the solver took.  Unpacks as the 4-tuple
+    (plan, potential, primal, dual)."""
 
     plan: Coupling
     potential: LipFunction
     primal: Fraction
     dual: Fraction
+    pivots: int
 
     def __iter__(self):
         return iter((self.plan, self.potential, self.primal, self.dual))
 
 
-def kantorovich(mu: Measure, nu: Measure) -> KantorovichResult:
-    """Solve both sides of the finite transport problem exactly.
+def _integer_problem(mu: Measure, nu: Measure):
+    """The transport problem on plain ints: supplies and demands scaled
+    by L, the lcm of the weight denominators, costs by D, the lcm of the
+    distance denominators.  Returns (supply, demand, cost, L, D)."""
+    d = mu.space.dist
+    L = math.lcm(*(w.denominator for w in mu.weights + nu.weights))
+    D = math.lcm(*(v.denominator for row in d for v in row))
+    supply = [int(w * L) for w in mu.weights]
+    demand = [int(w * L) for w in nu.weights]
+    cost = [[int(v * D) for v in row] for row in d]
+    return supply, demand, cost, L, D
 
-    Primal: minimize the mean displacement over all couplings of
-    (mu, nu) — an LP over the transportation polytope.  Dual: maximize
-    the mean of u against mu - nu over 1-Lipschitz potentials u.  Both
-    are solved independently by the exact simplex and the duality gap is
-    asserted to be identically zero, as is the complementary-slackness
-    identity rho_{u*}(gamma*) = d(gamma*)."""
+
+def _northwest_corner(supply, demand) -> dict:
+    """The northwest-corner basis as {cell: flow}, cell = x * n + y.
+
+    Exactly 2n - 1 cells: when a row and a column run out together the
+    sweep steps down and books a degenerate zero cell.  The cells form a
+    staircase, hence a spanning tree of the row/column graph."""
+    n = len(supply)
+    a, b = list(supply), list(demand)
+    basis = {}
+    x = y = 0
+    while True:
+        t = min(a[x], b[y])
+        basis[x * n + y] = t
+        a[x] -= t
+        b[y] -= t
+        if x == y == n - 1:
+            return basis
+        if a[x] == 0 and x < n - 1:
+            x += 1
+        else:
+            y += 1
+
+
+def _walk(n, basis, root):
+    """Walk the basis tree from root.  Nodes are rows 0..n-1 and columns
+    n..2n-1, joined by the basic cells; returns the nodes in visiting
+    order and each node's parent."""
+    adj = [[] for _ in range(2 * n)]
+    for k in basis:
+        x, y = divmod(k, n)
+        adj[x].append(n + y)
+        adj[n + y].append(x)
+    order, parent = [root], {root: None}
+    for p in order:
+        for q in adj[p]:
+            if q not in parent:
+                parent[q] = p
+                order.append(q)
+    return order, parent
+
+
+def _cell(n, p, q):
+    """The cell joining tree nodes p and q."""
+    return p * n + q - n if p < n else q * n + p - n
+
+
+def _potentials(cost, basis):
+    """Row and column potentials: u_0 = 0 and u_x + v_y = c(x, y) on
+    every basic cell."""
+    n = len(cost)
+    order, parent = _walk(n, basis, 0)
+    pot = [0] * (2 * n)
+    for q in order[1:]:
+        x, y = divmod(_cell(n, parent[q], q), n)
+        pot[q] = cost[x][y] - pot[parent[q]]
+    return pot[:n], pot[n:]
+
+
+def _pivot_to_optimum(cost, basis) -> int:
+    """The transportation simplex, in place on the basis; returns the
+    number of pivots.
+
+    The entering cell is the lowest-index cell with a negative reduced
+    cost c(x, y) - u_x - v_y.  It closes one cycle in the tree, whose
+    cells alternate minus and plus starting next to it; the leaving cell
+    is the lowest-index minus cell of minimum flow.  That is Bland's rule
+    on the transportation LP, whose bases are the spanning trees, so
+    degenerate pivots cannot cycle and the loop terminates."""
+    n = len(cost)
+    pivots = 0
+    while True:
+        u, v = _potentials(cost, basis)
+        enter = next(
+            (
+                (x, y)
+                for x in range(n)
+                for y in range(n)
+                if cost[x][y] - u[x] < v[y]
+            ),
+            None,
+        )
+        if enter is None:
+            return pivots
+        x, y = enter
+        _, parent = _walk(n, basis, n + y)
+        cycle, p = [], x
+        while p != n + y:
+            cycle.append(_cell(n, p, parent[p]))
+            p = parent[p]
+        minus, plus = cycle[0::2], cycle[1::2]
+        leave = min(minus, key=lambda k: (basis[k], k))
+        theta = basis.pop(leave)
+        for k in minus:
+            if k != leave:
+                basis[k] -= theta
+        for k in plus:
+            basis[k] += theta
+        basis[x * n + y] = theta
+        pivots += 1
+
+
+def _read_basis(cost, basis, L, D):
+    """The plan and the potential a basis stands for, in the original
+    units.  The potential is the c-transform of the column potentials,
+    phi(x) = min_y (c(x, y) - v_y) / D: 1-Lipschitz by the triangle
+    inequality, and a maximiser when the basis is optimal."""
+    n = len(cost)
+    gamma = [[Fraction(0)] * n for _ in range(n)]
+    for k, flow in basis.items():
+        x, y = divmod(k, n)
+        gamma[x][y] = Fraction(flow, L)
+    _, v = _potentials(cost, basis)
+    phi = tuple(
+        Fraction(min(c - vy for c, vy in zip(row, v)), D) for row in cost
+    )
+    return tuple(tuple(row) for row in gamma), phi
+
+
+def check_kantorovich_certificate(mu: Measure, nu: Measure, gamma, u):
+    """Certify a plan matrix gamma and a potential u as optimal for the
+    transport problem (mu, nu), from the raw values alone.
+
+    Four laws: gamma is a coupling of (mu, nu) (nonnegative, exact row
+    and column sums); u is 1-Lipschitz (witness: a violating pair); the
+    gap sum d.gamma - sum u.(mu - nu) is zero; complementary slackness,
+    u(x) - u(y) = d(x, y) on every occupied cell.  Weak duality makes a
+    passing pair optimal on both sides, whatever produced it."""
     _same_space(mu, nu)
     space = mu.space
     n = space.n_points()
     d = space.dist
+    rep = ValidationReport(subject=f"transport certificate on {n} points")
+    marg = LawCheck("plan is a coupling of (mu, nu), exactly")
+    lip = LawCheck("potential is 1-Lipschitz")
+    gap = LawCheck("sum d gamma = sum u (mu - nu), exactly")
+    slack = LawCheck("u(x) - u(y) = d(x, y) on every occupied cell")
+    rep.add(marg, lip, gap, slack)
 
-    # primal: variables gamma[x][y] flattened as x * n + y; row sums
-    # equal mu, column sums equal nu (last column constraint is implied
-    # by the others, so it is dropped)
-    A, b = [], []
+    rows = [sum(row) for row in gamma]
+    cols = [sum(row[y] for row in gamma) for y in range(n)]
+    for i in range(n):
+        marg.tick(2)
+        if rows[i] != mu[i]:
+            marg.fail(row=i, sum=str(rows[i]), marginal=str(mu[i]))
+        if cols[i] != nu[i]:
+            marg.fail(column=i, sum=str(cols[i]), marginal=str(nu[i]))
     for x in range(n):
-        row = [Fraction(0)] * (n * n)
         for y in range(n):
-            row[x * n + y] = Fraction(1)
-        A.append(row)
-        b.append(mu.weights[x])
-    for y in range(n - 1):
-        row = [Fraction(0)] * (n * n)
-        for x in range(n):
-            row[x * n + y] = Fraction(1)
-        A.append(row)
-        b.append(nu.weights[y])
-    cost = [d[x][y] for x in range(n) for y in range(n)]
-    primal, sol = solve_lp(A, b, cost)
-    g = tuple(
-        tuple(sol[x * n + y] for y in range(n)) for x in range(n)
-    )
-    plan = Coupling(space, g, mu=mu, nu=nu)
+            if gamma[x][y] < 0:
+                marg.fail(cell=(x, y), mass=str(gamma[x][y]))
 
-    # dual: maximize sum_x u(x) (mu(x) - nu(x)) with u(x) - u(y) <= d(x,y)
-    # for every ordered pair; free u splits as p - q, slacks close the gap
-    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
-    nvars = 2 * n + len(pairs)
-    A2, b2 = [], []
-    for k, (x, y) in enumerate(pairs):
-        row = [Fraction(0)] * nvars
-        row[x] += 1
-        row[n + x] -= 1
-        row[y] -= 1
-        row[n + y] += 1
-        row[2 * n + k] = Fraction(1)
-        A2.append(row)
-        b2.append(d[x][y])
-    cost2 = [nu.weights[x] - mu.weights[x] for x in range(n)]
-    cost2 += [mu.weights[x] - nu.weights[x] for x in range(n)]
-    cost2 += [Fraction(0)] * len(pairs)
-    neg_dual, sol2 = solve_lp(A2, b2, cost2)
-    dual = -neg_dual
-    u = LipFunction(
-        space, tuple(sol2[x] - sol2[n + x] for x in range(n))
-    )
+    lip.tick(n * (n - 1))
+    w = lip1_witness(space, u)
+    if w is not None:
+        x, y = w
+        lip.fail(pair=w, difference=str(u[x] - u[y]), d=str(d[x][y]))
 
+    occupied = [
+        (x, y) for x in range(n) for y in range(n) if gamma[x][y] > 0
+    ]
+    primal = sum(d[x][y] * gamma[x][y] for x, y in occupied)
+    dual = sum(u[x] * (mu[x] - nu[x]) for x in range(n))
+    gap.tick()
     if primal != dual:
+        gap.fail(primal=str(primal), dual=str(dual))
+
+    for x, y in occupied:
+        slack.tick()
+        if u[x] - u[y] != d[x][y]:
+            slack.fail(cell=(x, y), difference=str(u[x] - u[y]),
+                       d=str(d[x][y]))
+    return rep
+
+
+def kantorovich(mu: Measure, nu: Measure) -> KantorovichResult:
+    """Solve the finite transport problem exactly, both sides at once.
+
+    Primal: minimize the mean displacement over all couplings of
+    (mu, nu) — an LP over the transportation polytope.  Dual: maximize
+    the mean of u against mu - nu over 1-Lipschitz potentials u.  The
+    transportation simplex runs on integer-scaled data from the
+    northwest-corner basis; the optimal basis gives the plan, and the
+    c-transform of its column potentials gives u.  The pair must pass
+    check_kantorovich_certificate (exact marginals, u 1-Lipschitz, zero
+    gap, complementary slackness), which proves both optimal."""
+    _same_space(mu, nu)
+    space = mu.space
+    supply, demand, cost, L, D = _integer_problem(mu, nu)
+    basis = _northwest_corner(supply, demand)
+    pivots = _pivot_to_optimum(cost, basis)
+    gamma, phi = _read_basis(cost, basis, L, D)
+    rep = check_kantorovich_certificate(mu, nu, gamma, phi)
+    if not rep.passed:
         raise AssertionError(
-            f"duality gap is not zero: primal {primal} != dual {dual} "
-            "(this is an internal error: both LPs are exact)"
+            "transport certificate failed (this is an internal error: "
+            "the solver is exact)\n" + rep.summary()
         )
-    if seminorm_rho(u, plan) != norm_d(plan):
-        raise AssertionError(
-            "complementary slackness failed: rho_u*(gamma*) != d(gamma*)"
-        )
-    return KantorovichResult(plan, u, primal, dual)
+    plan = Coupling(space, gamma, mu=mu, nu=nu)
+    u = LipFunction(space, phi)
+    primal = norm_d(plan)
+    dual = sum(u[x] * (mu[x] - nu[x]) for x in range(space.n_points()))
+    return KantorovichResult(plan, u, primal, dual, pivots)
 
 
 def wasserstein(mu: Measure, nu: Measure) -> Fraction:

@@ -2,11 +2,12 @@
 round-trip printing, frozen evaluation values, and process exit codes."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ngd import cli, dsl
+from ngd import cli, dsl, transport
 from ngd.fixtures import parse_error_samples
 from ngd.models import euclidean_model, heisenberg_model
 from ngd.scales import dyadic_grid
@@ -181,6 +182,26 @@ def test_cli_transport_kantorovich(tmp_path, capsys):
                    "--json") == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["primal"] == "1/4" and blob["dual"] == "1/4"
+    X = transport.two_point_space()
+    res = transport.kantorovich(
+        transport.Measure(X, (Fraction(1, 2), Fraction(1, 2))),
+        transport.Measure(X, (Fraction(1, 4), Fraction(3, 4))),
+    )
+    assert blob["pivots"] == res.pivots
+
+
+def test_cli_transport_kantorovich_one_point_space(tmp_path, capsys):
+    f = tmp_path / "one.json"
+    f.write_text(json.dumps({
+        "space": {"points": ["a"], "dist": [["0"]]},
+        "mu": ["1"],
+        "nu": ["1"],
+    }))
+    assert run_cli("transport", str(f), "--action", "kantorovich",
+                   "--json") == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob == {"primal": "0", "dual": "0", "plan": [["1"]],
+                    "potential": ["0"], "pivots": 0}
 
 
 def test_cli_report_planted_is_exit_one(capsys):

@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ngd import transport
 from ngd.constructions import FiniteMetricSpace, random_metric_space
+from ngd.fixtures import unpivoted_transport_basis
 from ngd.transport import (
     Coupling,
     LipFunction,
     MarginalMismatch,
     Measure,
+    check_kantorovich_certificate,
     check_kantorovich_duality,
     check_transport,
     compose_plans,
@@ -370,6 +373,170 @@ def test_solve_lp_handles_redundant_rows():
     val, x = solve_lp(A, b, c)
     assert val == Fraction(1)
     assert x == [Fraction(1), Fraction(0)]
+
+
+def dense_lp_values(mu, nu):
+    """The transport problem as two dense LPs solved by solve_lp: the
+    n^2-variable transportation LP and the Lipschitz dual (free u split
+    as p - q, one slack per ordered pair).  Returns (primal, dual)."""
+    space = mu.space
+    n = space.n_points()
+    d = space.dist
+    A, b = [], []
+    for x in range(n):
+        A.append([int(k // n == x) for k in range(n * n)])
+        b.append(mu[x])
+    for y in range(n - 1):  # the last column sum is implied
+        A.append([int(k % n == y) for k in range(n * n)])
+        b.append(nu[y])
+    primal, _ = solve_lp(A, b, [d[k // n][k % n] for k in range(n * n)])
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+    A, b = [], []
+    for k, (x, y) in enumerate(pairs):
+        row = [0] * (2 * n + len(pairs))
+        row[x], row[n + x], row[y], row[n + y] = 1, -1, -1, 1
+        row[2 * n + k] = 1
+        A.append(row)
+        b.append(d[x][y])
+    c = [nu[x] - mu[x] for x in range(n)]
+    c += [-v for v in c] + [0] * len(pairs)
+    neg_dual, _ = solve_lp(A, b, c)
+    return primal, -neg_dual
+
+
+def uniform_space(n):
+    return FiniteMetricSpace(
+        points=list(range(n)),
+        dist=[[int(x != y) for y in range(n)] for x in range(n)],
+    )
+
+
+def point_mass(space, i):
+    n = space.n_points()
+    return Measure(space, tuple(Fraction(int(x == i)) for x in range(n)))
+
+
+def test_kantorovich_matches_the_dense_lp_oracle():
+    """The transportation simplex against solve_lp on both dense LPs, on
+    the small spaces of the acceptance battery and on degenerate
+    families (uniform metric, mu = nu, point masses) that force ties."""
+    rng = random.Random(5)
+    spaces = [random_metric_space(s, max_points=8) for s in range(50)]
+    spaces = [X for X in spaces if X.n_points() <= 5]
+    assert len(spaces) == 29
+    spaces += [random_metric_space(1000 + t, max_points=5) for t in range(25)]
+    problems = [
+        (random_measure(X, rng, full_support=k % 2 == 0),
+         random_measure(X, rng, full_support=False))
+        for k, X in enumerate(spaces)
+    ]
+    for n in (2, 3, 4, 5):
+        U = uniform_space(n)
+        mu = random_measure(U, rng, full_support=False)
+        problems += [
+            (mu, random_measure(U, rng)),
+            (mu, mu),
+            (point_mass(U, 0), point_mass(U, n - 1)),
+            (point_mass(U, 1), point_mass(U, 1)),
+        ]
+    for mu, nu in problems:
+        res = kantorovich(mu, nu)
+        assert (res.primal, res.dual) == dense_lp_values(mu, nu)
+
+
+def test_kantorovich_on_the_one_point_space():
+    X1 = FiniteMetricSpace(points=["a"], dist=[[0]])
+    one = Measure(X1, (Fraction(1),))
+    res = kantorovich(one, one)
+    assert res.primal == res.dual == 0
+    assert res.potential.values == (Fraction(0),)
+    assert res.plan.gamma == ((Fraction(1),),)
+    assert res.pivots == 0
+
+
+def test_kantorovich_certificate_at_thirty_points():
+    """n = 30, far beyond the dense tableaux: random rational edge weights
+    closed by exact shortest paths, the certificate checked against this
+    test's own d, mu and nu."""
+    rng = random.Random(30)
+    n = 30
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(x + 1, n):
+            d[x][y] = d[y][x] = Fraction(rng.randint(1, 24), rng.randint(1, 8))
+    for k in range(n):
+        for x in range(n):
+            for y in range(n):
+                if x != y and d[x][k] + d[k][y] < d[x][y]:
+                    d[x][y] = d[x][k] + d[k][y]
+    a = [rng.randint(0, 12) for _ in range(n)]
+    b = [rng.randint(1, 12) for _ in range(n)]
+    mu = [Fraction(v, sum(a)) for v in a]
+    nu = [Fraction(v, sum(b)) for v in b]
+    X = FiniteMetricSpace(points=list(range(n)), dist=d)
+    res = kantorovich(Measure(X, mu), Measure(X, nu))
+    g, u = res.plan.gamma, res.potential.values
+    assert all(v >= 0 for row in g for v in row)
+    assert [sum(row) for row in g] == mu
+    assert [sum(g[x][y] for x in range(n)) for y in range(n)] == nu
+    assert all(
+        u[x] - u[y] <= d[x][y] for x in range(n) for y in range(n)
+    )
+    cost = sum(d[x][y] * g[x][y] for x in range(n) for y in range(n))
+    value = sum(u[x] * (mu[x] - nu[x]) for x in range(n))
+    assert cost == value == res.primal == res.dual
+    assert res.pivots > 0
+
+
+def test_certificate_catches_the_unpivoted_basis(monkeypatch):
+    """The northwest-corner basis is feasible and its potential is
+    1-Lipschitz, so only the gap and slackness laws can see that it is
+    not optimal.  A solver that stops before pivoting must be refused."""
+    mu, nu, gamma, u = unpivoted_transport_basis()
+    rep = check_kantorovich_certificate(mu, nu, gamma, u)
+    verdicts = {c.law: c.passed for c in rep.laws}
+    assert verdicts == {
+        "plan is a coupling of (mu, nu), exactly": True,
+        "potential is 1-Lipschitz": True,
+        "sum d gamma = sum u (mu - nu), exactly": False,
+        "u(x) - u(y) = d(x, y) on every occupied cell": False,
+    }
+    assert rep.law("sum d gamma = sum u (mu - nu), exactly").witnesses == [
+        {"primal": "3/2", "dual": "1/2"}
+    ]
+
+    res = kantorovich(mu, nu)
+    # one pivot: (a, c) enters, (a, b) leaves
+    assert res.primal == Fraction(1, 2) and res.pivots == 1
+    assert check_kantorovich_certificate(
+        mu, nu, res.plan.gamma, res.potential.values
+    ).passed
+
+    monkeypatch.setattr(transport, "_pivot_to_optimum", lambda cost, b: 0)
+    with pytest.raises(AssertionError, match="certificate failed"):
+        kantorovich(mu, nu)
+
+
+def test_certificate_names_a_lipschitz_witness_and_a_bad_marginal():
+    mu = Measure(X2, (Fraction(1, 2), Fraction(1, 2)))
+    nu = Measure(X2, (Fraction(1, 4), Fraction(3, 4)))
+    gamma = ((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2)))
+    rep = check_kantorovich_certificate(mu, nu, gamma, (Fraction(2), 0))
+    assert rep.law("potential is 1-Lipschitz").witnesses[0]["pair"] == (0, 1)
+    marg = rep.law("plan is a coupling of (mu, nu), exactly")
+    assert marg.witnesses[0] == {"column": 0, "sum": "1/2", "marginal": "1/4"}
+
+
+def test_kantorovich_result_unpacks_to_four_and_counts_pivots():
+    # a point mass has a single coupling, which the first basis already is
+    space = line3()
+    spread = Measure(space, (Fraction(1, 3),) * 3)
+    res = kantorovich(point_mass(space, 0), spread)
+    plan, potential, primal, dual = res
+    assert (plan, potential, primal, dual) == (
+        res.plan, res.potential, res.primal, res.dual
+    )
+    assert primal == Fraction(1) and res.pivots == 0
 
 
 # ---------------------------------------------------------------------------
