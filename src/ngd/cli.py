@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -434,15 +435,37 @@ def cmd_report(args) -> int:
 # argument plumbing
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if n <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {n}")
+    return n
+
+
+def _positive_float(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text}")
+    return x
+
+
 def _common(sub):
     sub.add_argument("--model", choices=["euclidean", "heisenberg", "all"],
                      default="all")
     sub.add_argument("--dim", type=int, default=1,
                      help="dimension of the euclidean carrier")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--radius", type=float, default=4.0)
-    sub.add_argument("--samples", type=int, default=200)
-    sub.add_argument("--eps-grid", type=int, default=None, metavar="KMAX",
+    sub.add_argument("--radius", type=_positive_float, default=4.0)
+    sub.add_argument("--samples", type=_positive_int, default=200)
+    sub.add_argument("--eps-grid", type=_positive_int, default=None,
+                     metavar="KMAX",
                      help="use the dyadic grid 2^-1 .. 2^-KMAX")
     sub.add_argument("--tol", type=float, default=1e-8)
     sub.add_argument("--json", action="store_true",

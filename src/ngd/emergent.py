@@ -14,6 +14,7 @@ with the base an explicit argument.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -29,26 +30,47 @@ def _maxabs(x) -> float:
 
 
 def _per_sample(a, b):
-    """Residual per leading-axis sample: max |a - b| over trailing axes."""
-    r = np.abs(np.asarray(a) - np.asarray(b))
-    if r.ndim <= 1:
-        return r
-    return r.reshape(r.shape[0], -1).max(axis=1)
+    """Residual per leading-axis sample: max |a - b| over trailing axes.
+
+    A running np.maximum over the trailing columns, one 1-d column at a
+    time: exact and NaN-propagating like a row max, but numpy is slow on
+    a short inner axis, and so also on (n, 3) strided views."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if max(a.ndim, b.ndim) <= 1:
+        return np.abs(a - b)
+    a, b = np.broadcast_arrays(a, b)
+    n, k = a.shape[0], math.prod(a.shape[1:])
+    a = a.reshape(n, k)
+    b = b.reshape(n, k)
+    out = np.subtract(a[:, 0], b[:, 0])
+    np.abs(out, out=out)
+    r = np.empty_like(out)
+    for j in range(1, k):
+        np.subtract(a[:, j], b[:, j], out=r)
+        np.abs(r, out=r)
+        np.maximum(out, r, out=out)
+    return out
 
 
 def _judge(check: LawCheck, resids, tol: float, **context) -> None:
     """Tick the law once per sample batch; file the worst offender as a
-    witness (with any per-sample context arrays sliced at that index)."""
+    witness (with any per-sample context arrays sliced at that index).
+    A non-finite residual fails, and its first sample is the witness."""
     resids = np.atleast_1d(np.asarray(resids, dtype=float))
     check.tick(int(resids.size))
     worst = float(resids.max()) if resids.size else 0.0
-    if worst > tol:
+    if not math.isfinite(worst):
+        i = int(np.argmin(np.isfinite(resids)))  # first non-finite sample
+    elif worst > tol:
         i = int(np.argmax(resids))
-        data = {"residual": worst, "sample": i}
-        for key, val in context.items():
-            arr = np.asarray(val)
-            data[key] = arr[i].tolist() if arr.ndim > 0 and arr.shape[0] == resids.size else val
-        check.fail(**data)
+    else:
+        return
+    data = {"residual": float(resids[i]), "sample": i}
+    for key, val in context.items():
+        arr = np.asarray(val)
+        data[key] = arr[i].tolist() if arr.ndim > 0 and arr.shape[0] == resids.size else val
+    check.fail(**data)
 
 
 # ---------------------------------------------------------------------------

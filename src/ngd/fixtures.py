@@ -82,6 +82,27 @@ def dropped_correction_heisenberg() -> PairModel:
     )
 
 
+class _NaNBelowHeisenbergGroup(HeisenbergGroup):
+    """Heisenberg carrier whose dilatation kernel returns NaN below
+    scale 0.2.  The kernel is what breaks, not dil: the fused kernel never
+    calls dil, so a NaN dil would not be reached."""
+
+    def point_dilatation(self, s: float, x, y):
+        out = super().point_dilatation(s, x, y)
+        if s < 0.2:
+            out[...] = np.nan
+        return out
+
+
+def nan_below_heisenberg() -> PairModel:
+    """Every based identity at a small scale compares NaN with NaN.  A
+    judge that only asks `residual > tol` sees False there and passes;
+    the honest one fails on the non-finite residual."""
+    return PairModel(
+        _NaNBelowHeisenbergGroup(), name="heisenberg (NaN below eps = 0.2)"
+    )
+
+
 def _horizontal_gauge(a):
     a = np.asarray(a, dtype=float)
     return np.sqrt(a[..., 0] ** 2 + a[..., 1] ** 2)
@@ -288,6 +309,15 @@ def run_planted_suite(seed: int = 0, samples: int = 200):
     out.append((
         "dropped correction term vs based-operation identities",
         check_pplay(gamma_irq_from_dilation(dropped), quads),
+    ))
+
+    nan_model = nan_below_heisenberg()
+    quads = sample_point_quads(
+        nan_model, np.random.default_rng(seed + 2), n=min(samples, 120)
+    )
+    out.append((
+        "NaN dilatations below eps = 0.2 vs the identity battery",
+        check_pplay(gamma_irq_from_dilation(nan_model), quads),
     ))
 
     flat = flat_gauge_heisenberg()

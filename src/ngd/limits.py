@@ -30,6 +30,7 @@ which would bury genuine convergence orders.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -95,7 +96,8 @@ def estimate_from_residuals(axiom, eps, residuals, tol, atol=1e-13,
     with require_decreasing, the tail has not grown past the head).  The
     order is the least-squares slope of log2(residual) against log2(eps)
     over the last (up to 8) points above the noise floor atol; a trace
-    entirely below the floor is reported as exact, order None."""
+    entirely below the floor is reported as exact, order None.  A NaN or
+    infinite residual anywhere fails the trace, and the note names it."""
     eps = [float(e) for e in eps]
     residuals = [float(r) for r in residuals]
     n = len(residuals)
@@ -107,12 +109,17 @@ def estimate_from_residuals(axiom, eps, residuals, tol, atol=1e-13,
     eventually = max(tail) < tol
     # a trace living under the noise floor has no trend worth flagging
     trend_ok = max(tail) <= max(max(head) + 1e-12, atol)
+    # Python's max skips a NaN that is not first, so look for one outright
+    bad = next((i for i, r in enumerate(residuals) if not math.isfinite(r)),
+               None)
 
     order = None
     note = ""
-    above = [(e, r) for e, r in zip(eps, residuals) if r > atol]
+    above = [(e, r) for e, r in zip(eps, residuals)
+             if r > atol and math.isfinite(r)]
     if not above:
-        note = "exact (all residuals at the noise floor)"
+        if bad is None:
+            note = "exact (all residuals at the noise floor)"
     elif len(above) >= 3:
         pts = above[-8:]
         le = np.log2([p[0] for p in pts])
@@ -121,10 +128,13 @@ def estimate_from_residuals(axiom, eps, residuals, tol, atol=1e-13,
     else:
         note = "too few resolvable points to fit an order"
 
-    passed = eventually and (trend_ok or not require_decreasing)
+    passed = eventually and (trend_ok or not require_decreasing) and bad is None
     if not trend_ok:
         grew = f"tail max {max(tail):.3e} exceeds head max {max(head):.3e}"
         note = f"{note}; {grew}" if note else grew
+    if bad is not None:
+        nf = f"non-finite residual {residuals[bad]} at eps={eps[bad]:.6g}"
+        note = f"{note}; {nf}" if note else nf
     return LimitEstimate(axiom, eps, residuals, order=order, passed=passed,
                          note=note, value=value)
 
@@ -599,8 +609,8 @@ class TranslationGroupoid:
     def apply(self, u, v):
         return Sigma3(self.model, self.scale, self.x, u, v)
 
-    def compose_params(self, u, v):
-        return Sigma3(self.model, self.scale, self.x, u, v)
+    # composing parameters is the same based sum that acts on points
+    compose_params = apply
 
     def inverse_param(self, u):
         return inv3(self.model, self.scale, self.x, u)

@@ -212,3 +212,16 @@ def test_cli_report_planted_is_exit_one(capsys):
 
 def test_cli_report_transport_green(capsys):
     assert run_cli("report", "--suite", "transport") == 0
+
+
+@pytest.mark.parametrize("flag,value", [("--samples", "0"),
+                                        ("--samples", "-3"),
+                                        ("--eps-grid", "0"),
+                                        ("--radius", "0"),
+                                        ("--radius", "nan")])
+def test_cli_degenerate_flag_values_are_exit_two(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("limits", "--model", "euclidean", flag, value)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "Traceback" not in err

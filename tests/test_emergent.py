@@ -7,7 +7,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ngd.core import LawCheck
 from ngd.emergent import (
+    _judge,
     Delta3,
     Delta_eps,
     Sigma3,
@@ -24,7 +26,7 @@ from ngd.emergent import (
     sample_point_quads,
     z_irq_from_iterates,
 )
-from ngd.fixtures import dropped_correction_heisenberg
+from ngd.fixtures import dropped_correction_heisenberg, nan_below_heisenberg
 from ngd.models import euclidean_model, heisenberg_model
 from ngd.scales import Scale
 
@@ -205,3 +207,29 @@ def test_dropped_correction_term_fails_the_battery():
     assert not rep.passed
     broken = [c for c in rep.laws if not c.passed]
     assert broken and broken[0].witnesses
+
+
+def test_judge_fails_a_non_finite_residual_with_its_first_sample():
+    for bad in (np.nan, np.inf):
+        law = LawCheck("demo")
+        resid = np.array([0.0, 1e-20, bad, 1e-20, np.nan])
+        _judge(law, resid, 1e-10, x=np.arange(5.0))
+        assert not law.passed and law.checked == 5
+        w = law.witnesses[0]
+        assert w["sample"] == 2 and w["x"] == 2.0
+    law = LawCheck("finite and small")
+    _judge(law, np.array([0.0, 1e-20]), 1e-10)
+    assert law.passed
+
+
+def test_nan_kernel_fails_the_battery():
+    """Mutation check: NaN dilatations below eps = 0.2 compare NaN with
+    NaN, which `residual > tol` alone would let through."""
+    bad = nan_below_heisenberg()
+    quads = sample_point_quads(bad, np.random.default_rng(7), n=60)
+    rep = check_pplay(gamma_irq_from_dilation(bad), quads)
+    assert not rep.passed
+    broken = [c for c in rep.laws if not c.passed]
+    assert broken and all(np.isnan(c.witnesses[0]["residual"]) for c in broken)
+    # every output is NaN at those scales, so the first sample is the witness
+    assert all(c.witnesses[0]["sample"] == 0 for c in broken)

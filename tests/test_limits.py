@@ -55,6 +55,17 @@ class TestResidualJudging:
         assert est.passed
         assert "noise floor" in est.note
 
+    def test_non_finite_residual_fails_wherever_it_sits(self):
+        for bad in (np.nan, np.inf):
+            for i in (0, 5, 18):  # head, middle, inside the tail
+                resid = [3.0 * e for e in self.eps]
+                resid[i] = bad
+                est = estimate_from_residuals("demo", self.eps, resid,
+                                              tol=1e-4)
+                assert not est.passed, (bad, i)
+                assert "non-finite residual" in est.note
+                assert est.order == pytest.approx(1.0, abs=0.05)
+
     def test_growing_tail_fails_even_below_tol(self):
         resid = [1e-7 * 2**k for k in range(20)]  # grows as eps shrinks
         est = estimate_from_residuals(
