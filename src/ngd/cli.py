@@ -101,21 +101,6 @@ def _load_json(path):
 # validate
 
 
-def _groupoid_from_json(data) -> FiniteGroupoid:
-    compose = {}
-    for g, h, k in data["compose"]:
-        compose[(int(g), int(h))] = int(k)
-    norm = data.get("norm")
-    if norm is not None:
-        norm = [Fraction(str(v)) for v in norm]
-    return FiniteGroupoid(
-        arrows=list(data["arrows"]),
-        compose=compose,
-        inverse=[int(v) for v in data["inverse"]],
-        norm=norm,
-    )
-
-
 def cmd_validate(args) -> int:
     data = _load_json(args.file)
     reports = []
@@ -146,7 +131,7 @@ def cmd_validate(args) -> int:
             if space.n_points() <= 6:
                 reports.append(check_double_norm(double_groupoid(G)))
         elif "compose" in data:
-            G = _groupoid_from_json(data)
+            G = FiniteGroupoid.from_json(data)
             reports.append(validate_groupoid(G))
             if G.norm is not None:
                 reports.append(check_norm(G))
@@ -459,7 +444,7 @@ def _positive_float(text: str) -> float:
 def _common(sub):
     sub.add_argument("--model", choices=["euclidean", "heisenberg", "all"],
                      default="all")
-    sub.add_argument("--dim", type=int, default=1,
+    sub.add_argument("--dim", type=_positive_int, default=1,
                      help="dimension of the euclidean carrier")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--radius", type=_positive_float, default=4.0)
@@ -467,7 +452,7 @@ def _common(sub):
     sub.add_argument("--eps-grid", type=_positive_int, default=None,
                      metavar="KMAX",
                      help="use the dyadic grid 2^-1 .. 2^-KMAX")
-    sub.add_argument("--tol", type=float, default=1e-8)
+    sub.add_argument("--tol", type=_positive_float, default=1e-8)
     sub.add_argument("--json", action="store_true",
                      help="machine-readable output")
 

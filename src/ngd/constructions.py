@@ -1,6 +1,5 @@
 """Stock constructions: pair groupoids of finite metric spaces, the
-double groupoid of same-source arrow pairs, fiber distances, and action
-groupoids of group actions (with the right-invariant metric recipe).
+double groupoid of same-source arrow pairs, and fiber distances.
 
 Everything here is exact table arithmetic over Fractions.
 """
@@ -247,212 +246,3 @@ def check_fiber_distances(G: FiniteGroupoid) -> ValidationReport:
             recon.fail(g=G.arrows[g], got=str(rec[g]), want=str(G.d(g)))
     return rep
 
-
-# ---------------------------------------------------------------------------
-# group actions and their groupoids
-
-
-@dataclass
-class GroupAction:
-    """A finite group acting on a finite point set, by tables.
-
-    elements -- group element labels; mul[i][j] = index of elements[i]*elements[j]
-    points   -- point labels; act[g][x] = index of g . x
-    """
-
-    elements: list
-    mul: list
-    points: list
-    act: list
-
-    def __post_init__(self):
-        n, m = len(self.elements), len(self.points)
-        if len(self.mul) != n or any(len(r) != n for r in self.mul):
-            raise ValueError("mul table is not n x n")
-        if len(self.act) != n or any(len(r) != m for r in self.act):
-            raise ValueError("act table is not n x m")
-        # locate the identity
-        self.e = None
-        for i in range(n):
-            if all(self.mul[i][j] == j and self.mul[j][i] == j for j in range(n)):
-                self.e = i
-                break
-        if self.e is None:
-            raise ValueError("no identity element in mul table")
-        self.einv = [None] * n
-        for i in range(n):
-            for j in range(n):
-                if self.mul[i][j] == self.e and self.mul[j][i] == self.e:
-                    self.einv[i] = j
-            if self.einv[i] is None:
-                raise ValueError(f"element {self.elements[i]} has no inverse")
-
-    def validate(self) -> ValidationReport:
-        rep = ValidationReport(subject="group action")
-        assoc = LawCheck("group associativity")
-        aact = LawCheck("action is a homomorphism, identity acts trivially")
-        rep.add(assoc, aact)
-        n, m = len(self.elements), len(self.points)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    assoc.tick()
-                    if self.mul[self.mul[i][j]][k] != self.mul[i][self.mul[j][k]]:
-                        assoc.fail(i=self.elements[i], j=self.elements[j],
-                                   k=self.elements[k])
-        for x in range(m):
-            aact.tick()
-            if self.act[self.e][x] != x:
-                aact.fail(x=self.points[x])
-            for i in range(n):
-                for j in range(n):
-                    aact.tick()
-                    if self.act[self.mul[i][j]][x] != self.act[i][self.act[j][x]]:
-                        aact.fail(i=self.elements[i], j=self.elements[j],
-                                  x=self.points[x])
-        return rep
-
-    def is_free(self) -> bool:
-        return all(
-            all(self.act[g][x] != x for x in range(len(self.points)))
-            for g in range(len(self.elements))
-            if g != self.e
-        )
-
-    def to_json(self):
-        return {
-            "elements": list(self.elements),
-            "mul": [list(r) for r in self.mul],
-            "points": list(self.points),
-            "act": [list(r) for r in self.act],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        if isinstance(data, str):
-            data = json.loads(data)
-        return cls(
-            elements=list(data["elements"]),
-            mul=[list(r) for r in data["mul"]],
-            points=list(data["points"]),
-            act=[list(r) for r in data["act"]],
-        )
-
-
-def action_groupoid(action: GroupAction, norm=None,
-                    metric: FiniteMetricSpace | None = None) -> FiniteGroupoid:
-    """The action groupoid: arrows (x, g) from x to g.x, with
-    (g.x, h)(x, g) = (x, hg) and (x, g)^-1 = (g.x, g^-1).
-
-    Norm options: an explicit table norm[(x, g)] (dict on label pairs or
-    callable), or -- for a free action on a metric space -- the recipe
-    d(x, g) = dist(g.x, x)."""
-    pts, els = action.points, action.elements
-    arrows, index = [], {}
-    for x in range(len(pts)):
-        for g in range(len(els)):
-            index[(x, g)] = len(arrows)
-            arrows.append(f"({pts[x]},{els[g]})")
-    compose = {}
-    for x in range(len(pts)):
-        for g in range(len(els)):
-            gx = action.act[g][x]
-            for h in range(len(els)):
-                # (gx, h) after (x, g)
-                compose[(index[(gx, h)], index[(x, g)])] = index[
-                    (x, action.mul[h][g])
-                ]
-    inverse = [0] * len(arrows)
-    for (x, g), i in index.items():
-        inverse[i] = index[(action.act[g][x], action.einv[g])]
-
-    table = None
-    if metric is not None:
-        if not action.is_free():
-            raise ValueError(
-                "metric norm recipe needs a free action (some g != e fixes a point)"
-            )
-        table = [Fraction(0)] * len(arrows)
-        for (x, g), i in index.items():
-            table[i] = metric.dist[action.act[g][x]][x]
-    elif norm is not None:
-        table = [Fraction(0)] * len(arrows)
-        for (x, g), i in index.items():
-            v = norm((pts[x], els[g])) if callable(norm) else norm[(pts[x], els[g])]
-            table[i] = as_fraction(v)
-    G = FiniteGroupoid(arrows, compose, inverse, table)
-    G.pairs = [(x, g) for (x, g), _ in sorted(index.items(), key=lambda kv: kv[1])]
-    return G
-
-
-def check_action_norm(action: GroupAction, G: FiniteGroupoid) -> ValidationReport:
-    """The three action-norm laws on an action groupoid G built from
-    `action`:  d(x,g) = 0 iff g = e;  d(g.x, g^-1) = d(x, g);
-    d(x, hg) <= d(x, g) + d(g.x, h)."""
-    rep = ValidationReport(subject="action norm")
-    zero = LawCheck("d(x,g) = 0 iff g = e")
-    symm = LawCheck("d(g.x, g^-1) = d(x, g)")
-    coc = LawCheck("d(x, hg) <= d(x, g) + d(g.x, h)")
-    rep.add(zero, symm, coc)
-    idx = {pair: i for i, pair in enumerate(G.pairs)}
-    for (x, g), i in idx.items():
-        zero.tick()
-        if (G.d(i) == 0) != (g == action.e):
-            zero.fail(x=action.points[x], g=action.elements[g], d=str(G.d(i)))
-        symm.tick()
-        j = idx[(action.act[g][x], action.einv[g])]
-        if G.d(j) != G.d(i):
-            symm.fail(x=action.points[x], g=action.elements[g])
-        gx = action.act[g][x]
-        for h in range(len(action.elements)):
-            coc.tick()
-            k = idx[(x, action.mul[h][g])]
-            if G.d(k) > G.d(i) + G.d(idx[(gx, h)]):
-                coc.fail(x=action.points[x], g=action.elements[g],
-                         h=action.elements[h])
-    return rep
-
-
-def double_action_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
-    """G acts on its own same-source pairs by u.(g, h) = (g u^-1, h u^-1);
-    this is the action groupoid of that action.  Arrows are triples
-    (g, h, u) with a common source object; (g, h, u)^-1 =
-    (g u^-1, h u^-1, u^-1); the norm lifts d(u).
-
-    The action moves along fibers by right translation, so it preserves
-    the fiber distance d~ -- checked by check_double_norm on G."""
-    n = len(G.arrows)
-    trips, index = [], {}
-    for g in range(n):
-        for h in range(n):
-            if G.alpha(g) != G.alpha(h):
-                continue
-            for u in range(n):
-                if G.alpha(u) != G.alpha(g):
-                    continue
-                index[(g, h, u)] = len(trips)
-                trips.append((g, h, u))
-    arrows = [
-        f"[{G.arrows[g]};{G.arrows[h]}|{G.arrows[u]}]" for g, h, u in trips
-    ]
-    compose = {}
-    for (g, h, u), i in index.items():
-        gu = G.m(g, G.inv(u))
-        hu = G.m(h, G.inv(u))
-        # (gu, hu, v) after (g, h, u) = (g, h, vu)
-        for v in range(n):
-            if G.alpha(v) != G.alpha(gu):
-                continue
-            j = index[(gu, hu, v)]
-            compose[(j, i)] = index[(g, h, G.m(v, u))]
-    inverse = [0] * len(trips)
-    for (g, h, u), i in index.items():
-        gu = G.m(g, G.inv(u))
-        hu = G.m(h, G.inv(u))
-        inverse[i] = index[(gu, hu, G.inv(u))]
-    norm = None
-    if G.norm is not None:
-        norm = [G.d(u) for g, h, u in trips]
-    D = FiniteGroupoid(arrows, compose, inverse, norm)
-    D.trips = trips
-    return D

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 
 MAX_WITNESSES = 10
@@ -350,31 +349,64 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
     return rep
 
 
+def _table_laws(labels, compose, inverse, units, tables, titles,
+                joint=None) -> list:
+    """The (semi)norm laws on exact tables, one shared loop for every
+    caller.
+
+    tables is a list of (name, values) pairs.  The name None marks a norm,
+    which must vanish exactly on the arrows in `units`; a named table is a
+    seminorm, which must vanish on `units` and whose witnesses lead with
+    its name.  Every table must be subadditive along `compose` and
+    invariant under `inverse`.  titles names the zero, subadditivity and
+    inversion laws; a `joint` title adds the law that no non-unit arrow
+    lies in the joint kernel of the tables.  Returns the LawChecks in that
+    order."""
+    zero, sub, symm = (LawCheck(t) for t in titles)
+    laws = [zero, sub, symm]
+    n = len(labels)
+    for name, d in tables:
+        tag = {} if name is None else {"seminorm": name}
+        for g in range(n):
+            unit = g in units
+            if name is None or unit:
+                zero.tick()
+                if (d[g] == 0) != unit:
+                    zero.fail(**tag, g=labels[g], d=str(d[g]), unit=unit)
+            if d[inverse[g]] != d[g]:
+                symm.fail(**tag, g=labels[g], d=str(d[g]),
+                          d_inv=str(d[inverse[g]]))
+        symm.tick(n)
+        for (g, h), k in compose.items():
+            if d[k] > d[g] + d[h]:
+                sub.fail(**tag, g=labels[g], h=labels[h], d_gh=str(d[k]),
+                         bound=str(d[g] + d[h]))
+        sub.tick(len(compose))
+    if joint is not None:
+        ker = LawCheck(joint)
+        laws.append(ker)
+        for g in range(n):
+            if g not in units:
+                ker.tick()
+                if all(t[g] == 0 for _, t in tables):
+                    ker.fail(g=labels[g])
+    return laws
+
+
+def _unit_arrows(G: FiniteGroupoid) -> set:
+    return {g for g, a in enumerate(G._units()[0]) if a == g}
+
+
 def check_norm(G: FiniteGroupoid, norm=None) -> ValidationReport:
     """Norm laws: zero exactly on unit arrows, subadditive, inversion
     invariant."""
     d = G.norm if norm is None else norm
     if d is None:
         raise ValueError("no norm to check")
-    rep = ValidationReport(subject="norm")
-    zero = LawCheck("d(g) = 0 iff g is a unit arrow")
-    sub = LawCheck("d(gh) <= d(g) + d(h)")
-    symm = LawCheck("d(inv g) = d(g)")
-    rep.add(zero, sub, symm)
-
-    for g in range(len(G.arrows)):
-        zero.tick()
-        if (d[g] == 0) != G.is_unit(g):
-            zero.fail(g=G.arrows[g], d=str(d[g]), unit=G.is_unit(g))
-        symm.tick()
-        if d[G.inv(g)] != d[g]:
-            symm.fail(g=G.arrows[g], d=str(d[g]), d_inv=str(d[G.inv(g)]))
-    for (g, h), k in G.compose.items():
-        sub.tick()
-        if d[k] > d[g] + d[h]:
-            sub.fail(g=G.arrows[g], h=G.arrows[h],
-                     d_gh=str(d[k]), bound=str(d[g] + d[h]))
-    return rep
+    return ValidationReport(subject="norm").add(*_table_laws(
+        G.arrows, G.compose, G.inverse, _unit_arrows(G), [(None, d)],
+        ("d(g) = 0 iff g is a unit arrow", "d(gh) <= d(g) + d(h)",
+         "d(inv g) = d(g)")))
 
 
 def check_separability(G: FiniteGroupoid, norm=None) -> ValidationReport:
@@ -401,37 +433,6 @@ def check_separability(G: FiniteGroupoid, norm=None) -> ValidationReport:
     return rep
 
 
-def object_distance(G: FiniteGroupoid) -> dict:
-    """Shortest-path distance between objects induced by the norm:
-    d_ob(x, y) = min over chains of arrows of the summed norm.  Exact
-    Floyd-Warshall over Fractions; unreachable pairs map to None.
-
-    For a validated normed groupoid the minimum over direct arrows already
-    realizes the infimum (subadditivity), and tests cross-check that."""
-    objs = G.objects()
-    dist = {(x, y): (Fraction(0) if x == y else None) for x in objs for y in objs}
-    for g in range(len(G.arrows)):
-        x, y = G.alpha(g), G.omega(g)
-        v = G.d(g)
-        cur = dist[(x, y)]
-        if cur is None or v < cur:
-            dist[(x, y)] = v
-    for k in objs:
-        for x in objs:
-            dxk = dist[(x, k)]
-            if dxk is None:
-                continue
-            for y in objs:
-                dky = dist[(k, y)]
-                if dky is None:
-                    continue
-                cand = dxk + dky
-                cur = dist[(x, y)]
-                if cur is None or cand < cur:
-                    dist[(x, y)] = cand
-    return dist
-
-
 def dif(G: FiniteGroupoid, g: int, h: int) -> int:
     """The difference arrow dif(g, h) = g h^-1 of two arrows sharing a
     source object."""
@@ -443,85 +444,6 @@ def dif(G: FiniteGroupoid, g: int, h: int) -> int:
 def dtilde(G: FiniteGroupoid, g: int, h: int) -> Fraction:
     """Fiberwise distance d~(g, h) = d(g h^-1)."""
     return G.d(dif(G, g, h))
-
-
-# ---------------------------------------------------------------------------
-# convergence of arrow sequences
-
-
-class ConvergenceMode(Enum):
-    SIMPLE = "simple"
-    LEFT = "left"
-    RIGHT = "right"
-
-
-@dataclass
-class ConvergenceResult:
-    mode: ConvergenceMode
-    ok: bool
-    residuals: list  # Fraction per step, or None where no witness exists
-    note: str = ""
-    pairs: list = field(default_factory=list)  # simple mode: (g, h) chosen
-
-    def __bool__(self):
-        return self.ok
-
-
-def converges(G, seq, a, mode=ConvergenceMode.SIMPLE, tol=Fraction(1, 100)):
-    """Does the arrow sequence converge to a in the given mode?
-
-    simple: a_n is conjugated onto a by small arrows, residual_n =
-            min { d(g) + d(h) : h a_n g = a } over valid decompositions;
-    left:   residual_n = d(a_n^-1 a), requires omega(a_n) = omega(a);
-    right:  residual_n = d(a_n a^-1), requires alpha(a_n) = alpha(a).
-
-    "Converges" means: every residual in the last quarter of the sequence
-    exists and is < tol, and the residuals do not grow (max of the last
-    quarter <= max of the first quarter).
-    """
-    if not seq:
-        raise ValueError("empty sequence")
-    tol = as_fraction(tol)
-    residuals, pairs = [], []
-    for an in seq:
-        if mode is ConvergenceMode.LEFT:
-            r = (
-                G.d(G.m(G.inv(an), a))
-                if G.omega(an) == G.omega(a)
-                else None
-            )
-            pairs.append(None)
-        elif mode is ConvergenceMode.RIGHT:
-            r = (
-                G.d(G.m(an, G.inv(a)))
-                if G.alpha(an) == G.alpha(a)
-                else None
-            )
-            pairs.append(None)
-        else:
-            r, best = None, None
-            for g in range(len(G.arrows)):
-                if G.alpha(g) != G.alpha(a) or G.omega(g) != G.alpha(an):
-                    continue
-                ang = G.m(an, g)
-                h = G.m(a, G.inv(ang))
-                if G.m(h, ang) != a:  # defensive; true by cancellation
-                    continue
-                val = G.d(g) + G.d(h)
-                if r is None or val < r:
-                    r, best = val, (g, h)
-            pairs.append(best)
-        residuals.append(r)
-
-    q = max(1, len(seq) // 4)
-    tail, head = residuals[-q:], residuals[:q]
-    ok = all(r is not None and r < tol for r in tail)
-    if ok and len(seq) >= 8:
-        head_fin = [r for r in head if r is not None]
-        if head_fin and max(r for r in tail) > max(head_fin):
-            ok = False
-    return ConvergenceResult(mode=mode, ok=ok, residuals=residuals,
-                             pairs=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -571,48 +493,17 @@ class SeminormFamily:
         return len(self.names)
 
 
-def seminorms_from_morphisms(G, morphisms) -> SeminormFamily:
-    """Pull back the target norms along morphisms: rho_i = d_H o F_i.
-    Each pullback is automatically subadditive and inversion invariant;
-    whether the family separates is a property to check."""
-    names, values = [], []
-    for M in morphisms:
-        if M.target.norm is None:
-            raise ValueError(f"morphism {M.name}: target carries no norm")
-        names.append(M.name)
-        values.append([M.target.norm[M.arrow_map[g]]
-                       for g in range(len(G.arrows))])
-    return SeminormFamily(names, values)
-
-
 def check_seminorm_family(G, fam: SeminormFamily) -> ValidationReport:
-    rep = ValidationReport(subject="seminorm family")
-    zero = LawCheck("each seminorm vanishes on unit arrows")
-    sub = LawCheck("each seminorm is subadditive")
-    symm = LawCheck("each seminorm is inversion invariant")
-    sep = LawCheck("joint kernel = unit arrows")
-    rep.add(zero, sub, symm, sep)
-    for i, rho in enumerate(fam.values):
-        nm = fam.names[i]
-        for g in range(len(G.arrows)):
-            if G.is_unit(g):
-                zero.tick()
-                if rho[g] != 0:
-                    zero.fail(seminorm=nm, g=G.arrows[g], rho=str(rho[g]))
-            symm.tick()
-            if rho[G.inv(g)] != rho[g]:
-                symm.fail(seminorm=nm, g=G.arrows[g])
-        for (g, h), k in G.compose.items():
-            sub.tick()
-            if rho[k] > rho[g] + rho[h]:
-                sub.fail(seminorm=nm, g=G.arrows[g], h=G.arrows[h])
-    for g in range(len(G.arrows)):
-        if G.is_unit(g):
-            continue
-        sep.tick()
-        if all(rho[g] == 0 for rho in fam.values):
-            sep.fail(g=G.arrows[g])
-    return rep
+    """Each seminorm vanishes on unit arrows, is subadditive and inversion
+    invariant, and together they separate: the joint kernel holds unit
+    arrows only."""
+    return ValidationReport(subject="seminorm family").add(*_table_laws(
+        G.arrows, G.compose, G.inverse, _unit_arrows(G),
+        list(zip(fam.names, fam.values)),
+        ("each seminorm vanishes on unit arrows",
+         "each seminorm is subadditive",
+         "each seminorm is inversion invariant"),
+        joint="joint kernel = unit arrows"))
 
 
 # ---------------------------------------------------------------------------
@@ -717,49 +608,16 @@ def check_category_with_inverses(
 
     units = C.unit_like()
     if C.norm is not None and strict_norm:
-        zero = LawCheck("d = 0 exactly on arrows h^-1 h")
-        sub = LawCheck("d subadditive")
-        symm = LawCheck("d inversion invariant")
-        rep.add(zero, sub, symm)
-        d = C.norm
-        for g in range(n):
-            zero.tick()
-            if (d[g] == 0) != (g in units):
-                zero.fail(g=C.arrows[g], d=str(d[g]), unit_like=g in units)
-            symm.tick()
-            if d[inv[g]] != d[g]:
-                symm.fail(g=C.arrows[g])
-        for (g, h), k in comp.items():
-            sub.tick()
-            if d[k] > d[g] + d[h]:
-                sub.fail(g=C.arrows[g], h=C.arrows[h])
-
+        rep.add(*_table_laws(
+            C.arrows, comp, inv, units, [(None, C.norm)],
+            ("d = 0 exactly on arrows h^-1 h", "d subadditive",
+             "d inversion invariant")))
     if C.seminorms is not None:
-        szero = LawCheck("seminorms vanish on arrows h^-1 h")
-        ssub = LawCheck("seminorms subadditive")
-        ssym = LawCheck("seminorms inversion invariant")
-        rep.add(szero, ssub, ssym)
-        for i, rho in enumerate(C.seminorms.values):
-            nm = C.seminorms.names[i]
-            for g in range(n):
-                if g in units:
-                    szero.tick()
-                    if rho[g] != 0:
-                        szero.fail(seminorm=nm, g=C.arrows[g])
-                ssym.tick()
-                if rho[inv[g]] != rho[g]:
-                    ssym.fail(seminorm=nm, g=C.arrows[g])
-            for (g, h), k in comp.items():
-                ssub.tick()
-                if rho[k] > rho[g] + rho[h]:
-                    ssub.fail(seminorm=nm, g=C.arrows[g], h=C.arrows[h])
-        if joint_kernel:
-            sker = LawCheck("joint seminorm kernel  subset of arrows h^-1 h")
-            rep.add(sker)
-            for g in range(n):
-                if g in units:
-                    continue
-                sker.tick()
-                if all(rho[g] == 0 for rho in C.seminorms.values):
-                    sker.fail(g=C.arrows[g])
+        rep.add(*_table_laws(
+            C.arrows, comp, inv, units,
+            list(zip(C.seminorms.names, C.seminorms.values)),
+            ("seminorms vanish on arrows h^-1 h", "seminorms subadditive",
+             "seminorms inversion invariant"),
+            joint=("joint seminorm kernel  subset of arrows h^-1 h"
+                   if joint_kernel else None)))
     return rep

@@ -56,20 +56,6 @@ ARITY = {
     "let": (3, 3),     # let(name, value, body)
 }
 
-# where each name lands in the library (arrow route, point route); the
-# test suite walks this to keep the term language honest
-COUNTERPARTS = {
-    "delta": ("PairModel.delta", "PairModel.point_dilatation"),
-    "dilat": ("emergent.arrow_dilatation", "PairModel.point_dilatation"),
-    "Delta": ("emergent.Delta_eps", "emergent.Delta3"),
-    "Sigma": ("emergent.Sigma_eps", "emergent.Sigma3"),
-    "inv": ("emergent.inv_eps", "emergent.inv3"),
-    "circ": ("emergent.circ", "emergent.circ"),
-    "d": ("PairModel.norm / PairModel.dtilde", "PairModel.pdist"),
-    "lim": ("limits.limit_of_values", "limits.limit_of_values"),
-    "let": ("(binding form)", "(binding form)"),
-}
-
 
 # ---------------------------------------------------------------------------
 # lexing

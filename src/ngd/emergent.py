@@ -99,7 +99,8 @@ def Sigma_eps(model, scale, g, h):
 
         Sigma_eps(g, h) = delta_{1/eps} [ delta_eps(g (delta_eps h)^-1) . delta_eps h ].
 
-    Converges to model.tangent_Sigma(g, h)."""
+    For g = (p, b) and h = (q, b) it converges to the tangent sum
+    (q b^-1 p, b)."""
     s = as_scale(scale)
     dh = model.delta(s, h)
     glued = model.compose(model.delta(s, model.compose(g, model.inverse(dh))), dh)

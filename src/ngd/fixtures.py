@@ -24,7 +24,13 @@ from .core import (
     check_seminorm_family,
     validate_groupoid,
 )
-from .emergent import check_pplay, gamma_irq_from_dilation, sample_point_quads
+from .emergent import (
+    _judge,
+    _maxabs,
+    check_pplay,
+    gamma_irq_from_dilation,
+    sample_point_quads,
+)
 from .limits import BoundedSampler, check_A3
 from .models import EuclideanGroup, HeisenbergGroup, PairModel
 from .scales import as_scale, dyadic_grid
@@ -120,43 +126,6 @@ def flat_gauge_heisenberg() -> PairModel:
         HeisenbergGroup(),
         name="heisenberg (flat horizontal gauge)",
         gauge=_horizontal_gauge,
-    )
-
-
-class _PerturbedTangentModel(PairModel):
-    """Gauge carries a quadratic horizontal bump; tangent data does not."""
-
-    def tangent_pair_dist(self, a, b):
-        return self.group.gauge(
-            self.pdiff(self.target(b), self.target(a))
-        )
-
-    def tangent_norm(self, a):
-        return self.group.gauge(self.pdiff(self.source(a), self.target(a)))
-
-    def tangent_point_dist(self, u, v):
-        return self.group.gauge(self.pdiff(v, u))
-
-
-def perturbed_heisenberg_model(c: float = 0.25) -> PairModel:
-    """A not-exactly-homogeneous gauge with the honest homogeneous limit.
-
-    d'(w) = cygan(w) + c (w1^2 + w2^2).  Rescaling kills the bump at
-    first order: (1/eps) d'(D_eps w) = cygan(w) + c eps (w1^2 + w2^2),
-    so the limit estimates converge with fitted order 1 instead of
-    sitting at the noise floor — the useful positive-order exhibit.
-    NOT a planted failure, and also not a metric at finite scale (the
-    bump is superadditive, so the triangle inequality fails for aligned
-    horizontal pairs); use it with the distance/distortion estimators,
-    not with the full axiom battery."""
-    group = HeisenbergGroup()
-
-    def bumped(a):
-        a = np.asarray(a, dtype=float)
-        return group.gauge(a) + c * (a[..., 0] ** 2 + a[..., 1] ** 2)
-
-    return _PerturbedTangentModel(
-        group, name="heisenberg (quadratic gauge bump)", gauge=bumped
     )
 
 
@@ -285,13 +254,9 @@ def run_planted_suite(seed: int = 0, samples: int = 200):
     hom = LawCheck("d(delta_s a) = |s| d(a)")
     rep.add(hom)
     for s in dyadic_grid(kmax=4):
-        hom.tick()
-        resid = np.max(np.abs(
-            wrong.norm(wrong.delta(s, arrows))
-            - float(s.modulus) * wrong.norm(arrows)
-        ))
-        if resid > 1e-9:
-            hom.fail(scale=str(s), residual=float(resid))
+        resid = _maxabs(wrong.norm(wrong.delta(s, arrows))
+                        - float(s.modulus) * wrong.norm(arrows))
+        _judge(hom, [resid], 1e-9, scale=str(s))
     out.append(("squared dilation exponent vs norm homogeneity", rep))
     out.append((
         "squared dilation exponent vs limit nondegeneracy",

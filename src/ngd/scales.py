@@ -1,10 +1,8 @@
 """The commutative scale group driving dilations.
 
-Two realizations ship: positive rationals under multiplication with
-modulus equal to the value, and the integers under addition with modulus
-k -> 2^-k (the dyadic grid).  The morphism between them is exercised in
-the tests.  Models only ever consume a scale through `.modulus`, so
-either realization can drive them.
+One realization ships: positive rationals under multiplication, with
+modulus equal to the value.  The dyadic grid 2^-k is a sequence of such
+scales.  Models only ever consume a scale through `.modulus`.
 """
 
 from __future__ import annotations
@@ -45,50 +43,14 @@ class Scale:
         return f"Scale({self.value})"
 
 
-@dataclass(frozen=True)
-class IntScale:
-    """Integer (additive) realization: k has modulus 2^-k."""
-
-    k: int
-
-    @property
-    def modulus(self) -> Fraction:
-        return Fraction(1, 2**self.k) if self.k >= 0 else Fraction(2**(-self.k))
-
-    def mul(self, other: "IntScale") -> "IntScale":
-        return IntScale(self.k + other.k)
-
-    def inv(self) -> "IntScale":
-        return IntScale(-self.k)
-
-    def is_one(self) -> bool:
-        return self.k == 0
-
-    @classmethod
-    def one(cls) -> "IntScale":
-        return cls(0)
-
-    def to_scale(self) -> Scale:
-        """The morphism into the rational realization (k -> 2^-k)."""
-        return Scale(self.modulus)
-
-    def __repr__(self):
-        return f"IntScale({self.k})"
-
-
 def dyadic_grid(kmax: int = 20, kmin: int = 1) -> list:
     """Scales 2^-k for k = kmin..kmax -- the default evaluation grid."""
     return [Scale(Fraction(1, 2**k)) for k in range(kmin, kmax + 1)]
 
 
 def as_scale(s) -> Scale:
-    """Coerce ints/Fractions/strings (and the integer realization) to a
-    rational Scale."""
+    """Coerce ints/Fractions/strings to a rational Scale."""
     if isinstance(s, Scale):
         return s
-    if isinstance(s, IntScale):
-        return s.to_scale()
-    if isinstance(s, float):
-        # floats show up from CLI flags; accept exact binary values
-        return Scale(Fraction(s))
+    # floats show up from CLI flags; they convert exactly
     return Scale(Fraction(s))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ngd.core import (
+    CategoryWithInverses,
     FiniteGroupoid,
     LawCheck,
     SeminormFamily,
@@ -157,3 +158,20 @@ def test_honest_norm_read_as_a_one_member_family():
     G = cyclic_group_groupoid(4)
     fam = SeminormFamily(names=["norm"], values=[list(G.norm)])
     assert check_seminorm_family(G, fam).passed
+
+
+def test_one_kernel_judges_norms_seminorms_and_categories_alike():
+    G = inflated_norm_groupoid()
+    fam = SeminormFamily(names=["inflated"], values=[list(G.norm)])
+    C = CategoryWithInverses(G.arrows, G.compose, G.inverse, norm=G.norm)
+    subs = [
+        check_norm(G).law("d(gh) <= d(g) + d(h)"),
+        check_seminorm_family(G, fam).law("each seminorm is subadditive"),
+        check_category_with_inverses(C).law("d subadditive"),
+    ]
+    assert all(not c.passed for c in subs)
+    assert len({c.checked for c in subs}) == 1
+    assert len({c.failures for c in subs}) == 1
+    first = [(c.witnesses[0]["g"], c.witnesses[0]["h"]) for c in subs]
+    assert len(set(first)) == 1
+    assert subs[1].witnesses[0]["seminorm"] == "inflated"

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from ngd import cli, dsl, transport
-from ngd.fixtures import parse_error_samples
+from ngd.constructions import pair_groupoid
+from ngd.fixtures import parse_error_samples, retargeted_compose_groupoid
 from ngd.models import euclidean_model, heisenberg_model
 from ngd.scales import dyadic_grid
+from ngd.transport import two_point_space
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +156,28 @@ def test_cli_validate_rejects_bad_metric(tmp_path, capsys):
     assert run_cli("validate", str(f)) == 1
 
 
+def test_cli_validate_reads_what_to_json_writes(tmp_path, capsys):
+    G = pair_groupoid(two_point_space())
+    f = tmp_path / "groupoid.json"
+    f.write_text(json.dumps(G.to_json()))
+    assert run_cli("validate", str(f)) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_cli_validate_retargeted_tables_are_exit_one(tmp_path):
+    f = tmp_path / "retargeted.json"
+    f.write_text(json.dumps(retargeted_compose_groupoid().to_json()))
+    assert run_cli("validate", str(f)) == 1
+
+
+def test_cli_validate_groupoid_without_inverse_is_exit_two(tmp_path):
+    blob = pair_groupoid(two_point_space()).to_json()
+    del blob["inverse"]
+    f = tmp_path / "no_inverse.json"
+    f.write_text(json.dumps(blob))
+    assert run_cli("validate", str(f)) == 2
+
+
 def test_cli_validate_unknown_shape_is_exit_two(tmp_path):
     f = tmp_path / "what.json"
     f.write_text('{"surprise": true}')
@@ -218,7 +242,11 @@ def test_cli_report_transport_green(capsys):
                                         ("--samples", "-3"),
                                         ("--eps-grid", "0"),
                                         ("--radius", "0"),
-                                        ("--radius", "nan")])
+                                        ("--radius", "nan"),
+                                        ("--dim", "0"),
+                                        ("--dim", "-2"),
+                                        ("--tol", "nan"),
+                                        ("--tol", "-1")])
 def test_cli_degenerate_flag_values_are_exit_two(flag, value, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("limits", "--model", "euclidean", flag, value)

@@ -166,6 +166,49 @@ def test_deformed_norm_collapses_for_homogeneous_models():
 
 
 # ---------------------------------------------------------------------------
+# NaN residuals fail: every residual law goes through emergent._judge
+
+
+def test_action_law_is_red_on_nan_dilatations():
+    model = fixtures.nan_below_heisenberg()
+    arrows = model.sample_fiber_arrows(np.random.default_rng(5), 50)
+    rep = check_A1(model, arrows)
+    assert not rep.passed
+    bad = [c for c in rep.laws if not c.passed]
+    assert not np.isfinite(bad[0].witnesses[0]["residual"])
+
+
+def test_intertwining_law_is_red_on_nan_dilatations():
+    rep = check_dilation_morphism(fixtures.nan_below_heisenberg())
+    assert rep.laws[0].law == "dif o delta~_s = delta_s o dif"
+    assert not rep.laws[0].passed
+
+
+def test_deformation_is_red_on_nan_dilatations():
+    rep = check_deformation(fixtures.nan_below_heisenberg(), Fraction(1, 8))
+    assert rep.laws and not any(c.passed for c in rep.laws)
+
+
+class _NaNLeftUnitDeformation(models.DeformedModel):
+    """Composing after a unit arrow gives NaN; nothing else changes."""
+
+    def m(self, a, b):
+        out = super().m(a, b)
+        if np.array_equal(self.base.source(a), self.base.target(a)):
+            out[...] = np.nan
+        return out
+
+
+def test_deformation_judges_the_second_unit_residual(monkeypatch):
+    # the first unit residual stays finite, so max(r1, r2) would hide it
+    monkeypatch.setattr(models, "deform", _NaNLeftUnitDeformation)
+    rep = check_deformation(heisenberg_model(), Fraction(1, 2))
+    bad = [c.law for c in rep.laws if not c.passed]
+    assert bad == ["unit arrows are deformed units"]
+    assert np.isnan(rep.law(bad[0]).witnesses[0]["residual"])
+
+
+# ---------------------------------------------------------------------------
 # fused kernels: bit for bit the three-step route
 
 
