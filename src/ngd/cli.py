@@ -103,6 +103,10 @@ def _load_json(path):
 
 def cmd_validate(args) -> int:
     data = _load_json(args.file)
+    if not isinstance(data, dict):
+        print(f"malformed input: expected a JSON object, got "
+              f"{type(data).__name__}", file=sys.stderr)
+        return 2
     reports = []
     try:
         if "gamma" in data:
@@ -280,6 +284,7 @@ def cmd_transport(args) -> int:
                     "plan": res.plan.to_json()["gamma"],
                     "potential": [str(v) for v in res.potential.values],
                     "pivots": res.pivots,
+                    "den_bits": res.den_bits,
                 }, indent=2))
             else:
                 print(f"value = {res.primal} (primal = dual, exactly)")

@@ -22,7 +22,9 @@ MAX_WITNESSES = 10
 
 def as_fraction(value) -> Fraction:
     """Parse a rational from int/str/Fraction.  Floats are refused: table
-    data is meant to be exact."""
+    data is meant to be exact.  A Fraction is returned as it is."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, bool) or isinstance(value, float):
         raise ValueError(f"expected an exact rational, got {value!r}")
     return Fraction(value)
@@ -263,18 +265,28 @@ class FiniteGroupoid:
                 raise ValueError(f"unknown arrow id {lbl!r}")
             return idx[lbl]
 
+        def entries(key, width):
+            for e in data[key]:
+                if not isinstance(e, (list, tuple)) or len(e) != width:
+                    raise TypeError(
+                        f"{key} entry {e!r} is not a list of {width} labels"
+                    )
+            return data[key]
+
         compose = {}
-        for g, h, k in data["compose"]:
+        for g, h, k in entries("compose", 3):
             compose[(look(g), look(h))] = look(k)
         inverse = [0] * len(arrows)
         seen = set()
-        for g, gi in data["inverse"]:
+        for g, gi in entries("inverse", 2):
             inverse[look(g)] = look(gi)
             seen.add(look(g))
         if len(seen) != len(arrows):
             raise ValueError("inverse table does not cover every arrow")
         norm = None
         if "norm" in data:
+            if not isinstance(data["norm"], dict):
+                raise TypeError("norm is not an object of label: value")
             norm = [Fraction(0)] * len(arrows)
             for lbl, v in data["norm"].items():
                 norm[look(lbl)] = as_fraction(v)

@@ -5,12 +5,16 @@ Plans over a finite metric space form a category with an involutive
 inverse (transposition).  It is deliberately NOT a groupoid: gamma^-1
 composed with gamma is usually not an identity plan, and the plans of
 the form h^-1 h include fat things like the quarter-uniform plan on two
-points.  Everything here is exact Fraction arithmetic.  Kantorovich
-problems are solved by the transportation (network) simplex on
-integer-scaled data, with Bland's rule, and every answer must pass an
-exact optimality certificate, so the duality gap comes out identically
-zero rather than merely small.  The dense two-phase simplex solve_lp is
-kept as the reference the tests compare against.
+points.  Everything here is exact.  The plan algebra (marginals,
+composition, the norm d and the seminorms rho_u) puts each operand's
+entries over the lcm of their denominators and sums plain integers, so
+every result is one Fraction(sum, denominator) rather than a chain of
+Fraction additions.  Kantorovich problems are solved by the
+transportation (network) simplex on integer-scaled data, with Bland's
+rule, and every answer must pass an exact optimality certificate, so
+the duality gap comes out identically zero rather than merely small.
+The dense two-phase simplex solve_lp is kept as the reference the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from operator import mul
 
 from .constructions import FiniteMetricSpace
 from .core import (
@@ -49,6 +54,38 @@ class MarginalMismatch(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# exact sums on integer numerators
+
+
+def _over_lcm(values):
+    """Put exact rationals over one denominator: (numerators, D), where
+    D is the lcm of their denominators and values[i] = numerators[i] / D."""
+    D = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (D // v.denominator) for v in values], D
+
+
+def _matrix_over_lcm(rows):
+    """_over_lcm for a square matrix: (integer rows, D)."""
+    n = len(rows)
+    flat, D = _over_lcm([v for row in rows for v in row])
+    return [flat[i:i + n] for i in range(0, n * n, n)], D
+
+
+def _dot(a, b):
+    return sum(map(mul, a, b))
+
+
+def _pairing(u, mu: Measure, nu: Measure) -> Fraction:
+    """sum over x of u(x) (mu(x) - nu(x)), as one integer sum."""
+    ui, Du = _over_lcm(u)
+    wi, Dw = _over_lcm(mu.weights + nu.weights)
+    n = len(ui)
+    return Fraction(
+        _dot(ui, [a - b for a, b in zip(wi[:n], wi[n:])]), Du * Dw
+    )
+
+
+# ---------------------------------------------------------------------------
 # measures and couplings
 
 
@@ -68,9 +105,9 @@ class Measure:
         for i, v in enumerate(w):
             if v < 0:
                 raise ValueError(f"negative mass {v} at point index {i}")
-        total = sum(w)
-        if total != 1:
-            raise ValueError(f"total mass {total} != 1")
+        num, D = _over_lcm(w)
+        if sum(num) != D:
+            raise ValueError(f"total mass {Fraction(sum(num), D)} != 1")
         self.weights = w
 
     def __getitem__(self, i):
@@ -93,7 +130,8 @@ class Coupling:
 
     Declared marginals are optional; when given they are checked against
     the row/column sums exactly, mismatches report the first offending
-    coordinate.
+    coordinate.  Each sum is one integer sum over the lcm of the entry
+    denominators.
     """
 
     space: FiniteMetricSpace
@@ -111,8 +149,9 @@ class Coupling:
                 if v < 0:
                     raise ValueError(f"negative coupling entry {v}")
         self.gamma = g
-        rows = tuple(sum(row) for row in g)
-        cols = tuple(sum(g[i][j] for i in range(n)) for j in range(n))
+        num, D = _matrix_over_lcm(g)
+        rows = tuple(Fraction(sum(r), D) for r in num)
+        cols = tuple(Fraction(sum(c), D) for c in zip(*num))
         if self.mu is None:
             self.mu = Measure(self.space, rows)  # checks total mass 1
         else:
@@ -259,6 +298,12 @@ def compose_plans(gamma: Coupling, gamma_prime: Coupling) -> Coupling:
     condition gamma on its second coordinate, then average gamma' rows.
     Conditionals are only defined on the support of nu; zero-mass middle
     points carry no mass in either factor, so they drop out.
+
+    In integers: gamma = A / Da and gamma' = B / Db over the lcms of
+    their entry denominators, so nu(y) = c_y / Da with c_y the column
+    sums of A, and gamma(x,y) / nu(y) = A(x,y) / c_y = A(x,y) s_y / M
+    with M the lcm of the nonzero c_y and s_y = M / c_y.  Each entry is
+    then one integer sum over y of A(x,y) s_y B(y,z), over Db M.
     """
     _same_space(gamma, gamma_prime)
     nu = gamma.nu.weights
@@ -266,24 +311,18 @@ def compose_plans(gamma: Coupling, gamma_prime: Coupling) -> Coupling:
     for i, (a, b) in enumerate(zip(nu, mu_p)):
         if a != b:
             raise MarginalMismatch(i, a, b)
-    n = gamma.space.n_points()
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for y in range(n):
-        if nu[y] == 0:
-            continue
-        for x in range(n):
-            gxy = gamma.gamma[x][y]
-            if gxy == 0:
-                continue
-            w = gxy / nu[y]
-            row = gamma_prime.gamma[y]
-            for z in range(n):
-                if row[z]:
-                    out[x][z] += w * row[z]
-    return Coupling(
-        gamma.space, tuple(tuple(r) for r in out),
-        mu=gamma.mu, nu=gamma_prime.nu,
+    A, _ = _matrix_over_lcm(gamma.gamma)
+    B, Db = _matrix_over_lcm(gamma_prime.gamma)
+    c = [sum(col) for col in zip(*A)]
+    M = math.lcm(*(v for v in c if v))
+    s = [M // v if v else 0 for v in c]
+    rows = [list(map(mul, row, s)) for row in A]
+    cols = list(zip(*B))
+    den = Db * M
+    out = tuple(
+        tuple(Fraction(_dot(row, col), den) for col in cols) for row in rows
     )
+    return Coupling(gamma.space, out, mu=gamma.mu, nu=gamma_prime.nu)
 
 
 def inverse_plan(gamma: Coupling) -> Coupling:
@@ -296,12 +335,11 @@ def inverse_plan(gamma: Coupling) -> Coupling:
 
 
 def norm_d(gamma: Coupling) -> Fraction:
-    """Mean displacement of the plan: the integral of d against gamma."""
-    d = gamma.space.dist
-    total = Fraction(0)
-    for x, y in gamma.support():
-        total += d[x][y] * gamma.gamma[x][y]
-    return total
+    """Mean displacement of the plan: the integral of d against gamma,
+    as one integer sum over the lcms of the two matrices' denominators."""
+    d, Dd = _matrix_over_lcm(gamma.space.dist)
+    g, Dg = _matrix_over_lcm(gamma.gamma)
+    return Fraction(sum(map(_dot, d, g)), Dd * Dg)
 
 
 def lip1_witness(space: FiniteMetricSpace, values):
@@ -344,14 +382,13 @@ def seminorm_rho(u, gamma: Coupling) -> Fraction:
     |integral of u(x) - u(y) against gamma|.
 
     Because the integrand splits, this only sees the marginals:
-    rho_u(gamma) = |int u d(mu) - int u d(nu)|.  The full sum is used
-    anyway — it is the definition, and it is cheap."""
+    rho_u(gamma) = |sum over x of u(x) (mu(x) - nu(x))|, and that is what
+    is computed.  The identity is exact because every Coupling checks at
+    construction that mu and nu are its row and column sums.  A plain
+    sequence u is validated as a LipFunction first."""
     if not isinstance(u, LipFunction):
         u = LipFunction(gamma.space, tuple(u))
-    total = Fraction(0)
-    for x, y in gamma.support():
-        total += (u[x] - u[y]) * gamma.gamma[x][y]
-    return abs(total)
+    return abs(_pairing(u.values, gamma.mu, gamma.nu))
 
 
 def is_invtrans(gamma: Coupling):
@@ -490,18 +527,24 @@ class KantorovichResult:
     def __iter__(self):
         return iter((self.plan, self.potential, self.primal, self.dual))
 
+    @property
+    def den_bits(self) -> int:
+        """Denominator growth: the largest denominator bit length in the
+        optimal plan and potential."""
+        return max(
+            v.denominator.bit_length()
+            for v in chain(*self.plan.gamma, self.potential.values)
+        )
+
 
 def _integer_problem(mu: Measure, nu: Measure):
     """The transport problem on plain ints: supplies and demands scaled
     by L, the lcm of the weight denominators, costs by D, the lcm of the
     distance denominators.  Returns (supply, demand, cost, L, D)."""
-    d = mu.space.dist
-    L = math.lcm(*(w.denominator for w in mu.weights + nu.weights))
-    D = math.lcm(*(v.denominator for row in d for v in row))
-    supply = [int(w * L) for w in mu.weights]
-    demand = [int(w * L) for w in nu.weights]
-    cost = [[int(v * D) for v in row] for row in d]
-    return supply, demand, cost, L, D
+    n = mu.space.n_points()
+    masses, L = _over_lcm(mu.weights + nu.weights)
+    cost, D = _matrix_over_lcm(mu.space.dist)
+    return masses[:n], masses[n:], cost, L, D
 
 
 def _northwest_corner(supply, demand) -> dict:
@@ -704,7 +747,7 @@ def kantorovich(mu: Measure, nu: Measure) -> KantorovichResult:
     plan = Coupling(space, gamma, mu=mu, nu=nu)
     u = LipFunction(space, phi)
     primal = norm_d(plan)
-    dual = sum(u[x] * (mu[x] - nu[x]) for x in range(space.n_points()))
+    dual = _pairing(u.values, mu, nu)
     return KantorovichResult(plan, u, primal, dual, pivots)
 
 

@@ -39,7 +39,8 @@ def cyclic_group_groupoid(n=4):
 def test_as_fraction_accepts_exact_types():
     assert as_fraction(3) == Fraction(3)
     assert as_fraction("2/7") == Fraction(2, 7)
-    assert as_fraction(Fraction(1, 3)) == Fraction(1, 3)
+    third = Fraction(1, 3)
+    assert as_fraction(third) is third  # returned as it is, not re-parsed
     assert as_fraction("0.1") == Fraction(1, 10)  # decimal string, exact
 
 

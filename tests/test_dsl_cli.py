@@ -184,6 +184,34 @@ def test_cli_validate_unknown_shape_is_exit_two(tmp_path):
     assert run_cli("validate", str(f)) == 2
 
 
+GROUPOID_E = {"arrows": ["e"], "compose": [["e", "e", "e"]],
+              "inverse": [["e", "e"]]}
+
+
+@pytest.mark.parametrize("blob,code", [
+    (dict(GROUPOID_E, compose=[["e", "e"]]), 2),  # entry of the wrong length
+    (dict(GROUPOID_E, compose=["eee"]), 2),      # a string is no triple
+    (dict(GROUPOID_E, inverse=[["e"]]), 2),
+    (dict(GROUPOID_E, norm=["0"]), 2),           # norm is label -> value
+    ("compose", 2),                              # a top-level JSON string
+    (["space"], 2),                              # a top-level JSON list
+    (GROUPOID_E, 0),
+    (dict(GROUPOID_E, compose=[["e", "e", "x"]]), 1),  # unknown label
+    (dict(GROUPOID_E, arrows=["e", "f"]), 1),    # inverse misses an arrow
+])
+def test_cli_validate_malformed_shape_is_exit_two(tmp_path, capsys, blob,
+                                                  code):
+    f = tmp_path / "groupoid.json"
+    f.write_text(json.dumps(blob))
+    assert run_cli("validate", str(f)) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert "malformed input" in err
+    if code == 1:
+        assert "invalid structure" in err
+
+
 def test_cli_transport_compose_mismatch_is_exit_one(tmp_path, capsys):
     f = tmp_path / "mismatch.json"
     f.write_text(json.dumps({
@@ -212,6 +240,7 @@ def test_cli_transport_kantorovich(tmp_path, capsys):
         transport.Measure(X, (Fraction(1, 4), Fraction(3, 4))),
     )
     assert blob["pivots"] == res.pivots
+    assert blob["den_bits"] == res.den_bits == 3
 
 
 def test_cli_transport_kantorovich_one_point_space(tmp_path, capsys):
@@ -225,7 +254,7 @@ def test_cli_transport_kantorovich_one_point_space(tmp_path, capsys):
                    "--json") == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob == {"primal": "0", "dual": "0", "plan": [["1"]],
-                    "potential": ["0"], "pivots": 0}
+                    "potential": ["0"], "pivots": 0, "den_bits": 1}
 
 
 def test_cli_report_planted_is_exit_one(capsys):

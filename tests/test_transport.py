@@ -486,6 +486,7 @@ def test_kantorovich_certificate_at_thirty_points():
     value = sum(u[x] * (mu[x] - nu[x]) for x in range(n))
     assert cost == value == res.primal == res.dual
     assert res.pivots > 0
+    assert res.den_bits == den_bits_of(res) > 1
 
 
 def test_certificate_catches_the_unpivoted_basis(monkeypatch):
@@ -537,6 +538,248 @@ def test_kantorovich_result_unpacks_to_four_and_counts_pivots():
         res.plan, res.potential, res.primal, res.dual
     )
     assert primal == Fraction(1) and res.pivots == 0
+
+
+def den_bits_of(res):
+    entries = [v for row in res.plan.gamma for v in row]
+    return max(v.denominator.bit_length()
+               for v in entries + list(res.potential.values))
+
+
+def test_kantorovich_reports_denominator_growth():
+    mu = Measure(X2, (Fraction(1, 2), Fraction(1, 2)))
+    nu = Measure(X2, (Fraction(1, 4), Fraction(3, 4)))
+    res = kantorovich(mu, nu)
+    assert res.den_bits == 3  # the plan's quarters; the potential is integral
+    assert len(tuple(res)) == 4
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against the definitional Fraction loops
+#
+# compose_plans, norm_d, seminorm_rho and the Coupling marginals sum
+# integer numerators over a common denominator.  The references below are
+# the definitions written as chained Fraction arithmetic; kernel and
+# reference must agree with ==, entry by entry.
+
+
+def ref_compose(gamma, gamma_prime):
+    """The triple loop: sum over y with nu(y) > 0 of
+    gamma(x,y) gamma'(y,z) / nu(y)."""
+    n = gamma.space.n_points()
+    nu = gamma.nu.weights
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for y in range(n):
+        if nu[y] == 0:
+            continue
+        for x in range(n):
+            gxy = gamma.gamma[x][y]
+            if gxy == 0:
+                continue
+            w = gxy / nu[y]
+            row = gamma_prime.gamma[y]
+            for z in range(n):
+                if row[z]:
+                    out[x][z] += w * row[z]
+    return tuple(tuple(r) for r in out)
+
+
+def ref_norm_d(gamma):
+    """d(x, y) gamma(x, y) summed over the support."""
+    d = gamma.space.dist
+    total = Fraction(0)
+    for x, y in gamma.support():
+        total += d[x][y] * gamma.gamma[x][y]
+    return total
+
+
+def ref_seminorm_rho(u, gamma):
+    """|(u(x) - u(y)) gamma(x, y) summed over the support|."""
+    total = Fraction(0)
+    for x, y in gamma.support():
+        total += (u[x] - u[y]) * gamma.gamma[x][y]
+    return abs(total)
+
+
+def ref_marginals(g):
+    """Row and column sums by chained Fraction addition."""
+    n = len(g)
+    rows = tuple(sum(row) for row in g)
+    cols = tuple(sum(g[i][j] for i in range(n)) for j in range(n))
+    return rows, cols
+
+
+def line_space(n, rng):
+    """n distinct random rational positions on a line, |p - q| apart."""
+    pos = rng.sample(range(1, 40), n)
+    scale = rng.randint(1, 7)
+    return FiniteMetricSpace(
+        points=list(range(n)),
+        dist=[[Fraction(abs(p - q), scale) for q in pos] for p in pos],
+    )
+
+
+def measure_with_zeros(space, rng):
+    """Random weights in 0..5 with point 0 always empty (when n > 1)."""
+    n = space.n_points()
+    w = [rng.randint(0, 5) for _ in range(n)]
+    if n > 1:
+        w[0] = 0
+    if sum(w) == 0:
+        w[-1] = 1
+    return Measure(space, tuple(Fraction(v, sum(w)) for v in w))
+
+
+def assert_kernels_match(plans, potentials):
+    """Every kernel against its reference, on every plan (and every
+    composable ordered pair)."""
+    for p in plans:
+        assert all(type(v) is Fraction for row in p.gamma for v in row)
+        assert (p.mu.weights, p.nu.weights) == ref_marginals(p.gamma)
+        assert norm_d(p) == ref_norm_d(p)
+        assert type(norm_d(p)) is Fraction
+        for u in potentials:
+            assert seminorm_rho(u, p) == ref_seminorm_rho(u, p)
+            assert seminorm_rho(u.values, p) == ref_seminorm_rho(u, p)
+    for a in plans:
+        for b in plans:
+            if a.nu.weights != b.mu.weights:
+                continue
+            ab = compose_plans(a, b)
+            assert ab.gamma == ref_compose(a, b)
+            assert all(type(v) is Fraction for row in ab.gamma for v in row)
+            assert (ab.mu, ab.nu) == (a.mu, b.nu)
+
+
+def potentials_on(space):
+    """1-Lipschitz potentials: +-d(., p) for every point p."""
+    n = space.n_points()
+    return [
+        LipFunction(space, tuple(sign * space.dist[x][p] for x in range(n)))
+        for p in range(n) for sign in (1, -1)
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_kernels_match_the_fraction_loops_on_seeded_chains(n):
+    """Chains at n = 1..7: full-support ones, ones with zero-mass middle
+    points (whole zero rows and columns), and the library's random
+    chains with sparse rows."""
+    rng = random.Random(500 + n)
+    for trial in range(3):
+        space = line_space(n, rng)
+        m0, m1, m2, m3 = (measure_with_zeros(space, rng) for _ in range(4))
+        zero_chain = [
+            random_coupling_between(m0, m1, rng),
+            random_coupling_between(m1, m2, rng),
+            random_coupling_between(m2, m3, rng),
+        ]
+        if n > 1:
+            assert m1[0] == 0
+            assert all(row[0] == 0 for row in zero_chain[0].gamma)
+            assert all(v == 0 for v in zero_chain[1].gamma[0])
+        chains = [
+            zero_chain,
+            random_composable_chain(space, rng, 3, full_support=True),
+            random_composable_chain(space, rng, 3, full_support=False),
+        ]
+        for a, b, c in chains:
+            assert_kernels_match([a, b, c, compose_plans(a, b)],
+                                 potentials_on(space))
+            assert compose_plans(compose_plans(a, b), c).gamma == ref_compose(
+                Coupling(space, ref_compose(a, b)), c
+            )
+
+
+def test_kernels_match_the_fraction_loops_on_map_plans():
+    rng = random.Random(41)
+    for n in range(1, 8):
+        space = line_space(n, rng)
+        for _ in range(4):
+            f = tuple(rng.randrange(n) for _ in range(n))
+            g = tuple(rng.randrange(n) for _ in range(n))
+            mu = measure_with_zeros(space, rng)
+            first = map_plan(f, mu)
+            second = map_plan(g, push_forward(f, mu))
+            assert_kernels_match([first, second, inverse_plan(first)],
+                                 potentials_on(space))
+
+
+def test_kernels_match_the_fraction_loops_on_the_fixture_category():
+    _, plans, _ = transport.transport_category_fixture()
+    potentials = [LipFunction(X2, u) for u in lip1_vertices(X2)]
+    assert_kernels_match(plans, potentials)
+
+
+def test_kernels_match_the_fraction_loops_on_product_and_diag_plans():
+    rng = random.Random(43)
+    for n in range(1, 8):
+        space = line_space(n, rng)
+        mu, nu, rho = (random_measure(space, rng, full_support=k != 1)
+                       for k in range(3))
+        plans = [
+            diag_plan(mu), diag_plan(nu), diag_plan(rho),
+            product_plan(mu, nu), product_plan(nu, rho),
+            product_plan(mu, mu), product_plan(nu, mu),
+            random_coupling_between(mu, nu, rng),
+        ]
+        assert_kernels_match(plans, potentials_on(space))
+
+
+# ---------------------------------------------------------------------------
+# every construction check still fires
+
+
+def test_coupling_refuses_floats_and_bools():
+    half = Fraction(1, 2)
+    with pytest.raises(ValueError, match="exact rational"):
+        Coupling(X2, ((0.5, 0), (0, half)))
+    with pytest.raises(ValueError, match="exact rational"):
+        Coupling(X2, ((half, False), (0, half)))
+
+
+def test_coupling_refuses_negative_entries_and_bad_shapes():
+    with pytest.raises(ValueError, match="negative coupling entry -1/2"):
+        Coupling(X2, ((Fraction(1), Fraction(-1, 2)),
+                      (Fraction(1, 2), Fraction(0))))
+    with pytest.raises(ValueError, match="not n x n"):
+        Coupling(X2, ((Fraction(1, 2), 0, 0), (0, Fraction(1, 2))))
+    with pytest.raises(ValueError, match="not n x n"):
+        Coupling(X2, ((Fraction(1, 2), Fraction(1, 2)),))
+
+
+def test_coupling_names_the_first_offending_marginal_index():
+    third = Fraction(1, 3)
+    g = ((third, 0, 0), (0, third, 0), (0, 0, third))
+    off = Measure(line3(), (third, Fraction(1, 6), Fraction(1, 2)))
+    with pytest.raises(ValueError, match="first marginal .* index 1: 1/6"):
+        Coupling(line3(), g, mu=off)
+    with pytest.raises(ValueError, match="second marginal .* index 1: 1/6"):
+        Coupling(line3(), g, nu=off)
+    with pytest.raises(ValueError, match="total mass 5/6 != 1"):
+        Coupling(line3(), ((third, 0, 0), (0, third, 0),
+                           (0, 0, Fraction(1, 6))))
+
+
+def test_compose_mismatch_names_the_middle_index():
+    third = Fraction(1, 3)
+    space = line3()
+    uniform = diag_plan(Measure(space, (third,) * 3))
+    shifted = diag_plan(Measure(space, (third, Fraction(1, 6),
+                                        Fraction(1, 2))))
+    with pytest.raises(MarginalMismatch) as exc:
+        compose_plans(uniform, shifted)
+    assert (exc.value.index, exc.value.left, exc.value.right) == (
+        1, third, Fraction(1, 6)
+    )
+
+
+def test_seminorm_refuses_a_potential_that_is_not_1_lipschitz():
+    plan = diag_plan(Measure(line3(), (Fraction(1, 3),) * 3))
+    with pytest.raises(ValueError, match="not 1-Lipschitz"):
+        seminorm_rho((Fraction(0), Fraction(3), Fraction(0)), plan)
+    with pytest.raises(ValueError, match="exact rational"):
+        seminorm_rho((0.0, 1, 2), plan)
 
 
 # ---------------------------------------------------------------------------
