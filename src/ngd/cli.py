@@ -137,7 +137,9 @@ def cmd_validate(args) -> int:
         elif "compose" in data:
             G = FiniteGroupoid.from_json(data)
             reports.append(validate_groupoid(G))
-            if G.norm is not None:
+            # the norm laws need alpha, which needs composable inverse pairs
+            if G.norm is not None and reports[0].law(
+                    "(inv g, g) and (g, inv g) compose").passed:
                 reports.append(check_norm(G))
                 reports.append(check_separability(G))
         else:

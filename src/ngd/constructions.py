@@ -128,24 +128,23 @@ def double_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
 
     The pair (g, h) runs from the object (h, h) to (g, g): difference
     arrows index "how to get from h to g inside one fiber"."""
-    n = len(G.arrows)
+    alpha = G.endpoints()[0]
+    leaving = G.fibers()[0]
+    comp, inv = G.compose, G.inverse
     pairs, index = [], {}
-    for g in range(n):
-        for h in range(n):
-            if G.alpha(g) == G.alpha(h):
-                index[(g, h)] = len(pairs)
-                pairs.append((g, h))
+    for g, a in enumerate(alpha):
+        for h in leaving[a]:
+            index[(g, h)] = len(pairs)
+            pairs.append((g, h))
     arrows = [f"[{G.arrows[g]};{G.arrows[h]}]" for g, h in pairs]
     compose = {}
-    for (g, h), i in index.items():
-        for l in range(n):
-            if G.alpha(l) == G.alpha(h):
-                j = index[(h, l)]
-                compose[(i, j)] = index[(g, l)]
+    for i, (g, h) in enumerate(pairs):
+        for l in leaving[alpha[h]]:
+            compose[(i, index[(h, l)])] = index[(g, l)]
     inverse = [index[(h, g)] for g, h in pairs]
     norm = None
     if G.norm is not None:
-        norm = [G.d(G.m(g, G.inv(h))) for g, h in pairs]
+        norm = [G.norm[comp[(g, inv[h])]] for g, h in pairs]
     H = FiniteGroupoid(arrows, compose, inverse, norm)
     H.pairs = pairs  # arrow index -> (g, h) in G
     return H
@@ -159,7 +158,7 @@ def double_difference_morphism(G, D=None):
 
     if D is None:
         D = double_groupoid(G)
-    amap = [G.m(g, G.inv(h)) for g, h in D.pairs]
+    amap = [G.compose[(g, G.inverse[h])] for g, h in D.pairs]
     return GroupoidMorphism(source=D, target=G, arrow_map=amap, name="dif")
 
 
@@ -172,19 +171,19 @@ def check_double_norm(G: FiniteGroupoid, D=None) -> ValidationReport:
     pres = LawCheck("d~(g,h) = d(g h^-1)")
     rinv = LawCheck("right translation preserves d~")
     rep.add(pres, rinv)
+    alpha = G.endpoints()[0]
+    entering = G.fibers()[1]
+    comp, inv, d = G.compose, G.inverse, G.norm
     for i, (g, h) in enumerate(D.pairs):
         pres.tick()
-        if D.norm[i] != G.d(G.m(g, G.inv(h))):
+        if D.norm[i] != d[comp[(g, inv[h])]]:
             pres.fail(pair=D.arrows[i])
-    n = len(G.arrows)
     for g, h in D.pairs:
-        for u in range(n):
-            if G.omega(u) != G.alpha(g):
-                continue
+        dgh = d[comp[(g, inv[h])]]
+        for u in entering.get(alpha[g], ()):
             rinv.tick()
-            gu, hu = G.m(g, u), G.m(h, u)
-            lhs = G.d(G.m(gu, G.inv(hu)))
-            if lhs != G.d(G.m(g, G.inv(h))):
+            gu, hu = comp[(g, u)], comp[(h, u)]
+            if d[comp[(gu, inv[hu])]] != dgh:
                 rinv.fail(g=G.arrows[g], h=G.arrows[h], u=G.arrows[u])
     return rep
 
@@ -196,17 +195,13 @@ def check_double_norm(G: FiniteGroupoid, D=None) -> ValidationReport:
 def fiber_distances(G: FiniteGroupoid) -> dict:
     """Per-object distance tables on fibers alpha^-1(x):
     returns {unit arrow x: {(g, h): d(g h^-1)}}."""
-    fibers = {}
-    for g in range(len(G.arrows)):
-        fibers.setdefault(G.alpha(g), []).append(g)
-    out = {}
-    for x, gs in fibers.items():
-        table = {}
-        for g in gs:
-            for h in gs:
-                table[(g, h)] = G.d(G.m(g, G.inv(h)))
-        out[x] = table
-    return out
+    d, comp, inv = G.norm, G.compose, G.inverse
+    if d is None:
+        raise ValueError("groupoid carries no norm")
+    return {
+        x: {(g, h): d[comp[(g, inv[h])]] for g in gs for h in gs}
+        for x, gs in G.fibers()[0].items()
+    }
 
 
 def norm_from_fiber_distances(G: FiniteGroupoid, fibers=None):
@@ -215,9 +210,7 @@ def norm_from_fiber_distances(G: FiniteGroupoid, fibers=None):
     norm for honest data; tests assert equality exactly)."""
     if fibers is None:
         fibers = fiber_distances(G)
-    return [
-        fibers[G.alpha(g)][(g, G.alpha(g))] for g in range(len(G.arrows))
-    ]
+    return [fibers[x][(g, x)] for g, x in enumerate(G.endpoints()[0])]
 
 
 def check_fiber_distances(G: FiniteGroupoid) -> ValidationReport:
@@ -227,22 +220,20 @@ def check_fiber_distances(G: FiniteGroupoid) -> ValidationReport:
     recon = LawCheck("d(g) = d_alpha(g)(g, e)")
     rep.add(rinv, recon)
     fib = fiber_distances(G)
-    n = len(G.arrows)
-    for u in range(n):
-        x = G.omega(u)
-        for g in range(n):
-            if G.alpha(g) != x:
-                continue
-            for h in range(n):
-                if G.alpha(h) != x:
-                    continue
+    alpha, omega = G.endpoints()
+    leaving = G.fibers()[0]
+    comp = G.compose
+    for u, x in enumerate(omega):
+        gs = leaving.get(x, ())
+        here, there = fib.get(x), fib[alpha[u]]
+        for g in gs:
+            for h in gs:
                 rinv.tick()
-                if fib[x][(g, h)] != fib[G.alpha(u)][(G.m(g, u), G.m(h, u))]:
+                if here[(g, h)] != there[(comp[(g, u)], comp[(h, u)])]:
                     rinv.fail(g=G.arrows[g], h=G.arrows[h], u=G.arrows[u])
     rec = norm_from_fiber_distances(G, fib)
-    for g in range(n):
+    for g, want in enumerate(G.norm):
         recon.tick()
-        if rec[g] != G.d(g):
-            recon.fail(g=G.arrows[g], got=str(rec[g]), want=str(G.d(g)))
+        if rec[g] != want:
+            recon.fail(g=G.arrows[g], got=str(rec[g]), want=str(want))
     return rep
-

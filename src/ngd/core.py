@@ -5,6 +5,10 @@ right-to-left, h happens first -- and a total involutive inverse.  The
 unit arrows are recovered from the data as alpha(a) = m(inv(a), a) and
 omega(a) = m(a, inv(a)); an arrow a runs from the object alpha(a) to the
 object omega(a), and (g, h) is composable exactly when alpha(g) = omega(h).
+FiniteGroupoid.endpoints() builds the alpha/omega lists from the tables,
+and FiniteGroupoid.fibers() the arrows leaving and entering each unit
+arrow, once each, on first use; every finite check here and in
+ngd.constructions walks those fibers instead of filtering all arrows.
 
 A norm is a nonnegative weight on arrows that vanishes exactly on unit
 arrows, is subadditive along composition and invariant under inversion.
@@ -168,70 +172,40 @@ class FiniteGroupoid:
             for g, v in enumerate(self.norm):
                 if v < 0:
                     raise ValueError(f"norm[{g}] = {v} is negative")
-        self._index = {lbl: i for i, lbl in enumerate(self.arrows)}
-        self._alpha = None
-        self._omega = None
+        self._ends = None
+        self._fibers = None
 
-    # -- basic operations ---------------------------------------------------
+    # -- endpoints and fibers -----------------------------------------------
 
-    def n_arrows(self) -> int:
-        return len(self.arrows)
-
-    def index(self, label) -> int:
-        return self._index[label]
-
-    def m(self, g: int, h: int) -> int:
-        try:
-            return self.compose[(g, h)]
-        except KeyError:
-            raise ValueError(
-                f"arrows not composable: {self.arrows[g]} o {self.arrows[h]}"
-            ) from None
-
-    def inv(self, g: int) -> int:
-        return self.inverse[g]
-
-    def _units(self):
-        if self._alpha is None:
+    def endpoints(self):
+        """The lists (alpha, omega) of unit-arrow indices, alpha[g] =
+        m(inv g, g) and omega[g] = m(g, inv g).  Built on first use;
+        raises ValueError when an (inv g, g) pair does not compose."""
+        if self._ends is None:
             alpha, omega = [], []
-            for g in range(len(self.arrows)):
-                a = self.compose.get((self.inverse[g], g))
-                w = self.compose.get((g, self.inverse[g]))
+            for g, gi in enumerate(self.inverse):
+                a = self.compose.get((gi, g))
+                w = self.compose.get((g, gi))
                 if a is None or w is None:
                     raise ValueError(
                         f"(inv, arrow) pair not composable at {self.arrows[g]}"
                     )
                 alpha.append(a)
                 omega.append(w)
-            self._alpha, self._omega = alpha, omega
-        return self._alpha, self._omega
+            self._ends = alpha, omega
+        return self._ends
 
-    def alpha(self, g: int) -> int:
-        """Source unit arrow of g (an arrow index)."""
-        return self._units()[0][g]
-
-    def omega(self, g: int) -> int:
-        """Target unit arrow of g."""
-        return self._units()[1][g]
-
-    def objects(self) -> list:
-        return sorted(set(self._units()[0]))
-
-    def is_unit(self, g: int) -> bool:
-        return self.alpha(g) == g
-
-    def d(self, g: int) -> Fraction:
-        if self.norm is None:
-            raise ValueError("groupoid carries no norm")
-        return self.norm[g]
-
-    def arrows_between(self, x: int, y: int) -> list:
-        """All arrows with alpha = x and omega = y (unit-arrow indices)."""
-        return [
-            g
-            for g in range(len(self.arrows))
-            if self.alpha(g) == x and self.omega(g) == y
-        ]
+    def fibers(self):
+        """(leaving, entering): each maps a unit arrow x to the ascending
+        list of arrows g with alpha(g) = x (leaving) or omega(g) = x
+        (entering).  Keys appear in order of their first arrow."""
+        if self._fibers is None:
+            leaving, entering = {}, {}
+            for g, (a, w) in enumerate(zip(*self.endpoints())):
+                leaving.setdefault(a, []).append(g)
+                entering.setdefault(w, []).append(g)
+            self._fibers = leaving, entering
+        return self._fibers
 
     # -- serialization ------------------------------------------------------
 
@@ -297,68 +271,75 @@ class FiniteGroupoid:
 # groupoid laws
 
 
+def _inverse_laws(labels, compose, inverse) -> tuple:
+    """The involution and inverse-pair laws, shared by groupoids and
+    categories with inverses."""
+    invo = LawCheck("inverse is an involution")
+    pairs = LawCheck("(inv g, g) and (g, inv g) compose")
+    for g, gi in enumerate(inverse):
+        invo.tick()
+        if inverse[gi] != g:
+            invo.fail(g=labels[g], inv=labels[gi])
+        pairs.tick()
+        if (gi, g) not in compose or (g, gi) not in compose:
+            pairs.fail(g=labels[g])
+    return invo, pairs
+
+
+def _assoc_law(title, labels, compose, after) -> LawCheck:
+    """Associativity with closure: for every composite gh and every k in
+    after[h] (the arrows that should compose on the right of h), hk,
+    (gh)k and g(hk) exist and (gh)k = g(hk)."""
+    assoc = LawCheck(title)
+    for (g, h), gh in compose.items():
+        for k in after[h]:
+            assoc.tick()
+            hk = compose.get((h, k))
+            left = compose.get((gh, k))
+            if hk is None or left is None or compose.get((g, hk)) != left:
+                assoc.fail(g=labels[g], h=labels[h], k=labels[k])
+    return assoc
+
+
 def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
     """Check the groupoid laws on the tables: involution, unit pairs,
     typing of composites, composability = endpoint matching, associativity
     (with its two closure halves) and the cancellation identities."""
     rep = ValidationReport(subject=f"groupoid[{len(G.arrows)} arrows]")
-    invo = LawCheck("inverse is an involution")
-    pairs = LawCheck("(inv g, g) and (g, inv g) compose")
-    typing = LawCheck("composite typing alpha(gh)=alpha(h), omega(gh)=omega(g)")
-    match = LawCheck("composability iff alpha(g) = omega(h)")
-    assoc = LawCheck("associativity with closure")
-    cancel = LawCheck("cancellation (gh)h^-1 = g and g^-1(gh) = h")
-    rep.add(invo, pairs, typing, match, assoc, cancel)
-
-    n = len(G.arrows)
-    inv = G.inverse
-    comp = G.compose
-
-    for g in range(n):
-        invo.tick()
-        if inv[inv[g]] != g:
-            invo.fail(g=G.arrows[g], inv=G.arrows[inv[g]])
-        pairs.tick()
-        if (inv[g], g) not in comp or (g, inv[g]) not in comp:
-            pairs.fail(g=G.arrows[g])
-
+    lbl, comp, inv = G.arrows, G.compose, G.inverse
+    invo, pairs = _inverse_laws(lbl, comp, inv)
+    titles = ("composite typing alpha(gh)=alpha(h), omega(gh)=omega(g)",
+              "composability iff alpha(g) = omega(h)",
+              "associativity with closure",
+              "cancellation (gh)h^-1 = g and g^-1(gh) = h")
     if not pairs.passed:
         # alpha/omega are not even defined; the remaining laws would crash
-        for c in (typing, match, assoc, cancel):
-            c.note = "skipped: unit arrows undefined"
-        return rep
-
-    alpha = [comp[(inv[g], g)] for g in range(n)]
-    omega = [comp[(g, inv[g])] for g in range(n)]
+        return rep.add(invo, pairs, *(
+            LawCheck(t, note="skipped: unit arrows undefined")
+            for t in titles))
+    typing, match, _, cancel = (LawCheck(t) for t in titles)
+    alpha, omega = G.endpoints()
+    n = len(lbl)
 
     for g in range(n):
         for h in range(n):
             match.tick()
             if ((g, h) in comp) != (alpha[g] == omega[h]):
-                match.fail(g=G.arrows[g], h=G.arrows[h],
-                           composable=(g, h) in comp)
+                match.fail(g=lbl[g], h=lbl[h], composable=(g, h) in comp)
 
     for (g, h), k in comp.items():
         typing.tick()
         if alpha[k] != alpha[h] or omega[k] != omega[g]:
-            typing.fail(g=G.arrows[g], h=G.arrows[h], gh=G.arrows[k])
+            typing.fail(g=lbl[g], h=lbl[h], gh=lbl[k])
         cancel.tick()
         if comp.get((k, inv[h])) != g or comp.get((inv[g], k)) != h:
-            cancel.fail(g=G.arrows[g], h=G.arrows[h])
+            cancel.fail(g=lbl[g], h=lbl[h])
 
-    by_omega = {}
-    for k in range(n):
-        by_omega.setdefault(omega[k], []).append(k)
-
-    for (g, h), gh in comp.items():
-        for k in by_omega.get(alpha[h], ()):
-            # (h, k) is composable whenever alpha(h) = omega(k)
-            assoc.tick()
-            hk = comp.get((h, k))
-            left = comp.get((gh, k))
-            if hk is None or left is None or comp.get((g, hk)) != left:
-                assoc.fail(g=G.arrows[g], h=G.arrows[h], k=G.arrows[k])
-    return rep
+    # (h, k) is composable whenever alpha(h) = omega(k)
+    entering = G.fibers()[1]
+    assoc = _assoc_law(titles[2], lbl, comp,
+                       [entering.get(a, ()) for a in alpha])
+    return rep.add(invo, pairs, typing, match, assoc, cancel)
 
 
 def _table_laws(labels, compose, inverse, units, tables, titles,
@@ -406,7 +387,7 @@ def _table_laws(labels, compose, inverse, units, tables, titles,
 
 
 def _unit_arrows(G: FiniteGroupoid) -> set:
-    return {g for g, a in enumerate(G._units()[0]) if a == g}
+    return {g for g, a in enumerate(G.endpoints()[0]) if a == g}
 
 
 def check_norm(G: FiniteGroupoid, norm=None) -> ValidationReport:
@@ -429,33 +410,20 @@ def check_separability(G: FiniteGroupoid, norm=None) -> ValidationReport:
     rep = ValidationReport(subject="separability")
     law = LawCheck("distinct objects are norm-separated")
     rep.add(law)
-    objs = G.objects()
-    for x in objs:
-        for y in objs:
-            if x >= y:
-                continue
-            arrows = G.arrows_between(x, y)
-            if not arrows:
-                continue
+    omega = G.endpoints()[1]
+    leaving = G.fibers()[0]
+    for x in sorted(leaving):
+        between = {}  # object y > x -> the arrows x -> y
+        for g in leaving[x]:
+            if omega[g] > x and omega[g] in leaving:
+                between.setdefault(omega[g], []).append(g)
+        for y in sorted(between):
+            arrows = between[y]
             law.tick()
-            lo = min(d[g] for g in arrows)
-            if lo == 0:
+            if min(d[g] for g in arrows) == 0:
                 g0 = next(g for g in arrows if d[g] == 0)
                 law.fail(x=G.arrows[x], y=G.arrows[y], arrow=G.arrows[g0])
     return rep
-
-
-def dif(G: FiniteGroupoid, g: int, h: int) -> int:
-    """The difference arrow dif(g, h) = g h^-1 of two arrows sharing a
-    source object."""
-    if G.alpha(g) != G.alpha(h):
-        raise ValueError("dif needs arrows with a common source")
-    return G.m(g, G.inv(h))
-
-
-def dtilde(G: FiniteGroupoid, g: int, h: int) -> Fraction:
-    """Fiberwise distance d~(g, h) = d(g h^-1)."""
-    return G.d(dif(G, g, h))
 
 
 # ---------------------------------------------------------------------------
@@ -484,12 +452,13 @@ def check_morphism(M: GroupoidMorphism) -> ValidationReport:
         comp.tick()
         if H.compose.get((F[g], F[h])) != F[k]:
             comp.fail(g=G.arrows[g], h=G.arrows[h])
+    (ga, go), (ha, ho) = G.endpoints(), H.endpoints()
     for g in range(len(G.arrows)):
         invo.tick()
-        if F[G.inv(g)] != H.inv(F[g]):
+        if F[G.inverse[g]] != H.inverse[F[g]]:
             invo.fail(g=G.arrows[g])
         ends.tick()
-        if F[G.alpha(g)] != H.alpha(F[g]) or F[G.omega(g)] != H.omega(F[g]):
+        if F[ga[g]] != ha[F[g]] or F[go[g]] != ho[F[g]]:
             ends.fail(g=G.arrows[g])
     return rep
 
@@ -538,15 +507,6 @@ class CategoryWithInverses:
     norm: list | None = None
     seminorms: SeminormFamily | None = None
 
-    def m(self, g, h):
-        try:
-            return self.compose[(g, h)]
-        except KeyError:
-            raise ValueError("arrows not composable") from None
-
-    def inv(self, g):
-        return self.inverse[g]
-
     def unit_like(self) -> set:
         """The arrows of the form h^-1 h."""
         return {
@@ -577,20 +537,15 @@ def check_category_with_inverses(
     comp, inv = C.compose, C.inverse
 
     stab = LawCheck("composability stable under composition")
-    assoc = LawCheck("associativity")
-    invo = LawCheck("inverse is an involution")
-    ipair = LawCheck("(inv g, g) and (g, inv g) compose")
+    invo, ipair = _inverse_laws(C.arrows, comp, inv)
     anti = LawCheck("inverse is an antimorphism")
     ends = LawCheck("source of inv g = target of g (composability classes)")
-    rep.add(stab, assoc, invo, ipair, anti, ends)
 
-    for g in range(n):
-        invo.tick()
-        if inv[inv[g]] != g:
-            invo.fail(g=C.arrows[g])
-        ipair.tick()
-        if (inv[g], g) not in comp or (g, inv[g]) not in comp:
-            ipair.fail(g=C.arrows[g])
+    after = [[] for _ in range(n)]
+    for h, k in sorted(comp):
+        after[h].append(k)
+    assoc = _assoc_law("associativity", C.arrows, comp, after)
+    rep.add(stab, assoc, invo, ipair, anti, ends)
 
     for (g, h), gh in comp.items():
         anti.tick()
@@ -604,11 +559,6 @@ def check_category_with_inverses(
             if ((k, g) in comp) != ((k, gh) in comp):
                 stab.fail(side="left", g=C.arrows[g], h=C.arrows[h],
                           k=C.arrows[k])
-            if (h, k) in comp:
-                assoc.tick()
-                hk = comp[(h, k)]
-                if comp.get((gh, k)) != comp.get((g, hk)) or (gh, k) not in comp:
-                    assoc.fail(g=C.arrows[g], h=C.arrows[h], k=C.arrows[k])
 
     # L(x) = who can precede x; equal L-sets <=> equal targets
     L = [frozenset(k for k in range(n) if (k, g) in comp) for g in range(n)]

@@ -17,6 +17,7 @@ import numpy as np
 
 from .constructions import FiniteMetricSpace, pair_groupoid
 from .core import (
+    FiniteGroupoid,
     SeminormFamily,
     ValidationReport,
     LawCheck,
@@ -147,8 +148,7 @@ def retargeted_compose_groupoid():
     # (0<-1)(1<-0) should be (0<-0); send it to (1<-1) instead
     bad = dict(G.compose)
     bad[(1, 2)] = 3
-    G.compose = bad
-    return G
+    return FiniteGroupoid(G.arrows, bad, G.inverse, G.norm)
 
 
 def inflated_norm_groupoid():
@@ -161,8 +161,7 @@ def inflated_norm_groupoid():
     i_ca = labels.index("c<-a")
     norm[i_ac] = Fraction(100)
     norm[i_ca] = Fraction(100)
-    G.norm = norm
-    return G
+    return FiniteGroupoid(G.arrows, G.compose, G.inverse, norm)
 
 
 def non_separating_seminorms():

@@ -97,6 +97,9 @@ class Measure:
     weights: tuple
 
     def __post_init__(self):
+        if isinstance(self.weights, str):
+            raise TypeError(f"weights {self.weights!r} are a string, not a "
+                            "list of rationals")
         w = tuple(as_fraction(v) for v in self.weights)
         if len(w) != self.space.n_points():
             raise ValueError(
@@ -141,6 +144,10 @@ class Coupling:
 
     def __post_init__(self):
         n = self.space.n_points()
+        if isinstance(self.gamma, str) or any(
+                isinstance(row, str) for row in self.gamma):
+            raise TypeError("coupling matrix is a string or has a string "
+                            "row, not rows of rationals")
         g = tuple(tuple(as_fraction(v) for v in row) for row in self.gamma)
         if len(g) != n or any(len(row) != n for row in g):
             raise ValueError("coupling matrix is not n x n")

@@ -212,6 +212,70 @@ def test_cli_validate_malformed_shape_is_exit_two(tmp_path, capsys, blob,
         assert "invalid structure" in err
 
 
+def test_cli_validate_keeps_the_report_when_inverse_pairs_fail(tmp_path,
+                                                               capsys):
+    # a is its own inverse but (a, a) is missing: alpha is undefined, so
+    # the groupoid report is printed and the norm laws are not run
+    f = tmp_path / "unpaired.json"
+    f.write_text(json.dumps({
+        "arrows": ["e", "f", "a"],
+        "compose": [["e", "e", "e"], ["f", "f", "f"], ["a", "e", "a"],
+                    ["f", "a", "a"]],
+        "inverse": [["e", "e"], ["f", "f"], ["a", "a"]],
+        "norm": {"e": "0", "f": "0", "a": "1"},
+    }))
+    assert run_cli("validate", str(f)) == 1
+    out, err = capsys.readouterr()
+    assert "[FAIL] (inv g, g) and (g, inv g) compose" in out
+    assert "{'g': 'a'}" in out
+    assert out.count("skipped: unit arrows undefined") == 4
+    assert "d(g) = 0 iff g is a unit arrow" not in out
+    assert err == ""
+    assert run_cli("validate", str(f), "--json") == 1
+    blob = json.loads(capsys.readouterr().out)
+    assert [r["subject"] for r in blob["reports"]] == ["groupoid[3 arrows]"]
+
+
+PLAN = {"space": {"points": [0, 1], "dist": [["0", "1"], ["1", "0"]]},
+        "gamma": [["0", "0"], ["0", "1"]]}
+
+
+@pytest.mark.parametrize("change", [{"mu": "01"}, {"mu": "12"},
+                                    {"gamma": "ab"},
+                                    {"gamma": ["01", "10"]}])
+@pytest.mark.parametrize("command", [("validate",),
+                                     ("transport", "--action", "norm")])
+def test_cli_string_weights_are_exit_two(tmp_path, capsys, change, command):
+    # a JSON string is not a list of weights, not even "01"
+    f = tmp_path / "plan.json"
+    f.write_text(json.dumps(dict(PLAN, **change)))
+    assert run_cli(command[0], str(f), *command[1:]) == 2
+    err = capsys.readouterr().err
+    assert "malformed input" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("change", [{"mu": "01"}, {"mu": "12"},
+                                    {"nu": "01"}])
+def test_cli_kantorovich_string_weights_are_exit_two(tmp_path, capsys,
+                                                     change):
+    f = tmp_path / "measures.json"
+    f.write_text(json.dumps({**PLAN, "mu": ["0", "1"], "nu": ["1", "0"],
+                             **change}))
+    assert run_cli("transport", str(f), "--action", "kantorovich") == 2
+    err = capsys.readouterr().err
+    assert "malformed input" in err and "Traceback" not in err
+
+
+def test_string_weights_raise_type_error():
+    X = two_point_space()
+    with pytest.raises(TypeError):
+        transport.Measure(X, "01")
+    with pytest.raises(TypeError):
+        transport.Coupling(X, "ab")
+    with pytest.raises(TypeError):
+        transport.Coupling(X, ["01", "10"])
+
+
 def test_cli_transport_compose_mismatch_is_exit_one(tmp_path, capsys):
     f = tmp_path / "mismatch.json"
     f.write_text(json.dumps({
