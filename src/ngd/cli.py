@@ -20,7 +20,6 @@ from . import dsl, emergent, transport
 from .constructions import (
     FiniteMetricSpace,
     check_double_norm,
-    double_groupoid,
     pair_groupoid,
     random_metric_space,
 )
@@ -66,11 +65,9 @@ def _models_from(args):
     return [euclidean_model(dim=dim), heisenberg_model()]
 
 
-def _grid_from(args, default_kmax=None):
+def _grid_from(args):
     k = getattr(args, "eps_grid", None)
-    if k is None:
-        return dyadic_grid(default_kmax) if default_kmax else None
-    return dyadic_grid(kmax=k)
+    return None if k is None else dyadic_grid(kmax=k)
 
 
 def _emit(reports, args, extra=None):
@@ -133,7 +130,7 @@ def cmd_validate(args) -> int:
             reports.append(check_norm(G))
             reports.append(check_separability(G))
             if space.n_points() <= 6:
-                reports.append(check_double_norm(double_groupoid(G)))
+                reports.append(check_double_norm(G))
         elif "compose" in data:
             G = FiniteGroupoid.from_json(data)
             reports.append(validate_groupoid(G))
@@ -321,7 +318,7 @@ def _suite_axioms(args):
         rep.merge(check_norm(G)).merge(check_separability(G))
         rep.subject = f"pair groupoid [seed {args.seed + i}]"
         reports.append(rep)
-        reports.append(check_double_norm(double_groupoid(G)))
+        reports.append(check_double_norm(G))
     for model in _models_from(args):
         nrng = np.random.default_rng(args.seed)
         arrows = model.sample_fiber_arrows(nrng, args.samples,

@@ -121,6 +121,16 @@ def pair_groupoid(space: FiniteMetricSpace) -> FiniteGroupoid:
 # double groupoid of same-source pairs
 
 
+def _double_pairs(G: FiniteGroupoid) -> list:
+    """The arrows of the double groupoid of G, in its arrow order: arrow i
+    is the pair (g, h) of arrows of G with alpha(g) = alpha(h), listed by
+    g and then by h.  It depends on G alone, so a double groupoid read
+    back from JSON is checked against G with the same list."""
+    leaving = G.fibers()[0]
+    return [(g, h) for g, a in enumerate(G.endpoints()[0])
+            for h in leaving[a]]
+
+
 def double_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     """Arrows are pairs (g, h) with alpha(g) = alpha(h); composition glues
     along the first slot, (g, h)(h, l) = (g, l); the inverse swaps; the
@@ -131,11 +141,8 @@ def double_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     alpha = G.endpoints()[0]
     leaving = G.fibers()[0]
     comp, inv = G.compose, G.inverse
-    pairs, index = [], {}
-    for g, a in enumerate(alpha):
-        for h in leaving[a]:
-            index[(g, h)] = len(pairs)
-            pairs.append((g, h))
+    pairs = _double_pairs(G)
+    index = {p: i for i, p in enumerate(pairs)}
     arrows = [f"[{G.arrows[g]};{G.arrows[h]}]" for g, h in pairs]
     compose = {}
     for i, (g, h) in enumerate(pairs):
@@ -145,9 +152,7 @@ def double_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     norm = None
     if G.norm is not None:
         norm = [G.norm[comp[(g, inv[h])]] for g, h in pairs]
-    H = FiniteGroupoid(arrows, compose, inverse, norm)
-    H.pairs = pairs  # arrow index -> (g, h) in G
-    return H
+    return FiniteGroupoid(arrows, compose, inverse, norm)
 
 
 def double_difference_morphism(G, D=None):
@@ -158,7 +163,7 @@ def double_difference_morphism(G, D=None):
 
     if D is None:
         D = double_groupoid(G)
-    amap = [G.compose[(g, G.inverse[h])] for g, h in D.pairs]
+    amap = [G.compose[(g, G.inverse[h])] for g, h in _double_pairs(G)]
     return GroupoidMorphism(source=D, target=G, arrow_map=amap, name="dif")
 
 
@@ -174,11 +179,12 @@ def check_double_norm(G: FiniteGroupoid, D=None) -> ValidationReport:
     alpha = G.endpoints()[0]
     entering = G.fibers()[1]
     comp, inv, d = G.compose, G.inverse, G.norm
-    for i, (g, h) in enumerate(D.pairs):
+    pairs = _double_pairs(G)
+    for i, (g, h) in enumerate(pairs):
         pres.tick()
         if D.norm[i] != d[comp[(g, inv[h])]]:
             pres.fail(pair=D.arrows[i])
-    for g, h in D.pairs:
+    for g, h in pairs:
         dgh = d[comp[(g, inv[h])]]
         for u in entering.get(alpha[g], ()):
             rinv.tick()

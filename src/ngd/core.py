@@ -390,14 +390,13 @@ def _unit_arrows(G: FiniteGroupoid) -> set:
     return {g for g, a in enumerate(G.endpoints()[0]) if a == g}
 
 
-def check_norm(G: FiniteGroupoid, norm=None) -> ValidationReport:
+def check_norm(G: FiniteGroupoid) -> ValidationReport:
     """Norm laws: zero exactly on unit arrows, subadditive, inversion
     invariant."""
-    d = G.norm if norm is None else norm
-    if d is None:
+    if G.norm is None:
         raise ValueError("no norm to check")
     return ValidationReport(subject="norm").add(*_table_laws(
-        G.arrows, G.compose, G.inverse, _unit_arrows(G), [(None, d)],
+        G.arrows, G.compose, G.inverse, _unit_arrows(G), [(None, G.norm)],
         ("d(g) = 0 iff g is a unit arrow", "d(gh) <= d(g) + d(h)",
          "d(inv g) = d(g)")))
 

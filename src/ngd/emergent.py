@@ -176,12 +176,11 @@ class Irq:
     name: str = "irq"
 
 
-def irq_from_dilation(model, scale, x=None) -> Irq:
+def irq_from_dilation(model, scale) -> Irq:
     """The fiber irq u op v = delta^u_eps v (opinv uses 1/eps).
 
-    The fiber selector x only names the carrier: every source fiber of a
-    pair model is a copy of the group read through target coordinates, and
-    the operation never looks at it."""
+    One irq serves every source fiber: each is a copy of the group read
+    through target coordinates."""
     s = as_scale(scale)
     return Irq(
         op=lambda u, v: model.point_dilatation(s, u, v),
@@ -260,8 +259,9 @@ def sample_point_quads(model, rng, n=1000, radius=4.0):
     return tuple(model.sample_points(rng, n, radius) for _ in range(4))
 
 
-def check_irq(Q: Irq, xs, ys, tol=1e-10) -> ValidationReport:
+def check_irq(Q: Irq, xs, ys) -> ValidationReport:
     """P1 and P2 on sampled pairs (xs[i], ys[i])."""
+    tol = 1e-10
     rep = ValidationReport(subject=Q.name)
     p1 = LawCheck("P1: x op (x opinv y) = x opinv (x op y) = y")
     p2 = LawCheck("P2: x op x = x opinv x = x")
@@ -275,41 +275,36 @@ def check_irq(Q: Irq, xs, ys, tol=1e-10) -> ValidationReport:
     return rep
 
 
-def check_gamma_irq(Q: GammaIrq, xs, ys, grid=None, tol=1e-10) -> ValidationReport:
+def check_gamma_irq(Q: GammaIrq, xs, ys) -> ValidationReport:
     """Per-scale irq axioms plus the composition law over a grid of
     (s, m) scale pairs."""
-    if grid is None:
-        grid = default_scale_grid()
+    grid = default_scale_grid()
     rep = ValidationReport(subject=Q.name)
     comp = LawCheck("composition: x circ_s (x circ_m y) = x circ_{sm} y")
     for s in grid:
-        rep.merge(check_irq(Q.at(s), xs, ys, tol=tol))
+        rep.merge(check_irq(Q.at(s), xs, ys))
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     for s in grid:
         for m in grid:
             lhs = Q.op(s, xs, Q.op(m, xs, ys))
             rhs = Q.op(s.mul(m), xs, ys)
-            _judge(comp, _per_sample(lhs, rhs), tol,
+            _judge(comp, _per_sample(lhs, rhs), 1e-10,
                    s=str(s.value), m=str(m.value), x=xs, y=ys)
     rep.add(comp)
     return rep
 
 
-def check_pplay(Q: GammaIrq, samples, grid=None, mu_grid=None,
-                tol=1e-10) -> ValidationReport:
+def check_pplay(Q: GammaIrq, samples, tol=1e-10) -> ValidationReport:
     """The identity battery for the based operations derived from a scale
     family: difference/sum inversion, inverse transport, associativity
     transport, and distributivity of the dilatations over the difference.
 
     samples is a tuple (x, u, v, w) of point arrays; the battery runs each
-    identity at every scale of `grid` (and, for the distributivity law,
-    over the full grid x mu_grid product).  Failures carry the worst
-    sample as a witness."""
-    if grid is None:
-        grid = default_scale_grid()
-    if mu_grid is None:
-        mu_grid = grid
+    identity at every scale of default_scale_grid() (and, for the
+    distributivity law, over every pair of its scales).  Failures carry
+    the worst sample as a witness."""
+    grid = default_scale_grid()
     x, u, v, w = (np.asarray(a, dtype=float) for a in samples)
 
     def C(s, a, b):
@@ -353,7 +348,7 @@ def check_pplay(Q: GammaIrq, samples, grid=None, mu_grid=None,
                eps=str(s.value), x=x, u=u)
         _judge(g_, _per_sample(S3(s, x, x, u), u), tol,
                eps=str(s.value), x=x, u=u)
-        for m in mu_grid:
+        for m in grid:
             sm = s.mul(m)
             lhs = D3(s, x, C(m, x, u), C(m, x, v))
             rhs = C(m, C(sm, x, u), D3(sm, x, u, v))
@@ -362,8 +357,7 @@ def check_pplay(Q: GammaIrq, samples, grid=None, mu_grid=None,
     return rep
 
 
-def check_based_compat(model, rng=None, n=300, grid=None, radius=4.0,
-                       base=None, tol=1e-10) -> ValidationReport:
+def check_based_compat(model, n=300) -> ValidationReport:
     """Right translation by u^-1 intertwines the based three-argument
     operations with the two-argument arrow operations:
 
@@ -371,28 +365,23 @@ def check_based_compat(model, rng=None, n=300, grid=None, radius=4.0,
         Sigma_eps(h u^-1, g u^-1) = (Sigma3(eps; u, g, h), u)
 
     where g, h, u are fiber points, a u^-1 is the arrow (point, u), and
-    the right side is the arrow with the stated target and source u."""
-    if rng is None:
-        rng = np.random.default_rng(20)
-    if grid is None:
-        grid = default_scale_grid()
-    if base is None:
-        base = model.e()
+    the right side is the arrow with the stated target and source u.
+    The points are sampled around the group identity."""
+    rng = np.random.default_rng(20)
     rep = ValidationReport(subject=f"based/two-argument compatibility[{model.name}]")
     cd = LawCheck("arrow difference = based difference, right-translated")
     cs = LawCheck("arrow sum = based sum, right-translated")
     rep.add(cd, cs)
 
-    gp = model.sample_points(rng, n, radius, center=base)
-    hp = model.sample_points(rng, n, radius, center=base)
-    up = model.sample_points(rng, n, radius, center=base)
+    gp, hp, up = (model.sample_points(rng, n, 4.0, center=model.e())
+                  for _ in range(3))
     hu = model.arrow(hp, up)  # h u^-1 in pair coordinates
     gu = model.arrow(gp, up)
-    for s in grid:
+    for s in default_scale_grid():
         lhs = Delta_eps(model, s, hu, gu)
         rhs = model.arrow(Delta3(model, s, up, gp, hp), up)
-        _judge(cd, _per_sample(lhs, rhs), tol, eps=str(s.value), u=up, g=gp, h=hp)
+        _judge(cd, _per_sample(lhs, rhs), 1e-10, eps=str(s.value), u=up, g=gp, h=hp)
         lhs = Sigma_eps(model, s, hu, gu)
         rhs = model.arrow(Sigma3(model, s, up, gp, hp), up)
-        _judge(cs, _per_sample(lhs, rhs), tol, eps=str(s.value), u=up, g=gp, h=hp)
+        _judge(cs, _per_sample(lhs, rhs), 1e-10, eps=str(s.value), u=up, g=gp, h=hp)
     return rep

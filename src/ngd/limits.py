@@ -57,7 +57,6 @@ class LimitEstimate:
     passed: bool = False
     note: str = ""
     value: object = None  # estimated limit value(s), when meaningful
-    witness: object = None
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -72,8 +71,6 @@ class LimitEstimate:
         msg += ")"
         if self.note:
             msg += f"  -- {self.note}"
-        if not self.passed and self.witness is not None:
-            msg += f"\n       witness: {self.witness}"
         return msg
 
     def to_json(self) -> dict:
@@ -88,8 +85,7 @@ class LimitEstimate:
 
 
 def estimate_from_residuals(axiom, eps, residuals, tol, atol=1e-13,
-                            require_decreasing=False,
-                            value=None) -> LimitEstimate:
+                            require_decreasing=False) -> LimitEstimate:
     """Judge a residual sequence along a decreasing scale grid.
 
     Pass means the whole last quarter of the grid sits below tol (and,
@@ -136,7 +132,7 @@ def estimate_from_residuals(axiom, eps, residuals, tol, atol=1e-13,
         nf = f"non-finite residual {residuals[bad]} at eps={eps[bad]:.6g}"
         note = f"{note}; {nf}" if note else nf
     return LimitEstimate(axiom, eps, residuals, order=order, passed=passed,
-                         note=note, value=value)
+                         note=note)
 
 
 def richardson(eps, values, order):
@@ -152,8 +148,8 @@ def richardson(eps, values, order):
     return v[-1] + (v[-1] - v[-2]) / fac
 
 
-def limit_of_values(axiom, eps, values, candidate=None, tol=1e-8,
-                    atol=1e-13) -> LimitEstimate:
+def limit_of_values(axiom, eps, values, candidate=None,
+                    tol=1e-8) -> LimitEstimate:
     """Limit of a value sequence along a scale grid.  With a candidate the
     residual is |value - candidate| per grid point; without one it is the
     successive difference (and the estimated limit is the final value,
@@ -166,7 +162,7 @@ def limit_of_values(axiom, eps, values, candidate=None, tol=1e-8,
     else:
         resid = [_maxabs(vals[i] - vals[i - 1]) for i in range(1, len(vals))]
         grid = list(eps)[1:]
-    est = estimate_from_residuals(axiom, grid, resid, tol=tol, atol=atol)
+    est = estimate_from_residuals(axiom, grid, resid, tol=tol)
     if est.order is not None and abs(est.order - 1.0) <= 0.2:
         est.value = richardson(eps, vals, est.order)
         est.note = (est.note + "; " if est.note else "") + \
@@ -177,17 +173,16 @@ def limit_of_values(axiom, eps, values, candidate=None, tol=1e-8,
 
 
 def uniform_limit(axiom, fam, candidate, grid=None, tol=1e-8, atol=5e-13,
-                  require_decreasing=False, metric=None) -> LimitEstimate:
+                  require_decreasing=False) -> LimitEstimate:
     """Uniform-on-samples convergence of a scale family fam(s) (returning
     an array over the fixed sample set) to a candidate array.  The
-    residual per grid point is the sup over samples, measured by `metric`
-    (default: max-abs coordinate difference)."""
+    residual per grid point is the sup over samples of the max-abs
+    coordinate difference.  Every limit driver sweeps its grid here; a
+    trace "sup f_eps -> 0" of a nonnegative f uses candidate 0.0."""
     if grid is None:
         grid = dyadic_grid()
     cand = np.asarray(candidate, dtype=float)
-    if metric is None:
-        metric = lambda a, b: _maxabs(np.asarray(a) - b)
-    residuals = [metric(fam(s), cand) for s in grid]
+    residuals = [_maxabs(np.asarray(fam(s)) - cand) for s in grid]
     return estimate_from_residuals(
         axiom, [float(s.modulus) for s in grid], residuals,
         tol=tol, atol=atol, require_decreasing=require_decreasing)
@@ -224,27 +219,27 @@ class BoundedSampler:
     def _rng(self):
         return np.random.default_rng(self.seed)
 
-    def points(self, n=None):
-        return self.model.sample_points(self._rng(), n or self.n,
-                                        self.radius, center=self.base)
+    def points(self):
+        return self.model.sample_points(self._rng(), self.n, self.radius,
+                                        center=self.base)
 
-    def point_tuple(self, k, n=None):
+    def point_tuple(self, k):
         rng = self._rng()
         return tuple(
-            self.model.sample_points(rng, n or self.n, self.radius,
+            self.model.sample_points(rng, self.n, self.radius,
                                      center=self.base)
             for _ in range(k)
         )
 
-    def fiber_arrows(self, n=None):
-        return self.model.sample_fiber_arrows(self._rng(), n or self.n,
+    def fiber_arrows(self):
+        return self.model.sample_fiber_arrows(self._rng(), self.n,
                                               self.radius, base=self.base)
 
-    def arrow_pairs(self, n=None):
+    def arrow_pairs(self):
         rng = self._rng()
-        g = self.model.sample_fiber_arrows(rng, n or self.n, self.radius,
+        g = self.model.sample_fiber_arrows(rng, self.n, self.radius,
                                            base=self.base)
-        h = self.model.sample_fiber_arrows(rng, n or self.n, self.radius,
+        h = self.model.sample_fiber_arrows(rng, self.n, self.radius,
                                            base=self.base)
         return g, h
 
@@ -271,9 +266,13 @@ def rescaled_pair_distance(model, scale, g, h):
 # ---------------------------------------------------------------------------
 # axiom drivers
 
+# the dilatation scales mu of the two-scale and cone checks
+MUS = (Scale(Fraction(1, 2)), Scale(Fraction(1, 4)), Scale(Fraction(3, 4)))
+# the one small scale at which the exact (starred) identities are sampled
+EPS_STAR = Scale(Fraction(1, 10000))
 
-def check_A3(model, sampler=None, grid=None, tol=1e-8, atol=5e-13,
-             separation=0.05, floor=1e-7, extra_pairs=None) -> ValidationReport:
+
+def check_A3(model, sampler=None, grid=None, tol=1e-8) -> ValidationReport:
     """Rescaled fiber distance converges to the tangent pair distance,
     which behaves like a distance and is nondegenerate.
 
@@ -281,8 +280,7 @@ def check_A3(model, sampler=None, grid=None, tol=1e-8, atol=5e-13,
     deterministic axis probes (paired against the unit arrow), so a
     direction-dependent collapse -- the classic failure when a homogeneous
     structure is measured with a flat norm -- cannot hide from the
-    nondegeneracy clause.  extra_pairs, if given, is an (arrows, arrows)
-    tuple appended to the sample."""
+    nondegeneracy clause."""
     if sampler is None:
         sampler = BoundedSampler(model)
     if grid is None:
@@ -292,20 +290,12 @@ def check_A3(model, sampler=None, grid=None, tol=1e-8, atol=5e-13,
     punits = np.broadcast_to(model.unit(sampler.base), probes.shape)
     G = np.concatenate([g, probes], axis=0)
     H = np.concatenate([h, punits], axis=0)
-    if extra_pairs is not None:
-        eg = np.asarray(extra_pairs[0], dtype=float).reshape(-1, 2, model.dim)
-        eh = np.asarray(extra_pairs[1], dtype=float).reshape(-1, 2, model.dim)
-        G = np.concatenate([G, eg], axis=0)
-        H = np.concatenate([H, eh], axis=0)
 
     rep = ValidationReport(subject=f"A3[{model.name}] ({sampler.describe()})")
     dt0 = model.tangent_pair_dist(G, H)
-    resid = [
-        _maxabs(rescaled_pair_distance(model, s, G, H) - dt0) for s in grid
-    ]
-    rep.limits.append(estimate_from_residuals(
+    rep.limits.append(uniform_limit(
         "A3: rescaled fiber distance -> tangent pair distance",
-        [float(s.modulus) for s in grid], resid, tol=tol, atol=atol))
+        lambda s: rescaled_pair_distance(model, s, G, H), dt0, grid, tol))
 
     diag = LawCheck("tangent distance vanishes on the diagonal")
     sym = LawCheck("tangent distance is symmetric")
@@ -322,8 +312,8 @@ def check_A3(model, sampler=None, grid=None, tol=1e-8, atol=5e-13,
 
     gap = _per_sample(model.target(G), model.target(H))
     finest = rescaled_pair_distance(model, grid[-1], G, H)
-    sep_mask = gap > separation
-    degenerate = sep_mask & ((dt0 <= floor) | (finest <= floor))
+    sep_mask = gap > 0.05
+    degenerate = sep_mask & ((dt0 <= 1e-7) | (finest <= 1e-7))
     nondeg.tick(int(sep_mask.sum()))
     for i in np.nonzero(degenerate)[0][:3]:
         nondeg.fail(
@@ -349,41 +339,31 @@ def two_scale_dilatation(model, scale, mu, x, u, v):
     )
 
 
-def check_A4weak(model, sampler=None, mus=None, grid=None, tol=1e-8,
-                 atol=5e-13) -> ValidationReport:
+def check_A4weak(model, sampler=None, grid=None,
+                 tol=1e-8) -> ValidationReport:
     """The two-scale based dilatations converge (per mu) to the tangent
     dilatation, and at u = x they collapse to the plain based dilatation."""
     if sampler is None:
         sampler = BoundedSampler(model)
-    if grid is None:
-        grid = dyadic_grid()
-    if mus is None:
-        mus = [Scale(Fraction(1, 2)), Scale(Fraction(1, 4)),
-               Scale(Fraction(3, 4))]
     u, v = sampler.point_tuple(2)
     x = np.broadcast_to(sampler.base, u.shape)
     rep = ValidationReport(subject=f"A4weak[{model.name}] ({sampler.describe()})")
-    for mu in mus:
-        cand = model.tangent_bar_dilatation(mu, x, u, v)
-        resid = [
-            _maxabs(two_scale_dilatation(model, s, mu, x, u, v) - cand)
-            for s in grid
-        ]
-        rep.limits.append(estimate_from_residuals(
+    for mu in MUS:
+        rep.limits.append(uniform_limit(
             f"A4weak[mu={mu.value}]: two-scale dilatation -> tangent dilatation",
-            [float(s.modulus) for s in grid], resid, tol=tol, atol=atol))
+            lambda s: two_scale_dilatation(model, s, mu, x, u, v),
+            model.tangent_bar_dilatation(mu, x, u, v), grid, tol))
     basecase = LawCheck("tangent dilatation at u = x is the based dilatation")
     rep.add(basecase)
-    for mu in mus:
+    for mu in MUS:
         lhs = model.tangent_bar_dilatation(mu, x, x, v)
         rhs = model.point_dilatation(mu, x, v)
         _judge(basecase, _per_sample(lhs, rhs), 1e-12, mu=str(mu.value))
     return rep
 
 
-def check_A3mod_A4(model, sampler=None, grid=None, tol=1e-8, atol=5e-13,
-                   op_tol=1e-3, eps_star=Fraction(1, 10000),
-                   star_tol=1e-10) -> ValidationReport:
+def check_A3mod_A4(model, sampler=None, grid=None,
+                   tol=1e-8) -> ValidationReport:
     """The strong-limit clauses: the rescaled norm converges to the tangent
     norm, the approximate difference converges to the tangent difference
     (order 1 for the shipped carriers), the blown-up exact difference
@@ -397,33 +377,25 @@ def check_A3mod_A4(model, sampler=None, grid=None, tol=1e-8, atol=5e-13,
     absolute tolerance."""
     if sampler is None:
         sampler = BoundedSampler(model)
-    if grid is None:
-        grid = dyadic_grid()
     G, H = sampler.arrow_pairs()
-    eps = [float(s.modulus) for s in grid]
     rep = ValidationReport(subject=f"strong limits[{model.name}] ({sampler.describe()})")
 
-    dbar = model.tangent_norm(G)
-    resid = [
-        _maxabs(model.norm(model.delta(s, G)) / float(s.modulus) - dbar)
-        for s in grid
-    ]
-    rep.limits.append(estimate_from_residuals(
-        "A3mod: rescaled norm -> tangent norm", eps, resid,
-        tol=tol, atol=atol))
+    rep.limits.append(uniform_limit(
+        "A3mod: rescaled norm -> tangent norm",
+        lambda s: model.norm(model.delta(s, G)) / float(s.modulus),
+        model.tangent_norm(G), grid, tol))
 
     tD = model.tangent_Delta(G, H)
-    resid = [_maxabs(Delta_eps(model, s, G, H) - tD) for s in grid]
-    rep.limits.append(estimate_from_residuals(
-        "A4: approximate difference -> tangent difference", eps, resid,
-        tol=op_tol, atol=atol, require_decreasing=True))
+    rep.limits.append(uniform_limit(
+        "A4: approximate difference -> tangent difference",
+        lambda s: Delta_eps(model, s, G, H), tD, grid, 1e-3,
+        require_decreasing=True))
+    rep.limits.append(uniform_limit(
+        "blown-up difference -> tangent difference (slotwise)",
+        lambda s: dif_eps(model, s, G, H), tD, grid, 1e-3,
+        require_decreasing=True))
 
-    resid = [_maxabs(dif_eps(model, s, G, H) - tD) for s in grid]
-    rep.limits.append(estimate_from_residuals(
-        "blown-up difference -> tangent difference (slotwise)", eps, resid,
-        tol=op_tol, atol=atol, require_decreasing=True))
-
-    star = as_scale(eps_star)
+    star = EPS_STAR
     bridge = LawCheck("pair distance = norm of the limit difference (at eps*)")
     route = LawCheck("dilating the blown-up difference back recovers it (at eps*)")
     exact = LawCheck("tangent pair distance = tangent norm of tangent difference")
@@ -431,11 +403,11 @@ def check_A3mod_A4(model, sampler=None, grid=None, tol=1e-8, atol=5e-13,
 
     lhs = rescaled_pair_distance(model, star, G, H)
     rhs = model.norm(model.delta(star, tD)) / float(star.modulus)
-    _judge(bridge, np.abs(lhs - rhs), star_tol, eps_star=str(star.value))
+    _judge(bridge, np.abs(lhs - rhs), 1e-10, eps_star=str(star.value))
 
     back = model.delta(star, dif_eps(model, star, G, H))
     direct = model.dif(model.delta(star, G), model.delta(star, H))
-    _judge(route, _per_sample(back, direct), star_tol,
+    _judge(route, _per_sample(back, direct), 1e-10,
            eps_star=str(star.value))
 
     _judge(exact, np.abs(model.tangent_pair_dist(G, H)
@@ -443,56 +415,47 @@ def check_A3mod_A4(model, sampler=None, grid=None, tol=1e-8, atol=5e-13,
     return rep
 
 
-def cone_check(model, sampler=None, mus=None, eps_star=Fraction(1, 10000),
-               tol=1e-10) -> ValidationReport:
+def cone_check(model, sampler=None) -> ValidationReport:
     """The limit distance is exactly homogeneous under the based
     dilatations (sampled at eps_star), and the two-scale dilatation based
     at its own center is the plain based dilatation."""
     if sampler is None:
         sampler = BoundedSampler(model)
-    if mus is None:
-        mus = [Scale(Fraction(1, 2)), Scale(Fraction(1, 4)),
-               Scale(Fraction(3, 4))]
     u, v = sampler.point_tuple(2)
     x = np.broadcast_to(sampler.base, u.shape)
-    star = as_scale(eps_star)
+    star = EPS_STAR
     rep = ValidationReport(subject=f"metric cone[{model.name}] ({sampler.describe()})")
     homog = LawCheck("rescaled distance is homogeneous under based dilatations")
     basecase = LawCheck("two-scale dilatation centered at its base = based dilatation")
     rep.add(homog, basecase)
     base_d = rescaled_distance(model, star, x, u, v)
-    for mu in mus:
+    for mu in MUS:
         du = model.point_dilatation(mu, x, u)
         dv = model.point_dilatation(mu, x, v)
         lhs = rescaled_distance(model, star, x, du, dv)
-        _judge(homog, np.abs(lhs - float(mu.modulus) * base_d), tol,
+        _judge(homog, np.abs(lhs - float(mu.modulus) * base_d), 1e-10,
                mu=str(mu.value))
         emp = two_scale_dilatation(model, star, mu, x, x, v)
         _judge(basecase, _per_sample(emp, model.point_dilatation(mu, x, v)),
-               tol, mu=str(mu.value))
+               1e-10, mu=str(mu.value))
     return rep
 
 
-def gh_estimate(model, sampler=None, grid=None, tol=1e-8,
-                atol=5e-13) -> LimitEstimate:
+def gh_estimate(model, sampler=None, grid=None,
+                tol=1e-8) -> LimitEstimate:
     """Distortion of the identity correspondence between the rescaled ball
     and the tangent ball: sup over sampled pairs of
     |d^x_eps(u,v) - tangent distance|.  Half the distortion bounds the
     metric (Gromov-Hausdorff-style) distance between the two snapshots."""
     if sampler is None:
         sampler = BoundedSampler(model)
-    if grid is None:
-        grid = dyadic_grid()
     u, v = sampler.point_tuple(2)
     x = np.broadcast_to(sampler.base, u.shape)
-    cand = model.tangent_point_dist(u, v)
-    resid = [
-        _maxabs(rescaled_distance(model, s, x, u, v) - cand) for s in grid
-    ]
-    est = estimate_from_residuals(
+    est = uniform_limit(
         "GH: rescaled ball -> tangent ball (correspondence distortion)",
-        [float(s.modulus) for s in grid], resid, tol=tol, atol=atol)
-    half = resid[-1] / 2.0
+        lambda s: rescaled_distance(model, s, x, u, v),
+        model.tangent_point_dist(u, v), grid, tol)
+    half = est.residuals[-1] / 2.0
     est.note = (est.note + "; " if est.note else "") + \
         f"metric distance <= final distortion / 2 = {half:.3e}"
     return est
@@ -518,8 +481,7 @@ class FiberStructure:
         return self.model.point_dilatation(scale, u, v)
 
 
-def fiber_dilatation_structure(model, x=None, sampler=None, grid=None,
-                               tol=1e-8, atol=1e-10, mus=None):
+def fiber_dilatation_structure(model, x=None, sampler=None):
     """Extract the fiber structure at x and certify the metric-space
     axioms on it: the based dilatations form a scale action fixing their
     base, they contract (distance to the base image -> 0), the rescaled
@@ -535,10 +497,7 @@ def fiber_dilatation_structure(model, x=None, sampler=None, grid=None,
         x = model.e()
     if sampler is None:
         sampler = BoundedSampler(model, base=x, n=100, seed=11)
-    if grid is None:
-        grid = dyadic_grid(kmax=6)
-    if mus is None:
-        mus = [Scale(Fraction(1, 2)), Scale(Fraction(1, 4))]
+    grid = dyadic_grid(kmax=6)
     fiber = FiberStructure(model, np.asarray(x, dtype=float))
     u, v, w = sampler.point_tuple(3)
 
@@ -556,28 +515,21 @@ def fiber_dilatation_structure(model, x=None, sampler=None, grid=None,
         _judge(act, _per_sample(fiber.dil(s, u, u), u), 1e-12, s=str(s.value))
     _judge(act, _per_sample(fiber.dil(Scale.one(), u, v), v), 1e-12)
 
-    eps = [float(s.modulus) for s in grid]
-    resid = [float(np.max(fiber.dist(u, fiber.dil(s, u, v)))) for s in grid]
-    rep.limits.append(estimate_from_residuals(
-        "fiber A2: dist(u, delta^u_eps v) -> 0", eps, resid,
-        tol=0.25, atol=atol, require_decreasing=True))
-
-    cand = model.tangent_point_dist(v, w)
-    resid = [_maxabs(fiber.dist(fiber.dil(s, u, v), fiber.dil(s, u, w))
-                     / float(s.modulus) - cand) for s in grid]
-    rep.limits.append(estimate_from_residuals(
-        "fiber A3: rescaled based distance -> tangent distance", eps, resid,
-        tol=tol, atol=atol))
-
-    for mu in mus:
-        cand = model.tangent_bar_dilatation(mu, u, v, w)
-        resid = [
-            _maxabs(two_scale_dilatation(model, s, mu, u, v, w) - cand)
-            for s in grid
-        ]
-        rep.limits.append(estimate_from_residuals(
+    rep.limits.append(uniform_limit(
+        "fiber A2: dist(u, delta^u_eps v) -> 0",
+        lambda s: fiber.dist(u, fiber.dil(s, u, v)), 0.0, grid, 0.25,
+        atol=1e-10, require_decreasing=True))
+    rep.limits.append(uniform_limit(
+        "fiber A3: rescaled based distance -> tangent distance",
+        lambda s: fiber.dist(fiber.dil(s, u, v), fiber.dil(s, u, w))
+        / float(s.modulus),
+        model.tangent_point_dist(v, w), grid, 1e-8, atol=1e-10))
+    for mu in MUS[:2]:
+        rep.limits.append(uniform_limit(
             f"fiber A4weak[mu={mu.value}]: two-scale dilatation converges",
-            eps, resid, tol=tol, atol=atol))
+            lambda s: two_scale_dilatation(model, s, mu, u, v, w),
+            model.tangent_bar_dilatation(mu, u, v, w), grid, 1e-8,
+            atol=1e-10))
     return fiber, rep
 
 
@@ -649,38 +601,34 @@ def _translation_laws(T, u, v, w, tol) -> ValidationReport:
     return rep
 
 
-def translation_groupoid(model, x=None, scale=Fraction(1, 2), points=None,
-                         rng=None, n=1000, radius=4.0, tol=1e-12):
-    """Build the translation structure at one scale and certify its laws
-    on sampled triples.  Returns (structure, report)."""
-    if x is None:
-        x = model.e()
+def _translation_points(model, rng, n):
+    return tuple(model.sample_points(rng, n, 4.0, center=model.e())
+                 for _ in range(3))
+
+
+def translation_groupoid(model, scale=Fraction(1, 2), points=None, n=1000,
+                         tol=1e-12):
+    """Build the translation structure at one scale, based at the group
+    identity, and certify its laws on sampled triples.  Returns
+    (structure, report)."""
     if points is None:
-        if rng is None:
-            rng = np.random.default_rng(23)
-        points = tuple(
-            model.sample_points(rng, n, radius, center=x) for _ in range(3)
-        )
+        points = _translation_points(model, np.random.default_rng(23), n)
     u, v, w = points
-    T = TranslationGroupoid(model, x, scale)
+    T = TranslationGroupoid(model, model.e(), scale)
     return T, _translation_laws(T, u, v, w, tol)
 
 
-def check_translation_groupoid(model, rng=None, n=1000, eps_list=None,
-                               x=None, radius=4.0, tol=1e-12) -> ValidationReport:
+def check_translation_groupoid(model, rng=None, n=1000,
+                               tol=1e-12) -> ValidationReport:
     """Criterion-grade driver: the translation laws at a couple of honest
     scales (the blow-up side amplifies float noise by 1/eps^2 on the
     nilpotent carrier, so tiny eps would test the arithmetic, not the
     structure)."""
-    if eps_list is None:
-        eps_list = [Fraction(1, 2), Fraction(1, 4)]
-    if x is None:
-        x = model.e()
     if rng is None:
         rng = np.random.default_rng(23)
-    pts = tuple(model.sample_points(rng, n, radius, center=x) for _ in range(3))
+    pts = _translation_points(model, rng, n)
     rep = ValidationReport(subject=f"translation structure[{model.name}]")
-    for s in eps_list:
-        _, part = translation_groupoid(model, x=x, scale=s, points=pts, tol=tol)
+    for s in (Fraction(1, 2), Fraction(1, 4)):
+        _, part = translation_groupoid(model, scale=s, points=pts, tol=tol)
         rep.merge(part)
     return rep

@@ -40,7 +40,8 @@ import numpy as np
 
 from .core import LawCheck, ValidationReport
 from .emergent import _judge, _maxabs
-from .scales import Scale, as_scale
+from .limits import uniform_limit
+from .scales import Scale, as_scale, dyadic_grid
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +211,6 @@ class DomainSpec:
     """Scale-indexed norm-sublevel domains dom(s) = {d <= threshold(|s|)}."""
 
     threshold: object  # callable Fraction -> Fraction/float
-    desc: str = ""
 
     def bound(self, scale) -> float:
         return float(self.threshold(as_scale(scale).modulus))
@@ -226,13 +226,11 @@ class DomainSpec:
 class PairModel:
     """Pair groupoid of a carrier group, with fiberwise dilations."""
 
-    def __init__(self, group, name=None, gauge=None, domain=None,
-                 has_tangent=True):
+    def __init__(self, group, name=None, gauge=None, domain=None):
         self.group = group
         self.name = name or group.name
         self._gauge = gauge if gauge is not None else group.gauge
         self.domain = domain
-        self.has_tangent = has_tangent
 
     @property
     def dim(self):
@@ -275,7 +273,6 @@ class PairModel:
         return np.asarray(a)[..., 1, :]
 
     alpha_coords = source
-    omega_coords = target
 
     def unit(self, x):
         return self.arrow(x, x)
@@ -284,10 +281,10 @@ class PairModel:
         s = self.source(a)
         return self.arrow(s, s)
 
-    def compose(self, a, b, tol=1e-8):
+    def compose(self, a, b):
         """m(a, b): b happens first; needs source(a) = target(b)."""
         gap = np.max(np.abs(self.source(a) - self.target(b)))
-        if gap > tol:
+        if gap > 1e-8:
             raise ValueError(f"arrows not composable (endpoint gap {gap:.3g})")
         return self.arrow(self.target(a), self.source(b))
 
@@ -297,10 +294,10 @@ class PairModel:
     def norm(self, a):
         return self._gauge(self.pdiff(self.source(a), self.target(a)))
 
-    def dif(self, a, b, tol=1e-8):
+    def dif(self, a, b):
         """dif(a, b) = a b^-1 for arrows sharing a source."""
         gap = np.max(np.abs(self.source(a) - self.source(b)))
-        if gap > tol:
+        if gap > 1e-8:
             raise ValueError(f"dif needs a common source (gap {gap:.3g})")
         return self.arrow(self.target(a), self.target(b))
 
@@ -355,7 +352,7 @@ class PairModel:
         pts = self.group.sample(rng, n, radius, center=base)
         return self.arrow(pts, np.broadcast_to(base, pts.shape))
 
-    def probe_fiber_arrows(self, base=None, spread=(0.25, 1.0, 3.5)):
+    def probe_fiber_arrows(self, base=None):
         """Deterministic axis probes: arrows along each coordinate axis at
         a few lengths.  These catch direction-dependent degeneracies that
         random sampling can miss."""
@@ -363,7 +360,7 @@ class PairModel:
             base = self.e()
         vecs = []
         for i in range(self.dim):
-            for s in spread:
+            for s in (0.25, 1.0, 3.5):
                 w = np.zeros(self.dim)
                 w[i] = s
                 vecs.append(w)
@@ -376,8 +373,8 @@ def euclidean_model(dim: int = 1, domain=None) -> PairModel:
     return PairModel(EuclideanGroup(dim), name="euclidean", domain=domain)
 
 
-def heisenberg_model(domain=None) -> PairModel:
-    return PairModel(HeisenbergGroup(), name="heisenberg", domain=domain)
+def heisenberg_model() -> PairModel:
+    return PairModel(HeisenbergGroup(), name="heisenberg")
 
 
 def restricted_euclidean_model(dim: int = 1) -> PairModel:
@@ -386,7 +383,7 @@ def restricted_euclidean_model(dim: int = 1) -> PairModel:
     work for all |eps| <= 1)."""
     return euclidean_model(
         dim=dim,
-        domain=DomainSpec(lambda m: Fraction(4) / m, desc="d <= 4/|s|"),
+        domain=DomainSpec(lambda m: Fraction(4) / m),
     )
 
 
@@ -407,7 +404,6 @@ class DoubleModel:
     def __init__(self, base: PairModel):
         self.base = base
         self.name = f"double[{base.name}]"
-        self.has_tangent = base.has_tangent
         self.domain = None
 
     @property
@@ -434,10 +430,10 @@ class DoubleModel:
     def inverse(self, P):
         return np.asarray(P)[..., ::-1, :, :]
 
-    def compose(self, P, Q, tol=1e-8):
+    def compose(self, P, Q):
         """(a, b) after (b, c) -> (a, c)."""
         gap = np.max(np.abs(self.second(P) - self.first(Q)))
-        if gap > tol:
+        if gap > 1e-8:
             raise ValueError(f"pairs not composable (gap {gap:.3g})")
         return self.pair(self.first(P), self.second(Q))
 
@@ -464,14 +460,13 @@ class DoubleModel:
 # scale-action checks
 
 
-def check_A1(model, arrows, scales=None, tol=1e-9) -> ValidationReport:
+def check_A1(model, arrows) -> ValidationReport:
     """The dilations are a scale action on arrows that preserves each
     source fiber: alpha(delta_s a) = alpha(a); delta_s delta_r = delta_{sr};
     delta_1 = id."""
-    if scales is None:
-        scales = [Scale(Fraction(1, 2)), Scale(Fraction(1, 8)),
-                  Scale(Fraction(2)), Scale(Fraction(8)),
-                  Scale(Fraction(3, 4))]
+    tol = 1e-9
+    scales = [Scale(Fraction(1, 2)), Scale(Fraction(1, 8)),
+              Scale(Fraction(2)), Scale(Fraction(8)), Scale(Fraction(3, 4))]
     rep = ValidationReport(subject=f"A1[{model.name}]")
     fib = LawCheck("delta preserves the source fiber")
     act = LawCheck("delta_s delta_r = delta_{s r}")
@@ -490,37 +485,26 @@ def check_A1(model, arrows, scales=None, tol=1e-9) -> ValidationReport:
     return rep
 
 
-def check_A2(model, arrows, grid=None, tol=1e-12) -> ValidationReport:
+def check_A2(model, arrows) -> ValidationReport:
     """Dilations fix the unit arrows, and d(delta_eps a) -> 0 uniformly on
     the sampled bounded set."""
-    from .limits import estimate_from_residuals  # local import, no cycle at module load
-
-    if grid is None:
-        from .scales import dyadic_grid
-
-        grid = dyadic_grid()
+    grid = dyadic_grid()
     rep = ValidationReport(subject=f"A2[{model.name}]")
     fixed = LawCheck("unit arrows are fixed")
     rep.add(fixed)
     units = model.unit_of(arrows)
     for s in grid[:4] + grid[-1:]:
-        _judge(fixed, [_maxabs(model.delta(s, units) - units)], tol,
+        _judge(fixed, [_maxabs(model.delta(s, units) - units)], 1e-12,
                scale=str(s))
-    residuals = [float(np.max(model.norm(model.delta(s, arrows)))) for s in grid]
-    rep.limits.append(
-        estimate_from_residuals(
-            "A2: sup d(delta_eps a) -> 0",
-            [float(s.modulus) for s in grid],
-            residuals,
-            tol=0.25,  # vanishing is what matters; the trend check does the work
-            require_decreasing=True,
-        )
-    )
+    # vanishing is what matters; the trend check does the work
+    rep.limits.append(uniform_limit(
+        "A2: sup d(delta_eps a) -> 0",
+        lambda s: model.norm(model.delta(s, arrows)), 0.0, grid, 0.25,
+        atol=1e-13, require_decreasing=True))
     return rep
 
 
-def check_A0(model, rng=None, A=Fraction(2), B=Fraction(4), R=Fraction(2),
-             grid=None, samples=200, tol=1e-12) -> ValidationReport:
+def check_A0(model) -> ValidationReport:
     """Scale-indexed domain bookkeeping for models with DomainSpec domains.
 
     For sublevel domains dom(s) = {d <= T(|s|)} and exactly homogeneous
@@ -542,12 +526,10 @@ def check_A0(model, rng=None, A=Fraction(2), B=Fraction(4), R=Fraction(2),
         triv.tick()
         rep.add(triv)
         return rep
-    if grid is None:
-        from .scales import dyadic_grid
-
-        grid = dyadic_grid(kmax=12)
-    if rng is None:
-        rng = np.random.default_rng(20260818)
+    A, B, R = Fraction(2), Fraction(4), Fraction(2)
+    samples = 200
+    grid = dyadic_grid(kmax=12)
+    rng = np.random.default_rng(20260818)
 
     chain = LawCheck(f"threshold chain with A={A}, B={B}")
     member = LawCheck("sampled membership agrees with the chain")
@@ -596,23 +578,20 @@ def check_A0(model, rng=None, A=Fraction(2), B=Fraction(4), R=Fraction(2),
     return rep
 
 
-def check_dilation_morphism(model: PairModel, rng=None, samples=300,
-                            tol=1e-9) -> ValidationReport:
+def check_dilation_morphism(model: PairModel) -> ValidationReport:
     """The induced dilation on same-source pairs intertwines the difference
     map (dif o delta~ = delta o dif) and is itself a scale action with
     vanishing pair norm."""
-    if rng is None:
-        rng = np.random.default_rng(618)
     dm = DoubleModel(model)
-    P = dm.sample_fiber_arrows(rng, samples)
+    P = dm.sample_fiber_arrows(np.random.default_rng(618), 300)
     rep = ValidationReport(subject=f"induced double dilation[{model.name}]")
     inter = LawCheck("dif o delta~_s = delta_s o dif")
     rep.add(inter)
     for s in [Scale(Fraction(1, 2)), Scale(Fraction(1, 16)), Scale(Fraction(4))]:
         lhs = dm.dif_map(dm.delta(s, P))
         rhs = model.delta(s, dm.dif_map(P))
-        _judge(inter, [_maxabs(lhs - rhs)], tol, scale=str(s))
-    rep.merge(check_A1(dm, P, tol=tol))
+        _judge(inter, [_maxabs(lhs - rhs)], 1e-9, scale=str(s))
+    rep.merge(check_A1(dm, P))
     rep.merge(check_A2(dm, P))
     return rep
 
@@ -684,21 +663,18 @@ def deform(model: PairModel, mu) -> DeformedModel:
     return DeformedModel(model, mu)
 
 
-def check_deformation(model: PairModel, mu, rng=None, samples=300,
-                      tol=1e-9) -> ValidationReport:
+def check_deformation(model: PairModel, mu) -> ValidationReport:
     """The deformed structure is a normed groupoid on samples, the deformed
     difference map is norm preserving (d_mu o dif_mu = dtilde_mu, exactly),
     and is a morphism for the deformed composition."""
-    if rng is None:
-        rng = np.random.default_rng(41)
+    tol = 1e-9
+    rng = np.random.default_rng(41)
     dm = deform(model, mu)
     db = model
     rep = ValidationReport(subject=f"deformation[{dm.name}]")
 
     base = db.e()
-    p = db.sample_points(rng, samples)
-    q = db.sample_points(rng, samples)
-    r = db.sample_points(rng, samples)
+    p, q, r = (db.sample_points(rng, 300) for _ in range(3))
     B = np.broadcast_to(base, p.shape)
 
     # composable chain for the deformed composition: omega_mu(b) must equal

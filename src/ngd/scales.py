@@ -43,9 +43,9 @@ class Scale:
         return f"Scale({self.value})"
 
 
-def dyadic_grid(kmax: int = 20, kmin: int = 1) -> list:
-    """Scales 2^-k for k = kmin..kmax -- the default evaluation grid."""
-    return [Scale(Fraction(1, 2**k)) for k in range(kmin, kmax + 1)]
+def dyadic_grid(kmax: int = 20) -> list:
+    """Scales 2^-k for k = 1..kmax -- the default evaluation grid."""
+    return [Scale(Fraction(1, 2**k)) for k in range(1, kmax + 1)]
 
 
 def as_scale(s) -> Scale:

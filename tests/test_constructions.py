@@ -19,6 +19,7 @@ from ngd.constructions import (
     random_metric_space,
 )
 from ngd.core import (
+    FiniteGroupoid,
     check_morphism,
     check_norm,
     check_separability,
@@ -113,6 +114,17 @@ def test_double_difference_is_a_norm_preserving_morphism():
     assert all(
         D.norm[i] == G.norm[M.arrow_map[i]] for i in range(len(D.arrows))
     )
+
+
+def test_double_groupoid_read_back_from_json_is_checked_against_G():
+    G = pair_groupoid(random_metric_space(seed=5, max_points=5))
+    D = double_groupoid(G)
+    D2 = FiniteGroupoid.from_json(D.to_json())
+    assert check_double_norm(G, D2).to_json() == \
+        check_double_norm(G, D).to_json()
+    M, M2 = double_difference_morphism(G, D), double_difference_morphism(G, D2)
+    assert M2.arrow_map == M.arrow_map
+    assert check_morphism(M2).passed
 
 
 def test_fiber_distance_reconstruction_is_exact():

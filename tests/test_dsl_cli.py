@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 
 from ngd import cli, dsl, transport
-from ngd.constructions import pair_groupoid
+from ngd.constructions import (
+    check_double_norm,
+    pair_groupoid,
+    random_metric_space,
+)
 from ngd.fixtures import parse_error_samples, retargeted_compose_groupoid
 from ngd.models import euclidean_model, heisenberg_model
 from ngd.scales import dyadic_grid
@@ -145,6 +149,16 @@ def test_cli_validate_metric_space(tmp_path, capsys):
     }))
     assert run_cli("validate", str(f)) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_cli_validate_checks_the_double_groupoid_against_G(tmp_path, capsys):
+    space = random_metric_space(seed=3, max_points=5)
+    f = tmp_path / "space.json"
+    f.write_text(json.dumps(space.to_json()))
+    assert run_cli("validate", str(f), "--json") == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    [got] = [r for r in reports if r["subject"] == "double groupoid norm"]
+    assert got == check_double_norm(pair_groupoid(space)).to_json()
 
 
 def test_cli_validate_rejects_bad_metric(tmp_path, capsys):

@@ -10,6 +10,17 @@ name.  References may sit in src/ngd, tests/, demos/ or
 perfbench/.  The package's re-export in `__init__` does not count, and
 neither do docstrings, comments or the names of test functions.  There
 is no allow-list: a name that fails here is deleted or given a caller.
+
+Every option is set by some caller.  A parameter with a default, of a
+public top-level function, a public method or a class's `__init__`, is
+set when some call in those same files passes it, by keyword or by
+position.  Calls are matched by name: `f(...)` and `obj.f(...)` for a
+function or method `f`, `C(...)` for the constructor of `C`.  A call
+with `*args` sets every positional parameter, and one with `**kwargs`
+every parameter.  Dataclass fields are state, not options, and are not
+counted.  There is no allow-list here either: an option no caller sets
+becomes a literal at its use, or a module constant when several
+functions share it.
 """
 
 import ast
@@ -62,13 +73,20 @@ def _method_names(tree):
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
 
 
-def test_every_public_name_is_reached():
+def _parse():
+    """(the modules of src/ngd but __init__, {path: tree} for every file
+    that may call them)."""
     modules = sorted(p for p in PACKAGE.glob("*.py")
                      if p.name != "__init__.py")
     callers = list(modules)
     for sub in ("tests", "demos", "perfbench"):
         callers += sorted((ROOT / sub).rglob("*.py"))
-    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in callers}
+    return modules, {p: ast.parse(p.read_text(), filename=str(p))
+                     for p in callers}
+
+
+def test_every_public_name_is_reached():
+    modules, trees = _parse()
 
     defined = [d for p in modules for d in _public_definitions(p, trees[p])]
     assert defined, "no public definitions found"
@@ -87,3 +105,75 @@ def test_every_public_name_is_reached():
             unreached.append(f"{path.name}:{first} {name}")
     assert not unreached, "public names nothing reaches: " + ", ".join(
         unreached)
+
+
+def _defaults(fn, skip):
+    """(parameter, position in a call) for each parameter of fn with a
+    default; the position is None for a keyword-only parameter, and skip
+    drops the bound `self`."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    first = len(pos) - len(a.defaults)
+    out = [(arg.arg, i - skip) for i, arg in enumerate(pos) if i >= first]
+    out += [(arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _options(path, tree):
+    """(label, called name, parameter, position) for each option."""
+    for node in tree.body:
+        if (isinstance(node, ast.FunctionDef)
+                and not node.name.startswith("_")):
+            for param, i in _defaults(node, 0):
+                yield f"{path.stem}.{node.name}", node.name, param, i
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                if item.name == "__init__":
+                    label, called = f"{path.stem}.{node.name}", node.name
+                elif not item.name.startswith("_"):
+                    label = f"{path.stem}.{node.name}.{item.name}"
+                    called = item.name
+                else:
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in item.decorator_list)
+                for param, i in _defaults(item, 0 if static else 1):
+                    yield label, called, param, i
+
+
+def _calls(tree):
+    """(called name, positional count, keyword names) for every call; a
+    `*args` counts as every position and a `**kwargs` as every name."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name):
+            name = f.id
+        elif isinstance(f, ast.Attribute):
+            name = f.attr
+        else:
+            continue
+        npos = (float("inf") if any(isinstance(a, ast.Starred)
+                                    for a in node.args) else len(node.args))
+        kws = {k.arg for k in node.keywords}
+        yield name, npos, (None if None in kws else kws)
+
+
+def test_every_option_is_set_by_some_caller():
+    modules, trees = _parse()
+    calls = {}
+    for tree in trees.values():
+        for name, npos, kws in _calls(tree):
+            calls.setdefault(name, []).append((npos, kws))
+
+    options = [o for p in modules for o in _options(p, trees[p])]
+    assert options, "no options found"
+    unset = [f"{label}: {param}" for label, called, param, i in options
+             if not any(kws is None or param in kws
+                        or (i is not None and i < npos)
+                        for npos, kws in calls.get(called, ()))]
+    assert not unset, "options no caller sets: " + ", ".join(unset)
