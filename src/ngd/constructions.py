@@ -131,6 +131,24 @@ def _double_pairs(G: FiniteGroupoid) -> list:
             for h in leaving[a]]
 
 
+def _double_labels(G: FiniteGroupoid, pairs) -> list:
+    """The arrow label of each pair in the double groupoid of G."""
+    return [f"[{G.arrows[g]};{G.arrows[h]}]" for g, h in pairs]
+
+
+def _double_of(G: FiniteGroupoid, D) -> tuple:
+    """(D, its pairs), D defaulting to the double groupoid of G.  A D
+    given, say one read back from JSON, must have the arrows of G's
+    double groupoid, in order; else ValueError."""
+    pairs = _double_pairs(G)
+    if D is None:
+        return double_groupoid(G), pairs
+    if list(D.arrows) != _double_labels(G, pairs):
+        raise ValueError(f"D is not the double groupoid of G: {len(D.arrows)}"
+                         f" arrows against {len(pairs)}, or other labels")
+    return D, pairs
+
+
 def double_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     """Arrows are pairs (g, h) with alpha(g) = alpha(h); composition glues
     along the first slot, (g, h)(h, l) = (g, l); the inverse swaps; the
@@ -143,7 +161,7 @@ def double_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     comp, inv = G.compose, G.inverse
     pairs = _double_pairs(G)
     index = {p: i for i, p in enumerate(pairs)}
-    arrows = [f"[{G.arrows[g]};{G.arrows[h]}]" for g, h in pairs]
+    arrows = _double_labels(G, pairs)
     compose = {}
     for i, (g, h) in enumerate(pairs):
         for l in leaving[alpha[h]]:
@@ -158,20 +176,20 @@ def double_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
 def double_difference_morphism(G, D=None):
     """The map (g, h) -> g h^-1 from the double groupoid to G.  Returns a
     core.GroupoidMorphism; it preserves norms (d~ = d o dif) on the nose,
-    which check_double_norm asserts exactly."""
+    which check_double_norm asserts exactly.  A D that is not the double
+    groupoid of G raises ValueError."""
     from .core import GroupoidMorphism
 
-    if D is None:
-        D = double_groupoid(G)
-    amap = [G.compose[(g, G.inverse[h])] for g, h in _double_pairs(G)]
+    D, pairs = _double_of(G, D)
+    amap = [G.compose[(g, G.inverse[h])] for g, h in pairs]
     return GroupoidMorphism(source=D, target=G, arrow_map=amap, name="dif")
 
 
 def check_double_norm(G: FiniteGroupoid, D=None) -> ValidationReport:
     """d~ is norm-preserving along dif, and right translation is an
-    isometry of fibers: (g u)(h u)^-1 = g h^-1 exactly."""
-    if D is None:
-        D = double_groupoid(G)
+    isometry of fibers: (g u)(h u)^-1 = g h^-1 exactly.  D defaults to
+    the double groupoid of G; a D that is not raises ValueError."""
+    D, pairs = _double_of(G, D)
     rep = ValidationReport(subject="double groupoid norm")
     pres = LawCheck("d~(g,h) = d(g h^-1)")
     rinv = LawCheck("right translation preserves d~")
@@ -179,7 +197,6 @@ def check_double_norm(G: FiniteGroupoid, D=None) -> ValidationReport:
     alpha = G.endpoints()[0]
     entering = G.fibers()[1]
     comp, inv, d = G.compose, G.inverse, G.norm
-    pairs = _double_pairs(G)
     for i, (g, h) in enumerate(pairs):
         pres.tick()
         if D.norm[i] != d[comp[(g, inv[h])]]:

@@ -30,27 +30,11 @@ def _maxabs(x) -> float:
 
 
 def _per_sample(a, b):
-    """Residual per leading-axis sample: max |a - b| over trailing axes.
-
-    A running np.maximum over the trailing columns, one 1-d column at a
-    time: exact and NaN-propagating like a row max, but numpy is slow on
-    a short inner axis, and so also on (n, 3) strided views."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if max(a.ndim, b.ndim) <= 1:
-        return np.abs(a - b)
-    a, b = np.broadcast_arrays(a, b)
-    n, k = a.shape[0], math.prod(a.shape[1:])
-    a = a.reshape(n, k)
-    b = b.reshape(n, k)
-    out = np.subtract(a[:, 0], b[:, 0])
-    np.abs(out, out=out)
-    r = np.empty_like(out)
-    for j in range(1, k):
-        np.subtract(a[:, j], b[:, j], out=r)
-        np.abs(r, out=r)
-        np.maximum(out, r, out=out)
-    return out
+    """Residual per leading-axis sample: max |a - b| over the trailing
+    axes, NaN-propagating.  Clouds and arrows are column-major (see
+    ngd.models), so the max runs down contiguous coordinate columns."""
+    d = np.abs(np.subtract(a, b))
+    return d if d.ndim <= 1 else np.max(d, axis=tuple(range(1, d.ndim)))
 
 
 def _judge(check: LawCheck, resids, tol: float, **context) -> None:

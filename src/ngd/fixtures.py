@@ -54,7 +54,7 @@ class _SquaredDilationGroup(EuclideanGroup):
     """Euclidean carrier whose dilation contracts by s^2 instead of s."""
 
     def dil(self, s: float, a):
-        return (s * s) * np.asarray(a, dtype=float)
+        return np.multiply(s * s, a, order="F")
 
 
 def wrong_exponent_euclidean(dim: int = 1) -> PairModel:
@@ -80,7 +80,7 @@ class _DroppedCorrectionModel(PairModel):
 
     def point_dilatation(self, scale, x, y):
         s = float(as_scale(scale).modulus)
-        return np.asarray(x, dtype=float) + self.group.dil(s, self.pdiff(x, y))
+        return np.add(x, self.group.dil(s, self.pdiff(x, y)), order="F")
 
 
 def dropped_correction_heisenberg() -> PairModel:

@@ -24,11 +24,15 @@ that overrides mul, inv or dil must keep its kernel consistent (or
 override the kernel too); tests/test_models.py checks the two routes
 bit for bit on every carrier class in the package.
 
-The Heisenberg kernels work one coordinate column at a time and write
-into a preallocated output: numpy is several times slower on a loop
-whose inner axis has length 3, which is what whole-array arithmetic on
-(n, 3) slot views of (n, 2, 3) arrows, or on a (3,) base broadcast
-against a cloud, runs.
+Storage rule: shapes are (..., dim) for points and (..., 2, dim) for
+arrows, and every cloud or arrow array the package allocates is stored
+column-major (numpy order "F").  Each coordinate column, in either slot
+of an arrow, is then one contiguous run, which numpy's ufuncs walk with
+a long inner loop; in row-major order that inner axis has length dim,
+and numpy runs several times slower.  Ufuncs keep the order of their
+inputs, so chains of kernels stay column-major; a new allocation site
+passes order="F", or assigns into a buffer that does.  A single point
+(dim,) or arrow (2, dim) is the same in both orders.
 """
 
 from __future__ import annotations
@@ -48,6 +52,21 @@ from .scales import Scale, as_scale, dyadic_grid
 # carrier groups
 
 
+def _ball_sample(group, rng, n, radius, center, draw):
+    """n points of the gauge ball of radius around center, by rejection
+    from draw(m), which returns m candidates from a box around the ball
+    at the identity."""
+    out = np.empty((n, group.dim), order="F")
+    got = 0
+    while got < n:
+        cand = draw(2 * (n - got) + 8)
+        keep = cand[group.gauge(cand) <= radius]
+        take = min(len(keep), n - got)
+        out[got : got + take] = keep[:take]
+        got += take
+    return out if center is None else group.mul(center, out)
+
+
 class EuclideanGroup:
     """R^n with addition; dilations are scalar, gauge is the 2-norm."""
 
@@ -60,37 +79,29 @@ class EuclideanGroup:
         return np.zeros(self.dim)
 
     def mul(self, a, b):
-        return np.asarray(a) + np.asarray(b)
+        return np.add(a, b, order="F")
 
     def inv(self, a):
-        return -np.asarray(a)
+        return np.negative(a, order="F")
 
     def dil(self, s: float, a):
-        return float(s) * np.asarray(a)
+        return np.multiply(float(s), a, order="F")
 
     def point_dilatation(self, s: float, x, y):
         """x . D_s(x^-1 y) = x + s (y - x); goes through dil, so a
         subclass that changes the dilation changes this too."""
-        x = np.asarray(x)
-        return x + self.dil(s, np.asarray(y) - x)
+        return np.add(x, self.dil(s, np.subtract(y, x, order="F")),
+                      order="F")
 
     def gauge(self, a):
-        return np.sqrt(np.sum(np.asarray(a) ** 2, axis=-1))
+        a = np.asarray(a)  # squares summed left to right in any layout
+        return np.sqrt(sum(a[..., k] ** 2 for k in range(a.shape[-1])))
 
     def sample(self, rng, n, radius, center=None):
         """n points with gauge(center^-1 p) <= radius (rejection from the
         bounding cube)."""
-        out = np.empty((n, self.dim))
-        got = 0
-        while got < n:
-            cand = rng.uniform(-radius, radius, size=(2 * (n - got) + 8, self.dim))
-            keep = cand[self.gauge(cand) <= radius]
-            take = min(len(keep), n - got)
-            out[got : got + take] = keep[:take]
-            got += take
-        if center is not None:
-            out = self.mul(center, out)
-        return out
+        return _ball_sample(self, rng, n, radius, center, lambda m:
+                            rng.uniform(-radius, radius, size=(m, self.dim)))
 
 
 class HeisenbergGroup:
@@ -110,25 +121,25 @@ class HeisenbergGroup:
         b = np.asarray(b, dtype=float)
         x1, y1, t1 = a[..., 0], a[..., 1], a[..., 2]
         x2, y2, t2 = b[..., 0], b[..., 1], b[..., 2]
-        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape), order="F")
         o2 = out[..., 2]
         np.add(x1, x2, out=out[..., 0])
         np.add(y1, y2, out=out[..., 1])
         np.add(t1, t2, out=o2)
         # an array even for one point, so the in-place steps below work
-        c = np.multiply(x1, y2, out=np.empty(out.shape[:-1]))
+        c = np.multiply(x1, y2, out=np.empty(out.shape[:-1], order="F"))
         c -= y1 * x2
         c *= 0.5
         o2 += c
         return out
 
     def inv(self, a):
-        return -np.asarray(a)
+        return np.negative(a, order="F")
 
     def dil(self, s: float, a):
         a = np.asarray(a, dtype=float)
         s = float(s)
-        out = np.empty(a.shape)
+        out = np.empty(a.shape, order="F")
         np.multiply(a[..., 0], s, out=out[..., 0])
         np.multiply(a[..., 1], s, out=out[..., 1])
         np.multiply(a[..., 2], s * s, out=out[..., 2])
@@ -147,10 +158,10 @@ class HeisenbergGroup:
         s = float(s)
         x1, y1, t1 = x[..., 0], x[..., 1], x[..., 2]
         x2, y2, t2 = y[..., 0], y[..., 1], y[..., 2]
-        out = np.empty(np.broadcast_shapes(x.shape, y.shape))
+        out = np.empty(np.broadcast_shapes(x.shape, y.shape), order="F")
         o0, o1, o2 = out[..., 0], out[..., 1], out[..., 2]
-        c = np.empty(out.shape[:-1])
-        t = np.empty(out.shape[:-1])
+        c = np.empty(out.shape[:-1], order="F")
+        t = np.empty(out.shape[:-1], order="F")
         # D_s(x^-1 y), column by column
         np.subtract(x2, x1, out=o0)
         o0 *= s
@@ -180,26 +191,11 @@ class HeisenbergGroup:
         return (r2**2 + 16.0 * a[..., 2] ** 2) ** 0.25
 
     def sample(self, rng, n, radius, center=None):
-        out = np.empty((n, 3))
-        got = 0
         tb = radius**2 / 4.0  # |t| <= gauge^2 / 4 on the ball
-        while got < n:
-            m = 2 * (n - got) + 8
-            cand = np.stack(
-                [
-                    rng.uniform(-radius, radius, size=m),
-                    rng.uniform(-radius, radius, size=m),
-                    rng.uniform(-tb, tb, size=m),
-                ],
-                axis=-1,
-            )
-            keep = cand[self.gauge(cand) <= radius]
-            take = min(len(keep), n - got)
-            out[got : got + take] = keep[:take]
-            got += take
-        if center is not None:
-            out = self.mul(center, out)
-        return out
+        return _ball_sample(self, rng, n, radius, center, lambda m: np.stack(
+            [rng.uniform(-radius, radius, size=m),
+             rng.uniform(-radius, radius, size=m),
+             rng.uniform(-tb, tb, size=m)], axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +217,19 @@ class DomainSpec:
 
 # ---------------------------------------------------------------------------
 # the pair model
+
+
+def _slots(first, second, k):
+    """A column-major array holding first and second (broadcast against
+    each other) in the two slots of a new axis before their last k axes."""
+    first = np.asarray(first, dtype=float)
+    second = np.asarray(second, dtype=float)
+    shape = np.broadcast_shapes(first.shape, second.shape)
+    out = np.empty(shape[:-k] + (2,) + shape[-k:], order="F")
+    tail = (slice(None),) * k
+    out[(..., 0) + tail] = first
+    out[(..., 1) + tail] = second
+    return out
 
 
 class PairModel:
@@ -257,14 +266,7 @@ class PairModel:
     # -- arrows: ndarray (..., 2, dim), slot 0 = target, slot 1 = source ----
 
     def arrow(self, target, source):
-        target = np.asarray(target, dtype=float)
-        source = np.asarray(source, dtype=float)
-        shape = np.broadcast_shapes(target.shape, source.shape)
-        out = np.empty(shape[:-1] + (2,) + shape[-1:])
-        for k in range(shape[-1]):  # 1-d copies, see the module docstring
-            out[..., 0, k] = target[..., k]
-            out[..., 1, k] = source[..., k]
-        return out
+        return _slots(target, source, 1)
 
     def target(self, a):
         return np.asarray(a)[..., 0, :]
@@ -349,8 +351,7 @@ class PairModel:
         relative level for the nilpotent carrier)."""
         if base is None:
             base = self.e()
-        pts = self.group.sample(rng, n, radius, center=base)
-        return self.arrow(pts, np.broadcast_to(base, pts.shape))
+        return self.arrow(self.group.sample(rng, n, radius, center=base), base)
 
     def probe_fiber_arrows(self, base=None):
         """Deterministic axis probes: arrows along each coordinate axis at
@@ -365,8 +366,7 @@ class PairModel:
                 w[i] = s
                 vecs.append(w)
                 vecs.append(-w)
-        pts = self.group.mul(base, np.array(vecs))
-        return self.arrow(pts, np.broadcast_to(base, pts.shape))
+        return self.arrow(self.group.mul(base, np.array(vecs)), base)
 
 
 def euclidean_model(dim: int = 1, domain=None) -> PairModel:
@@ -411,8 +411,7 @@ class DoubleModel:
         return self.base.dim
 
     def pair(self, a, b):
-        a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
-        return np.stack([a, b], axis=-3)
+        return _slots(a, b, 2)
 
     def first(self, P):
         return np.asarray(P)[..., 0, :, :]

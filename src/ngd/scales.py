@@ -32,9 +32,6 @@ class Scale:
     def inv(self) -> "Scale":
         return Scale(1 / self.value)
 
-    def is_one(self) -> bool:
-        return self.value == 1
-
     @classmethod
     def one(cls) -> "Scale":
         return cls(Fraction(1))

@@ -101,8 +101,9 @@ class TestRandomSpaces:
 def test_double_groupoid_norm_laws():
     G = pair_groupoid(line_space())
     D = double_groupoid(G)
-    rep = check_double_norm(D)
+    rep = check_double_norm(G, D)
     assert rep.passed, rep.summary()
+    assert rep.to_json() == check_double_norm(G).to_json()
 
 
 def test_double_difference_is_a_norm_preserving_morphism():
@@ -125,6 +126,35 @@ def test_double_groupoid_read_back_from_json_is_checked_against_G():
     M, M2 = double_difference_morphism(G, D), double_difference_morphism(G, D2)
     assert M2.arrow_map == M.arrow_map
     assert check_morphism(M2).passed
+
+
+def _five_point_space():
+    return FiniteMetricSpace(
+        points=list("abcde"),
+        dist=[[0 if i == j else 1 + (i + j) % 2 for j in range(5)]
+              for i in range(5)])
+
+
+@pytest.mark.parametrize("check", [check_double_norm,
+                                   double_difference_morphism])
+def test_a_double_groupoid_of_another_space_is_refused(check):
+    small = pair_groupoid(line_space())
+    big = pair_groupoid(_five_point_space())
+    with pytest.raises(ValueError, match="125 arrows against 27"):
+        check(small, double_groupoid(big))
+    with pytest.raises(ValueError, match="27 arrows against 125"):
+        check(big, double_groupoid(small))
+
+
+@pytest.mark.parametrize("check", [check_double_norm,
+                                   double_difference_morphism])
+def test_a_double_groupoid_with_other_labels_is_refused(check):
+    G = pair_groupoid(line_space())
+    D = double_groupoid(G)
+    renamed = FiniteGroupoid(D.arrows[1:] + D.arrows[:1], D.compose,
+                             D.inverse, D.norm)
+    with pytest.raises(ValueError, match="other labels"):
+        check(G, renamed)
 
 
 def test_fiber_distance_reconstruction_is_exact():

@@ -222,14 +222,16 @@ def _carrier_classes():
         for _, cls in inspect.getmembers(mod, inspect.isclass):
             if issubclass(cls, (EuclideanGroup, HeisenbergGroup)):
                 found.add(cls)
-    return sorted(found - PLANTED_KERNELS, key=lambda c: c.__qualname__)
+    return sorted(found, key=lambda c: c.__qualname__)
 
 
-def _carriers():
+def _carriers(skip=()):
     out = []
     for cls in _carrier_classes():
+        if cls in skip:
+            continue
         if issubclass(cls, EuclideanGroup):
-            out += [cls(dim) for dim in (1, 2, 3)]
+            out += [cls(dim) for dim in (1, 2, 3, 9)]
         else:
             out.append(cls())
     return out
@@ -260,11 +262,11 @@ SCALES = (2.0**-36, 0.125, 1.0, 8.0)
 
 def test_every_carrier_class_is_covered():
     names = {c.__name__ for c in _carrier_classes()}
-    assert {"EuclideanGroup", "HeisenbergGroup",
-            "_SquaredDilationGroup"} <= names
+    assert {"EuclideanGroup", "HeisenbergGroup", "_SquaredDilationGroup",
+            "_NaNBelowHeisenbergGroup"} <= names
 
 
-@pytest.mark.parametrize("g", _carriers(),
+@pytest.mark.parametrize("g", _carriers(skip=PLANTED_KERNELS),
                          ids=lambda g: f"{type(g).__name__}-{g.dim}")
 @pytest.mark.parametrize("n", [0, 1, 257])
 def test_kernel_is_bitwise_the_three_step_route(g, n):
@@ -338,3 +340,97 @@ def test_per_sample_is_the_row_max(shape):
         assert np.array_equal(got, want, equal_nan=True)
     if shape[0] >= 50:
         assert np.isnan(got[7]) and np.isnan(got[11]) and got[13] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# storage: column-major clouds and arrows, the same bits in every layout
+
+
+def _columns_contiguous(a):
+    """Every coordinate column, in every slot, is one contiguous run."""
+    return all(a[(...,) + k].flags.c_contiguous
+               for k in np.ndindex(a.shape[1:]))
+
+
+def _in_layouts(*arrays):
+    """The same arrays, C-ordered, F-ordered, and as the slot views of
+    one C-ordered and one F-ordered stack (as arrows hold their points)."""
+    stack = np.stack(arrays, axis=1)
+    fstack = np.asfortranarray(stack)
+    return [tuple(np.ascontiguousarray(a) for a in arrays),
+            tuple(np.asfortranarray(a) for a in arrays),
+            tuple(stack[:, j] for j in range(len(arrays))),
+            tuple(fstack[:, j] for j in range(len(arrays)))]
+
+
+def _same_in_every_layout(op, args, per_row=True):
+    """op gives the same bits on args in every layout and on an n = 3
+    cloud, with contiguous columns out; with per_row, also on single
+    samples."""
+    want = op(*args)
+    for variant in _in_layouts(*args):
+        got = op(*variant)
+        assert np.array_equal(_bits(got), _bits(want))
+        if got.ndim > 1:
+            assert _columns_contiguous(got)
+    assert np.array_equal(_bits(op(*(a[:3] for a in args))), _bits(want[:3]))
+    for i in (0, 5, len(want) - 1) if per_row else ():
+        assert np.array_equal(_bits(op(*(a[i] for a in args))),
+                              _bits(want[i]))
+    return want
+
+
+def _layout_models(g):
+    out = [PairModel(g)]
+    if type(g) is HeisenbergGroup:
+        out += [fixtures.dropped_correction_heisenberg(),
+                fixtures.flat_gauge_heisenberg()]
+    return out
+
+
+@pytest.mark.parametrize("g", _carriers(),
+                         ids=lambda g: f"{type(g).__name__}-{g.dim}")
+def test_results_do_not_depend_on_the_input_layout(g):
+    x, y = _clouds(g, 257, seed=g.dim)
+    z = g.sample(np.random.default_rng(5), 257, 4.0)
+    for model in _layout_models(g):
+        for s in SCALES:
+            sc = Scale(Fraction(s))
+            point_ops = [
+                lambda x, y: g.mul(x, y),
+                lambda x, y: g.dil(s, y),
+                lambda x, y: g.gauge(y),
+                lambda x, y: model.point_dilatation(sc, x, y),
+                lambda x, y: model.arrow(y, x),
+            ]
+            for op in point_ops:
+                _same_in_every_layout(op, (x, y))
+                # a base broadcast against the cloud, and as one point
+                got = op(np.broadcast_to(x[5], x.shape), y)
+                assert np.array_equal(_bits(got), _bits(op(x[5], y)))
+                assert np.array_equal(_bits(got[7]), _bits(op(x[5], y[7])))
+            _same_in_every_layout(_per_sample, (x, y), per_row=False)
+
+            a, b = np.stack([y, x], axis=1), np.stack([z, x], axis=1)
+            _same_in_every_layout(lambda a, b: model.delta(sc, a), (a, b))
+            _same_in_every_layout(model.dif, (a, b))
+            _same_in_every_layout(_per_sample, (a, b), per_row=False)
+
+
+@pytest.mark.parametrize("g", _carriers(),
+                         ids=lambda g: f"{type(g).__name__}-{g.dim}")
+def test_samplers_and_kernels_store_columns_contiguously(g):
+    rng = np.random.default_rng(9)
+    center = g.sample(rng, 1, 1.0)[0]
+    x = g.sample(rng, 50, 4.0)
+    y = g.sample(rng, 50, 4.0, center=center)
+    for model in _layout_models(g):
+        a = model.sample_fiber_arrows(rng, 50, base=center)
+        P = models.DoubleModel(model).pair(a, model.arrow(y, center))
+        outs = [x, y, a, P, model.probe_fiber_arrows(), g.inv(x),
+                g.dil(0.5, x), g.mul(x, y), model.arrow(x, y),
+                model.point_dilatation(Scale(Fraction(1, 2)), x, y),
+                model.delta(Scale(Fraction(1, 2)), a)]
+        for out in outs:
+            assert out.shape[1:] in ((g.dim,), (2, g.dim), (2, 2, g.dim))
+            assert _columns_contiguous(out)

@@ -11,6 +11,12 @@ perfbench/.  The package's re-export in `__init__` does not count, and
 neither do docstrings, comments or the names of test functions.  There
 is no allow-list: a name that fails here is deleted or given a caller.
 
+Every public method of a public class is reached too, matched by name as
+the options below are: a method `m` is reached when, outside its own
+definition, some call `m(...)` or `obj.m(...)` names it.  A property
+is read, not called, so any reference to its name counts for it.  Names
+starting with `_`, dunders included, are not public.
+
 Every option is set by some caller.  A parameter with a default, of a
 public top-level function, a public method or a class's `__init__`, is
 set when some call in those same files passes it, by keyword or by
@@ -24,6 +30,7 @@ functions share it.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,12 +74,28 @@ def _public_definitions(path, tree):
                    isinstance(node, ast.ClassDef))
 
 
+def _public_methods(path, tree):
+    """(label, name, path, first line, last line, read) per public method
+    of a public class; read is True for a property."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        for item in node.body:
+            if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not item.name.startswith("_")):
+                read = any(isinstance(d, ast.Name) and d.id == "property"
+                           for d in item.decorator_list)
+                yield (f"{path.name}:{item.lineno} {node.name}.{item.name}",
+                       item.name, path, item.lineno, item.end_lineno, read)
+
+
 def _method_names(tree):
     return {item.name for node in ast.walk(tree)
             if isinstance(node, ast.ClassDef) for item in node.body
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
 
 
+@functools.cache  # the three censuses read the same trees
 def _parse():
     """(the modules of src/ngd but __init__, {path: tree} for every file
     that may call them)."""
@@ -145,8 +168,9 @@ def _options(path, tree):
 
 
 def _calls(tree):
-    """(called name, positional count, keyword names) for every call; a
-    `*args` counts as every position and a `**kwargs` as every name."""
+    """(called name, positional count, keyword names, line) for every
+    call; a `*args` counts as every position and a `**kwargs` as every
+    name."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -160,14 +184,14 @@ def _calls(tree):
         npos = (float("inf") if any(isinstance(a, ast.Starred)
                                     for a in node.args) else len(node.args))
         kws = {k.arg for k in node.keywords}
-        yield name, npos, (None if None in kws else kws)
+        yield name, npos, (None if None in kws else kws), node.lineno
 
 
 def test_every_option_is_set_by_some_caller():
     modules, trees = _parse()
     calls = {}
     for tree in trees.values():
-        for name, npos, kws in _calls(tree):
+        for name, npos, kws, _ in _calls(tree):
             calls.setdefault(name, []).append((npos, kws))
 
     options = [o for p in modules for o in _options(p, trees[p])]
@@ -177,3 +201,23 @@ def test_every_option_is_set_by_some_caller():
                         or (i is not None and i < npos)
                         for npos, kws in calls.get(called, ()))]
     assert not unset, "options no caller sets: " + ", ".join(unset)
+
+
+def test_every_public_method_is_reached():
+    modules, trees = _parse()
+    called, read = {}, {}
+    for p, tree in trees.items():
+        for name, _, _, line in _calls(tree):
+            called.setdefault(name, []).append((p, line))
+        for ref, line, _ in _references(tree):
+            read.setdefault(ref, []).append((p, line))
+
+    methods = [m for p in modules for m in _public_methods(p, trees[p])]
+    assert methods, "no public methods found"
+    unreached = [
+        label for label, name, path, first, last, is_prop in methods
+        if not any(p != path or not first <= line <= last
+                   for p, line in (read if is_prop else called).get(name, ()))
+    ]
+    assert not unreached, "public methods nothing reaches: " + ", ".join(
+        unreached)
