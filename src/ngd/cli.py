@@ -56,24 +56,22 @@ from .scales import dyadic_grid
 
 
 def _models_from(args):
-    picked = getattr(args, "model", "all")
-    dim = getattr(args, "dim", 1)
-    if picked == "euclidean":
-        return [euclidean_model(dim=dim)]
-    if picked == "heisenberg":
+    if args.model == "euclidean":
+        return [euclidean_model(dim=args.dim)]
+    if args.model == "heisenberg":
         return [heisenberg_model()]
-    return [euclidean_model(dim=dim), heisenberg_model()]
+    return [euclidean_model(dim=args.dim), heisenberg_model()]
 
 
 def _grid_from(args):
-    k = getattr(args, "eps_grid", None)
+    k = args.eps_grid
     return None if k is None else dyadic_grid(kmax=k)
 
 
 def _emit(reports, args, extra=None):
     """Print reports (text or JSON) and return the exit code."""
     ok = all(r.passed for r in reports)
-    if getattr(args, "json", False):
+    if args.json:
         blob = {"pass": ok, "reports": [r.to_json() for r in reports]}
         if extra:
             blob.update(extra)
@@ -230,9 +228,8 @@ def cmd_limits(args) -> int:
 
 
 def _coupling_from(data, key="gamma") -> transport.Coupling:
-    space = FiniteMetricSpace.from_json(data["space"])
     sub = {"space": data["space"], "gamma": data[key]}
-    for mk, gk in (("mu", "mu"), ("nu", "nu")):
+    for mk in ("mu", "nu"):
         if key == "gamma" and mk in data:
             sub[mk] = data[mk]
     return transport.Coupling.from_json(sub)
@@ -363,16 +360,18 @@ def _suite_limits(args):
     for model in _models_from(args):
         sampler = BoundedSampler(model, radius=args.radius, n=args.samples,
                                  seed=args.seed)
-        reports.append(check_A3(model, sampler, grid=grid))
-        reports.append(check_A4weak(model, sampler, grid=grid))
-        reports.append(check_A3mod_A4(model, sampler, grid=grid))
+        reports.append(check_A3(model, sampler, grid=grid, tol=args.tol))
+        reports.append(check_A4weak(model, sampler, grid=grid, tol=args.tol))
+        reports.append(
+            check_A3mod_A4(model, sampler, grid=grid, tol=args.tol))
         reports.append(cone_check(model, sampler))
         _, rep = fiber_dilatation_structure(model)
         reports.append(rep)
         reports.append(check_translation_groupoid(
             model, n=min(args.samples, 400)))
         rep = ValidationReport(subject=f"distortion[{model.name}]")
-        rep.limits.append(gh_estimate(model, sampler, grid=grid))
+        rep.limits.append(gh_estimate(model, sampler, grid=grid,
+                                      tol=args.tol))
         reports.append(rep)
     return reports
 
@@ -406,12 +405,12 @@ def cmd_report(args) -> int:
     }
     reports = []
     if args.suite == "planted":
-        for name, rep in run_planted_suite(seed=args.seed):
+        for name, rep in run_planted_suite(seed=args.seed,
+                                           samples=args.samples):
             rep.subject = f"planted: {name}"
             reports.append(rep)
         # the planted suite is healthy when it is red
-        code = _emit(reports, args)
-        return code
+        return _emit(reports, args)
     if args.suite == "all":
         for fn in suites.values():
             reports.extend(fn(args))
@@ -445,22 +444,6 @@ def _positive_float(text: str) -> float:
     return x
 
 
-def _common(sub):
-    sub.add_argument("--model", choices=["euclidean", "heisenberg", "all"],
-                     default="all")
-    sub.add_argument("--dim", type=_positive_int, default=1,
-                     help="dimension of the euclidean carrier")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--radius", type=_positive_float, default=4.0)
-    sub.add_argument("--samples", type=_positive_int, default=200)
-    sub.add_argument("--eps-grid", type=_positive_int, default=None,
-                     metavar="KMAX",
-                     help="use the dyadic grid 2^-1 .. 2^-KMAX")
-    sub.add_argument("--tol", type=_positive_float, default=1e-8)
-    sub.add_argument("--json", action="store_true",
-                     help="machine-readable output")
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ngd",
@@ -471,20 +454,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sp.add_parser("validate", help="validate a finite structure (JSON)")
     v.add_argument("file")
-    _common(v)
     v.set_defaults(fn=cmd_validate)
 
     e = sp.add_parser("eval", help="evaluate a term")
     e.add_argument("expr")
     e.add_argument("--base", default=None,
                    help="base point for point-level operations, as a term")
-    _common(e)
     e.set_defaults(fn=cmd_eval)
 
     li = sp.add_parser("limits", help="certify the limit axioms")
     li.add_argument("--axiom", choices=["A3", "A4weak", "A3mod", "cone",
                                         "all"], default="all")
-    _common(li)
     li.set_defaults(fn=cmd_limits)
 
     t = sp.add_parser("transport", help="operate on transport plans (JSON)")
@@ -492,15 +472,32 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--action", choices=["compose", "inverse", "norm",
                                         "kantorovich", "classify"],
                    required=True)
-    _common(t)
     t.set_defaults(fn=cmd_transport)
 
     r = sp.add_parser("report", help="run a named check suite")
     r.add_argument("--suite", choices=["axioms", "irq", "limits",
                                        "transport", "planted", "all"],
                    default="all")
-    _common(r)
     r.set_defaults(fn=cmd_report)
+
+    # eval, limits and report evaluate on the analytic models; limits and
+    # report also draw seeded samples; every command can answer in JSON
+    for sub in (e, li, r):
+        sub.add_argument("--model", choices=["euclidean", "heisenberg",
+                                             "all"], default="all")
+        sub.add_argument("--dim", type=_positive_int, default=1,
+                         help="dimension of the euclidean carrier")
+        sub.add_argument("--eps-grid", type=_positive_int, default=None,
+                         metavar="KMAX",
+                         help="use the dyadic grid 2^-1 .. 2^-KMAX")
+        sub.add_argument("--tol", type=_positive_float, default=1e-8)
+    for sub in (li, r):
+        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--radius", type=_positive_float, default=4.0)
+        sub.add_argument("--samples", type=_positive_int, default=200)
+    for sub in sp.choices.values():
+        sub.add_argument("--json", action="store_true",
+                         help="machine-readable output")
     return p
 
 

@@ -376,7 +376,12 @@ def evaluate(node, ctx: EvalContext):
             node.line, node.col,
         )
     if isinstance(node, Call):
-        return _apply(node, ctx)
+        try:
+            return _apply(node, ctx)
+        except TermError:
+            raise
+        except ValueError as e:  # the model refused the operands
+            raise TermError(str(e), node.line, node.col) from e
     raise TypeError(f"not a term node: {node!r}")
 
 

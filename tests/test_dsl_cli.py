@@ -141,6 +141,23 @@ def test_cli_parse_error_is_exit_two(capsys):
         assert f"line {line}, col {col}" in err, src
 
 
+@pytest.mark.parametrize("term,flags,col", [
+    ("Delta(1/2, (3,0), (1,2))", [], 1),
+    ("d((3,0),(1,2))", [], 1),
+    ("dilat(1/2, (3,0), (1,2))", [], 1),
+    ("lim(eps -> 0, Delta(eps, (3,0), (1,2)))", [], 15),
+    ("Delta(1/2, ((1,0,0),(0,0,0)), ((0,1,0),(1,0,0)))",
+     ["--model", "heisenberg"], 1),
+])
+def test_cli_eval_model_refusal_is_exit_two(term, flags, col, capsys):
+    """Arrows with different sources have no difference: the model's
+    refusal comes back as a positioned term error, not a traceback."""
+    assert run_cli("eval", term, *flags) == 2
+    err = capsys.readouterr().err
+    assert f"line 1, col {col}: dif needs a common source" in err
+    assert "Traceback" not in err
+
+
 def test_cli_validate_metric_space(tmp_path, capsys):
     f = tmp_path / "space.json"
     f.write_text(json.dumps({
@@ -339,6 +356,18 @@ def test_cli_report_planted_is_exit_one(capsys):
     assert run_cli("report", "--suite", "planted") == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_cli_report_planted_reads_samples(monkeypatch, capsys):
+    seen = {}
+
+    def planted(**kw):
+        seen.update(kw)
+        return []
+
+    monkeypatch.setattr(cli, "run_planted_suite", planted)
+    run_cli("report", "--suite", "planted", "--seed", "3", "--samples", "120")
+    assert seen == {"seed": 3, "samples": 120}
 
 
 def test_cli_report_transport_green(capsys):

@@ -27,8 +27,14 @@ every parameter.  Dataclass fields are state, not options, and are not
 counted.  There is no allow-list here either: an option no caller sets
 becomes a literal at its use, or a module constant when several
 functions share it.
+
+Every command-line flag is read.  Each flag or positional a subcommand
+of `ngd` declares is read, as `args.<dest>` or `getattr(args, "<dest>")`,
+by that subcommand's `cmd_*` function or by a function of cli.py that
+it reaches by name, the table of report suites included.
 """
 
+import argparse
 import ast
 import functools
 from pathlib import Path
@@ -221,3 +227,48 @@ def test_every_public_method_is_reached():
     ]
     assert not unreached, "public methods nothing reaches: " + ", ".join(
         unreached)
+
+
+def _args_read(funcs, start):
+    """The dests read off `args` by funcs[start] and by every function
+    of funcs it reaches by naming it."""
+    seen, todo, read = set(), [start], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(funcs[name]):
+            if isinstance(node, ast.Name) and node.id in funcs:
+                todo.append(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "args"):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id == "getattr" and len(node.args) >= 2
+                  and isinstance(node.args[0], ast.Name)
+                  and node.args[0].id == "args"
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    return read
+
+
+def test_every_cli_flag_is_read():
+    from ngd import cli
+
+    _, trees = _parse()
+    funcs = {node.name: node for node in trees[PACKAGE / "cli.py"].body
+             if isinstance(node, ast.FunctionDef)}
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert commands, "no subcommands found"
+    unread = []
+    for command, parser in commands.items():
+        read = _args_read(funcs, parser.get_default("fn").__name__)
+        unread += [f"{command} {'/'.join(a.option_strings) or a.dest}"
+                   for a in parser._actions
+                   if not isinstance(a, argparse._HelpAction)
+                   and a.dest not in read]
+    assert not unread, "flags no code reads: " + ", ".join(unread)

@@ -4,6 +4,7 @@ duality solved by rational simplex."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -233,6 +234,104 @@ def test_lip1_vertices_line():
     for v in vs:
         assert v[0] == 0
         assert lip1_witness(line3(), v) is None
+
+
+def elimination_lip1_vertices(space):
+    """The reference enumerator: one exact Gaussian elimination per
+    (n-1)-subset of the difference constraints turned into equalities,
+    kept when the system is regular and its solution 1-Lipschitz."""
+    n = space.n_points()
+    if n == 1:
+        return [(Fraction(0),)]
+    cons = [(x, y) for x in range(n) for y in range(n) if x != y]
+
+    def row(x, y):
+        r = [Fraction(0)] * (n - 1)
+        if x > 0:
+            r[x - 1] += 1
+        if y > 0:
+            r[y - 1] -= 1
+        return r
+
+    def solve_square(M, rhs):
+        k = len(M)
+        M = [list(r) + [b] for r, b in zip(M, rhs)]
+        for col in range(k):
+            piv = next((r for r in range(col, k) if M[r][col] != 0), None)
+            if piv is None:
+                return None
+            M[col], M[piv] = M[piv], M[col]
+            pv = M[col][col]
+            M[col] = [v / pv for v in M[col]]
+            for r in range(k):
+                if r != col and M[r][col] != 0:
+                    f = M[r][col]
+                    M[r] = [a - f * b for a, b in zip(M[r], M[col])]
+        return [M[r][k] for r in range(k)]
+
+    verts = set()
+    for sub in combinations(cons, n - 1):
+        sol = solve_square([row(*c) for c in sub],
+                           [space.dist[x][y] for x, y in sub])
+        if sol is None:
+            continue
+        u = (Fraction(0),) + tuple(sol)
+        if all(u[x] - u[y] <= space.dist[x][y] for x, y in cons):
+            verts.add(u)
+    return sorted(verts)
+
+
+def test_lip1_vertices_match_the_elimination_reference():
+    """The tree walk finds exactly the vertices elimination finds, in
+    the same order."""
+    spaces = [FiniteMetricSpace(points=[0], dist=[[Fraction(0)]]), X2,
+              line3()]
+    spaces += [random_metric_space(seed=s, max_points=5) for s in range(9)]
+    assert {sp.n_points() for sp in spaces} == {1, 2, 3, 4, 5}
+    for space in spaces:
+        assert lip1_vertices(space) == elimination_lip1_vertices(space)
+
+
+def sweep_coupling_between(mu, nu, rng):
+    """The reference for random_coupling_between: the same random cells,
+    then the leftover masses swept row by row, northwest first."""
+    n = mu.space.n_points()
+    rows, cols = list(mu.weights), list(nu.weights)
+    g = [[Fraction(0)] * n for _ in range(n)]
+    cells = [(x, y) for x in range(n) for y in range(n)]
+    rng.shuffle(cells)
+    for x, y in cells:
+        cap = min(rows[x], cols[y])
+        if cap == 0:
+            continue
+        t = cap * Fraction(rng.randint(0, 8), 8)
+        g[x][y] += t
+        rows[x] -= t
+        cols[y] -= t
+    y = 0
+    for x in range(n):
+        while rows[x] > 0:
+            t = min(rows[x], cols[y])
+            g[x][y] += t
+            rows[x] -= t
+            cols[y] -= t
+            if cols[y] == 0 and rows[x] > 0:
+                y += 1
+    return tuple(tuple(r) for r in g)
+
+
+def test_random_coupling_between_matches_the_sweep_reference():
+    rng = random.Random(12)
+    for trial in range(60):
+        space = random_metric_space(seed=trial, max_points=6)
+        if trial % 2:
+            mu, nu = (measure_with_zeros(space, rng) for _ in range(2))
+        else:
+            mu, nu = (random_measure(space, rng, full_support=trial % 4 == 0)
+                      for _ in range(2))
+        got = random_coupling_between(mu, nu, random.Random(trial))
+        assert got.gamma == sweep_coupling_between(mu, nu,
+                                                   random.Random(trial))
 
 
 def test_plan_norm_dominates_every_vertex_seminorm():
@@ -795,3 +894,34 @@ def test_transport_battery_bigger_space():
     rep = check_transport(random_metric_space(seed=21, max_points=5),
                           seed=1, samples=20)
     assert rep.passed, rep.summary()
+
+
+def test_transport_battery_checks_every_law_on_eight_points():
+    """No Lip1 law is left at checked=0 past five points: each is judged
+    at the certified Kantorovich potential."""
+    space = random_metric_space(seed=0, max_points=8)
+    assert space.n_points() == 8
+    rep = check_transport(space, samples=10)
+    assert rep.passed, rep.summary()
+    assert all(law.checked > 0 for law in rep.laws), rep.summary()
+
+
+def test_domination_fails_with_the_potential_as_witness(monkeypatch):
+    """Halve d: some sampled plan then has d(a) < rho_{u*}(a), and the
+    law names the optimal potential kantorovich returned."""
+    honest_norm, honest_kantorovich = transport.norm_d, transport.kantorovich
+    potentials = set()
+
+    def spy(mu, nu):
+        res = honest_kantorovich(mu, nu)
+        potentials.add(res.potential.values)
+        return res
+
+    monkeypatch.setattr(transport, "norm_d", lambda g: honest_norm(g) / 2)
+    monkeypatch.setattr(transport, "kantorovich", spy)
+    rep = check_transport(line3(), seed=0, samples=20)
+    dom = rep.law(
+        "d >= rho_u for every 1-Lipschitz u (attained at the optimal "
+        "potential)")
+    assert not dom.passed and dom.witnesses
+    assert all(w["u"] in potentials for w in dom.witnesses)
