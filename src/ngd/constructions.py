@@ -15,6 +15,7 @@ from .core import (
     FiniteGroupoid,
     LawCheck,
     ValidationReport,
+    _matrix_over_lcm,
     as_fraction,
 )
 
@@ -26,7 +27,8 @@ from .core import (
 @dataclass
 class FiniteMetricSpace:
     points: list
-    dist: list  # matrix of Fractions
+    dist: list  # matrix of Fractions, never mutated: _int is its integer
+    # form (integer rows, D), built once after validation
 
     def __post_init__(self):
         n = len(self.points)
@@ -48,6 +50,7 @@ class FiniteMetricSpace:
                         raise ValueError(
                             f"triangle inequality fails at ({i},{j},{k})"
                         )
+        self._int = _matrix_over_lcm(self.dist)
 
     def n_points(self):
         return len(self.points)

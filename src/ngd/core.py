@@ -18,6 +18,7 @@ All finite-table arithmetic is exact (fractions.Fraction).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,6 +33,14 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise ValueError(f"expected an exact rational, got {value!r}")
     return Fraction(value)
+
+
+def _matrix_over_lcm(rows):
+    """Exact rationals over one denominator: (integer rows, D), D the lcm
+    of the entry denominators.  Ragged rows stay ragged."""
+    D = math.lcm(*(v.denominator for row in rows for v in row))
+    return tuple(tuple(v.numerator * (D // v.denominator) for v in row)
+                 for row in rows), D
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from .transport import (
     _northwest_corner,
     _read_basis,
     check_kantorovich_certificate,
+    kantorovich,
     two_point_space,
 )
 
@@ -212,8 +213,23 @@ def unpivoted_transport_basis():
     mu = Measure(X, (h, h, 0))
     nu = Measure(X, (0, h, h))
     supply, demand, cost, L, D = _integer_problem(mu, nu)
-    gamma, u = _read_basis(cost, _northwest_corner(supply, demand), L, D)
+    _, gamma, u = _read_basis(cost, _northwest_corner(supply, demand), L, D)
     return mu, nu, gamma, u
+
+
+def marginal_off_by_one_unit():
+    """The certified optimum for mu = (1/2, 1/3, 1/6), nu = (1/6, 1/3, 1/2)
+    on three points of a line, less one unit of L = 6 at the cell (a, a):
+    row a sums to 1/3 against 1/2.  d = 0 there, so cost, gap and
+    slackness stay the optimum's and only the marginal law can catch it.
+    Returns (mu, nu, gamma, u) with the certified potential u."""
+    sixth = Fraction(1, 6)
+    mu = Measure(_three_point_space(), (3 * sixth, 2 * sixth, sixth))
+    nu = Measure(mu.space, mu.weights[::-1])
+    res = kantorovich(mu, nu)
+    gamma = [list(row) for row in res.plan.gamma]
+    gamma[0][0] -= sixth
+    return mu, nu, gamma, res.potential.values
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +339,9 @@ def run_planted_suite(seed: int = 0, samples: int = 200):
         law.fail(index=e.index, left=str(e.left), right=str(e.right))
     out.append(("mismatched middle marginals vs composability", rep))
 
-    mu, nu, gamma, u = unpivoted_transport_basis()
-    out.append((
-        "unpivoted transport basis vs the optimality certificate",
-        check_kantorovich_certificate(mu, nu, gamma, u),
-    ))
+    for name, planted in (
+            ("unpivoted transport basis", unpivoted_transport_basis),
+            ("plan one unit short of its marginal", marginal_off_by_one_unit)):
+        out.append((f"{name} vs the optimality certificate",
+                    check_kantorovich_certificate(*planted())))
     return out

@@ -5,11 +5,12 @@ Plans over a finite metric space form a category with an involutive
 inverse (transposition).  It is deliberately NOT a groupoid: gamma^-1
 composed with gamma is usually not an identity plan, and the plans of
 the form h^-1 h include fat things like the quarter-uniform plan on two
-points.  Everything here is exact.  The plan algebra (marginals,
-composition, the norm d and the seminorms rho_u) puts each operand's
-entries over the lcm of their denominators and sums plain integers, so
-every result is one Fraction(sum, denominator) rather than a chain of
-Fraction additions.  Kantorovich problems are solved by the
+points.  Everything here is exact.  Measures, plans and the metric
+carry their integer form, numerators over the lcm of the denominators,
+from construction on.  Plans are built as integers over a common
+denominator, and the plan algebra, the norm d, the seminorms rho_u and
+the certificate sum those integers: one Fraction per result, never a
+chain of Fraction additions.  Kantorovich problems are solved by the
 transportation (network) simplex on integer-scaled data, with Bland's
 rule, and every answer must pass an exact optimality certificate, so
 the duality gap comes out identically zero rather than merely small.
@@ -34,6 +35,7 @@ from .core import (
     LawCheck,
     SeminormFamily,
     ValidationReport,
+    _matrix_over_lcm,
     as_fraction,
 )
 
@@ -65,25 +67,22 @@ def _over_lcm(values):
     return [v.numerator * (D // v.denominator) for v in values], D
 
 
-def _matrix_over_lcm(rows):
-    """_over_lcm for a square matrix: (integer rows, D)."""
-    n = len(rows)
-    flat, D = _over_lcm([v for row in rows for v in row])
-    return [flat[i:i + n] for i in range(0, n * n, n)], D
-
-
 def _dot(a, b):
     return sum(map(mul, a, b))
+
+
+def _common(mu: Measure, nu: Measure):
+    """(mu numerators, nu numerators, L) over one denominator L."""
+    (a, La), (b, Lb) = mu._int, nu._int
+    L = math.lcm(La, Lb)
+    return [v * (L // La) for v in a], [v * (L // Lb) for v in b], L
 
 
 def _pairing(u, mu: Measure, nu: Measure) -> Fraction:
     """sum over x of u(x) (mu(x) - nu(x)), as one integer sum."""
     ui, Du = _over_lcm(u)
-    wi, Dw = _over_lcm(mu.weights + nu.weights)
-    n = len(ui)
-    return Fraction(
-        _dot(ui, [a - b for a, b in zip(wi[:n], wi[n:])]), Du * Dw
-    )
+    a, b, L = _common(mu, nu)
+    return Fraction(_dot(ui, map(sub, a, b)), Du * L)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +91,8 @@ def _pairing(u, mu: Measure, nu: Measure) -> Fraction:
 
 @dataclass
 class Measure:
-    """A probability measure on a finite metric space, exact weights."""
+    """A probability measure on a finite metric space: exact weights, and
+    in _int their numerators over L, the lcm of their denominators."""
 
     space: FiniteMetricSpace
     weights: tuple
@@ -102,29 +102,39 @@ class Measure:
             raise TypeError(f"weights {self.weights!r} are a string, not a "
                             "list of rationals")
         w = tuple(as_fraction(v) for v in self.weights)
-        if len(w) != self.space.n_points():
-            raise ValueError(
-                f"{len(w)} weights for {self.space.n_points()} points"
-            )
-        for i, v in enumerate(w):
+        self._settle(*_over_lcm(w), w)
+
+    def _settle(self, num, L, weights=None):
+        """Check and adopt num[i] / L; weights: those values as Fractions."""
+        n = self.space.n_points()
+        if len(num) != n:
+            raise ValueError(f"{len(num)} weights for {n} points")
+        for i, v in enumerate(num):
             if v < 0:
-                raise ValueError(f"negative mass {v} at point index {i}")
-        num, D = _over_lcm(w)
-        if sum(num) != D:
-            raise ValueError(f"total mass {Fraction(sum(num), D)} != 1")
-        self.weights = w
+                raise ValueError(
+                    f"negative mass {Fraction(v, L)} at point index {i}")
+        if sum(num) != L:
+            raise ValueError(f"total mass {Fraction(sum(num), L)} != 1")
+        g = math.gcd(*num)  # divides L: the numerators sum to L
+        self._int = (tuple(v // g for v in num), L // g)
+        self.weights = weights or tuple(Fraction(v, L) for v in num)
 
     def __getitem__(self, i):
         return self.weights[i]
 
     def support(self) -> list:
-        return [i for i, v in enumerate(self.weights) if v > 0]
-
-    def full_support(self) -> bool:
-        return all(v > 0 for v in self.weights)
+        return [i for i, v in enumerate(self._int[0]) if v > 0]
 
     def to_json(self):
         return [str(v) for v in self.weights]
+
+
+def _measure(space, num, L) -> Measure:
+    """The Measure with weights num[i] / L, checked like Measure(...)."""
+    m = Measure.__new__(Measure)
+    m.space = space
+    m._settle(num, L)
+    return m
 
 
 @dataclass
@@ -132,10 +142,11 @@ class Coupling:
     """A transport plan: joint matrix whose marginals are the endpoint
     measures.  Rows are the first (source) marginal, columns the second.
 
-    Declared marginals are optional; when given they are checked against
-    the row/column sums exactly, mismatches report the first offending
-    coordinate.  Each sum is one integer sum over the lcm of the entry
-    denominators.
+    A plan carries its integer form (integer rows, D) in _int, D the lcm
+    of the entry denominators, from construction on; marginals,
+    composition, inverse and norm read it.  Declared marginals are
+    optional; when given they are checked against the row/column sums by
+    integer cross-multiplication, naming the first offending coordinate.
     """
 
     space: FiniteMetricSpace
@@ -144,47 +155,54 @@ class Coupling:
     nu: Measure | None = None
 
     def __post_init__(self):
-        n = self.space.n_points()
         if isinstance(self.gamma, str) or any(
                 isinstance(row, str) for row in self.gamma):
             raise TypeError("coupling matrix is a string or has a string "
                             "row, not rows of rationals")
         g = tuple(tuple(as_fraction(v) for v in row) for row in self.gamma)
-        if len(g) != n or any(len(row) != n for row in g):
+        self._settle(*_matrix_over_lcm(g), g)
+
+    def _settle(self, num, D, gamma=None):
+        """Check shape, nonnegative entries and exact marginals of the
+        matrix num / D, given as Fractions in gamma when the caller has
+        them, and adopt it in lowest terms."""
+        n = self.space.n_points()
+        if len(num) != n or any(len(row) != n for row in num):
             raise ValueError("coupling matrix is not n x n")
-        for row in g:
-            for v in row:
-                if v < 0:
-                    raise ValueError(f"negative coupling entry {v}")
-        self.gamma = g
-        num, D = _matrix_over_lcm(g)
-        rows = tuple(Fraction(sum(r), D) for r in num)
-        cols = tuple(Fraction(sum(c), D) for c in zip(*num))
-        if self.mu is None:
-            self.mu = Measure(self.space, rows)  # checks total mass 1
-        else:
-            _match_weights("first marginal", self.mu.weights, rows)
-        if self.nu is None:
-            self.nu = Measure(self.space, cols)
-        else:
-            _match_weights("second marginal", self.nu.weights, cols)
+        neg = [v for row in num for v in row if v < 0]
+        if neg:
+            raise ValueError(f"negative coupling entry {Fraction(neg[0], D)}")
+        g = math.gcd(D, *chain.from_iterable(num))
+        num, D = tuple(tuple(v // g for v in row) for row in num), D // g
+        self._int = (num, D)
+        self.gamma = gamma or tuple(
+            tuple(Fraction(v, D) for v in row) for row in num)
+        self.mu = self._marginal(
+            "first marginal", self.mu, [sum(row) for row in num], D)
+        self.nu = self._marginal(
+            "second marginal", self.nu, [sum(col) for col in zip(*num)], D)
+        self._norm = None
+
+    def _marginal(self, what, declared, sums, D):
+        """declared, checked against sums / D, or else a new Measure."""
+        if declared is None:
+            return _measure(self.space, sums, D)
+        w, L = declared._int
+        for i, (a, b) in enumerate(zip(w, sums)):
+            if a * D != b * L:
+                raise ValueError(
+                    f"declared {what} differs from the matrix at point index "
+                    f"{i}: {declared[i]} != {Fraction(b, D)}")
+        return declared
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Coupling)
-            and self.space == other.space
-            and self.gamma == other.gamma
-        )
+        return (isinstance(other, Coupling) and self.space == other.space
+                and self._int == other._int)
 
     def support(self) -> list:
         """Occupied (row, column) pairs."""
-        n = self.space.n_points()
-        return [
-            (x, y)
-            for x in range(n)
-            for y in range(n)
-            if self.gamma[x][y] > 0
-        ]
+        return [(x, y) for x, row in enumerate(self._int[0])
+                for y, v in enumerate(row) if v > 0]
 
     def to_json(self):
         return {
@@ -204,13 +222,12 @@ class Coupling:
         return cls(space, data["gamma"], mu=mu, nu=nu)
 
 
-def _match_weights(what, declared, computed):
-    for i, (a, b) in enumerate(zip(declared, computed)):
-        if a != b:
-            raise ValueError(
-                f"declared {what} differs from the matrix at point index "
-                f"{i}: {a} != {b}"
-            )
+def _plan(space, num, D, mu=None, nu=None, gamma=None) -> Coupling:
+    """The plan num / D, checked like Coupling(...); constructors use it."""
+    p = Coupling.__new__(Coupling)
+    p.space, p.mu, p.nu = space, mu, nu
+    p._settle(num, D, gamma)
+    return p
 
 
 def _same_space(a, b):
@@ -223,20 +240,16 @@ def _same_space(a, b):
 
 def diag_plan(mu: Measure) -> Coupling:
     """The identity plan at mu: all mass stays put."""
-    n = mu.space.n_points()
-    g = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        g[i][i] = mu.weights[i]
-    return Coupling(mu.space, tuple(tuple(r) for r in g), mu=mu, nu=mu)
+    w, L = mu._int
+    g = [[v if x == y else 0 for y in range(len(w))] for x, v in enumerate(w)]
+    return _plan(mu.space, g, L, mu, mu)
 
 
 def product_plan(mu: Measure, nu: Measure) -> Coupling:
     """The independent coupling mu (x) nu."""
     _same_space(mu, nu)
-    g = tuple(
-        tuple(a * b for b in nu.weights) for a in mu.weights
-    )
-    return Coupling(mu.space, g, mu=mu, nu=nu)
+    (a, La), (b, Lb) = mu._int, nu._int
+    return _plan(mu.space, [[x * y for y in b] for x in a], La * Lb, mu, nu)
 
 
 @dataclass
@@ -272,25 +285,25 @@ def map_plan(f, mu: Measure) -> Coupling:
 
     f may be a callable on point indices or a sequence; it only has to be
     defined on the support of mu."""
-    n = mu.space.n_points()
+    w, L = mu._int
+    n = len(w)
     fx = [f(x) if callable(f) else f[x] for x in range(n)]
-    g = [[Fraction(0)] * n for _ in range(n)]
+    g = [[0] * n for _ in range(n)]
     for x in mu.support():
         y = fx[x]
         if y is None or not (0 <= y < n):
             raise ValueError(f"map undefined at support point {x}")
-        g[x][y] += mu.weights[x]
-    return Coupling(mu.space, tuple(tuple(r) for r in g), mu=mu)
+        g[x][y] += w[x]
+    return _plan(mu.space, g, L, mu)
 
 
 def push_forward(f, mu: Measure) -> Measure:
     """The image measure f # mu."""
-    n = mu.space.n_points()
-    w = [Fraction(0)] * n
+    w, L = mu._int
+    out = [0] * len(w)
     for x in mu.support():
-        y = f(x) if callable(f) else f[x]
-        w[y] += mu.weights[x]
-    return Measure(mu.space, tuple(w))
+        out[f(x) if callable(f) else f[x]] += w[x]
+    return _measure(mu.space, out, L)
 
 
 # ---------------------------------------------------------------------------
@@ -307,56 +320,52 @@ def compose_plans(gamma: Coupling, gamma_prime: Coupling) -> Coupling:
     Conditionals are only defined on the support of nu; zero-mass middle
     points carry no mass in either factor, so they drop out.
 
-    In integers: gamma = A / Da and gamma' = B / Db over the lcms of
-    their entry denominators, so nu(y) = c_y / Da with c_y the column
-    sums of A, and gamma(x,y) / nu(y) = A(x,y) / c_y = A(x,y) s_y / M
-    with M the lcm of the nonzero c_y and s_y = M / c_y.  Each entry is
-    then one integer sum over y of A(x,y) s_y B(y,z), over Db M.
+    In integers: gamma = A / Da and gamma' = B / Db are the two plans'
+    integer forms, so nu(y) = c_y / Da with c_y the column sums of A, and
+    gamma(x,y) / nu(y) = A(x,y) / c_y = A(x,y) s_y / M with M the lcm of
+    the nonzero c_y and s_y = M / c_y.  Each entry is then one integer
+    sum over y of A(x,y) s_y B(y,z), over Db M.
     """
     _same_space(gamma, gamma_prime)
-    nu = gamma.nu.weights
-    mu_p = gamma_prime.mu.weights
-    for i, (a, b) in enumerate(zip(nu, mu_p)):
-        if a != b:
-            raise MarginalMismatch(i, a, b)
-    A, _ = _matrix_over_lcm(gamma.gamma)
-    B, Db = _matrix_over_lcm(gamma_prime.gamma)
+    nu, mu_p = gamma.nu.weights, gamma_prime.mu.weights
+    if gamma.nu._int != gamma_prime.mu._int:  # both in lowest terms
+        i = next(i for i, (a, b) in enumerate(zip(nu, mu_p)) if a != b)
+        raise MarginalMismatch(i, nu[i], mu_p[i])
+    (A, _), (B, Db) = gamma._int, gamma_prime._int
     c = [sum(col) for col in zip(*A)]
     M = math.lcm(*(v for v in c if v))
     s = [M // v if v else 0 for v in c]
     rows = [list(map(mul, row, s)) for row in A]
     cols = list(zip(*B))
-    den = Db * M
-    out = tuple(
-        tuple(Fraction(_dot(row, col), den) for col in cols) for row in rows
-    )
-    return Coupling(gamma.space, out, mu=gamma.mu, nu=gamma_prime.nu)
+    out = [[_dot(row, col) for col in cols] for row in rows]
+    return _plan(gamma.space, out, Db * M, gamma.mu, gamma_prime.nu)
 
 
 def inverse_plan(gamma: Coupling) -> Coupling:
     """Transpose: run the plan backwards."""
-    n = gamma.space.n_points()
-    g = tuple(
-        tuple(gamma.gamma[y][x] for y in range(n)) for x in range(n)
-    )
-    return Coupling(gamma.space, g, mu=gamma.nu, nu=gamma.mu)
+    num, D = gamma._int
+    return _plan(gamma.space, tuple(zip(*num)), D, gamma.nu, gamma.mu,
+                 tuple(zip(*gamma.gamma)))
 
 
 def norm_d(gamma: Coupling) -> Fraction:
     """Mean displacement of the plan: the integral of d against gamma,
-    as one integer sum over the lcms of the two matrices' denominators."""
-    d, Dd = _matrix_over_lcm(gamma.space.dist)
-    g, Dg = _matrix_over_lcm(gamma.gamma)
-    return Fraction(sum(map(_dot, d, g)), Dd * Dg)
+    as one integer sum over the integer forms of d and gamma.  Computed
+    once per plan."""
+    if gamma._norm is None:
+        (d, Dd), (g, Dg) = gamma.space._int, gamma._int
+        gamma._norm = Fraction(sum(map(_dot, d, g)), Dd * Dg)
+    return gamma._norm
 
 
 def lip1_witness(space: FiniteMetricSpace, values):
     """None if the values are 1-Lipschitz, else the first violating
-    ordered pair (x, y)."""
-    n = space.n_points()
-    for x in range(n):
-        for y in range(n):
-            if x != y and values[x] - values[y] > space.dist[x][y]:
+    ordered pair (x, y).  Compares integers over the lcm of the values'
+    denominators and the space's integer distances."""
+    (u, Du), (d, Dd) = _over_lcm(values), space._int
+    for x, (ux, row) in enumerate(zip(u, d)):
+        for y, (uy, dxy) in enumerate(zip(u, row)):
+            if (ux - uy) * Dd > dxy * Du:
                 return (x, y)
     return None
 
@@ -413,9 +422,9 @@ def is_invtrans(gamma: Coupling):
     (forward MapPlan, backward MapPlan) or None.  Equivalent dual route
     (tested elsewhere): both gamma^-1 o gamma = diag(mu) and
     gamma o gamma^-1 = diag(nu)."""
-    n = gamma.space.n_points()
-    rows = [[y for y in range(n) if gamma.gamma[x][y] > 0] for x in range(n)]
-    cols = [[x for x in range(n) if gamma.gamma[x][y] > 0] for y in range(n)]
+    num = gamma._int[0]
+    rows = [[y for y, v in enumerate(row) if v > 0] for row in num]
+    cols = [[x for x, v in enumerate(col) if v > 0] for col in zip(*num)]
     if any(len(r) > 1 for r in rows) or any(len(c) > 1 for c in cols):
         return None
     f = tuple(r[0] if r else None for r in rows)
@@ -554,10 +563,9 @@ def _integer_problem(mu: Measure, nu: Measure):
     """The transport problem on plain ints: supplies and demands scaled
     by L, the lcm of the weight denominators, costs by D, the lcm of the
     distance denominators.  Returns (supply, demand, cost, L, D)."""
-    n = mu.space.n_points()
-    masses, L = _over_lcm(mu.weights + nu.weights)
-    cost, D = _matrix_over_lcm(mu.space.dist)
-    return masses[:n], masses[n:], cost, L, D
+    supply, demand, L = _common(mu, nu)
+    cost, D = mu.space._int
+    return supply, demand, cost, L, D
 
 
 def _northwest_corner(supply, demand) -> dict:
@@ -662,20 +670,21 @@ def _pivot_to_optimum(cost, basis) -> int:
 
 
 def _read_basis(cost, basis, L, D):
-    """The plan and the potential a basis stands for, in the original
-    units.  The potential is the c-transform of the column potentials,
-    phi(x) = min_y (c(x, y) - v_y) / D: 1-Lipschitz by the triangle
-    inequality, and a maximiser when the basis is optimal."""
+    """The plan and the potential a basis stands for: (flows, gamma, phi),
+    with gamma = flows / L in the original units.  The potential is the
+    c-transform of the column potentials, phi(x) = min_y (c(x, y) - v_y)
+    / D: 1-Lipschitz by the triangle inequality, and a maximiser when the
+    basis is optimal."""
     n = len(cost)
-    gamma = [[Fraction(0)] * n for _ in range(n)]
+    flows = [[0] * n for _ in range(n)]
     for k, flow in basis.items():
-        x, y = divmod(k, n)
-        gamma[x][y] = Fraction(flow, L)
+        flows[k // n][k % n] = flow
+    gamma = tuple(tuple(Fraction(v, L) for v in row) for row in flows)
     _, v = _potentials(cost, basis)
     phi = tuple(
         Fraction(min(c - vy for c, vy in zip(row, v)), D) for row in cost
     )
-    return tuple(tuple(row) for row in gamma), phi
+    return flows, gamma, phi
 
 
 def check_kantorovich_certificate(mu: Measure, nu: Measure, gamma, u):
@@ -686,11 +695,12 @@ def check_kantorovich_certificate(mu: Measure, nu: Measure, gamma, u):
     and column sums); u is 1-Lipschitz (witness: a violating pair); the
     gap sum d.gamma - sum u.(mu - nu) is zero; complementary slackness,
     u(x) - u(y) = d(x, y) on every occupied cell.  Weak duality makes a
-    passing pair optimal on both sides, whatever produced it."""
+    passing pair optimal on both sides, whatever produced it.  All sums
+    and comparisons are in integers, each operand over its own lcm."""
     _same_space(mu, nu)
     space = mu.space
     n = space.n_points()
-    d = space.dist
+    d, Dd = space._int
     rep = ValidationReport(subject=f"transport certificate on {n} points")
     marg = LawCheck("plan is a coupling of (mu, nu), exactly")
     lip = LawCheck("potential is 1-Lipschitz")
@@ -698,39 +708,43 @@ def check_kantorovich_certificate(mu: Measure, nu: Measure, gamma, u):
     slack = LawCheck("u(x) - u(y) = d(x, y) on every occupied cell")
     rep.add(marg, lip, gap, slack)
 
-    rows = [sum(row) for row in gamma]
-    cols = [sum(row[y] for row in gamma) for y in range(n)]
-    for i in range(n):
+    g, Dg = _matrix_over_lcm(gamma)
+    ui, Du = _over_lcm(u)
+    (a, La), (b, Lb) = mu._int, nu._int
+    for i, (row, col) in enumerate(zip(g, zip(*g))):
         marg.tick(2)
-        if rows[i] != mu[i]:
-            marg.fail(row=i, sum=str(rows[i]), marginal=str(mu[i]))
-        if cols[i] != nu[i]:
-            marg.fail(column=i, sum=str(cols[i]), marginal=str(nu[i]))
-    for x in range(n):
-        for y in range(n):
-            if gamma[x][y] < 0:
+        if sum(row) * La != a[i] * Dg:
+            marg.fail(row=i, sum=str(Fraction(sum(row), Dg)),
+                      marginal=str(mu[i]))
+        if sum(col) * Lb != b[i] * Dg:
+            marg.fail(column=i, sum=str(Fraction(sum(col), Dg)),
+                      marginal=str(nu[i]))
+    for x, row in enumerate(g):
+        for y, v in enumerate(row):
+            if v < 0:
                 marg.fail(cell=(x, y), mass=str(gamma[x][y]))
 
     lip.tick(n * (n - 1))
     w = lip1_witness(space, u)
     if w is not None:
         x, y = w
-        lip.fail(pair=w, difference=str(u[x] - u[y]), d=str(d[x][y]))
+        lip.fail(pair=w, difference=str(u[x] - u[y]),
+                 d=str(space.dist[x][y]))
 
     occupied = [
-        (x, y) for x in range(n) for y in range(n) if gamma[x][y] > 0
+        (x, y) for x, row in enumerate(g) for y, v in enumerate(row) if v > 0
     ]
-    primal = sum(d[x][y] * gamma[x][y] for x, y in occupied)
-    dual = sum(u[x] * (mu[x] - nu[x]) for x in range(n))
+    primal = Fraction(sum(d[x][y] * g[x][y] for x, y in occupied), Dd * Dg)
+    dual = _pairing(u, mu, nu)
     gap.tick()
     if primal != dual:
         gap.fail(primal=str(primal), dual=str(dual))
 
     for x, y in occupied:
         slack.tick()
-        if u[x] - u[y] != d[x][y]:
+        if (ui[x] - ui[y]) * Dd != d[x][y] * Du:
             slack.fail(cell=(x, y), difference=str(u[x] - u[y]),
-                       d=str(d[x][y]))
+                       d=str(space.dist[x][y]))
     return rep
 
 
@@ -750,14 +764,14 @@ def kantorovich(mu: Measure, nu: Measure) -> KantorovichResult:
     supply, demand, cost, L, D = _integer_problem(mu, nu)
     basis = _northwest_corner(supply, demand)
     pivots = _pivot_to_optimum(cost, basis)
-    gamma, phi = _read_basis(cost, basis, L, D)
+    flows, gamma, phi = _read_basis(cost, basis, L, D)
     rep = check_kantorovich_certificate(mu, nu, gamma, phi)
     if not rep.passed:
         raise AssertionError(
             "transport certificate failed (this is an internal error: "
             "the solver is exact)\n" + rep.summary()
         )
-    plan = Coupling(space, gamma, mu=mu, nu=nu)
+    plan = _plan(space, flows, L, mu, nu, gamma)
     u = LipFunction(space, phi)
     primal = norm_d(plan)
     dual = _pairing(u.values, mu, nu)
@@ -811,36 +825,33 @@ def random_measure(
 ) -> Measure:
     n = space.n_points()
     w = [
-        Fraction(rng.randint(1, 12)) if full_support or rng.random() < 0.75
-        else Fraction(0)
+        rng.randint(1, 12) if full_support or rng.random() < 0.75 else 0
         for _ in range(n)
     ]
     if sum(w) == 0:
-        w[rng.randrange(n)] = Fraction(1)
-    total = sum(w)
-    return Measure(space, tuple(v / total for v in w))
+        w[rng.randrange(n)] = 1
+    return _measure(space, w, sum(w))
 
 
 def random_coupling_from(
     mu: Measure, rng, full_support: bool = True
 ) -> Coupling:
     """A random plan with first marginal mu: each support row spreads its
-    mass by random positive rational proportions."""
-    n = mu.space.n_points()
-    g = [[Fraction(0)] * n for _ in range(n)]
+    mass by random integer proportions p, over L T with T = lcm sum(p)."""
+    w, L = mu._int
+    n, T = len(w), 1
+    g = [[0] * n for _ in range(n)]
     for x in mu.support():
-        props = [
-            Fraction(rng.randint(1, 12))
-            if full_support or rng.random() < 0.7
-            else Fraction(0)
+        g[x] = p = [
+            rng.randint(1, 12) if full_support or rng.random() < 0.7 else 0
             for _ in range(n)
         ]
-        if sum(props) == 0:
-            props[rng.randrange(n)] = Fraction(1)
-        total = sum(props)
-        for y in range(n):
-            g[x][y] = mu.weights[x] * props[y] / total
-    return Coupling(mu.space, tuple(tuple(r) for r in g), mu=mu)
+        if sum(p) == 0:
+            p[rng.randrange(n)] = 1
+        T = math.lcm(T, sum(p))
+    for x in mu.support():
+        g[x] = [w[x] * (T // sum(g[x])) * v for v in g[x]]
+    return _plan(mu.space, g, L * T, mu)
 
 
 def random_coupling_between(mu: Measure, nu: Measure, rng) -> Coupling:
@@ -848,25 +859,25 @@ def random_coupling_between(mu: Measure, nu: Measure, rng) -> Coupling:
     random order assigning each a random fraction of the feasible mass,
     then zero out whatever is left with the northwest-corner rule (the
     leftover row and column masses always balance, so it lands
-    exactly)."""
-    n = mu.space.n_points()
-    rows = list(mu.weights)
-    cols = list(nu.weights)
-    g = [[Fraction(0)] * n for _ in range(n)]
+    exactly).  Masses are integers over L 8^(n^2): each of the n^2
+    cells takes eighths of what is left, so every amount stays whole."""
+    rows, cols, L = _common(mu, nu)
+    n, E = len(rows), 8 ** (len(rows) ** 2)
+    rows, cols = [v * E for v in rows], [v * E for v in cols]
+    g = [[0] * n for _ in range(n)]
     cells = [(x, y) for x in range(n) for y in range(n)]
     rng.shuffle(cells)
     for x, y in cells:
         cap = min(rows[x], cols[y])
         if cap == 0:
             continue
-        t = cap * Fraction(rng.randint(0, 8), 8)
+        t = cap * rng.randint(0, 8) // 8
         g[x][y] += t
         rows[x] -= t
         cols[y] -= t
     for k, t in _northwest_corner(rows, cols).items():
-        x, y = divmod(k, n)
-        g[x][y] += t
-    return Coupling(mu.space, tuple(tuple(r) for r in g), mu=mu, nu=nu)
+        g[k // n][k % n] += t
+    return _plan(mu.space, g, L * E, mu, nu)
 
 
 def random_composable_chain(space, rng, length=3, full_support=True):
@@ -1018,10 +1029,11 @@ def check_transport(space=None, seed=0, samples=40) -> ValidationReport:
         if left.gamma != right.gamma:
             law.fail(sample=k, left=left.gamma, right=right.gamma)
 
+        id_mu, id_nu = diag_plan(a.mu), diag_plan(a.nu)
         ident.tick(2)
-        if compose_plans(a, diag_plan(a.nu)).gamma != a.gamma:
+        if compose_plans(a, id_nu).gamma != a.gamma:
             ident.fail(side="post", sample=k)
-        if compose_plans(diag_plan(a.mu), a).gamma != a.gamma:
+        if compose_plans(id_mu, a).gamma != a.gamma:
             ident.fail(side="pre", sample=k)
 
         ia = inverse_plan(a)
@@ -1036,7 +1048,7 @@ def check_transport(space=None, seed=0, samples=40) -> ValidationReport:
             anti.fail(sample=k)
 
         nzero.tick()
-        is_identity = a.gamma == diag_plan(a.mu).gamma
+        is_identity = a.gamma == id_mu.gamma
         if (norm_d(a) == 0) != is_identity:
             nzero.fail(sample=k, d=str(norm_d(a)))
         nsub.tick()
@@ -1051,8 +1063,8 @@ def check_transport(space=None, seed=0, samples=40) -> ValidationReport:
         itr.tick()
         witness = is_invtrans(a)
         diag_both = (
-            loop.gamma == diag_plan(a.mu).gamma
-            and compose_plans(ia, a).gamma == diag_plan(a.nu).gamma
+            loop.gamma == id_mu.gamma
+            and compose_plans(ia, a).gamma == id_nu.gamma
         )
         if (witness is not None) != diag_both:
             itr.fail(sample=k, criterion=witness is not None)

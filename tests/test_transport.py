@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from ngd import transport
 from ngd.constructions import FiniteMetricSpace, random_metric_space
-from ngd.fixtures import unpivoted_transport_basis
+from ngd.core import _matrix_over_lcm
+from ngd.fixtures import marginal_off_by_one_unit, unpivoted_transport_basis
 from ngd.transport import (
     Coupling,
     LipFunction,
@@ -33,6 +34,7 @@ from ngd.transport import (
     product_plan,
     push_forward,
     random_composable_chain,
+    random_coupling_from,
     random_coupling_between,
     random_measure,
     seminorm_rho,
@@ -925,3 +927,332 @@ def test_domination_fails_with_the_potential_as_witness(monkeypatch):
         "potential)")
     assert not dom.passed and dom.witnesses
     assert all(w["u"] in potentials for w in dom.witnesses)
+
+
+# ---------------------------------------------------------------------------
+# the integer forms against the Fraction-built references
+#
+# Measures, plans and spaces keep their integer forms from construction,
+# the plan constructors build their results over a common denominator,
+# and the certificate sums in integers.  The references below build the
+# same objects with Fraction arithmetic: entries as Fractions, marginals
+# as chained Fraction sums, and the certificate as chained Fraction
+# additions.  Both must agree with ==, and refuse with the same text.
+
+
+def ref_coupling(space, gamma, mu=None, nu=None):
+    """A Coupling as the Fraction path builds it: (gamma, mu weights, nu
+    weights), or the ValueError Coupling(...) raises, with its text."""
+    n = space.n_points()
+    g = tuple(tuple(Fraction(v) for v in row) for row in gamma)
+    if len(g) != n or any(len(row) != n for row in g):
+        raise ValueError("coupling matrix is not n x n")
+    for row in g:
+        for v in row:
+            if v < 0:
+                raise ValueError(f"negative coupling entry {v}")
+    out = []
+    for what, declared, sums in zip(("first marginal", "second marginal"),
+                                    (mu, nu), ref_marginals(g)):
+        if declared is None:
+            if sum(sums) != 1:
+                raise ValueError(f"total mass {sum(sums)} != 1")
+            out.append(sums)
+            continue
+        for i, (a, b) in enumerate(zip(declared.weights, sums)):
+            if a != b:
+                raise ValueError(
+                    f"declared {what} differs from the matrix at point "
+                    f"index {i}: {a} != {b}")
+        out.append(declared.weights)
+    return g, out[0], out[1]
+
+
+def ref_random_measure(space, rng, full_support):
+    n = space.n_points()
+    w = [
+        Fraction(rng.randint(1, 12)) if full_support or rng.random() < 0.75
+        else Fraction(0)
+        for _ in range(n)
+    ]
+    if sum(w) == 0:
+        w[rng.randrange(n)] = Fraction(1)
+    total = sum(w)
+    return tuple(v / total for v in w)
+
+
+def ref_coupling_from(mu, rng, full_support):
+    n = mu.space.n_points()
+    g = [[Fraction(0)] * n for _ in range(n)]
+    for x in range(n):
+        if mu[x] == 0:
+            continue
+        props = [
+            Fraction(rng.randint(1, 12))
+            if full_support or rng.random() < 0.7 else Fraction(0)
+            for _ in range(n)
+        ]
+        if sum(props) == 0:
+            props[rng.randrange(n)] = Fraction(1)
+        total = sum(props)
+        g[x] = [mu[x] * p / total for p in props]
+    return g
+
+
+def ref_plans(mu, nu, f):
+    """(plan, reference) pairs for every plan constructor, on measures
+    mu and nu of one space and a map f."""
+    n = mu.space.n_points()
+    X = mu.space
+    diag = [[mu[x] if x == y else 0 for y in range(n)] for x in range(n)]
+    image = [Fraction(0)] * n
+    mapped = [[Fraction(0)] * n for _ in range(n)]
+    for x in range(n):
+        image[f[x]] += mu[x]
+        mapped[x][f[x]] += mu[x]
+    plan = map_plan(f, mu)
+    assert push_forward(f, mu).weights == tuple(image)
+    pairs = [
+        (diag_plan(mu), ref_coupling(X, diag, mu, mu)),
+        (product_plan(mu, nu), ref_coupling(
+            X, [[a * b for b in nu.weights] for a in mu.weights], mu, nu)),
+        (plan, ref_coupling(X, mapped, mu)),
+        (inverse_plan(plan), ref_coupling(
+            X, list(zip(*plan.gamma)), plan.nu, plan.mu)),
+    ]
+    for full in (True, False):
+        seed = n * 7 + full
+        a, b = random.Random(seed), random.Random(seed)
+        pairs.append((random_coupling_from(mu, a, full),
+                      ref_coupling(X, ref_coupling_from(mu, b, full), mu)))
+        assert a.getstate() == b.getstate()
+        a, b = random.Random(seed), random.Random(seed)
+        pairs.append((random_coupling_between(mu, nu, a), ref_coupling(
+            X, sweep_coupling_between(mu, nu, b), mu, nu)))
+        assert a.getstate() == b.getstate()
+    first = pairs[-1][0]
+    for second in (diag_plan(nu), inverse_plan(first), pairs[-2][0]):
+        if second.mu.weights == nu.weights:
+            pairs.append((compose_plans(first, second), ref_coupling(
+                X, ref_compose(first, second), mu, second.nu)))
+    return pairs
+
+
+def measure_pairs(seed):
+    """Two measure pairs on random_metric_space(seed): one with full
+    support, one where point 0 carries no mass (on either side)."""
+    space = random_metric_space(seed=seed, max_points=6)
+    rng = random.Random(seed)
+    pairs = []
+    for full in (True, False):
+        state = rng.getstate()
+        mu = random_measure(space, rng, full_support=full)
+        after = rng.getstate()
+        rng.setstate(state)
+        assert mu.weights == ref_random_measure(space, rng, full)
+        assert rng.getstate() == after
+        pairs.append((mu, random_measure(space, rng, full_support=full)))
+    pairs.append(tuple(measure_with_zeros(space, rng) for _ in range(2)))
+    return pairs
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_plan_constructors_match_the_fraction_references(seed):
+    for mu, nu in measure_pairs(seed):
+        space = mu.space
+        assert space._int == _matrix_over_lcm(space.dist)
+        n = space.n_points()
+        f = tuple((x * 5 + seed) % n for x in range(n))
+        for plan, (g, mu_w, nu_w) in ref_plans(mu, nu, f):
+            assert plan.gamma == g
+            assert (plan.mu.weights, plan.nu.weights) == (mu_w, nu_w)
+            assert norm_d(plan) == ref_norm_d(plan)
+            assert norm_d(plan) is norm_d(plan)  # once per plan
+            assert plan._int == _matrix_over_lcm(g)
+            for m in (plan.mu, plan.nu):
+                w, L = m._int
+                assert (list(w), L) == transport._over_lcm(m.weights)
+
+
+def refusal(build):
+    with pytest.raises(ValueError) as exc:
+        build()
+    return str(exc.value)
+
+
+def test_refusals_read_like_the_fraction_path():
+    space = line3()
+    third, sixth = Fraction(1, 3), Fraction(1, 6)
+    off = Measure(space, (third, sixth, Fraction(1, 2)))
+    cases = [
+        (((third, 0, 0), (0, Fraction(1, 2), -sixth), (0, 0, third)), {}),
+        (((third, 0, 0), (0, third, 0), (0, 0, third)), {"mu": off}),
+        (((third, 0, 0), (0, third, 0), (0, 0, third)), {"nu": off}),
+        (((third, 0, 0), (0, third, 0), (0, 0, sixth)), {}),
+    ]
+    texts = set()
+    for gamma, declared in cases:
+        text = refusal(lambda: Coupling(space, gamma, **declared))
+        assert text == refusal(lambda: ref_coupling(space, gamma,
+                                                    **declared))
+        num, D = _matrix_over_lcm(gamma)
+        assert text == refusal(
+            lambda: transport._plan(space, num, D, **declared))
+        texts.add(text)
+    assert texts == {
+        "negative coupling entry -1/6",
+        "declared first marginal differs from the matrix at point index "
+        "1: 1/6 != 1/3",
+        "declared second marginal differs from the matrix at point index "
+        "1: 1/6 != 1/3",
+        "total mass 5/6 != 1",
+    }
+
+
+def ref_certificate(mu, nu, gamma, u):
+    """The certificate as chained Fraction additions."""
+    space = mu.space
+    n = space.n_points()
+    d = space.dist
+    rep = transport.ValidationReport(
+        subject=f"transport certificate on {n} points")
+    marg = transport.LawCheck("plan is a coupling of (mu, nu), exactly")
+    lip = transport.LawCheck("potential is 1-Lipschitz")
+    gap = transport.LawCheck("sum d gamma = sum u (mu - nu), exactly")
+    slack = transport.LawCheck(
+        "u(x) - u(y) = d(x, y) on every occupied cell")
+    rep.add(marg, lip, gap, slack)
+    rows = [sum(row) for row in gamma]
+    cols = [sum(row[y] for row in gamma) for y in range(n)]
+    for i in range(n):
+        marg.tick(2)
+        if rows[i] != mu[i]:
+            marg.fail(row=i, sum=str(rows[i]), marginal=str(mu[i]))
+        if cols[i] != nu[i]:
+            marg.fail(column=i, sum=str(cols[i]), marginal=str(nu[i]))
+    for x in range(n):
+        for y in range(n):
+            if gamma[x][y] < 0:
+                marg.fail(cell=(x, y), mass=str(gamma[x][y]))
+    lip.tick(n * (n - 1))
+    for x in range(n):
+        bad = [y for y in range(n) if x != y and u[x] - u[y] > d[x][y]]
+        if bad:
+            y = bad[0]
+            lip.fail(pair=(x, y), difference=str(u[x] - u[y]),
+                     d=str(d[x][y]))
+            break
+    occupied = [
+        (x, y) for x in range(n) for y in range(n) if gamma[x][y] > 0
+    ]
+    primal = sum(d[x][y] * gamma[x][y] for x, y in occupied)
+    dual = sum(u[x] * (mu[x] - nu[x]) for x in range(n))
+    gap.tick()
+    if primal != dual:
+        gap.fail(primal=str(primal), dual=str(dual))
+    for x, y in occupied:
+        slack.tick()
+        if u[x] - u[y] != d[x][y]:
+            slack.fail(cell=(x, y), difference=str(u[x] - u[y]),
+                       d=str(d[x][y]))
+    return rep
+
+
+def assert_certificates_agree(mu, nu, gamma, u):
+    got = check_kantorovich_certificate(mu, nu, gamma, u)
+    assert got.to_json() == ref_certificate(mu, nu, gamma, u).to_json()
+    return got
+
+
+def failing_laws(rep):
+    return [law.law for law in rep.laws if not law.passed]
+
+
+def test_certificate_matches_the_fraction_reference_on_every_answer():
+    for seed in range(9):
+        for mu, nu in measure_pairs(seed):
+            for a, b in ((mu, nu), (nu, mu), (mu, mu)):
+                res = kantorovich(a, b)
+                assert assert_certificates_agree(
+                    a, b, res.plan.gamma, res.potential.values).passed
+    rep = assert_certificates_agree(*unpivoted_transport_basis())
+    assert failing_laws(rep) == [
+        "sum d gamma = sum u (mu - nu), exactly",
+        "u(x) - u(y) = d(x, y) on every occupied cell",
+    ]
+
+
+def test_certificate_matches_the_fraction_reference_on_perturbed_pairs():
+    """Four perturbations of certified optima, each aimed at one law.
+
+    A one-unit cut on the diagonal breaks only the marginals, and a raised
+    potential at a massless point breaks only the Lipschitz law.  With
+    exact marginals and a 1-Lipschitz u, the gap is the sum of the
+    occupied cells' slack times their mass, so the gap and slackness laws
+    fail together: once from a plan moved off the tight cells, once from
+    a potential lowered under a source point."""
+    space = line3()
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    mu = Measure(space, (half, half, 0))
+    nu = Measure(space, (half, 0, half))
+    res = kantorovich(mu, nu)
+    g, u = res.plan.gamma, res.potential.values
+    assert (g, u) == (((half, 0, 0), (0, 0, half), (0, 0, 0)), (0, 1, 0))
+
+    even = Measure(space, (third, third, third))
+    cut_u = kantorovich(even, even).potential.values
+    cut = ((0, 0, 0), (0, third, 0), (0, 0, third))  # L = 3, one unit off
+    lifted = kantorovich(mu, mu).potential.values
+    lifted = lifted[:2] + (lifted[2] + 5,)  # point 2 carries no mass
+    moved = ((0, 0, half), (half, 0, 0), (0, 0, 0))  # costs 3/2, not 1/2
+    lowered = (0, half, 0)
+    cases = [
+        ((even, even, cut, cut_u),
+         ["plan is a coupling of (mu, nu), exactly"]),
+        ((mu, mu, diag_plan(mu).gamma, lifted),
+         ["potential is 1-Lipschitz"]),
+        ((mu, nu, moved, u),
+         ["sum d gamma = sum u (mu - nu), exactly",
+          "u(x) - u(y) = d(x, y) on every occupied cell"]),
+        ((mu, nu, g, lowered),
+         ["sum d gamma = sum u (mu - nu), exactly",
+          "u(x) - u(y) = d(x, y) on every occupied cell"]),
+    ]
+    for args, laws in cases:
+        assert failing_laws(assert_certificates_agree(*args)) == laws
+
+
+def test_certificate_matches_the_fraction_reference_on_random_damage():
+    """Seeded one-unit damage to plans and potentials: every witness the
+    integer certificate writes is the one the Fraction sums write."""
+    rng = random.Random(99)
+    for seed in range(9):
+        for mu, nu in measure_pairs(seed):
+            res = kantorovich(mu, nu)
+            n = mu.space.n_points()
+            for _ in range(4):
+                g = [list(row) for row in res.plan.gamma]
+                u = list(res.potential.values)
+                x, y = rng.randrange(n), rng.randrange(n)
+                unit = Fraction(rng.choice([-1, 1]), rng.randint(1, 12))
+                if rng.random() < 0.5:
+                    g[x][y] += unit
+                else:
+                    u[x] += unit
+                assert_certificates_agree(mu, nu, g, u)
+
+
+def test_planted_off_by_one_unit_fails_the_marginal_law_only():
+    mu, nu, gamma, u = marginal_off_by_one_unit()
+    assert transport._common(mu, nu)[2] == 6
+    rep = assert_certificates_agree(mu, nu, gamma, u)
+    assert failing_laws(rep) == ["plan is a coupling of (mu, nu), exactly"]
+    marg = rep.law("plan is a coupling of (mu, nu), exactly")
+    assert marg.witnesses == [
+        {"row": 0, "sum": "1/3", "marginal": "1/2"},
+        {"column": 0, "sum": "0", "marginal": "1/6"},
+    ]
+    # one unit of L = 6 back on the cell gives the certified optimum
+    fixed = [list(row) for row in gamma]
+    fixed[0][0] += Fraction(1, 6)
+    assert check_kantorovich_certificate(mu, nu, fixed, u).passed
