@@ -161,11 +161,7 @@ def cmd_validate(args) -> int:
 
 def cmd_eval(args) -> int:
     model = _models_from(args)[0]
-    ctx = dsl.EvalContext(
-        model,
-        eps_grid=_grid_from(args),
-        tol=args.tol,
-    )
+    ctx = dsl.EvalContext(model, eps_grid=_grid_from(args), tol=args.tol)
     if args.base:
         try:
             base_node = dsl.parse(args.base)
@@ -196,31 +192,40 @@ def cmd_eval(args) -> int:
 # limits
 
 
-def cmd_limits(args) -> int:
+def _limit_reports(args, axioms):
+    """Per model, the reports named in axioms, in this order: A3, A4weak,
+    A3mod, cone, fibers (the fiber dilatation structure and the
+    translation groupoid) and distortion."""
     reports = []
     grid = _grid_from(args)
     for model in _models_from(args):
         sampler = BoundedSampler(
             model, radius=args.radius, n=args.samples, seed=args.seed
         )
-        if args.axiom in ("A3", "all"):
-            reports.append(check_A3(model, sampler, grid=grid, tol=args.tol))
-        if args.axiom in ("A4weak", "all"):
-            reports.append(
-                check_A4weak(model, sampler, grid=grid, tol=args.tol)
-            )
-        if args.axiom in ("A3mod", "all"):
-            reports.append(
-                check_A3mod_A4(model, sampler, grid=grid, tol=args.tol)
-            )
-        if args.axiom in ("cone", "all"):
+        kw = {"grid": grid, "tol": args.tol}
+        if "A3" in axioms:
+            reports.append(check_A3(model, sampler, **kw))
+        if "A4weak" in axioms:
+            reports.append(check_A4weak(model, sampler, **kw))
+        if "A3mod" in axioms:
+            reports.append(check_A3mod_A4(model, sampler, **kw))
+        if "cone" in axioms:
             reports.append(cone_check(model, sampler))
-        if args.axiom == "all":
+        if "fibers" in axioms:
+            reports.append(fiber_dilatation_structure(model)[1])
+            reports.append(check_translation_groupoid(
+                model, n=min(args.samples, 400)))
+        if "distortion" in axioms:
             rep = ValidationReport(subject=f"distortion[{model.name}]")
-            rep.limits.append(gh_estimate(model, sampler, grid=grid,
-                                          tol=args.tol))
+            rep.limits.append(gh_estimate(model, sampler, **kw))
             reports.append(rep)
-    return _emit(reports, args)
+    return reports
+
+
+def cmd_limits(args) -> int:
+    axioms = (("A3", "A4weak", "A3mod", "cone", "distortion")
+              if args.axiom == "all" else (args.axiom,))
+    return _emit(_limit_reports(args, axioms), args)
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +267,11 @@ def cmd_transport(args) -> int:
                     "forward": list(w[0].f) if w else None,
                     "backward": list(w[1].f) if w else None,
                 }))
+            elif w is None:
+                print("not an invertible transport")
             else:
-                if w is None:
-                    print("not an invertible transport")
-                else:
-                    print(f"invertible transport: f = {list(w[0].f)}, "
-                          f"backward g = {list(w[1].f)}")
+                print(f"invertible transport: f = {list(w[0].f)}, "
+                      f"backward g = {list(w[1].f)}")
         elif args.action == "kantorovich":
             space = FiniteMetricSpace.from_json(data["space"])
             mu = transport.Measure(space, data["mu"])
@@ -355,33 +359,14 @@ def check_rename(rep, model, tag):
 
 
 def _suite_limits(args):
-    reports = []
-    grid = _grid_from(args)
-    for model in _models_from(args):
-        sampler = BoundedSampler(model, radius=args.radius, n=args.samples,
-                                 seed=args.seed)
-        reports.append(check_A3(model, sampler, grid=grid, tol=args.tol))
-        reports.append(check_A4weak(model, sampler, grid=grid, tol=args.tol))
-        reports.append(
-            check_A3mod_A4(model, sampler, grid=grid, tol=args.tol))
-        reports.append(cone_check(model, sampler))
-        _, rep = fiber_dilatation_structure(model)
-        reports.append(rep)
-        reports.append(check_translation_groupoid(
-            model, n=min(args.samples, 400)))
-        rep = ValidationReport(subject=f"distortion[{model.name}]")
-        rep.limits.append(gh_estimate(model, sampler, grid=grid,
-                                      tol=args.tol))
-        reports.append(rep)
-    return reports
+    return _limit_reports(args, ("A3", "A4weak", "A3mod", "cone", "fibers",
+                                 "distortion"))
 
 
 def _suite_transport(args):
-    reports = [transport.check_transport(seed=args.seed, samples=40)]
     space = random_metric_space(seed=args.seed + 17, max_points=4)
-    reports.append(
-        transport.check_transport(space, seed=args.seed, samples=25)
-    )
+    reports = [transport.check_transport(seed=args.seed, samples=40),
+               transport.check_transport(space, seed=args.seed, samples=25)]
     X = transport.two_point_space()
     mu = transport.Measure(X, (Fraction(1, 2), Fraction(1, 2)))
     nu = transport.Measure(X, (Fraction(1, 4), Fraction(3, 4)))
@@ -411,11 +396,8 @@ def cmd_report(args) -> int:
             reports.append(rep)
         # the planted suite is healthy when it is red
         return _emit(reports, args)
-    if args.suite == "all":
-        for fn in suites.values():
-            reports.extend(fn(args))
-    else:
-        reports.extend(suites[args.suite](args))
+    for name in suites if args.suite == "all" else [args.suite]:
+        reports.extend(suites[name](args))
     return _emit(reports, args)
 
 

@@ -1,7 +1,8 @@
 """Stock constructions: pair groupoids of finite metric spaces, the
 double groupoid of same-source arrow pairs, and fiber distances.
 
-Everything here is exact table arithmetic over Fractions.
+Everything here is exact table arithmetic, judged in integers over one
+lcm per table; Fractions are the input, JSON and witness boundary.
 """
 
 from __future__ import annotations
@@ -10,9 +11,11 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .core import (
     FiniteGroupoid,
+    GroupoidMorphism,
     LawCheck,
     ValidationReport,
     _matrix_over_lcm,
@@ -28,7 +31,7 @@ from .core import (
 class FiniteMetricSpace:
     points: list
     dist: list  # matrix of Fractions, never mutated: _int is its integer
-    # form (integer rows, D), built once after validation
+    # form (integer rows, D), built once, and validation reads it
 
     def __post_init__(self):
         n = len(self.points)
@@ -37,20 +40,20 @@ class FiniteMetricSpace:
         if len(self.dist) != n or any(len(row) != n for row in self.dist):
             raise ValueError("distance matrix is not square")
         self.dist = [[as_fraction(v) for v in row] for row in self.dist]
+        self._int = _matrix_over_lcm(self.dist)
+        d = self._int[0]
         for i in range(n):
-            if self.dist[i][i] != 0:
+            if d[i][i] != 0:
                 raise ValueError(f"dist[{i}][{i}] != 0")
             for j in range(n):
-                if self.dist[i][j] != self.dist[j][i]:
+                if d[i][j] != d[j][i]:
                     raise ValueError(f"dist not symmetric at ({i},{j})")
-                if i != j and self.dist[i][j] <= 0:
+                if i != j and d[i][j] <= 0:
                     raise ValueError(f"dist[{i}][{j}] not positive")
                 for k in range(n):
-                    if self.dist[i][j] > self.dist[i][k] + self.dist[k][j]:
+                    if d[i][j] > d[i][k] + d[k][j]:
                         raise ValueError(
-                            f"triangle inequality fails at ({i},{j},{k})"
-                        )
-        self._int = _matrix_over_lcm(self.dist)
+                            f"triangle inequality fails at ({i},{j},{k})")
 
     def n_points(self):
         return len(self.points)
@@ -101,23 +104,15 @@ def pair_groupoid(space: FiniteMetricSpace) -> FiniteGroupoid:
     ordered pair, composed by (x <- y)(y <- z) = (x <- z), inverted by
     swapping, normed by the distance.  alpha(x <- y) = (y <- y)."""
     pts = space.points
-    n = len(pts)
-    arrows, index = [], {}
-    for x in range(n):
-        for y in range(n):
-            index[(x, y)] = len(arrows)
-            arrows.append(pair_label(pts[x], pts[y]))
-    compose = {}
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                compose[(index[(x, y)], index[(y, z)])] = index[(x, z)]
-    inverse = [0] * len(arrows)
-    norm = [Fraction(0)] * len(arrows)
-    for (x, y), g in index.items():
-        inverse[g] = index[(y, x)]
-        norm[g] = space.dist[x][y]
-    return FiniteGroupoid(arrows, compose, inverse, norm)
+    n, r = len(pts), range(len(pts))  # (x <- y) is arrow x n + y
+    arrows = [pair_label(x, y) for x in pts for y in pts]
+    compose = {(x * n + y, y * n + z): x * n + z for x in r for y in r
+               for z in r}
+    inverse = [y * n + x for x in r for y in r]
+    rows, D = space._int
+    return FiniteGroupoid._normed(
+        arrows, compose, inverse, list(chain(*space.dist)),
+        (list(chain(*rows)), D))
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +160,16 @@ def double_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     pairs = _double_pairs(G)
     index = {p: i for i, p in enumerate(pairs)}
     arrows = _double_labels(G, pairs)
-    compose = {}
-    for i, (g, h) in enumerate(pairs):
-        for l in leaving[alpha[h]]:
-            compose[(i, index[(h, l)])] = index[(g, l)]
+    compose = {(i, index[(h, l)]): index[(g, l)]
+               for i, (g, h) in enumerate(pairs) for l in leaving[alpha[h]]}
     inverse = [index[(h, g)] for g, h in pairs]
-    norm = None
-    if G.norm is not None:
-        norm = [G.norm[comp[(g, inv[h])]] for g, h in pairs]
-    return FiniteGroupoid(arrows, compose, inverse, norm)
+    if G.norm is None:
+        return FiniteGroupoid(arrows, compose, inverse)
+    dif = [comp[(g, inv[h])] for g, h in pairs]
+    num, D = G._int
+    return FiniteGroupoid._normed(arrows, compose, inverse,
+                                  [G.norm[k] for k in dif],
+                                  ([num[k] for k in dif], D))
 
 
 def double_difference_morphism(G, D=None):
@@ -181,8 +177,6 @@ def double_difference_morphism(G, D=None):
     core.GroupoidMorphism; it preserves norms (d~ = d o dif) on the nose,
     which check_double_norm asserts exactly.  A D that is not the double
     groupoid of G raises ValueError."""
-    from .core import GroupoidMorphism
-
     D, pairs = _double_of(G, D)
     amap = [G.compose[(g, G.inverse[h])] for g, h in pairs]
     return GroupoidMorphism(source=D, target=G, arrow_map=amap, name="dif")
@@ -193,21 +187,22 @@ def check_double_norm(G: FiniteGroupoid, D=None) -> ValidationReport:
     isometry of fibers: (g u)(h u)^-1 = g h^-1 exactly.  D defaults to
     the double groupoid of G; a D that is not raises ValueError."""
     D, pairs = _double_of(G, D)
-    rep = ValidationReport(subject="double groupoid norm")
     pres = LawCheck("d~(g,h) = d(g h^-1)")
     rinv = LawCheck("right translation preserves d~")
-    rep.add(pres, rinv)
+    rep = ValidationReport(subject="double groupoid norm").add(pres, rinv)
     alpha = G.endpoints()[0]
     entering = G.fibers()[1]
-    comp, inv, d = G.compose, G.inverse, G.norm
+    comp, inv = G.compose, G.inverse
+    (dd, DD), (d, DG) = D._int, G._int
+    pres.tick(len(pairs))
     for i, (g, h) in enumerate(pairs):
-        pres.tick()
-        if D.norm[i] != d[comp[(g, inv[h])]]:
+        if dd[i] * DG != d[comp[(g, inv[h])]] * DD:
             pres.fail(pair=D.arrows[i])
     for g, h in pairs:
         dgh = d[comp[(g, inv[h])]]
-        for u in entering.get(alpha[g], ()):
-            rinv.tick()
+        us = entering.get(alpha[g], ())
+        rinv.tick(len(us))
+        for u in us:
             gu, hu = comp[(g, u)], comp[(h, u)]
             if d[comp[(gu, inv[hu])]] != dgh:
                 rinv.fail(g=G.arrows[g], h=G.arrows[h], u=G.arrows[u])
@@ -218,48 +213,52 @@ def check_double_norm(G: FiniteGroupoid, D=None) -> ValidationReport:
 # fiber distances
 
 
+def _fiber_table(G: FiniteGroupoid, d) -> dict:
+    """{unit arrow x: {(g, h): d[g h^-1]}} over the fibers alpha^-1(x),
+    for a table d on the arrows of G: the norm or its numerators."""
+    comp, inv = G.compose, G.inverse
+    if d is None:
+        raise ValueError("groupoid carries no norm")
+    return {x: {(g, h): d[comp[(g, inv[h])]] for g in gs for h in gs}
+            for x, gs in G.fibers()[0].items()}
+
+
 def fiber_distances(G: FiniteGroupoid) -> dict:
     """Per-object distance tables on fibers alpha^-1(x):
     returns {unit arrow x: {(g, h): d(g h^-1)}}."""
-    d, comp, inv = G.norm, G.compose, G.inverse
-    if d is None:
-        raise ValueError("groupoid carries no norm")
-    return {
-        x: {(g, h): d[comp[(g, inv[h])]] for g in gs for h in gs}
-        for x, gs in G.fibers()[0].items()
-    }
+    return _fiber_table(G, G.norm)
 
 
-def norm_from_fiber_distances(G: FiniteGroupoid, fibers=None):
+def norm_from_fiber_distances(G: FiniteGroupoid, fibers):
     """Reconstruct the norm from fiber distances: d(g) = d_x(g, e(x)) at
     x = alpha(g).  Returns the reconstructed table (always equal to the
     norm for honest data; tests assert equality exactly)."""
-    if fibers is None:
-        fibers = fiber_distances(G)
     return [fibers[x][(g, x)] for g, x in enumerate(G.endpoints()[0])]
 
 
 def check_fiber_distances(G: FiniteGroupoid) -> ValidationReport:
-    """Right-invariance and reconstruction, exactly."""
-    rep = ValidationReport(subject="fiber distances")
+    """Right-invariance and reconstruction, exactly, in integers."""
     rinv = LawCheck("d_omega(u)(g,h) = d_alpha(u)(gu, hu)")
     recon = LawCheck("d(g) = d_alpha(g)(g, e)")
-    rep.add(rinv, recon)
-    fib = fiber_distances(G)
+    rep = ValidationReport(subject="fiber distances").add(rinv, recon)
+    d, D = G._int
+    fib = _fiber_table(G, d)
     alpha, omega = G.endpoints()
     leaving = G.fibers()[0]
     comp = G.compose
     for u, x in enumerate(omega):
         gs = leaving.get(x, ())
         here, there = fib.get(x), fib[alpha[u]]
+        rinv.tick(len(gs) ** 2)
         for g in gs:
+            gu = comp[(g, u)]
             for h in gs:
-                rinv.tick()
-                if here[(g, h)] != there[(comp[(g, u)], comp[(h, u)])]:
+                if here[(g, h)] != there[(gu, comp[(h, u)])]:
                     rinv.fail(g=G.arrows[g], h=G.arrows[h], u=G.arrows[u])
     rec = norm_from_fiber_distances(G, fib)
-    for g, want in enumerate(G.norm):
-        recon.tick()
+    recon.tick(len(d))
+    for g, want in enumerate(d):
         if rec[g] != want:
-            recon.fail(g=G.arrows[g], got=str(rec[g]), want=str(want))
+            recon.fail(g=G.arrows[g], got=str(Fraction(rec[g], D)),
+                       want=str(G.norm[g]))
     return rep

@@ -12,7 +12,8 @@ ngd.constructions walks those fibers instead of filtering all arrows.
 
 A norm is a nonnegative weight on arrows that vanishes exactly on unit
 arrows, is subadditive along composition and invariant under inversion.
-All finite-table arithmetic is exact (fractions.Fraction).
+All finite-table arithmetic is exact: tables are judged in integers,
+over one lcm each; Fractions are the input, JSON and witness boundary.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 MAX_WITNESSES = 10
 
@@ -41,6 +43,13 @@ def _matrix_over_lcm(rows):
     D = math.lcm(*(v.denominator for row in rows for v in row))
     return tuple(tuple(v.numerator * (D // v.denominator) for v in row)
                  for row in rows), D
+
+
+def _over_lcm(values):
+    """One row of _matrix_over_lcm: (numerators, D), where D is the lcm
+    of the values' denominators and values[i] = numerators[i] / D."""
+    (num,), D = _matrix_over_lcm((values,))
+    return num, D
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +158,8 @@ class FiniteGroupoid:
     arrows   -- list of arrow labels (strings)
     compose  -- dict (g, h) -> m(g, h) on arrow indices; partial
     inverse  -- list, inverse[g] = index of g^-1
-    norm     -- optional list of Fractions, one per arrow
+    norm     -- optional list of Fractions, one per arrow, never mutated:
+                _int is its integer form (numerators, D), built once
     """
 
     arrows: list
@@ -168,21 +178,35 @@ class FiniteGroupoid:
         for g, gi in enumerate(self.inverse):
             if not (isinstance(gi, int) and 0 <= gi < n):
                 raise ValueError(f"inverse[{g}] = {gi!r} out of range")
-        for (g, h), k in self.compose.items():
-            for v in (g, h, k):
-                if not (isinstance(v, int) and 0 <= v < n):
-                    raise ValueError(
-                        f"compose entry ({g},{h})->{k} out of range"
-                    )
+        # one pass over every index; the loop only names the first bad one
+        items, keys = self.compose.items(), self.compose.keys()
+        flat = ({*map(type, keys)} <= {tuple} and {*map(len, keys)} <= {2}
+                and [*chain.from_iterable(keys), *self.compose.values()])
+        if flat != [] and not (flat and {*map(type, flat)} == {int}
+                               and 0 <= min(flat) and max(flat) < n):
+            for (g, h), k in items:
+                for v in (g, h, k):
+                    if not (isinstance(v, int) and 0 <= v < n):
+                        raise ValueError(f"compose entry ({g},{h})->{k} "
+                                         "out of range")
+        self._int = None, None
         if self.norm is not None:
             if len(self.norm) != n:
                 raise ValueError("norm table length mismatch")
             self.norm = [as_fraction(v) for v in self.norm]
-            for g, v in enumerate(self.norm):
+            self._int = _over_lcm(self.norm)
+            for g, v in enumerate(self._int[0]):
                 if v < 0:
-                    raise ValueError(f"norm[{g}] = {v} is negative")
+                    raise ValueError(f"norm[{g}] = {self.norm[g]} is negative")
         self._ends = None
         self._fibers = None
+
+    @classmethod
+    def _normed(cls, arrows, compose, inverse, norm, ints):
+        """With a norm checked by the caller, and its integer form."""
+        G = cls(arrows, compose, inverse)
+        G.norm, G._int = norm, ints
+        return G
 
     # -- endpoints and fibers -----------------------------------------------
 
@@ -285,11 +309,11 @@ def _inverse_laws(labels, compose, inverse) -> tuple:
     categories with inverses."""
     invo = LawCheck("inverse is an involution")
     pairs = LawCheck("(inv g, g) and (g, inv g) compose")
+    invo.tick(len(inverse))
+    pairs.tick(len(inverse))
     for g, gi in enumerate(inverse):
-        invo.tick()
         if inverse[gi] != g:
             invo.fail(g=labels[g], inv=labels[gi])
-        pairs.tick()
         if (gi, g) not in compose or (g, gi) not in compose:
             pairs.fail(g=labels[g])
     return invo, pairs
@@ -301,8 +325,9 @@ def _assoc_law(title, labels, compose, after) -> LawCheck:
     (gh)k and g(hk) exist and (gh)k = g(hk)."""
     assoc = LawCheck(title)
     for (g, h), gh in compose.items():
-        for k in after[h]:
-            assoc.tick()
+        ks = after[h]
+        assoc.tick(len(ks))
+        for k in ks:
             hk = compose.get((h, k))
             left = compose.get((gh, k))
             if hk is None or left is None or compose.get((g, hk)) != left:
@@ -330,17 +355,17 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
     alpha, omega = G.endpoints()
     n = len(lbl)
 
+    match.tick(n * n)
     for g in range(n):
         for h in range(n):
-            match.tick()
             if ((g, h) in comp) != (alpha[g] == omega[h]):
                 match.fail(g=lbl[g], h=lbl[h], composable=(g, h) in comp)
 
+    typing.tick(len(comp))
+    cancel.tick(len(comp))
     for (g, h), k in comp.items():
-        typing.tick()
         if alpha[k] != alpha[h] or omega[k] != omega[g]:
             typing.fail(g=lbl[g], h=lbl[h], gh=lbl[k])
-        cancel.tick()
         if comp.get((k, inv[h])) != g or comp.get((inv[g], k)) != h:
             cancel.fail(g=lbl[g], h=lbl[h])
 
@@ -356,43 +381,48 @@ def _table_laws(labels, compose, inverse, units, tables, titles,
     """The (semi)norm laws on exact tables, one shared loop for every
     caller.
 
-    tables is a list of (name, values) pairs.  The name None marks a norm,
-    which must vanish exactly on the arrows in `units`; a named table is a
-    seminorm, which must vanish on `units` and whose witnesses lead with
-    its name.  Every table must be subadditive along `compose` and
-    invariant under `inverse`.  titles names the zero, subadditivity and
-    inversion laws; a `joint` title adds the law that no non-unit arrow
-    lies in the joint kernel of the tables.  Returns the LawChecks in that
-    order."""
+    tables is a list of (name, values, numerators) triples; the laws
+    compare the numerators, over one denominator, and witnesses show the
+    values.  The name None marks a norm, which must vanish exactly on the
+    arrows in `units`; a named table is a seminorm, which must vanish on
+    `units` and whose witnesses lead with its name.  Every table must be
+    subadditive along `compose` and invariant under `inverse`.  titles
+    names the zero, subadditivity and inversion laws; a `joint` title adds
+    the law that no non-unit arrow lies in the joint kernel of the tables.
+    Returns the LawChecks in that order."""
     zero, sub, symm = (LawCheck(t) for t in titles)
     laws = [zero, sub, symm]
     n = len(labels)
-    for name, d in tables:
+    n_units = len(units.intersection(range(n)))
+    for name, d, v in tables:
         tag = {} if name is None else {"seminorm": name}
+        zero.tick(n if name is None else n_units)
+        symm.tick(n)
+        sub.tick(len(compose))
         for g in range(n):
             unit = g in units
-            if name is None or unit:
-                zero.tick()
-                if (d[g] == 0) != unit:
-                    zero.fail(**tag, g=labels[g], d=str(d[g]), unit=unit)
-            if d[inverse[g]] != d[g]:
+            if (name is None or unit) and (v[g] == 0) != unit:
+                zero.fail(**tag, g=labels[g], d=str(d[g]), unit=unit)
+            if v[inverse[g]] != v[g]:
                 symm.fail(**tag, g=labels[g], d=str(d[g]),
                           d_inv=str(d[inverse[g]]))
-        symm.tick(n)
         for (g, h), k in compose.items():
-            if d[k] > d[g] + d[h]:
+            if v[k] > v[g] + v[h]:
                 sub.fail(**tag, g=labels[g], h=labels[h], d_gh=str(d[k]),
                          bound=str(d[g] + d[h]))
-        sub.tick(len(compose))
     if joint is not None:
         ker = LawCheck(joint)
         laws.append(ker)
+        ker.tick(n - n_units)
         for g in range(n):
-            if g not in units:
-                ker.tick()
-                if all(t[g] == 0 for _, t in tables):
-                    ker.fail(g=labels[g])
+            if g not in units and all(v[g] == 0 for _, _, v in tables):
+                ker.fail(g=labels[g])
     return laws
+
+
+def _tables(names, values) -> list:
+    """The (name, values, numerators) triples of _table_laws."""
+    return [(name, v, _over_lcm(v)[0]) for name, v in zip(names, values)]
 
 
 def _unit_arrows(G: FiniteGroupoid) -> set:
@@ -405,7 +435,8 @@ def check_norm(G: FiniteGroupoid) -> ValidationReport:
     if G.norm is None:
         raise ValueError("no norm to check")
     return ValidationReport(subject="norm").add(*_table_laws(
-        G.arrows, G.compose, G.inverse, _unit_arrows(G), [(None, G.norm)],
+        G.arrows, G.compose, G.inverse, _unit_arrows(G),
+        [(None, G.norm, G._int[0])],
         ("d(g) = 0 iff g is a unit arrow", "d(gh) <= d(g) + d(h)",
          "d(inv g) = d(g)")))
 
@@ -414,10 +445,9 @@ def check_separability(G: FiniteGroupoid, norm=None) -> ValidationReport:
     """Distinct objects are separated: between two different objects every
     connecting arrow family has strictly positive minimal norm.  (Stated
     separately from the zero-norm law so it can be run on seminormed data.)"""
-    d = G.norm if norm is None else norm
-    rep = ValidationReport(subject="separability")
+    d = G._int[0] if norm is None else _over_lcm(norm)[0]
     law = LawCheck("distinct objects are norm-separated")
-    rep.add(law)
+    rep = ValidationReport(subject="separability").add(law)
     omega = G.endpoints()[1]
     leaving = G.fibers()[0]
     for x in sorted(leaving):
@@ -425,9 +455,9 @@ def check_separability(G: FiniteGroupoid, norm=None) -> ValidationReport:
         for g in leaving[x]:
             if omega[g] > x and omega[g] in leaving:
                 between.setdefault(omega[g], []).append(g)
+        law.tick(len(between))
         for y in sorted(between):
             arrows = between[y]
-            law.tick()
             if min(d[g] for g in arrows) == 0:
                 g0 = next(g for g in arrows if d[g] == 0)
                 law.fail(x=G.arrows[x], y=G.arrows[y], arrow=G.arrows[g0])
@@ -449,23 +479,22 @@ class GroupoidMorphism:
 
 
 def check_morphism(M: GroupoidMorphism) -> ValidationReport:
-    rep = ValidationReport(subject=f"morphism {M.name}")
     comp = LawCheck("preserves composition")
     invo = LawCheck("preserves inversion")
     ends = LawCheck("preserves unit arrows / endpoints")
-    rep.add(comp, invo, ends)
+    rep = ValidationReport(subject=f"morphism {M.name}").add(comp, invo, ends)
     F = M.arrow_map
     G, H = M.source, M.target
+    comp.tick(len(G.compose))
     for (g, h), k in G.compose.items():
-        comp.tick()
         if H.compose.get((F[g], F[h])) != F[k]:
             comp.fail(g=G.arrows[g], h=G.arrows[h])
     (ga, go), (ha, ho) = G.endpoints(), H.endpoints()
+    invo.tick(len(G.arrows))
+    ends.tick(len(G.arrows))
     for g in range(len(G.arrows)):
-        invo.tick()
         if F[G.inverse[g]] != H.inverse[F[g]]:
             invo.fail(g=G.arrows[g])
-        ends.tick()
         if F[ga[g]] != ha[F[g]] or F[go[g]] != ho[F[g]]:
             ends.fail(g=G.arrows[g])
     return rep
@@ -478,9 +507,6 @@ class SeminormFamily:
     names: list
     values: list  # values[i][g] = rho_i(g), Fraction
 
-    def __len__(self):
-        return len(self.names)
-
 
 def check_seminorm_family(G, fam: SeminormFamily) -> ValidationReport:
     """Each seminorm vanishes on unit arrows, is subadditive and inversion
@@ -488,7 +514,7 @@ def check_seminorm_family(G, fam: SeminormFamily) -> ValidationReport:
     arrows only."""
     return ValidationReport(subject="seminorm family").add(*_table_laws(
         G.arrows, G.compose, G.inverse, _unit_arrows(G),
-        list(zip(fam.names, fam.values)),
+        _tables(fam.names, fam.values),
         ("each seminorm vanishes on unit arrows",
          "each seminorm is subadditive",
          "each seminorm is inversion invariant"),
@@ -555,12 +581,12 @@ def check_category_with_inverses(
     assoc = _assoc_law("associativity", C.arrows, comp, after)
     rep.add(stab, assoc, invo, ipair, anti, ends)
 
+    anti.tick(len(comp))
+    stab.tick(2 * n * len(comp))
     for (g, h), gh in comp.items():
-        anti.tick()
         if comp.get((inv[h], inv[g])) != inv[gh]:
             anti.fail(g=C.arrows[g], h=C.arrows[h])
         for k in range(n):
-            stab.tick(2)
             if ((h, k) in comp) != ((gh, k) in comp):
                 stab.fail(side="right", g=C.arrows[g], h=C.arrows[h],
                           k=C.arrows[k])
@@ -570,22 +596,22 @@ def check_category_with_inverses(
 
     # L(x) = who can precede x; equal L-sets <=> equal targets
     L = [frozenset(k for k in range(n) if (k, g) in comp) for g in range(n)]
+    ends.tick(n * n)
     for g in range(n):
         for k in range(n):
-            ends.tick()
             if ((inv[g], k) in comp) != (L[k] == L[g]):
                 ends.fail(g=C.arrows[g], k=C.arrows[k])
 
     units = C.unit_like()
     if C.norm is not None and strict_norm:
         rep.add(*_table_laws(
-            C.arrows, comp, inv, units, [(None, C.norm)],
+            C.arrows, comp, inv, units, _tables([None], [C.norm]),
             ("d = 0 exactly on arrows h^-1 h", "d subadditive",
              "d inversion invariant")))
     if C.seminorms is not None:
         rep.add(*_table_laws(
             C.arrows, comp, inv, units,
-            list(zip(C.seminorms.names, C.seminorms.values)),
+            _tables(C.seminorms.names, C.seminorms.values),
             ("seminorms vanish on arrows h^-1 h", "seminorms subadditive",
              "seminorms inversion invariant"),
             joint=("joint seminorm kernel  subset of arrows h^-1 h"

@@ -36,6 +36,7 @@ from .core import (
     SeminormFamily,
     ValidationReport,
     _matrix_over_lcm,
+    _over_lcm,
     as_fraction,
 )
 
@@ -58,13 +59,6 @@ class MarginalMismatch(ValueError):
 
 # ---------------------------------------------------------------------------
 # exact sums on integer numerators
-
-
-def _over_lcm(values):
-    """Put exact rationals over one denominator: (numerators, D), where
-    D is the lcm of their denominators and values[i] = numerators[i] / D."""
-    D = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (D // v.denominator) for v in values], D
 
 
 def _dot(a, b):
@@ -275,9 +269,6 @@ class MapPlan:
 
     def coupling(self) -> Coupling:
         return map_plan(self.f, self.mu)
-
-    def push_forward(self) -> Measure:
-        return push_forward(self.f, self.mu)
 
 
 def map_plan(f, mu: Measure) -> Coupling:
@@ -772,9 +763,11 @@ def kantorovich(mu: Measure, nu: Measure) -> KantorovichResult:
             "the solver is exact)\n" + rep.summary()
         )
     plan = _plan(space, flows, L, mu, nu, gamma)
-    u = LipFunction(space, phi)
+    # the certificate has judged phi 1-Lipschitz: no second pass
+    u = LipFunction.__new__(LipFunction)
+    u.space, u.values = space, phi
     primal = norm_d(plan)
-    dual = _pairing(u.values, mu, nu)
+    dual = _pairing(phi, mu, nu)
     return KantorovichResult(plan, u, primal, dual, pivots)
 
 
@@ -902,9 +895,7 @@ def category_from_plans(space, plans, labels=None):
     the groupoid convention used by the core tables).
 
     Raises if the family is not closed under composition or inverse."""
-    idx = {}
-    for i, p in enumerate(plans):
-        idx[p.gamma] = i
+    idx = {p.gamma: i for i, p in enumerate(plans)}
     if labels is None:
         labels = [f"plan{i}" for i in range(len(plans))]
     compose, inverse = {}, []

@@ -174,3 +174,33 @@ def test_fiber_tables_are_right_invariant():
     vals = {v for table in fib.values() for v in table.values()}
     flat = {v for row in line_space().dist for v in row}
     assert vals == flat
+
+
+def test_table_checks_compare_integers_not_fractions(monkeypatch):
+    # an honest 8-point pair groupoid: the double-norm, fiber and norm
+    # checks make O(n^4) comparisons, and none of them may be a Fraction
+    # comparison; the bound leaves room for one per arrow of G
+    xs = [Fraction(k * k, 3) + Fraction(1, k + 2) for k in range(8)]
+    space = FiniteMetricSpace(points=[f"p{k}" for k in range(8)],
+                              dist=[[abs(x - y) for y in xs] for x in xs])
+    G = pair_groupoid(space)
+    D = double_groupoid(G)
+    count = [0]
+    eq, richcmp = Fraction.__eq__, Fraction._richcmp
+
+    def counted_eq(a, b):
+        count[0] += 1
+        return eq(a, b)
+
+    def counted_richcmp(a, b, op):
+        count[0] += 1
+        return richcmp(a, b, op)
+
+    monkeypatch.setattr(Fraction, "__eq__", counted_eq)
+    monkeypatch.setattr(Fraction, "_richcmp", counted_richcmp)
+    reports = [check_double_norm(G, D), check_fiber_distances(G),
+               check_norm(G)]
+    monkeypatch.undo()
+    assert all(rep.passed for rep in reports)
+    assert sum(c.checked for rep in reports for c in rep.laws) > 8 ** 4
+    assert count[0] <= len(G.arrows)

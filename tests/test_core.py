@@ -51,6 +51,59 @@ def test_as_fraction_refuses_floats_and_bools():
         as_fraction(True)
 
 
+def z2_tables():
+    """Z/2 as a one-object groupoid: (arrows, compose, inverse, norm)."""
+    return (["e", "a"], {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0},
+            [0, 1], [Fraction(0), Fraction(1)])
+
+
+@pytest.mark.parametrize("entries, text", [
+    ({(2, 0): 1}, "compose entry (2,0)->1 out of range"),
+    ({(1, 1): 2, (2, 0): 1}, "compose entry (1,1)->2 out of range"),
+    ({(1, -1): 0}, "compose entry (1,-1)->0 out of range"),
+    ({(1, 1): 0.0}, "compose entry (1,1)->0.0 out of range"),
+    ({(1.5, 1): 0}, "compose entry (1.5,1)->0 out of range"),
+])
+def test_compose_refusals_name_the_first_bad_entry(entries, text):
+    arrows, compose, inverse, norm = z2_tables()
+    compose.update(entries)
+    with pytest.raises(ValueError) as exc:
+        FiniteGroupoid(arrows, compose, inverse, norm)
+    assert str(exc.value) == text
+
+
+def test_bool_compose_entries_are_taken_as_they_are():
+    # bool is an int: a False entry is index 0, kept as given
+    arrows, compose, inverse, norm = z2_tables()
+    compose[(1, 1)] = False
+    G = FiniteGroupoid(arrows, compose, inverse, norm)
+    assert G.compose[(1, 1)] is False
+    assert validate_groupoid(G).passed and check_norm(G).passed
+
+
+@pytest.mark.parametrize("value, text", [
+    (Fraction(-1, 2), "norm[1] = -1/2 is negative"),
+    ("-3", "norm[1] = -3 is negative"),
+    (1.0, "expected an exact rational, got 1.0"),
+    (True, "expected an exact rational, got True"),
+])
+def test_norm_refusals(value, text):
+    arrows, compose, inverse, norm = z2_tables()
+    norm[1] = value
+    with pytest.raises(ValueError) as exc:
+        FiniteGroupoid(arrows, compose, inverse, norm)
+    assert str(exc.value) == text
+
+
+def test_the_norm_is_kept_as_fractions_and_over_one_lcm():
+    arrows, compose, inverse, _ = z2_tables()
+    G = FiniteGroupoid(arrows, compose, inverse, [0, "2/3"])
+    assert G.norm == [Fraction(0), Fraction(2, 3)]
+    assert all(type(v) is Fraction for v in G.norm)
+    assert G._int == ((0, 2), 3)
+    assert FiniteGroupoid(arrows, compose, inverse)._int == (None, None)
+
+
 def test_law_check_caps_witnesses():
     from ngd.core import MAX_WITNESSES
 

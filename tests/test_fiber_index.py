@@ -1,12 +1,14 @@
-"""The α/ω fiber index of FiniteGroupoid against the filter loops it
-replaced.
+"""The α/ω fiber index of FiniteGroupoid, and the integer form of its
+tables, against the filter loops and Fraction comparisons they replaced.
 
 The reference functions below are the earlier implementations: they ask
 every arrow for its endpoints through method calls and keep the ones in
 the wanted fiber.  `Ref` supplies those methods over a groupoid's tables,
 with its own α/ω computation, so the references do not read the index
-under test.  Every table and every report must come out equal, witnesses
-and their order included."""
+under test.  They also compare the Fraction tables themselves, where the
+library compares numerators over one lcm; `ref_table_laws` is the
+Fraction form of the shared (semi)norm kernel.  Every table and every
+report must come out equal, witnesses and their order included."""
 
 from fractions import Fraction
 
@@ -26,9 +28,11 @@ from ngd.core import (
     CategoryWithInverses,
     FiniteGroupoid,
     LawCheck,
+    SeminormFamily,
     ValidationReport,
-    _table_laws,
     check_category_with_inverses,
+    check_norm,
+    check_seminorm_family,
     check_separability,
     validate_groupoid,
 )
@@ -197,6 +201,63 @@ def ref_check_separability(G, norm=None):
     return rep
 
 
+def ref_table_laws(labels, compose, inverse, units, tables, titles,
+                   joint=None):
+    """The (semi)norm kernel on (name, Fraction values) pairs, one tick
+    per instance."""
+    zero, sub, symm = (LawCheck(t) for t in titles)
+    laws = [zero, sub, symm]
+    n = len(labels)
+    for name, d in tables:
+        tag = {} if name is None else {"seminorm": name}
+        for g in range(n):
+            unit = g in units
+            if name is None or unit:
+                zero.tick()
+                if (d[g] == 0) != unit:
+                    zero.fail(**tag, g=labels[g], d=str(d[g]), unit=unit)
+            symm.tick()
+            if d[inverse[g]] != d[g]:
+                symm.fail(**tag, g=labels[g], d=str(d[g]),
+                          d_inv=str(d[inverse[g]]))
+        for (g, h), k in compose.items():
+            sub.tick()
+            if d[k] > d[g] + d[h]:
+                sub.fail(**tag, g=labels[g], h=labels[h], d_gh=str(d[k]),
+                         bound=str(d[g] + d[h]))
+    if joint is not None:
+        ker = LawCheck(joint)
+        laws.append(ker)
+        for g in range(n):
+            if g not in units:
+                ker.tick()
+                if all(t[g] == 0 for _, t in tables):
+                    ker.fail(g=labels[g])
+    return laws
+
+
+def ref_units(G):
+    G = Ref(G)
+    return {g for g in range(len(G.arrows)) if G.alpha(g) == g}
+
+
+def ref_check_norm(G):
+    return ValidationReport(subject="norm").add(*ref_table_laws(
+        G.arrows, G.compose, G.inverse, ref_units(G), [(None, G.norm)],
+        ("d(g) = 0 iff g is a unit arrow", "d(gh) <= d(g) + d(h)",
+         "d(inv g) = d(g)")))
+
+
+def ref_check_seminorm_family(G, fam):
+    return ValidationReport(subject="seminorm family").add(*ref_table_laws(
+        G.arrows, G.compose, G.inverse, ref_units(G),
+        list(zip(fam.names, fam.values)),
+        ("each seminorm vanishes on unit arrows",
+         "each seminorm is subadditive",
+         "each seminorm is inversion invariant"),
+        joint="joint kernel = unit arrows"))
+
+
 def ref_validate_groupoid(G):
     rep = ValidationReport(subject=f"groupoid[{len(G.arrows)} arrows]")
     invo = LawCheck("inverse is an involution")
@@ -304,12 +365,12 @@ def ref_check_category_with_inverses(C, strict_norm=True, joint_kernel=True):
 
     units = C.unit_like()
     if C.norm is not None and strict_norm:
-        rep.add(*_table_laws(
+        rep.add(*ref_table_laws(
             C.arrows, comp, inv, units, [(None, C.norm)],
             ("d = 0 exactly on arrows h^-1 h", "d subadditive",
              "d inversion invariant")))
     if C.seminorms is not None:
-        rep.add(*_table_laws(
+        rep.add(*ref_table_laws(
             C.arrows, comp, inv, units,
             list(zip(C.seminorms.names, C.seminorms.values)),
             ("seminorms vanish on arrows h^-1 h", "seminorms subadditive",
@@ -340,6 +401,7 @@ def same_fibers(G):
     fib, ref = fiber_distances(G), ref_fiber_distances(G)
     assert [(x, list(t.items())) for x, t in fib.items()] == [
         (x, list(t.items())) for x, t in ref.items()]
+    assert all(type(v) is Fraction for t in fib.values() for v in t.values())
     assert norm_from_fiber_distances(G, fib) == \
         ref_norm_from_fiber_distances(G, ref)
     same_report(check_fiber_distances(G), ref_check_fiber_distances(G))
@@ -355,13 +417,56 @@ def same_battery(G):
     same_fibers(G)
 
 
+def same_norm_kernel(G, category=True):
+    """check_norm, seminorm families and G read as a category, each
+    against the Fraction kernel.  The family mixes denominators and has
+    members that break every law, so the witness paths are compared
+    too."""
+    same_report(check_norm(G), ref_check_norm(G))
+    n = len(G.arrows)
+    fam = SeminormFamily(
+        ["norm", "zero", "half", "skew"],
+        [list(G.norm), [Fraction(0)] * n, [v / 2 for v in G.norm],
+         [Fraction(g % 5, 7) for g in range(n)]])
+    same_report(check_seminorm_family(G, fam),
+                ref_check_seminorm_family(G, fam))
+    if category:
+        C = CategoryWithInverses(G.arrows, G.compose, G.inverse,
+                                 norm=G.norm, seminorms=fam)
+        same_report(check_category_with_inverses(C),
+                    ref_check_category_with_inverses(C))
+
+
 @pytest.mark.parametrize("seed", range(50))
 def test_criterion_one_spaces_match_the_filter_loops(seed):
     G = pair_groupoid(random_metric_space(seed, max_points=8))
+    norm = list(G.norm)
     same_battery(G)
     # a zero norm between distinct objects: every pair x < y fails
     zero = [Fraction(0)] * len(G.arrows)
     same_report(check_separability(G, zero), ref_check_separability(G, zero))
+    same_norm_kernel(G)
+    same_norm_kernel(double_groupoid(G), category=False)
+    # the integer form is the Fraction norm over one denominator, and no
+    # check changes the norm or lets a float into it
+    num, D = G._int
+    assert [Fraction(v, D) for v in num] == G.norm == norm
+    assert all(type(v) is Fraction for v in G.norm)
+
+
+def test_a_double_groupoid_over_another_denominator_matches():
+    # D read back with one norm entry off by 1/97: its integer form has
+    # its own denominator, and the preservation law still names the pair
+    G = pair_groupoid(random_metric_space(5, max_points=4))
+    data = double_groupoid(G).to_json()
+    label = data["arrows"][1]
+    data["norm"][label] = str(Fraction(data["norm"][label]) + Fraction(1, 97))
+    D, RD = FiniteGroupoid.from_json(data), FiniteGroupoid.from_json(data)
+    RD.pairs = _double_pairs(G)
+    assert D._int[1] != G._int[1]
+    rep = check_double_norm(G, D)
+    assert rep.law("d~(g,h) = d(g h^-1)").witnesses == [{"pair": label}]
+    same_report(rep, ref_check_double_norm(G, RD))
 
 
 def test_double_of_a_double_matches():
@@ -375,8 +480,15 @@ def test_planted_finite_fixtures_match_the_filter_loops():
     same_report(validate_groupoid(G), ref_validate_groupoid(G))
     same_report(check_separability(G), ref_check_separability(G))
     assert not validate_groupoid(G).passed
+    same_norm_kernel(G)
     for G in (inflated_norm_groupoid(), non_separating_seminorms()[0]):
         same_battery(G)
+        same_norm_kernel(G)
+    assert not check_norm(inflated_norm_groupoid()).passed
+    G, fam = non_separating_seminorms()
+    rep = check_seminorm_family(G, fam)
+    assert not rep.passed
+    same_report(rep, ref_check_seminorm_family(G, fam))
 
 
 def broken_loops():

@@ -11,11 +11,12 @@ perfbench/.  The package's re-export in `__init__` does not count, and
 neither do docstrings, comments or the names of test functions.  There
 is no allow-list: a name that fails here is deleted or given a caller.
 
-Every public method of a public class is reached too, matched by name as
-the options below are: a method `m` is reached when, outside its own
-definition, some call `m(...)` or `obj.m(...)` names it.  A property
-is read, not called, so any reference to its name counts for it.  Names
-starting with `_`, dunders included, are not public.
+Every public method of a public class is reached too, matched by name: a
+method `m` is reached when, outside its own definition, some attribute
+call `obj.m(...)` names it.  A bare call `m(...)` calls a function of
+that name, not the method, and does not count.  A property is read, not
+called, so any reference to its name counts for it.  Names starting with
+`_`, dunders included, are not public.
 
 Every option is set by some caller.  A parameter with a default, of a
 public top-level function, a public method or a class's `__init__`, is
@@ -174,9 +175,9 @@ def _options(path, tree):
 
 
 def _calls(tree):
-    """(called name, positional count, keyword names, line) for every
-    call; a `*args` counts as every position and a `**kwargs` as every
-    name."""
+    """(called name, positional count, keyword names, line, is_attribute)
+    for every call; a `*args` counts as every position and a `**kwargs`
+    as every name."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -190,14 +191,15 @@ def _calls(tree):
         npos = (float("inf") if any(isinstance(a, ast.Starred)
                                     for a in node.args) else len(node.args))
         kws = {k.arg for k in node.keywords}
-        yield name, npos, (None if None in kws else kws), node.lineno
+        yield (name, npos, (None if None in kws else kws), node.lineno,
+               isinstance(f, ast.Attribute))
 
 
 def test_every_option_is_set_by_some_caller():
     modules, trees = _parse()
     calls = {}
     for tree in trees.values():
-        for name, npos, kws, _ in _calls(tree):
+        for name, npos, kws, _, _ in _calls(tree):
             calls.setdefault(name, []).append((npos, kws))
 
     options = [o for p in modules for o in _options(p, trees[p])]
@@ -213,8 +215,9 @@ def test_every_public_method_is_reached():
     modules, trees = _parse()
     called, read = {}, {}
     for p, tree in trees.items():
-        for name, _, _, line in _calls(tree):
-            called.setdefault(name, []).append((p, line))
+        for name, _, _, line, attr in _calls(tree):
+            if attr:
+                called.setdefault(name, []).append((p, line))
         for ref, line, _ in _references(tree):
             read.setdefault(ref, []).append((p, line))
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ngd import transport
 from ngd.constructions import FiniteMetricSpace, random_metric_space
-from ngd.core import _matrix_over_lcm
+from ngd.core import _matrix_over_lcm, _over_lcm
 from ngd.fixtures import marginal_off_by_one_unit, unpivoted_transport_basis
 from ngd.transport import (
     Coupling,
@@ -641,6 +641,24 @@ def test_kantorovich_result_unpacks_to_four_and_counts_pivots():
     assert primal == Fraction(1) and res.pivots == 0
 
 
+def test_kantorovich_judges_its_potential_lipschitz_once(monkeypatch):
+    # the certificate judges the potential; the result does not judge it
+    # again, yet holds the same LipFunction a checked construction gives
+    calls = []
+
+    def counted(space, values):
+        calls.append(tuple(values))
+        return lip1_witness(space, values)
+
+    monkeypatch.setattr(transport, "lip1_witness", counted)
+    space = random_metric_space(3, max_points=6)
+    rng = random.Random(3)
+    res = kantorovich(random_measure(space, rng), random_measure(space, rng))
+    assert calls == [res.potential.values]
+    assert res.potential == LipFunction(space, res.potential.values)
+    assert all(type(v) is Fraction for v in res.potential.values)
+
+
 def den_bits_of(res):
     entries = [v for row in res.plan.gamma for v in row]
     return max(v.denominator.bit_length()
@@ -1070,8 +1088,7 @@ def test_plan_constructors_match_the_fraction_references(seed):
             assert norm_d(plan) is norm_d(plan)  # once per plan
             assert plan._int == _matrix_over_lcm(g)
             for m in (plan.mu, plan.nu):
-                w, L = m._int
-                assert (list(w), L) == transport._over_lcm(m.weights)
+                assert m._int == _over_lcm(m.weights)
 
 
 def refusal(build):
