@@ -63,8 +63,12 @@ def _judge(check: LawCheck, resids, tol: float, **context) -> None:
 
 def arrow_dilatation(model, scale, base, a):
     """delta^h_eps a = delta_eps(a h^-1) . h -- contract the arrow a toward
-    the base arrow h inside their common source fiber."""
-    return model.compose(model.delta(scale, model.dif(a, base)), base)
+    the base arrow h inside their common source fiber: the arrow from
+    alpha(h) to delta^{omega(h)}_eps omega(a)."""
+    model._common_source(a, base)
+    return model.arrow(model.point_dilatation(scale, model.target(base),
+                                              model.target(a)),
+                       model.source(base))
 
 
 def Delta_eps(model, scale, g, h):
@@ -294,14 +298,14 @@ def check_pplay(Q: GammaIrq, samples, tol=1e-10) -> ValidationReport:
     def C(s, a, b):
         return Q.op(s, a, b)
 
-    def D3(s, a, b, c):
-        return C(s.inv(), C(s, a, b), C(s, a, c))
+    def D3(s, a, ab, c):  # D3, S3, I3 take the moved base ab = a circ_s b
+        return C(s.inv(), ab, C(s, a, c))
 
-    def S3(s, a, b, c):
-        return C(s.inv(), a, C(s, C(s, a, b), c))
+    def S3(s, a, ab, c):
+        return C(s.inv(), a, C(s, ab, c))
 
-    def I3(s, a, b):
-        return C(s.inv(), C(s, a, b), a)
+    def I3(s, a, ab):
+        return C(s.inv(), ab, a)
 
     rep = ValidationReport(subject=f"identity battery[{Q.name}]")
     a_ = LawCheck("(a) based difference undoes based sum")
@@ -314,29 +318,33 @@ def check_pplay(Q: GammaIrq, samples, tol=1e-10) -> ValidationReport:
     k_ = LawCheck("(k) dilatations distribute over the based difference")
     rep.add(a_, b_, c_, d_, e_, f_, g_, k_)
 
+    # the distributivity law's clouds that depend on m or sm alone
+    at_m = {m: (C(m, x, u), C(m, x, v)) for m in grid}
+    at_sm = {sm: C(sm, x, u) for sm in {s.mul(m) for s in grid for m in grid}}
+    at_sm = {sm: (smu, D3(sm, x, smu, v)) for sm, smu in at_sm.items()}
     for s in grid:
         xu = C(s, x, u)  # the moved base x circ_s u, shared by several laws
-        iu = I3(s, x, u)
-        _judge(a_, _per_sample(D3(s, x, u, S3(s, x, u, v)), v), tol,
+        iu, d3, s3 = I3(s, x, xu), D3(s, x, xu, v), S3(s, x, xu, v)
+        xui = C(s, xu, iu)
+        _judge(a_, _per_sample(D3(s, x, xu, s3), v), tol,
                eps=str(s.value), x=x, u=u, v=v)
-        _judge(b_, _per_sample(S3(s, x, u, D3(s, x, u, v)), v), tol,
+        _judge(b_, _per_sample(S3(s, x, xu, d3), v), tol,
                eps=str(s.value), x=x, u=u, v=v)
-        _judge(c_, _per_sample(D3(s, x, u, v), S3(s, xu, iu, v)), tol,
+        _judge(c_, _per_sample(d3, S3(s, xu, xui, v)), tol,
                eps=str(s.value), x=x, u=u, v=v)
-        _judge(d_, _per_sample(I3(s, xu, iu), u), tol,
+        _judge(d_, _per_sample(I3(s, xu, xui), u), tol,
                eps=str(s.value), x=x, u=u)
-        _judge(e_, _per_sample(S3(s, x, u, S3(s, xu, v, w)),
-                               S3(s, x, S3(s, x, u, v), w)), tol,
+        _judge(e_, _per_sample(S3(s, x, xu, S3(s, xu, C(s, xu, v), w)),
+                               S3(s, x, C(s, x, s3), w)), tol,
                eps=str(s.value), x=x, u=u, v=v, w=w)
-        _judge(f_, _per_sample(iu, D3(s, x, u, x)), tol,
+        _judge(f_, _per_sample(iu, D3(s, x, xu, x)), tol,
                eps=str(s.value), x=x, u=u)
-        _judge(g_, _per_sample(S3(s, x, x, u), u), tol,
+        _judge(g_, _per_sample(S3(s, x, C(s, x, x), u), u), tol,
                eps=str(s.value), x=x, u=u)
         for m in grid:
-            sm = s.mul(m)
-            lhs = D3(s, x, C(m, x, u), C(m, x, v))
-            rhs = C(m, C(sm, x, u), D3(sm, x, u, v))
-            _judge(k_, _per_sample(lhs, rhs), tol,
+            mu, mv = at_m[m]
+            lhs = D3(s, x, C(s, x, mu), mv)
+            _judge(k_, _per_sample(lhs, C(m, *at_sm[s.mul(m)])), tol,
                    eps=str(s.value), mu=str(m.value), x=x, u=u, v=v)
     return rep
 

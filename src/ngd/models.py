@@ -43,7 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import LawCheck, ValidationReport
-from .emergent import _judge, _maxabs
+from .emergent import _judge, _maxabs, arrow_dilatation
 from .limits import uniform_limit
 from .scales import Scale, as_scale, dyadic_grid
 
@@ -285,7 +285,7 @@ class PairModel:
 
     def compose(self, a, b):
         """m(a, b): b happens first; needs source(a) = target(b)."""
-        gap = np.max(np.abs(self.source(a) - self.target(b)))
+        gap = _maxabs(self.source(a) - self.target(b))
         if gap > 1e-8:
             raise ValueError(f"arrows not composable (endpoint gap {gap:.3g})")
         return self.arrow(self.target(a), self.source(b))
@@ -296,11 +296,14 @@ class PairModel:
     def norm(self, a):
         return self._gauge(self.pdiff(self.source(a), self.target(a)))
 
-    def dif(self, a, b):
-        """dif(a, b) = a b^-1 for arrows sharing a source."""
-        gap = np.max(np.abs(self.source(a) - self.source(b)))
+    def _common_source(self, a, b):
+        gap = _maxabs(self.source(a) - self.source(b))
         if gap > 1e-8:
             raise ValueError(f"dif needs a common source (gap {gap:.3g})")
+
+    def dif(self, a, b):
+        """dif(a, b) = a b^-1 for arrows sharing a source."""
+        self._common_source(a, b)
         return self.arrow(self.target(a), self.target(b))
 
     def dtilde(self, a, b):
@@ -431,7 +434,7 @@ class DoubleModel:
 
     def compose(self, P, Q):
         """(a, b) after (b, c) -> (a, c)."""
-        gap = np.max(np.abs(self.second(P) - self.first(Q)))
+        gap = _maxabs(self.second(P) - self.first(Q))
         if gap > 1e-8:
             raise ValueError(f"pairs not composable (gap {gap:.3g})")
         return self.pair(self.first(P), self.second(Q))
@@ -444,10 +447,7 @@ class DoubleModel:
 
     def delta(self, scale, P):
         a, b = self.first(P), self.second(P)
-        moved = self.base.compose(
-            self.base.delta(scale, self.base.dif(a, b)), b
-        )
-        return self.pair(moved, b)
+        return self.pair(arrow_dilatation(self.base, scale, b, a), b)
 
     def sample_fiber_arrows(self, rng, n, radius=4.0, base=None):
         a = self.base.sample_fiber_arrows(rng, n, radius, base=base)

@@ -1,0 +1,366 @@
+"""The point route of the emergent traces against the arrow route it
+replaced.
+
+`check_A3mod_A4` reads its difference traces off target columns through
+`point_dilatation`, `check_pplay` computes each shared intermediate once,
+and `arrow_dilatation` builds only its result arrow.  The references below
+are the earlier implementations, kept verbatim: they build every arrow and
+recompute every intermediate.  Every report must come out byte-identical,
+witnesses and their order included, on every carrier class, planted ones
+too.  Reports are compared as JSON text, so a NaN residual compares equal
+to itself and -0.0 differs from 0.0."""
+
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from ngd import models
+from ngd.core import LawCheck, ValidationReport
+from ngd.emergent import (
+    Delta_eps,
+    GammaIrq,
+    Sigma_eps,
+    _judge,
+    _per_sample,
+    arrow_dilatation,
+    check_pplay,
+    default_scale_grid,
+    dif_eps,
+    gamma_irq_from_dilation,
+    inv_eps,
+    irq_from_dilation,
+    sample_point_quads,
+    z_irq_from_iterates,
+)
+from ngd.fixtures import (
+    dropped_correction_heisenberg,
+    flat_gauge_heisenberg,
+    nan_below_heisenberg,
+    wrong_exponent_euclidean,
+)
+from ngd.limits import (
+    EPS_STAR,
+    BoundedSampler,
+    check_A3mod_A4,
+    rescaled_norm,
+    rescaled_pair_distance,
+    uniform_limit,
+)
+from ngd.models import (
+    DoubleModel,
+    euclidean_model,
+    heisenberg_model,
+    restricted_euclidean_model,
+)
+from ngd.scales import Scale, as_scale, dyadic_grid
+
+CARRIERS = {
+    "heisenberg": heisenberg_model,
+    "euclidean1": lambda: euclidean_model(dim=1),
+    "euclidean3": lambda: euclidean_model(dim=3),
+    "restricted_euclidean": restricted_euclidean_model,
+    "dropped_correction": dropped_correction_heisenberg,
+    "wrong_exponent": wrong_exponent_euclidean,
+    "nan_below": nan_below_heisenberg,
+    "flat_gauge": flat_gauge_heisenberg,
+}
+
+
+@pytest.fixture(params=sorted(CARRIERS))
+def model(request):
+    return CARRIERS[request.param]()
+
+
+# ---------------------------------------------------------------------------
+# the arrow-route references
+
+
+def ref_arrow_dilatation(model, scale, base, a):
+    return model.compose(model.delta(scale, model.dif(a, base)), base)
+
+
+def ref_Delta_eps(model, scale, g, h):
+    s = as_scale(scale)
+    return ref_arrow_dilatation(model, s.inv(), model.delta(s, h),
+                                model.delta(s, g))
+
+
+def ref_check_A3mod_A4(model, sampler=None, grid=None, tol=1e-8):
+    if sampler is None:
+        sampler = BoundedSampler(model)
+    G, H = sampler.arrow_pairs()
+    rep = ValidationReport(subject=f"strong limits[{model.name}] ({sampler.describe()})")
+
+    rep.limits.append(uniform_limit(
+        "A3mod: rescaled norm -> tangent norm",
+        lambda s: rescaled_norm(model, s, G), model.tangent_norm(G), grid,
+        tol))
+
+    tD = model.tangent_Delta(G, H)
+    rep.limits.append(uniform_limit(
+        "A4: approximate difference -> tangent difference",
+        lambda s: ref_Delta_eps(model, s, G, H), tD, grid, 1e-3,
+        require_decreasing=True))
+    rep.limits.append(uniform_limit(
+        "blown-up difference -> tangent difference (slotwise)",
+        lambda s: dif_eps(model, s, G, H), tD, grid, 1e-3,
+        require_decreasing=True))
+
+    star = EPS_STAR
+    bridge = LawCheck("pair distance = norm of the limit difference (at eps*)")
+    route = LawCheck("dilating the blown-up difference back recovers it (at eps*)")
+    exact = LawCheck("tangent pair distance = tangent norm of tangent difference")
+    rep.add(bridge, route, exact)
+
+    lhs = rescaled_pair_distance(model, star, G, H)
+    rhs = rescaled_norm(model, star, tD)
+    _judge(bridge, np.abs(lhs - rhs), 1e-10, eps_star=str(star.value))
+
+    back = model.delta(star, dif_eps(model, star, G, H))
+    direct = model.dif(model.delta(star, G), model.delta(star, H))
+    _judge(route, _per_sample(back, direct), 1e-10,
+           eps_star=str(star.value))
+
+    _judge(exact, np.abs(model.tangent_pair_dist(G, H)
+                         - model.tangent_norm(tD)), 1e-12)
+    return rep
+
+
+def ref_check_pplay(Q, samples, tol=1e-10):
+    grid = default_scale_grid()
+    x, u, v, w = (np.asarray(a, dtype=float) for a in samples)
+
+    def C(s, a, b):
+        return Q.op(s, a, b)
+
+    def D3(s, a, b, c):
+        return C(s.inv(), C(s, a, b), C(s, a, c))
+
+    def S3(s, a, b, c):
+        return C(s.inv(), a, C(s, C(s, a, b), c))
+
+    def I3(s, a, b):
+        return C(s.inv(), C(s, a, b), a)
+
+    rep = ValidationReport(subject=f"identity battery[{Q.name}]")
+    a_ = LawCheck("(a) based difference undoes based sum")
+    b_ = LawCheck("(b) based sum undoes based difference")
+    c_ = LawCheck("(c) difference = sum against the based inverse")
+    d_ = LawCheck("(d) inverse is involutive across the moved base")
+    e_ = LawCheck("(e) sum transports associativity across fibers")
+    f_ = LawCheck("(f) inverse = difference with the base")
+    g_ = LawCheck("(g) summing from the base point is the identity")
+    k_ = LawCheck("(k) dilatations distribute over the based difference")
+    rep.add(a_, b_, c_, d_, e_, f_, g_, k_)
+
+    for s in grid:
+        xu = C(s, x, u)
+        iu = I3(s, x, u)
+        _judge(a_, _per_sample(D3(s, x, u, S3(s, x, u, v)), v), tol,
+               eps=str(s.value), x=x, u=u, v=v)
+        _judge(b_, _per_sample(S3(s, x, u, D3(s, x, u, v)), v), tol,
+               eps=str(s.value), x=x, u=u, v=v)
+        _judge(c_, _per_sample(D3(s, x, u, v), S3(s, xu, iu, v)), tol,
+               eps=str(s.value), x=x, u=u, v=v)
+        _judge(d_, _per_sample(I3(s, xu, iu), u), tol,
+               eps=str(s.value), x=x, u=u)
+        _judge(e_, _per_sample(S3(s, x, u, S3(s, xu, v, w)),
+                               S3(s, x, S3(s, x, u, v), w)), tol,
+               eps=str(s.value), x=x, u=u, v=v, w=w)
+        _judge(f_, _per_sample(iu, D3(s, x, u, x)), tol,
+               eps=str(s.value), x=x, u=u)
+        _judge(g_, _per_sample(S3(s, x, x, u), u), tol,
+               eps=str(s.value), x=x, u=u)
+        for m in grid:
+            sm = s.mul(m)
+            lhs = D3(s, x, C(m, x, u), C(m, x, v))
+            rhs = C(m, C(sm, x, u), D3(sm, x, u, v))
+            _judge(k_, _per_sample(lhs, rhs), tol,
+                   eps=str(s.value), mu=str(m.value), x=x, u=u, v=v)
+    return rep
+
+
+# ---------------------------------------------------------------------------
+# comparisons
+
+
+def _text(obj):
+    return json.dumps(obj, sort_keys=True)
+
+
+def same_report(a, b):
+    assert _text(a.to_json()) == _text(b.to_json())
+    assert _text([c.witnesses for c in a.laws]) == \
+        _text([c.witnesses for c in b.laws])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(_bits(a), _bits(b))
+
+
+def _off_origin(model):
+    return np.linspace(0.5, -0.75, model.dim)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 23])
+@pytest.mark.parametrize("kmax", [None, 6])
+def test_strong_limits_match_the_arrow_route(model, seed, kmax):
+    grid = None if kmax is None else dyadic_grid(kmax)
+    sampler = BoundedSampler(model, n=150, seed=seed)
+    got = check_A3mod_A4(model, sampler, grid)
+    same_report(got, ref_check_A3mod_A4(model, sampler, grid))
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_strong_limits_match_off_the_origin(model, seed):
+    sampler = BoundedSampler(model, n=150, seed=seed, base=_off_origin(model))
+    for grid in (None, dyadic_grid(6)):
+        same_report(check_A3mod_A4(model, sampler, grid),
+                    ref_check_A3mod_A4(model, sampler, grid))
+
+
+def test_strong_limits_stay_red_on_the_nan_kernel():
+    """NaN dilatations fail every trace and the starred route law with a
+    non-finite residual, as on the arrow route."""
+    bad = nan_below_heisenberg()
+    rep = check_A3mod_A4(bad, BoundedSampler(bad, n=50))
+    notes = [e.note for e in rep.limits if not e.passed]
+    assert len(notes) == 3 and all("non-finite" in n for n in notes)
+    assert not rep.law("dilating the blown-up difference back recovers it "
+                       "(at eps*)").passed
+
+
+@pytest.mark.parametrize("seed", [1, 5])
+def test_battery_matches_the_recomputing_reference(model, seed):
+    quads = sample_point_quads(model, np.random.default_rng(seed), n=80)
+    for Q in (gamma_irq_from_dilation(model),
+              z_irq_from_iterates(irq_from_dilation(model, Fraction(1, 2)))):
+        same_report(check_pplay(Q, quads), ref_check_pplay(Q, quads))
+
+
+def test_battery_computes_each_shared_cloud_once():
+    calls = []
+    G = gamma_irq_from_dilation(heisenberg_model())
+
+    def op(s, a, b):
+        calls.append(s)
+        return G.op(s, a, b)
+
+    Q = GammaIrq(op=op, name=G.name)
+    quads = sample_point_quads(heisenberg_model(), np.random.default_rng(2), 8)
+    check_pplay(Q, quads)
+    new = len(calls)
+    calls.clear()
+    ref_check_pplay(Q, quads)
+    # per scale 27 kernel calls; 10 for the m-side clouds; 3 for each of
+    # the 9 distinct products sm; 4 per (s, m) pair -- against 455
+    assert (new, len(calls)) == (5 * 27 + 10 + 9 * 3 + 25 * 4, 455)
+
+
+# ---------------------------------------------------------------------------
+# the arrow operations
+
+
+def _arrow_inputs(model, rng, n):
+    """Same-fiber arrow clouds off the origin, and single arrows
+    broadcast against them."""
+    base = _off_origin(model)
+    g = model.sample_fiber_arrows(rng, n, base=base)
+    h = model.sample_fiber_arrows(rng, n, base=base)
+    return [(g, h), (g[0], h[0]), (g, h[0]), (g[0], h)] if n else [(g, h)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 40])
+def test_arrow_dilatation_matches_the_three_arrow_route(model, n):
+    rng = np.random.default_rng(n + 4)
+    for g, h in _arrow_inputs(model, rng, n):
+        for s in (Scale(Fraction(1, 8)), Scale(Fraction(3)), EPS_STAR):
+            same_bits(arrow_dilatation(model, s, h, g),
+                      ref_arrow_dilatation(model, s, h, g))
+            same_bits(Delta_eps(model, s, g, h), ref_Delta_eps(model, s, g, h))
+            same_bits(inv_eps(model, s, g),
+                      ref_Delta_eps(model, s, model.unit_of(g), g))
+    D = DoubleModel(model)
+    P = D.sample_fiber_arrows(rng, n)
+    s = Scale(Fraction(1, 4))
+    moved = ref_arrow_dilatation(model, s, D.second(P), D.first(P))
+    same_bits(D.delta(s, P), D.pair(moved, D.second(P)))
+
+
+def test_arrow_dilatation_builds_one_arrow(monkeypatch):
+    H = heisenberg_model()
+    g, h = _arrow_inputs(H, np.random.default_rng(0), 30)[0]
+    built = _count_slots(monkeypatch)
+    arrow_dilatation(H, Scale(Fraction(1, 2)), h, g)
+    assert len(built) == 1
+
+
+def test_arrow_dilatation_refuses_arrows_of_different_fibers():
+    E = euclidean_model(dim=2)
+    a = E.arrow(np.array([1.0, 2.0]), np.array([0.0, 0.0]))
+    b = E.arrow(np.array([3.0, 0.0]), np.array([0.0, 2.0]))
+    with pytest.raises(ValueError, match=r"^dif needs a common source \(gap 2\)$"):
+        arrow_dilatation(E, Scale(Fraction(1, 2)), b, a)
+
+
+# ---------------------------------------------------------------------------
+# empty arrows
+
+
+def test_arrow_operations_accept_empty_arrows(model):
+    """An empty cloud has no endpoint gap: the gap max over zero entries
+    is 0, not numpy's zero-size reduction error."""
+    none = model.sample_fiber_arrows(np.random.default_rng(0), 0)
+    assert none.shape == (0, 2, model.dim)
+    s = Scale(Fraction(1, 4))
+    for out in (model.compose(none, none), model.dif(none, none),
+                Delta_eps(model, s, none, none),
+                Sigma_eps(model, s, none, none), inv_eps(model, s, none),
+                dif_eps(model, s, none, none)):
+        assert out.shape == (0, 2, model.dim)
+    D = DoubleModel(model)
+    pairs = D.pair(none, none)
+    assert D.compose(pairs, pairs).shape == (0, 2, 2, model.dim)
+
+
+def test_strong_limits_report_on_an_empty_sampler(model):
+    sampler = BoundedSampler(model, n=0)
+    rep = check_A3mod_A4(model, sampler, dyadic_grid(6))
+    same_report(rep, ref_check_A3mod_A4(model, sampler, dyadic_grid(6)))
+    assert all(c.checked == 0 for c in rep.laws)
+
+
+# ---------------------------------------------------------------------------
+# no arrow buffers per scale
+
+
+def _count_slots(monkeypatch):
+    """Count the arrow (and pair) buffers models._slots allocates."""
+    built = []
+    slots = models._slots
+
+    def counting(*args):
+        built.append(args)
+        return slots(*args)
+
+    monkeypatch.setattr(models, "_slots", counting)
+    return built
+
+
+def test_strong_limits_build_no_arrows_per_scale(monkeypatch):
+    built = _count_slots(monkeypatch)
+    counts = []
+    for kmax in (4, 20):
+        built.clear()
+        H = heisenberg_model()
+        check_A3mod_A4(H, BoundedSampler(H, n=50), dyadic_grid(kmax))
+        counts.append(len(built))
+    # the two sampled arrow clouds and the tangent difference
+    assert counts == [3, 3]
