@@ -1,105 +1,30 @@
 """Normed groupoids with dilations, their induced approximate operations,
 numerical certification of the zero-scale limit structures, and exact
 optimal-transport categories on finite metric spaces.
+
+`ngd.X` reaches every public function and class X defined in one of the
+modules of `_MODULES`, read off that module on each access; `import ngd`
+imports none of them, and `ngd.core` names a submodule and loads only it.
 """
 
-from .core import (
-    CategoryWithInverses,
-    FiniteGroupoid,
-    LawCheck,
-    SeminormFamily,
-    ValidationReport,
-    as_fraction,
-    check_category_with_inverses,
-    check_norm,
-    check_seminorm_family,
-    check_separability,
-    validate_groupoid,
-)
-from .constructions import (
-    FiniteMetricSpace,
-    check_double_norm,
-    check_fiber_distances,
-    double_difference_morphism,
-    double_groupoid,
-    fiber_distances,
-    norm_from_fiber_distances,
-    pair_groupoid,
-    random_metric_space,
-)
-from .scales import Scale, as_scale, dyadic_grid
-from .models import (
-    DeformedModel,
-    EuclideanGroup,
-    HeisenbergGroup,
-    PairModel,
-    check_A0,
-    check_A1,
-    check_A2,
-    check_deformation,
-    check_dilation_morphism,
-    deform,
-    euclidean_model,
-    heisenberg_model,
-    restricted_euclidean_model,
-)
-from .emergent import (
-    Delta_eps,
-    GammaIrq,
-    Irq,
-    Sigma_eps,
-    check_based_compat,
-    check_gamma_irq,
-    check_irq,
-    check_pplay,
-    dif_eps,
-    gamma_irq_from_dilation,
-    inv_eps,
-    irq_from_dilation,
-    iterate_irq,
-    z_irq_from_iterates,
-)
-from .limits import (
-    BoundedSampler,
-    FiberStructure,
-    LimitEstimate,
-    TranslationGroupoid,
-    check_A3,
-    check_A3mod_A4,
-    check_A4weak,
-    check_translation_groupoid,
-    cone_check,
-    estimate_from_residuals,
-    fiber_dilatation_structure,
-    gh_estimate,
-    limit_of_values,
-    richardson,
-    translation_groupoid,
-    uniform_limit,
-)
-from .transport import (
-    Coupling,
-    KantorovichResult,
-    LipFunction,
-    MapPlan,
-    MarginalMismatch,
-    Measure,
-    check_kantorovich_duality,
-    check_transport,
-    compose_plans,
-    diag_plan,
-    inverse_plan,
-    is_invtrans,
-    kantorovich,
-    lip1_vertices,
-    map_plan,
-    norm_d,
-    product_plan,
-    push_forward,
-    seminorm_rho,
-    transport_category_fixture,
-    wasserstein,
-)
-from .dsl import EvalContext, TermError, evaluate, parse, run, to_text
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
+
+# the exact modules come first: resolving one of their names never loads
+# the analytic modules, and with them numpy
+_MODULES = ("core", "constructions", "transport", "scales",
+            "models", "emergent", "limits", "dsl")
+
+
+def __getattr__(name):
+    if name in _MODULES or name in ("cli", "fixtures"):
+        return _import_module(f"{__name__}.{name}")
+    if not name.startswith("_"):
+        for sub in _MODULES:
+            module = _import_module(f"{__name__}.{sub}")
+            obj = getattr(module, name, None)
+            # defined there, not imported there (np, Fraction, ...)
+            if getattr(obj, "__module__", None) == module.__name__:
+                return obj
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

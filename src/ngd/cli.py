@@ -258,7 +258,8 @@ def cmd_transport(args) -> int:
             print(json.dumps(out.to_json(), indent=2) if args.json else
                   _matrix_text(out))
         elif args.action == "norm":
-            print(transport.norm_d(_coupling_from(data)))
+            norm = str(transport.norm_d(_coupling_from(data)))
+            print(json.dumps({"norm": norm}) if args.json else norm)
         elif args.action == "classify":
             w = transport.is_invtrans(_coupling_from(data))
             if args.json:
@@ -339,10 +340,10 @@ def _suite_irq(args):
         x, u, v, w = emergent.sample_point_quads(
             model, rng, n=args.samples, radius=args.radius
         )
-        Q = emergent.irq_from_dilation(model, Fraction(1, 2))
-        reports.append(check_rename(emergent.check_irq(Q, x, u), model,
-                                    "irq at 1/2"))
         G = emergent.gamma_irq_from_dilation(model)
+        reports.append(check_rename(
+            emergent.check_irq(G.at(Fraction(1, 2)), x, u), model,
+            "irq at 1/2"))
         reports.append(check_rename(
             emergent.check_gamma_irq(G, x, u), model, "scale family"))
         reports.append(check_rename(

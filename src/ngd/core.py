@@ -52,6 +52,14 @@ def _over_lcm(values):
     return num, D
 
 
+def _common(a, b):
+    """Two integer forms (numerators, D) brought over one denominator:
+    (a's numerators, b's numerators, L), L the lcm of their two D."""
+    (na, Da), (nb, Db) = a, b
+    L = math.lcm(Da, Db)
+    return [v * (L // Da) for v in na], [v * (L // Db) for v in nb], L
+
+
 # ---------------------------------------------------------------------------
 # reports
 

@@ -29,8 +29,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import emergent
-from .limits import LimitEstimate, limit_of_values
-from .scales import Scale, as_scale, dyadic_grid
+from .limits import limit_of_values
+from .scales import as_scale, dyadic_grid
 
 
 class TermError(ValueError):

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from .core import LawCheck, ValidationReport
-from .scales import Scale, as_scale
+from .scales import as_scale, dyadic_grid
 
 
 def _maxabs(x) -> float:
@@ -164,19 +163,6 @@ class Irq:
     name: str = "irq"
 
 
-def irq_from_dilation(model, scale) -> Irq:
-    """The fiber irq u op v = delta^u_eps v (opinv uses 1/eps).
-
-    One irq serves every source fiber: each is a copy of the group read
-    through target coordinates."""
-    s = as_scale(scale)
-    return Irq(
-        op=lambda u, v: model.point_dilatation(s, u, v),
-        opinv=lambda u, v: model.point_dilatation(s.inv(), u, v),
-        name=f"dilatation irq[{model.name} @ {s.value}]",
-    )
-
-
 @dataclass
 class GammaIrq:
     """A scale-indexed irq family circ(s, x, y) with the composition law
@@ -237,11 +223,6 @@ def z_irq_from_iterates(Q: Irq) -> GammaIrq:
 # checks
 
 
-def default_scale_grid():
-    """The 5-point dyadic grid used by the identity batteries."""
-    return [Scale(Fraction(1, 2 ** k)) for k in range(1, 6)]
-
-
 def sample_point_quads(model, rng, n=1000, radius=4.0):
     """Four independent point clouds (x, u, v, w) in the gauge ball."""
     return tuple(model.sample_points(rng, n, radius) for _ in range(4))
@@ -266,7 +247,7 @@ def check_irq(Q: Irq, xs, ys) -> ValidationReport:
 def check_gamma_irq(Q: GammaIrq, xs, ys) -> ValidationReport:
     """Per-scale irq axioms plus the composition law over a grid of
     (s, m) scale pairs."""
-    grid = default_scale_grid()
+    grid = dyadic_grid(kmax=5)
     rep = ValidationReport(subject=Q.name)
     comp = LawCheck("composition: x circ_s (x circ_m y) = x circ_{sm} y")
     for s in grid:
@@ -289,10 +270,10 @@ def check_pplay(Q: GammaIrq, samples, tol=1e-10) -> ValidationReport:
     transport, and distributivity of the dilatations over the difference.
 
     samples is a tuple (x, u, v, w) of point arrays; the battery runs each
-    identity at every scale of default_scale_grid() (and, for the
+    identity at every scale of dyadic_grid(kmax=5) (and, for the
     distributivity law, over every pair of its scales).  Failures carry
     the worst sample as a witness."""
-    grid = default_scale_grid()
+    grid = dyadic_grid(kmax=5)
     x, u, v, w = (np.asarray(a, dtype=float) for a in samples)
 
     def C(s, a, b):
@@ -369,7 +350,7 @@ def check_based_compat(model, n=300) -> ValidationReport:
                   for _ in range(3))
     hu = model.arrow(hp, up)  # h u^-1 in pair coordinates
     gu = model.arrow(gp, up)
-    for s in default_scale_grid():
+    for s in dyadic_grid(kmax=5):
         lhs = Delta_eps(model, s, hu, gu)
         rhs = model.arrow(Delta3(model, s, up, gp, hp), up)
         _judge(cd, _per_sample(lhs, rhs), 1e-10, eps=str(s.value), u=up, g=gp, h=hp)

@@ -10,7 +10,6 @@ maps that to a nonzero exit.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +20,7 @@ from .core import (
     SeminormFamily,
     ValidationReport,
     LawCheck,
+    _common,
     check_norm,
     check_seminorm_family,
     validate_groupoid,
@@ -38,7 +38,6 @@ from .scales import as_scale, dyadic_grid
 from .transport import (
     Coupling,
     Measure,
-    _integer_problem,
     _northwest_corner,
     _read_basis,
     check_kantorovich_certificate,
@@ -212,7 +211,8 @@ def unpivoted_transport_basis():
     h = Fraction(1, 2)
     mu = Measure(X, (h, h, 0))
     nu = Measure(X, (0, h, h))
-    supply, demand, cost, L, D = _integer_problem(mu, nu)
+    supply, demand, L = _common(mu._int, nu._int)
+    cost, D = X._int
     _, gamma, u = _read_basis(cost, _northwest_corner(supply, demand), L, D)
     return mu, nu, gamma, u
 

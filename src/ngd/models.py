@@ -516,8 +516,6 @@ def check_A0(model) -> ValidationReport:
     Both the inequalities and sampled membership witnesses are checked, and
     the difference clause: dif(delta_eps g, delta_eps h) lands in dom(1/eps)
     for d(g), d(h) <= R and |eps| <= 1."""
-    import random as _random
-
     rep = ValidationReport(subject=f"A0[{model.name}]")
     if model.domain is None:
         triv = LawCheck("domains are global; inclusion chain trivial",

@@ -35,6 +35,7 @@ from .core import (
     LawCheck,
     SeminormFamily,
     ValidationReport,
+    _common,
     _matrix_over_lcm,
     _over_lcm,
     as_fraction,
@@ -65,17 +66,10 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
-def _common(mu: Measure, nu: Measure):
-    """(mu numerators, nu numerators, L) over one denominator L."""
-    (a, La), (b, Lb) = mu._int, nu._int
-    L = math.lcm(La, Lb)
-    return [v * (L // La) for v in a], [v * (L // Lb) for v in b], L
-
-
 def _pairing(u, mu: Measure, nu: Measure) -> Fraction:
     """sum over x of u(x) (mu(x) - nu(x)), as one integer sum."""
     ui, Du = _over_lcm(u)
-    a, b, L = _common(mu, nu)
+    a, b, L = _common(mu._int, nu._int)
     return Fraction(_dot(ui, map(sub, a, b)), Du * L)
 
 
@@ -550,15 +544,6 @@ class KantorovichResult:
         )
 
 
-def _integer_problem(mu: Measure, nu: Measure):
-    """The transport problem on plain ints: supplies and demands scaled
-    by L, the lcm of the weight denominators, costs by D, the lcm of the
-    distance denominators.  Returns (supply, demand, cost, L, D)."""
-    supply, demand, L = _common(mu, nu)
-    cost, D = mu.space._int
-    return supply, demand, cost, L, D
-
-
 def _northwest_corner(supply, demand) -> dict:
     """The northwest-corner basis as {cell: flow}, cell = x * n + y.
 
@@ -752,7 +737,10 @@ def kantorovich(mu: Measure, nu: Measure) -> KantorovichResult:
     gap, complementary slackness), which proves both optimal."""
     _same_space(mu, nu)
     space = mu.space
-    supply, demand, cost, L, D = _integer_problem(mu, nu)
+    # the problem on plain ints: supplies and demands over L, the lcm of
+    # the weight denominators, costs over D, that of the distances
+    supply, demand, L = _common(mu._int, nu._int)
+    cost, D = space._int
     basis = _northwest_corner(supply, demand)
     pivots = _pivot_to_optimum(cost, basis)
     flows, gamma, phi = _read_basis(cost, basis, L, D)
@@ -854,7 +842,7 @@ def random_coupling_between(mu: Measure, nu: Measure, rng) -> Coupling:
     leftover row and column masses always balance, so it lands
     exactly).  Masses are integers over L 8^(n^2): each of the n^2
     cells takes eighths of what is left, so every amount stays whole."""
-    rows, cols, L = _common(mu, nu)
+    rows, cols, L = _common(mu._int, nu._int)
     n, E = len(rows), 8 ** (len(rows) ** 2)
     rows, cols = [v * E for v in rows], [v * E for v in cols]
     g = [[0] * n for _ in range(n)]

@@ -338,6 +338,28 @@ def test_cli_transport_kantorovich(tmp_path, capsys):
     assert blob["den_bits"] == res.den_bits == 3
 
 
+@pytest.mark.parametrize("action", ["compose", "inverse", "norm",
+                                    "kantorovich", "classify"])
+def test_cli_transport_json_is_json(tmp_path, capsys, action):
+    f = tmp_path / "plans.json"
+    f.write_text(json.dumps({
+        "space": {"points": [0, 1], "dist": [["0", "1"], ["1", "0"]]},
+        "mu": ["1/2", "1/2"],
+        "nu": ["1/4", "3/4"],
+        "gamma": [["1/4", "1/4"], ["0", "1/2"]],
+        "gamma_prime": [["1/4", "0"], ["0", "3/4"]],
+    }))
+    assert run_cli("transport", str(f), "--action", action) == 0
+    text = capsys.readouterr().out
+    assert run_cli("transport", str(f), "--action", action, "--json") == 0
+    blob = json.loads(capsys.readouterr().out)
+    if action == "norm":
+        # the key and the value that `validate --json` gives a plan's norm
+        assert blob == {"norm": text.strip()} == {"norm": "1/4"}
+        assert run_cli("validate", str(f), "--json") == 0
+        assert json.loads(capsys.readouterr().out)["norm"] == "1/4"
+
+
 def test_cli_transport_kantorovich_one_point_space(tmp_path, capsys):
     f = tmp_path / "one.json"
     f.write_text(json.dumps({

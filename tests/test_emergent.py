@@ -21,7 +21,6 @@ from ngd.emergent import (
     dif_eps,
     gamma_irq_from_dilation,
     inv_eps,
-    irq_from_dilation,
     iterate_irq,
     sample_point_quads,
     z_irq_from_iterates,
@@ -116,7 +115,7 @@ class TestIrqLaws:
     """P1/P2 for the dilatation quasigroup at a fixed scale, on arbitrary
     (bounded) float points."""
 
-    Q = irq_from_dilation(H, Fraction(1, 2))
+    Q = gamma_irq_from_dilation(H).at(Fraction(1, 2))
 
     @given(st.tuples(coords, coords, coords).map(np.array),
            st.tuples(coords, coords, coords).map(np.array))
@@ -137,7 +136,7 @@ def test_irq_report_on_samples():
     for model in (E1, H):
         xs = model.sample_points(rng, 400)
         ys = model.sample_points(rng, 400)
-        Q = irq_from_dilation(model, Fraction(1, 2))
+        Q = gamma_irq_from_dilation(model).at(Fraction(1, 2))
         rep = check_irq(Q, xs, ys)
         assert rep.passed, rep.summary()
 
@@ -157,7 +156,7 @@ def test_iterates_realize_dyadic_scales():
     rng = np.random.default_rng(2)
     x = H.sample_points(rng, 100)
     y = H.sample_points(rng, 100)
-    Q = irq_from_dilation(H, Fraction(1, 2))
+    Q = gamma_irq_from_dilation(H).at(Fraction(1, 2))
     for k in (-3, -2, -1, 1, 2, 3):
         got = iterate_irq(Q, k)(x, y)
         want = H.point_dilatation(Scale(Fraction(1, 2) ** k), x, y)
@@ -168,7 +167,7 @@ def test_integer_indexed_family_from_iterates():
     rng = np.random.default_rng(3)
     x = H.sample_points(rng, 150)
     y = H.sample_points(rng, 150)
-    Z = z_irq_from_iterates(irq_from_dilation(H, Fraction(1, 2)))
+    Z = z_irq_from_iterates(gamma_irq_from_dilation(H).at(Fraction(1, 2)))
     rep = check_gamma_irq(Z, x, y)
     assert rep.passed, rep.summary()
 

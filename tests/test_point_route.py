@@ -26,11 +26,9 @@ from ngd.emergent import (
     _per_sample,
     arrow_dilatation,
     check_pplay,
-    default_scale_grid,
     dif_eps,
     gamma_irq_from_dilation,
     inv_eps,
-    irq_from_dilation,
     sample_point_quads,
     z_irq_from_iterates,
 )
@@ -129,7 +127,7 @@ def ref_check_A3mod_A4(model, sampler=None, grid=None, tol=1e-8):
 
 
 def ref_check_pplay(Q, samples, tol=1e-10):
-    grid = default_scale_grid()
+    grid = dyadic_grid(kmax=5)
     x, u, v, w = (np.asarray(a, dtype=float) for a in samples)
 
     def C(s, a, b):
@@ -240,8 +238,8 @@ def test_strong_limits_stay_red_on_the_nan_kernel():
 @pytest.mark.parametrize("seed", [1, 5])
 def test_battery_matches_the_recomputing_reference(model, seed):
     quads = sample_point_quads(model, np.random.default_rng(seed), n=80)
-    for Q in (gamma_irq_from_dilation(model),
-              z_irq_from_iterates(irq_from_dilation(model, Fraction(1, 2)))):
+    G = gamma_irq_from_dilation(model)
+    for Q in (G, z_irq_from_iterates(G.at(Fraction(1, 2)))):
         same_report(check_pplay(Q, quads), ref_check_pplay(Q, quads))
 
 

@@ -6,10 +6,10 @@ when something outside its own definition refers to it: a `Name`, an
 its targets by name).  An `Attribute` does not count for a top-level
 function when some class in src/ngd defines a method of that name:
 `model.dtilde(...)` reaches the method, not a function that shares its
-name.  References may sit in src/ngd, tests/, demos/ or
-perfbench/.  The package's re-export in `__init__` does not count, and
-neither do docstrings, comments or the names of test functions.  There
-is no allow-list: a name that fails here is deleted or given a caller.
+name.  References may sit in src/ngd, tests/, demos/ or perfbench/.
+Docstrings, comments and the names of test functions do not count.
+There is no allow-list: a name that fails here is deleted or given a
+caller.
 
 Every public method of a public class is reached too, matched by name: a
 method `m` is reached when, outside its own definition, some attribute

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ngd import transport
 from ngd.constructions import FiniteMetricSpace, random_metric_space
-from ngd.core import _matrix_over_lcm, _over_lcm
+from ngd.core import _common, _matrix_over_lcm, _over_lcm
 from ngd.fixtures import marginal_off_by_one_unit, unpivoted_transport_basis
 from ngd.transport import (
     Coupling,
@@ -1261,7 +1261,7 @@ def test_certificate_matches_the_fraction_reference_on_random_damage():
 
 def test_planted_off_by_one_unit_fails_the_marginal_law_only():
     mu, nu, gamma, u = marginal_off_by_one_unit()
-    assert transport._common(mu, nu)[2] == 6
+    assert _common(mu._int, nu._int)[2] == 6
     rep = assert_certificates_agree(mu, nu, gamma, u)
     assert failing_laws(rep) == ["plan is a coupling of (mu, nu), exactly"]
     marg = rep.law("plan is a coupling of (mu, nu), exactly")
