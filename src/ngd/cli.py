@@ -14,48 +14,19 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
+from .constructions import (FiniteMetricSpace, check_double_norm,
+                            pair_groupoid, random_metric_space)
+from .core import (FiniteGroupoid, LawCheck, ValidationReport,
+                   check_category_with_inverses, check_norm,
+                   check_separability, validate_groupoid)
 
-from . import dsl, emergent, transport
-from .constructions import (
-    FiniteMetricSpace,
-    check_double_norm,
-    pair_groupoid,
-    random_metric_space,
-)
-from .core import (
-    FiniteGroupoid,
-    LawCheck,
-    ValidationReport,
-    check_category_with_inverses,
-    check_norm,
-    check_separability,
-    validate_groupoid,
-)
-from .fixtures import run_planted_suite
-from .limits import (
-    BoundedSampler,
-    check_A3,
-    check_A3mod_A4,
-    check_A4weak,
-    check_translation_groupoid,
-    cone_check,
-    fiber_dilatation_structure,
-    gh_estimate,
-)
-from .models import (
-    check_A0,
-    check_A1,
-    check_A2,
-    check_dilation_morphism,
-    euclidean_model,
-    heisenberg_model,
-    restricted_euclidean_model,
-)
-from .scales import dyadic_grid
+# numpy, transport and the analytic modules are imported by the commands
+# that use them, so validate and transport never load numpy
 
 
 def _models_from(args):
+    from .models import euclidean_model, heisenberg_model
+
     if args.model == "euclidean":
         return [euclidean_model(dim=args.dim)]
     if args.model == "heisenberg":
@@ -64,6 +35,8 @@ def _models_from(args):
 
 
 def _grid_from(args):
+    from .scales import dyadic_grid
+
     k = args.eps_grid
     return None if k is None else dyadic_grid(kmax=k)
 
@@ -105,6 +78,8 @@ def cmd_validate(args) -> int:
     reports = []
     try:
         if "gamma" in data:
+            from . import transport
+
             gamma = transport.Coupling.from_json(data)
             rep = ValidationReport(subject="transport plan")
             ok = LawCheck("matrix is a coupling of its declared marginals")
@@ -160,6 +135,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    import numpy as np
+    from . import dsl
+
     model = _models_from(args)[0]
     ctx = dsl.EvalContext(model, eps_grid=_grid_from(args), tol=args.tol)
     if args.base:
@@ -196,6 +174,10 @@ def _limit_reports(args, axioms):
     """Per model, the reports named in axioms, in this order: A3, A4weak,
     A3mod, cone, fibers (the fiber dilatation structure and the
     translation groupoid) and distortion."""
+    from .limits import (BoundedSampler, check_A3, check_A3mod_A4,
+                         check_A4weak, check_translation_groupoid, cone_check,
+                         fiber_dilatation_structure, gh_estimate)
+
     reports = []
     grid = _grid_from(args)
     for model in _models_from(args):
@@ -232,7 +214,9 @@ def cmd_limits(args) -> int:
 # transport
 
 
-def _coupling_from(data, key="gamma") -> transport.Coupling:
+def _coupling_from(data, key="gamma"):
+    from . import transport
+
     sub = {"space": data["space"], "gamma": data[key]}
     for mk in ("mu", "nu"):
         if key == "gamma" and mk in data:
@@ -241,6 +225,8 @@ def _coupling_from(data, key="gamma") -> transport.Coupling:
 
 
 def cmd_transport(args) -> int:
+    from . import transport
+
     data = _load_json(args.file)
     try:
         if args.action == "compose":
@@ -301,7 +287,7 @@ def cmd_transport(args) -> int:
     return 0
 
 
-def _matrix_text(gamma: transport.Coupling) -> str:
+def _matrix_text(gamma) -> str:
     return "\n".join(
         "  ".join(str(v) for v in row) for row in gamma.gamma
     )
@@ -312,6 +298,10 @@ def _matrix_text(gamma: transport.Coupling) -> str:
 
 
 def _suite_axioms(args):
+    import numpy as np
+    from .models import (check_A0, check_A1, check_A2,
+                         check_dilation_morphism, restricted_euclidean_model)
+
     reports = []
     for i in range(3):
         space = random_metric_space(seed=args.seed + i, max_points=5)
@@ -334,6 +324,9 @@ def _suite_axioms(args):
 
 
 def _suite_irq(args):
+    import numpy as np
+    from . import emergent
+
     reports = []
     for model in _models_from(args):
         rng = np.random.default_rng(args.seed)
@@ -365,6 +358,8 @@ def _suite_limits(args):
 
 
 def _suite_transport(args):
+    from . import transport
+
     space = random_metric_space(seed=args.seed + 17, max_points=4)
     reports = [transport.check_transport(seed=args.seed, samples=40),
                transport.check_transport(space, seed=args.seed, samples=25)]
@@ -391,6 +386,8 @@ def cmd_report(args) -> int:
     }
     reports = []
     if args.suite == "planted":
+        from .fixtures import run_planted_suite
+
         for name, rep in run_planted_suite(seed=args.seed,
                                            samples=args.samples):
             rep.subject = f"planted: {name}"
@@ -425,6 +422,23 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"must be positive and finite, got {text}")
     return x
+
+
+# the dyadic grid needs 2^-KMAX and 2^KMAX as finite normal floats
+KMAX_MAX = 1 - sys.float_info.min_exp
+# the sampling boxes keep a finite gauge, up to 5 r^4 on Heisenberg
+RADIUS_MAX = (sys.float_info.max / 5) ** 0.25
+
+
+def _at_most(parse, top, why):
+    """The argparse type parse, refusing values above top with why."""
+    def bounded(text):
+        x = parse(text)
+        if x > top:
+            raise argparse.ArgumentTypeError(f"{why} past {top:.4g}, "
+                                             f"got {text}")
+        return x
+    return bounded
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,13 +484,16 @@ def build_parser() -> argparse.ArgumentParser:
                                              "all"], default="all")
         sub.add_argument("--dim", type=_positive_int, default=1,
                          help="dimension of the euclidean carrier")
-        sub.add_argument("--eps-grid", type=_positive_int, default=None,
-                         metavar="KMAX",
+        sub.add_argument("--eps-grid", metavar="KMAX", default=None,
+                         type=_at_most(_positive_int, KMAX_MAX,
+                                       "2^-KMAX is not a normal float"),
                          help="use the dyadic grid 2^-1 .. 2^-KMAX")
         sub.add_argument("--tol", type=_positive_float, default=1e-8)
     for sub in (li, r):
         sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--radius", type=_positive_float, default=4.0)
+        sub.add_argument("--radius", default=4.0,
+                         type=_at_most(_positive_float, RADIUS_MAX,
+                                       "the gauge overflows at radius"))
         sub.add_argument("--samples", type=_positive_int, default=200)
     for sub in sp.choices.values():
         sub.add_argument("--json", action="store_true",

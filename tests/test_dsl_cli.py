@@ -2,12 +2,15 @@
 round-trip printing, frozen evaluation values, and process exit codes."""
 
 import json
+import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ngd import cli, dsl, transport
+from ngd import cli, dsl, fixtures, transport
 from ngd.constructions import (
     check_double_norm,
     pair_groupoid,
@@ -387,7 +390,7 @@ def test_cli_report_planted_reads_samples(monkeypatch, capsys):
         seen.update(kw)
         return []
 
-    monkeypatch.setattr(cli, "run_planted_suite", planted)
+    monkeypatch.setattr(fixtures, "run_planted_suite", planted)
     run_cli("report", "--suite", "planted", "--seed", "3", "--samples", "120")
     assert seen == {"seed": 3, "samples": 120}
 
@@ -411,3 +414,56 @@ def test_cli_degenerate_flag_values_are_exit_two(flag, value, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["limits", "--model", "euclidean", "--axiom", "cone", "--samples", "5",
+     "--radius", "1e200"],
+    ["limits", "--model", "euclidean", "--axiom", "cone", "--samples", "5",
+     "--radius", "1e308"],
+    ["report", "--suite", "irq", "--radius", "1e308"],
+    ["limits", "--model", "heisenberg", "--axiom", "cone", "--samples", "5",
+     "--radius", "1e77"],
+])
+def test_cli_radius_past_the_float_gauge_is_exit_two(argv):
+    """A ball whose sampling box has no finite gauge is refused: before,
+    rejection sampling drew forever or ended in an OverflowError."""
+    proc = subprocess.run([sys.executable, "-m", "ngd.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == (
+        f"ngd {argv[0]}: error: argument --radius: the gauge overflows at "
+        f"radius past 7.743e+76, got {argv[-1]}")
+
+
+def test_cli_largest_radius_runs_without_a_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "ngd.cli", "limits", "--axiom", "cone",
+         "--samples", "5", "--radius", repr(cli.RADIUS_MAX)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode in (0, 1) and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", [["eval", "(1, 0)"], ["limits"],
+                                     ["report"]])
+@pytest.mark.parametrize("kmax", ["1023", "1074", "1100"])
+def test_cli_eps_grid_past_the_normal_floats_is_exit_two(command, kmax,
+                                                         capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*command, "--eps-grid", kmax)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert (f"argument --eps-grid: 2^-KMAX is not a normal float past 1022, "
+            f"got {kmax}") in err
+    assert "Traceback" not in err
+
+
+def test_cli_eps_grid_at_the_last_normal_float():
+    """2^-1022 is the least normal float and 2^1022 is finite, so the
+    grid's last scale and its inverse enter the kernels as floats."""
+    assert cli.KMAX_MAX == 1022
+    assert float(Fraction(1, 2**1022)) == sys.float_info.min
+    assert math.isfinite(float(Fraction(2**1022)))
+    term = "lim(eps -> 0, Sigma(eps, (3, 0), (1, 0)))"
+    assert run_cli("eval", term, "--eps-grid", "1022", "--json") == 0

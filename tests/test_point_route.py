@@ -40,10 +40,14 @@ from ngd.fixtures import (
 )
 from ngd.limits import (
     EPS_STAR,
+    MUS,
     BoundedSampler,
     check_A3mod_A4,
+    check_A4weak,
+    fiber_dilatation_structure,
     rescaled_norm,
     rescaled_pair_distance,
+    two_scale_dilatation,
     uniform_limit,
 )
 from ngd.models import (
@@ -362,3 +366,87 @@ def test_strong_limits_build_no_arrows_per_scale(monkeypatch):
         counts.append(len(built))
     # the two sampled arrow clouds and the tangent difference
     assert counts == [3, 3]
+
+
+# ---------------------------------------------------------------------------
+# the two-scale sweeps share their dilated clouds
+
+
+def ref_A4weak_sweeps(model, sampler, grid):
+    """The A4weak sweeps as they were: each mu recomputes delta^x_eps u
+    and delta^x_eps v."""
+    u, v = sampler.point_tuple(2)
+    x = np.broadcast_to(sampler.base, u.shape)
+    return [uniform_limit(
+        f"A4weak[mu={mu.value}]: two-scale dilatation -> tangent dilatation",
+        lambda s: two_scale_dilatation(model, s, mu, x, u, v),
+        model.tangent_bar_dilatation(mu, x, u, v), grid, 1e-8)
+        for mu in MUS]
+
+
+def ref_fiber_sweeps(model):
+    """The fiber sweeps as they were: every sweep dilates its own clouds."""
+    x = model.e()
+    u, v, w = BoundedSampler(model, base=x, n=100, seed=11).point_tuple(3)
+    grid = dyadic_grid(kmax=6)
+    pd = model.point_dilatation
+    return [uniform_limit(
+        "fiber A2: dist(u, delta^u_eps v) -> 0",
+        lambda s: model.pdist(u, pd(s, u, v)), 0.0, grid, 0.25,
+        atol=1e-10, require_decreasing=True), uniform_limit(
+        "fiber A3: rescaled based distance -> tangent distance",
+        lambda s: model.pdist(pd(s, u, v), pd(s, u, w)) / float(s.modulus),
+        model.tangent_point_dist(v, w), grid, 1e-8, atol=1e-10)] + [
+        uniform_limit(
+            f"fiber A4weak[mu={mu.value}]: two-scale dilatation converges",
+            lambda s: two_scale_dilatation(model, s, mu, u, v, w),
+            model.tangent_bar_dilatation(mu, u, v, w), grid, 1e-8,
+            atol=1e-10) for mu in MUS[:2]]
+
+
+def _traces(estimates):
+    return _text([e.to_json() for e in estimates])
+
+
+@pytest.mark.parametrize("kmax", [None, 6])
+def test_two_scale_sweeps_match_the_recomputing_reference(model, kmax):
+    grid = None if kmax is None else dyadic_grid(kmax)
+    sampler = BoundedSampler(model, n=60, seed=3)
+    got = check_A4weak(model, sampler, grid).limits
+    assert _traces(got) == _traces(
+        ref_A4weak_sweeps(model, sampler, grid or dyadic_grid()))
+    assert _traces(fiber_dilatation_structure(model)[1].limits) == \
+        _traces(ref_fiber_sweeps(model))
+
+
+def _count_point_dilatations(monkeypatch, model):
+    calls = []
+    pd = model.point_dilatation
+
+    def counting(s, x, y):
+        calls.append(s)
+        return pd(s, x, y)
+
+    monkeypatch.setattr(model, "point_dilatation", counting)
+    return calls
+
+
+def test_two_scale_sweeps_compute_each_cloud_once(monkeypatch):
+    H = heisenberg_model()
+    calls = _count_point_dilatations(monkeypatch, H)
+    sampler = BoundedSampler(H, n=20)
+    counts = []
+    for run in (lambda: check_A4weak(H, sampler),
+                lambda: ref_A4weak_sweeps(H, sampler, dyadic_grid()),
+                lambda: fiber_dilatation_structure(H),
+                lambda: ref_fiber_sweeps(H)):
+        calls.clear()
+        run()
+        counts.append(len(calls))
+    # A4weak: two clouds per scale, then 2 calls per (mu, scale) and 3 for
+    # the base case, against 4 per (mu, scale); fiber structure: 22 calls
+    # for the scale action, 1 per scale for A2, then two clouds per scale
+    # shared by A3 and 2 calls per (mu, scale), against 1 + 2 + 2 * 4 per
+    # scale
+    assert counts == [20 * 2 + 3 * 20 * 2 + 3, 3 * 20 * 4,
+                      22 + 6 + 6 * 2 + 2 * 6 * 2, 6 * (1 + 2 + 2 * 4)]
