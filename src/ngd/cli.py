@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 from .constructions import (FiniteMetricSpace, check_double_norm,
@@ -503,7 +504,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    # the judges name every non-finite residual, so numpy's warnings are
+    # noise; a filter, not np.errstate, which slows every ufunc call
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "(overflow|invalid value) "
+                                "encountered", RuntimeWarning)
+        return args.fn(args)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,10 @@
 double groupoid of same-source arrow pairs, and fiber distances.
 
 Everything here is exact table arithmetic, judged in integers over one
-lcm per table; Fractions are the input, JSON and witness boundary.
+lcm per table; Fractions are the input, JSON and witness boundary.  The
+double groupoid, its norm check and the fiber distances gather from G's
+composition rows (FiniteGroupoid.rows) and per-object difference
+matrices (FiniteGroupoid.differences), built once per G.
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain, product
+from operator import itemgetter
 
 from .core import (
     FiniteGroupoid,
@@ -123,10 +127,13 @@ def _double_pairs(G: FiniteGroupoid) -> list:
     """The arrows of the double groupoid of G, in its arrow order: arrow i
     is the pair (g, h) of arrows of G with alpha(g) = alpha(h), listed by
     g and then by h.  It depends on G alone, so a double groupoid read
-    back from JSON is checked against G with the same list."""
-    leaving = G.fibers()[0]
-    return [(g, h) for g, a in enumerate(G.endpoints()[0])
-            for h in leaving[a]]
+    back from JSON is checked against G with the same list.  Built once
+    per G, on first use."""
+    if G._pairs is None:
+        leaving = G.fibers()[0]
+        G._pairs = [(g, h) for g, a in enumerate(G.endpoints()[0])
+                     for h in leaving[a]]
+    return G._pairs
 
 
 def _double_labels(G: FiniteGroupoid, pairs) -> list:
@@ -147,29 +154,34 @@ def _double_of(G: FiniteGroupoid, D) -> tuple:
     return D, pairs
 
 
+def _flat_differences(G: FiniteGroupoid) -> list:
+    """The difference matrices flattened in arrow order: the numerators
+    of d(g h^-1) for the pairs (g, h) of _double_pairs(G), in order."""
+    row = dict(zip(chain(*G.fibers()[0].values()),
+                   chain(*G.differences().values())))
+    return [*chain.from_iterable(map(row.__getitem__, range(len(row))))]
+
+
 def double_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     """Arrows are pairs (g, h) with alpha(g) = alpha(h); composition glues
     along the first slot, (g, h)(h, l) = (g, l); the inverse swaps; the
-    norm is the fiber distance d~(g, h) = d(g h^-1).
+    norm is the fiber distance d~(g, h) = d(g h^-1), read off G.differences().
 
     The pair (g, h) runs from the object (h, h) to (g, g): difference
-    arrows index "how to get from h to g inside one fiber"."""
-    alpha = G.endpoints()[0]
-    leaving = G.fibers()[0]
-    comp, inv = G.compose, G.inverse
-    pairs = _double_pairs(G)
-    index = {p: i for i, p in enumerate(pairs)}
+    arrows index "how to get from h to g inside one fiber".  It is arrow
+    start[g] + (the index of h in its fiber)."""
+    alpha, leaving, pairs = G.endpoints()[0], G.fibers()[0], _double_pairs(G)
+    start = [0, *accumulate(len(leaving[a]) for a in alpha)]
+    compose = {(i, k): k + start[g] - start[h] for i, (g, h) in
+               enumerate(pairs) for k in range(start[h], start[h + 1])}
+    inverse = [start[h] + leaving[alpha[g]].index(g) for g, h in pairs]
     arrows = _double_labels(G, pairs)
-    compose = {(i, index[(h, l)]): index[(g, l)]
-               for i, (g, h) in enumerate(pairs) for l in leaving[alpha[h]]}
-    inverse = [index[(h, g)] for g, h in pairs]
     if G.norm is None:
         return FiniteGroupoid(arrows, compose, inverse)
-    dif = [comp[(g, inv[h])] for g, h in pairs]
-    num, D = G._int
+    flat, value = _flat_differences(G), dict(zip(G._int[0], G.norm))
     return FiniteGroupoid._normed(arrows, compose, inverse,
-                                  [G.norm[k] for k in dif],
-                                  ([num[k] for k in dif], D))
+                                  [*map(value.__getitem__, flat)],
+                                  (flat, G._int[1]))
 
 
 def double_difference_morphism(G, D=None):
@@ -182,51 +194,61 @@ def double_difference_morphism(G, D=None):
     return GroupoidMorphism(source=D, target=G, arrow_map=amap, name="dif")
 
 
+def _right_translation(G: FiniteGroupoid, law, key=None) -> LawCheck:
+    """Right translation preserves fiber distances, d(g h^-1) =
+    d((gu)(hu)^-1) for g, h leaving omega(u): per u, the difference matrix
+    of alpha(u) reindexed by p, the positions of the g u, equals that of
+    omega(u).  Ticks law once, then fails it at each failing (u, g, h), in
+    the order of key."""
+    (alpha, omega), leaving = G.endpoints(), G.fibers()[0]
+    rows, M = G.rows(), G.differences()
+    checked, bad = 0, []
+    for u, x in enumerate(omega):
+        gs = leaving.get(x, ())
+        checked += len(gs) ** 2
+        if not gs:
+            continue
+        p = [*map(leaving[alpha[u]].index, [rows[g][u] for g in gs])]
+        there, here = M[alpha[u]], M[x]
+        get = itemgetter(*p) if len(p) > 1 else lambda r, j=p[0]: (r[j],)
+        if [*map(get, map(there.__getitem__, p))] != here:
+            bad += [(u, g, h) for i, g in enumerate(gs)
+                    for j, h in enumerate(gs)
+                    if here[i][j] != there[p[i]][p[j]]]
+    law.tick(checked)
+    for u, g, h in sorted(bad, key=key):
+        law.fail(g=G.arrows[g], h=G.arrows[h], u=G.arrows[u])
+    return law
+
+
 def check_double_norm(G: FiniteGroupoid, D=None) -> ValidationReport:
     """d~ is norm-preserving along dif, and right translation is an
     isometry of fibers: (g u)(h u)^-1 = g h^-1 exactly.  D defaults to
     the double groupoid of G; a D that is not raises ValueError."""
     D, pairs = _double_of(G, D)
     pres = LawCheck("d~(g,h) = d(g h^-1)")
-    rinv = LawCheck("right translation preserves d~")
-    rep = ValidationReport(subject="double groupoid norm").add(pres, rinv)
-    alpha = G.endpoints()[0]
-    entering = G.fibers()[1]
-    comp, inv = G.compose, G.inverse
-    (dd, DD), (d, DG) = D._int, G._int
+    rep = ValidationReport(subject="double groupoid norm").add(pres)
+    (dd, DD), DG = D._int, G._int[1]
+    want = [v * DD for v in _flat_differences(G)]
     pres.tick(len(pairs))
-    for i, (g, h) in enumerate(pairs):
-        if dd[i] * DG != d[comp[(g, inv[h])]] * DD:
+    for i, (v, w) in enumerate(zip(dd, want)):
+        if v * DG != w:
             pres.fail(pair=D.arrows[i])
-    for g, h in pairs:
-        dgh = d[comp[(g, inv[h])]]
-        us = entering.get(alpha[g], ())
-        rinv.tick(len(us))
-        for u in us:
-            gu, hu = comp[(g, u)], comp[(h, u)]
-            if d[comp[(gu, inv[hu])]] != dgh:
-                rinv.fail(g=G.arrows[g], h=G.arrows[h], u=G.arrows[u])
-    return rep
+    return rep.add(_right_translation(
+        G, LawCheck("right translation preserves d~"), itemgetter(1, 2, 0)))
 
 
 # ---------------------------------------------------------------------------
 # fiber distances
 
 
-def _fiber_table(G: FiniteGroupoid, d) -> dict:
-    """{unit arrow x: {(g, h): d[g h^-1]}} over the fibers alpha^-1(x),
-    for a table d on the arrows of G: the norm or its numerators."""
-    comp, inv = G.compose, G.inverse
-    if d is None:
-        raise ValueError("groupoid carries no norm")
-    return {x: {(g, h): d[comp[(g, inv[h])]] for g in gs for h in gs}
-            for x, gs in G.fibers()[0].items()}
-
-
 def fiber_distances(G: FiniteGroupoid) -> dict:
     """Per-object distance tables on fibers alpha^-1(x):
-    returns {unit arrow x: {(g, h): d(g h^-1)}}."""
-    return _fiber_table(G, G.norm)
+    returns {unit arrow x: {(g, h): d(g h^-1)}}, read off the difference
+    matrices."""
+    M, value = G.differences(), dict(zip(G._int[0], G.norm))
+    return {x: dict(zip(product(gs, gs), map(value.__getitem__, chain(*m))))
+            for (x, gs), m in zip(G.fibers()[0].items(), M.values())}
 
 
 def norm_from_fiber_distances(G: FiniteGroupoid, fibers):
@@ -238,24 +260,12 @@ def norm_from_fiber_distances(G: FiniteGroupoid, fibers):
 
 def check_fiber_distances(G: FiniteGroupoid) -> ValidationReport:
     """Right-invariance and reconstruction, exactly, in integers."""
-    rinv = LawCheck("d_omega(u)(g,h) = d_alpha(u)(gu, hu)")
     recon = LawCheck("d(g) = d_alpha(g)(g, e)")
-    rep = ValidationReport(subject="fiber distances").add(rinv, recon)
-    d, D = G._int
-    fib = _fiber_table(G, d)
-    alpha, omega = G.endpoints()
-    leaving = G.fibers()[0]
-    comp = G.compose
-    for u, x in enumerate(omega):
-        gs = leaving.get(x, ())
-        here, there = fib.get(x), fib[alpha[u]]
-        rinv.tick(len(gs) ** 2)
-        for g in gs:
-            gu = comp[(g, u)]
-            for h in gs:
-                if here[(g, h)] != there[(gu, comp[(h, u)])]:
-                    rinv.fail(g=G.arrows[g], h=G.arrows[h], u=G.arrows[u])
-    rec = norm_from_fiber_distances(G, fib)
+    rep = ValidationReport(subject="fiber distances").add(_right_translation(
+        G, LawCheck("d_omega(u)(g,h) = d_alpha(u)(gu, hu)")), recon)
+    (d, D), M, leaving = G._int, G.differences(), G.fibers()[0]
+    rec = [M[a][leaving[a].index(g)][leaving[a].index(a)]
+           for g, a in enumerate(G.endpoints()[0])]
     recon.tick(len(d))
     for g, want in enumerate(d):
         if rec[g] != want:

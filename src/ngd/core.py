@@ -5,10 +5,12 @@ right-to-left, h happens first -- and a total involutive inverse.  The
 unit arrows are recovered from the data as alpha(a) = m(inv(a), a) and
 omega(a) = m(a, inv(a)); an arrow a runs from the object alpha(a) to the
 object omega(a), and (g, h) is composable exactly when alpha(g) = omega(h).
-FiniteGroupoid.endpoints() builds the alpha/omega lists from the tables,
-and FiniteGroupoid.fibers() the arrows leaving and entering each unit
-arrow, once each, on first use; every finite check here and in
-ngd.constructions walks those fibers instead of filtering all arrows.
+FiniteGroupoid builds, once each and on first use, the alpha/omega lists,
+the arrows leaving and entering each unit arrow (fibers), the composition
+rows rows[g] = {h: m(g, h)} and, per object, the matrix of d(g h^-1) over
+the arrows leaving it (differences).  The finite checks gather from these
+with C-level calls; a per-instance loop only names a failed batch's
+witnesses.
 
 A norm is a nonnegative weight on arrows that vanishes exactly on unit
 arrows, is subadditive along composition and invariant under inversion.
@@ -22,7 +24,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
+from operator import itemgetter
 
 MAX_WITNESSES = 10
 
@@ -206,8 +209,9 @@ class FiniteGroupoid:
             for g, v in enumerate(self._int[0]):
                 if v < 0:
                     raise ValueError(f"norm[{g}] = {self.norm[g]} is negative")
-        self._ends = None
-        self._fibers = None
+        # built on first use; _pairs by ngd.constructions._double_pairs
+        self._ends = self._fibers = self._rows = None
+        self._diffs = self._pairs = None
 
     @classmethod
     def _normed(cls, arrows, compose, inverse, norm, ints):
@@ -223,16 +227,14 @@ class FiniteGroupoid:
         m(inv g, g) and omega[g] = m(g, inv g).  Built on first use;
         raises ValueError when an (inv g, g) pair does not compose."""
         if self._ends is None:
-            alpha, omega = [], []
-            for g, gi in enumerate(self.inverse):
-                a = self.compose.get((gi, g))
-                w = self.compose.get((g, gi))
-                if a is None or w is None:
-                    raise ValueError(
-                        f"(inv, arrow) pair not composable at {self.arrows[g]}"
-                    )
-                alpha.append(a)
-                omega.append(w)
+            rows, inv = self.rows(), self.inverse
+            alpha = [*map(dict.get, map(rows.__getitem__, inv), count())]
+            omega = [*map(dict.get, rows, inv)]
+            bad = [g for g, *ends in zip(count(), alpha, omega)
+                   if None in ends]
+            if bad:
+                raise ValueError("(inv, arrow) pair not composable at "
+                                 f"{self.arrows[bad[0]]}")
             self._ends = alpha, omega
         return self._ends
 
@@ -247,6 +249,24 @@ class FiniteGroupoid:
                 entering.setdefault(w, []).append(g)
             self._fibers = leaving, entering
         return self._fibers
+
+    def rows(self):
+        """rows[g] = {h: m(g, h)}, in the order of compose."""
+        if self._rows is None:
+            self._rows = _rows(self.compose, len(self.arrows))
+        return self._rows
+
+    def differences(self):
+        """{unit arrow x: M}, M[i][j] the numerator over the norm's lcm of
+        d(g h^-1) for the i-th and j-th arrows g, h of leaving[x]."""
+        if self._diffs is None:
+            if self.norm is None:
+                raise ValueError("groupoid carries no norm")
+            num, rows, inv = self._int[0], self.rows(), self.inverse
+            self._diffs = {x: [tuple(map(num.__getitem__, map(
+                rows[g].__getitem__, map(inv.__getitem__, gs)))) for g in gs]
+                for x, gs in self.fibers()[0].items()}
+        return self._diffs
 
     # -- serialization ------------------------------------------------------
 
@@ -327,19 +347,32 @@ def _inverse_laws(labels, compose, inverse) -> tuple:
     return invo, pairs
 
 
-def _assoc_law(title, labels, compose, after) -> LawCheck:
+def _rows(compose, n) -> list:
+    """rows[g] = {h: m(g, h)} for g < n, in the order of compose."""
+    rows = [{} for _ in range(n)]
+    for (g, h), k in compose.items():
+        rows[g][h] = k
+    return rows
+
+
+def _assoc_law(title, labels, compose, rows, after) -> LawCheck:
     """Associativity with closure: for every composite gh and every k in
     after[h] (the arrows that should compose on the right of h), hk,
-    (gh)k and g(hk) exist and (gh)k = g(hk)."""
+    (gh)k and g(hk) exist and (gh)k = g(hk).  One gather per composite
+    over after[h]; the per-k loop runs only on a composite that fails."""
     assoc = LawCheck(title)
+    assoc.tick(sum(map(len, map(after.__getitem__,
+                                map(itemgetter(1), compose)))))
+    hks = [[*map(r.get, ks)] for r, ks in zip(rows, after)]
     for (g, h), gh in compose.items():
-        ks = after[h]
-        assoc.tick(len(ks))
-        for k in ks:
-            hk = compose.get((h, k))
-            left = compose.get((gh, k))
-            if hk is None or left is None or compose.get((g, hk)) != left:
-                assoc.fail(g=labels[g], h=labels[h], k=labels[k])
+        left = [*map(rows[gh].get, after[h])]
+        if None in hks[h] or None in left or [
+                *map(rows[g].get, hks[h])] != left:
+            for k in after[h]:
+                hk = compose.get((h, k))
+                left = compose.get((gh, k))
+                if hk is None or left is None or compose.get((g, hk)) != left:
+                    assoc.fail(g=labels[g], h=labels[h], k=labels[k])
     return assoc
 
 
@@ -363,23 +396,30 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
     alpha, omega = G.endpoints()
     n = len(lbl)
 
+    rows, entering = G.rows(), G.fibers()[1]
     match.tick(n * n)
     for g in range(n):
-        for h in range(n):
-            if ((g, h) in comp) != (alpha[g] == omega[h]):
-                match.fail(g=lbl[g], h=lbl[h], composable=(g, h) in comp)
+        if rows[g].keys() != set(entering.get(alpha[g], ())):
+            for h in range(n):
+                if ((g, h) in comp) != (alpha[g] == omega[h]):
+                    match.fail(g=lbl[g], h=lbl[h], composable=(g, h) in comp)
 
     typing.tick(len(comp))
     cancel.tick(len(comp))
-    for (g, h), k in comp.items():
-        if alpha[k] != alpha[h] or omega[k] != omega[g]:
-            typing.fail(g=lbl[g], h=lbl[h], gh=lbl[k])
-        if comp.get((k, inv[h])) != g or comp.get((inv[g], k)) != h:
-            cancel.fail(g=lbl[g], h=lbl[h])
+    gs, hs = [*map(itemgetter(0), comp)], [*map(itemgetter(1), comp)]
+    ks, at, inv_ = [*comp.values()], rows.__getitem__, inv.__getitem__
+    if ([*map(alpha.__getitem__, ks)] != [*map(alpha.__getitem__, hs)]
+            or [*map(omega.__getitem__, ks)] != [*map(omega.__getitem__, gs)]
+            or [*map(dict.get, map(at, ks), map(inv_, hs))] != gs
+            or [*map(dict.get, map(at, map(inv_, gs)), ks)] != hs):
+        for (g, h), k in comp.items():
+            if alpha[k] != alpha[h] or omega[k] != omega[g]:
+                typing.fail(g=lbl[g], h=lbl[h], gh=lbl[k])
+            if comp.get((k, inv[h])) != g or comp.get((inv[g], k)) != h:
+                cancel.fail(g=lbl[g], h=lbl[h])
 
     # (h, k) is composable whenever alpha(h) = omega(k)
-    entering = G.fibers()[1]
-    assoc = _assoc_law(titles[2], lbl, comp,
+    assoc = _assoc_law(titles[2], lbl, comp, rows,
                        [entering.get(a, ()) for a in alpha])
     return rep.add(invo, pairs, typing, match, assoc, cancel)
 
@@ -583,10 +623,9 @@ def check_category_with_inverses(
     anti = LawCheck("inverse is an antimorphism")
     ends = LawCheck("source of inv g = target of g (composability classes)")
 
-    after = [[] for _ in range(n)]
-    for h, k in sorted(comp):
-        after[h].append(k)
-    assoc = _assoc_law("associativity", C.arrows, comp, after)
+    rows = _rows(comp, n)
+    assoc = _assoc_law("associativity", C.arrows, comp, rows,
+                       [sorted(r) for r in rows])
     rep.add(stab, assoc, invo, ipair, anti, ends)
 
     anti.tick(len(comp))

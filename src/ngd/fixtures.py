@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constructions import FiniteMetricSpace, pair_groupoid
+from .constructions import (FiniteMetricSpace, check_fiber_distances,
+                            pair_groupoid)
 from .core import (
     FiniteGroupoid,
     SeminormFamily,
@@ -162,6 +163,19 @@ def inflated_norm_groupoid():
     norm[i_ac] = Fraction(100)
     norm[i_ca] = Fraction(100)
     return FiniteGroupoid(G.arrows, G.compose, G.inverse, norm)
+
+
+def broken_loops():
+    """Two copies of Z/4 side by side, with r1 r2 sent to the unit r0:
+    every table stays total on each object, but right translation no
+    longer preserves d~ and associativity fails."""
+    compose = {(b + g, b + h): b + (g + h) % 4
+               for b in (0, 4) for g in range(4) for h in range(4)}
+    compose[(1, 2)] = 0
+    return FiniteGroupoid(
+        [c + str(k) for c in "rs" for k in range(4)], compose,
+        [b + -g % 4 for b in (0, 4) for g in range(4)],
+        [Fraction(min(g, 4 - g)) for g in range(4)] * 2)
 
 
 def non_separating_seminorms():
@@ -314,6 +328,8 @@ def run_planted_suite(seed: int = 0, samples: int = 200):
         "retargeted composition vs groupoid typing",
         validate_groupoid(retargeted_compose_groupoid()),
     ))
+    out.append(("broken loops vs right translation of fiber distances",
+                check_fiber_distances(broken_loops())))
     out.append((
         "inflated norm entry vs subadditivity",
         check_norm(inflated_norm_groupoid()),

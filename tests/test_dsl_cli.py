@@ -467,3 +467,20 @@ def test_cli_eps_grid_at_the_last_normal_float():
     assert math.isfinite(float(Fraction(2**1022)))
     term = "lim(eps -> 0, Sigma(eps, (3, 0), (1, 0)))"
     assert run_cli("eval", term, "--eps-grid", "1022", "--json") == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["limits", "--samples", "5", "--eps-grid", "1022"],
+    ["report", "--suite", "limits", "--samples", "5", "--eps-grid", "1022"],
+    ["eval", "lim(eps -> 0, Delta(eps, (3, 1, 2), (1, 0, 5)))",
+     "--model", "heisenberg", "--eps-grid", "1022"],
+])
+def test_cli_overflow_at_the_last_normal_float_is_judged_quietly(argv):
+    """At 2^-1022 the Heisenberg dilations overflow.  The judge reports the
+    non-finite residual with its witness and the exit code is 1; numpy's
+    RuntimeWarnings do not reach stderr."""
+    proc = subprocess.run([sys.executable, "-m", "ngd.cli", *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "RuntimeWarning" not in proc.stderr and proc.stderr == ""
+    assert "non-finite residual inf at eps=" in proc.stdout

@@ -14,7 +14,9 @@ from fractions import Fraction
 
 import pytest
 
+from ngd import constructions
 from ngd.constructions import (
+    FiniteMetricSpace,
     _double_pairs,
     check_double_norm,
     check_fiber_distances,
@@ -37,6 +39,7 @@ from ngd.core import (
     validate_groupoid,
 )
 from ngd.fixtures import (
+    broken_loops,
     inflated_norm_groupoid,
     non_separating_seminorms,
     retargeted_compose_groupoid,
@@ -491,25 +494,85 @@ def test_planted_finite_fixtures_match_the_filter_loops():
     same_report(rep, ref_check_seminorm_family(G, fam))
 
 
-def broken_loops():
-    """Two copies of Z/4 side by side, with r1 r2 sent to the unit r0:
-    every table stays total on each object, but right translation no
-    longer preserves d~ and associativity fails."""
-    compose = {(b + g, b + h): b + (g + h) % 4
-               for b in (0, 4) for g in range(4) for h in range(4)}
-    compose[(1, 2)] = 0
-    return FiniteGroupoid(
-        [f"r{k}" for k in range(4)] + [f"s{k}" for k in range(4)], compose,
-        [b + (-g) % 4 for b in (0, 4) for g in range(4)],
-        [Fraction(min(g, 4 - g)) for _ in (0, 4) for g in range(4)])
-
-
 def test_broken_loops_fail_alike():
     G = broken_loops()
     assert not validate_groupoid(G).passed
     assert check_double_norm(G).law("right translation preserves d~").failures
     assert not check_fiber_distances(G).passed
     same_battery(G)
+
+
+def test_a_removed_composite_fails_the_closure_half_alike():
+    # (p0<-p1)(p1<-p2) is gone: composability, cancellation and the
+    # closure half of associativity each hand a failed batch to the
+    # per-instance loop, which must name the witnesses the references name
+    G = pair_groupoid(random_metric_space(5, max_points=4))
+    assert (G.arrows[1], G.arrows[6]) == ("p0<-p1", "p1<-p2")
+    lost = {k: v for k, v in G.compose.items() if k != (1, 6)}
+    H = FiniteGroupoid(G.arrows, lost, G.inverse, G.norm)
+    rep = validate_groupoid(H)
+    same_report(rep, ref_validate_groupoid(H))
+    assert [c.law for c in rep.laws if not c.passed] == [
+        "composability iff alpha(g) = omega(h)",
+        "associativity with closure",
+        "cancellation (gh)h^-1 = g and g^-1(gh) = h"]
+    # h k = (p0<-p1)(p1<-p2) is missing for every g before h
+    assert rep.law("associativity with closure").witnesses[0] == {
+        "g": "p0<-p0", "h": "p0<-p1", "k": "p1<-p2"}
+    same_norm_kernel(H)
+
+
+def test_a_retargeted_composite_breaks_right_translation_at_one_u():
+    # on four points at distance 1, (a<-b)(b<-c) sent to (d<-c) keeps
+    # every difference d(g h^-1), so only the positions of g u at
+    # u = (b<-c) move: right translation breaks there and nowhere else
+    space = FiniteMetricSpace(list("abcd"), [[int(i != j) for j in range(4)]
+                                             for i in range(4)])
+    G = pair_groupoid(space)
+    bad = dict(G.compose)
+    bad[(1, 6)] = 14
+    H = FiniteGroupoid(G.arrows, bad, G.inverse, G.norm)
+    assert (H.arrows[1], H.arrows[6], H.arrows[14]) == ("a<-b", "b<-c",
+                                                        "d<-c")
+    same_battery(H)
+    same_norm_kernel(H)
+    double = check_double_norm(H).law("right translation preserves d~")
+    fiber = check_fiber_distances(H).law(
+        "d_omega(u)(g,h) = d_alpha(u)(gu, hu)")
+    for law in (double, fiber):
+        # every failure is a witness here, and all of them sit at one u
+        assert 0 < law.failures == len(law.witnesses)
+        assert {w["u"] for w in law.witnesses} == {"b<-c"}
+    assert (double.checked, double.failures) == (fiber.checked,
+                                                 fiber.failures)
+
+
+def test_each_table_is_built_once_per_groupoid(monkeypatch):
+    """One G through the double groupoid, its norm check and the fiber
+    distances: rows, difference matrices and the pair list are each built
+    once, and both right-translation laws read them."""
+    G = pair_groupoid(random_metric_space(7, max_points=6))
+    built = []
+
+    def spy(owner, name, cached):
+        run = getattr(owner, name)
+
+        def counted(H):
+            if H is G and getattr(H, cached) is None:
+                built.append(name)
+            return run(H)
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(FiniteGroupoid, "rows", "_rows")
+    spy(FiniteGroupoid, "differences", "_diffs")
+    spy(constructions, "_double_pairs", "_pairs")
+    D = double_groupoid(G)
+    reports = [check_double_norm(G, D), check_fiber_distances(G),
+               validate_groupoid(G)]
+    fiber_distances(G)
+    assert sorted(built) == ["_double_pairs", "differences", "rows"]
+    assert all(rep.passed for rep in reports)
+    assert reports[0].laws[1].checked == reports[1].laws[0].checked
 
 
 @pytest.mark.parametrize("strict_norm", [True, False])
