@@ -224,18 +224,31 @@ def _right_translation(G: FiniteGroupoid, law, key=None) -> LawCheck:
 def check_double_norm(G: FiniteGroupoid, D=None) -> ValidationReport:
     """d~ is norm-preserving along dif, and right translation is an
     isometry of fibers: (g u)(h u)^-1 = g h^-1 exactly.  D defaults to
-    the double groupoid of G; a D that is not raises ValueError."""
-    D, pairs = _double_of(G, D)
+    the double groupoid of G; a D that is not raises ValueError.  A G
+    lacking a composite these laws read is red, naming each one."""
+    rep = ValidationReport(subject="double groupoid norm")
+    try:
+        D, pairs = _double_of(G, D)
+        want = _flat_differences(G)
+        right = _right_translation(
+            G, LawCheck("right translation preserves d~"), itemgetter(1, 2, 0))
+    except KeyError:  # G is not a groupoid: name the composites it lacks
+        (leaving, entering), rows, inv = G.fibers(), G.rows(), G.inverse
+        law = LawCheck("G composes every pair the double norm laws read")
+        for x, gs in leaving.items():
+            vs = dict.fromkeys([inv[h] for h in gs] + entering.get(x, []))
+            law.tick(len(gs) * len(vs))
+            for g, v in product(gs, vs):
+                if v not in rows[g]:
+                    law.fail(missing=f"({G.arrows[g]})({G.arrows[v]})")
+        return rep.add(law)
     pres = LawCheck("d~(g,h) = d(g h^-1)")
-    rep = ValidationReport(subject="double groupoid norm").add(pres)
     (dd, DD), DG = D._int, G._int[1]
-    want = [v * DD for v in _flat_differences(G)]
     pres.tick(len(pairs))
     for i, (v, w) in enumerate(zip(dd, want)):
-        if v * DG != w:
+        if v * DG != w * DD:
             pres.fail(pair=D.arrows[i])
-    return rep.add(_right_translation(
-        G, LawCheck("right translation preserves d~"), itemgetter(1, 2, 0)))
+    return rep.add(pres, right)
 
 
 # ---------------------------------------------------------------------------

@@ -227,8 +227,9 @@ def unpivoted_transport_basis():
     nu = Measure(X, (0, h, h))
     supply, demand, L = _common(mu._int, nu._int)
     cost, D = X._int
-    _, gamma, u = _read_basis(cost, _northwest_corner(supply, demand), L, D)
-    return mu, nu, gamma, u
+    flows, u = _read_basis(cost, _northwest_corner(supply, demand), D)
+    return (mu, nu, tuple(tuple(Fraction(v, L) for v in row) for row in flows),
+            tuple(Fraction(v, D) for v in u))
 
 
 def marginal_off_by_one_unit():

@@ -494,6 +494,23 @@ def test_planted_finite_fixtures_match_the_filter_loops():
     same_report(rep, ref_check_seminorm_family(G, fam))
 
 
+def test_double_norm_names_the_composites_a_retargeted_table_lacks():
+    # (0<-1)(1<-0) sent to (1<-1) makes 1<-1 the source of 0<-1, so the
+    # fiber of 1<-1 holds 0<-1 and (0<-1)(0<-1) is read but not composed:
+    # the check reports it instead of raising KeyError
+    G = retargeted_compose_groupoid()
+    rep = check_double_norm(G)
+    assert not rep.passed
+    (law,) = rep.laws
+    assert law.law == "G composes every pair the double norm laws read"
+    assert law.witnesses[0] == {"missing": "(0<-1)(0<-1)"}
+    index = {a: i for i, a in enumerate(G.arrows)}
+    named = [tuple(map(index.get, w["missing"][1:-1].split(")(")))
+             for w in law.witnesses]
+    assert len(set(named)) == law.failures == len(named)
+    assert all(pair not in G.compose for pair in named)
+
+
 def test_broken_loops_fail_alike():
     G = broken_loops()
     assert not validate_groupoid(G).passed

@@ -1,0 +1,31 @@
+"""The transport CLI, byte for byte against files kept in tests/data.
+
+The files were captured from the implementation that built every plan
+entry and weight as a Fraction on construction; plans and measures now
+build them on first read, and the outputs must not move.  The input is
+one 4-point space with a coupling, a second plan composable with it, and
+the two measures (which are also the first plan's declared marginals)."""
+
+from pathlib import Path
+
+import pytest
+
+from ngd import cli
+
+DATA = Path(__file__).parent / "data"
+PLANS = str(DATA / "transport_plans.json")
+
+CASES = [
+    *((["transport", PLANS, "--action", action], f"transport_{action}.txt")
+      for action in ("compose", "inverse", "kantorovich")),
+    *((["transport", PLANS, "--action", action, "--json"],
+       f"transport_{action}.json")
+      for action in ("compose", "inverse", "kantorovich")),
+    (["report", "--suite", "transport"], "report_transport.txt"),
+]
+
+
+@pytest.mark.parametrize("argv, golden", CASES, ids=[g for _, g in CASES])
+def test_cli_output_matches_the_golden_file(argv, golden, capsys):
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text()

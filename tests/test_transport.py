@@ -644,17 +644,21 @@ def test_kantorovich_result_unpacks_to_four_and_counts_pivots():
 def test_kantorovich_judges_its_potential_lipschitz_once(monkeypatch):
     # the certificate judges the potential; the result does not judge it
     # again, yet holds the same LipFunction a checked construction gives
-    calls = []
+    # in the integer form the certificate reads: one call, on phi over D
+    calls, core = [], transport._lip1_witness
 
-    def counted(space, values):
-        calls.append(tuple(values))
-        return lip1_witness(space, values)
+    def counted(space, u):
+        calls.append(u)
+        return core(space, u)
 
-    monkeypatch.setattr(transport, "lip1_witness", counted)
+    monkeypatch.setattr(transport, "_lip1_witness", counted)
     space = random_metric_space(3, max_points=6)
     rng = random.Random(3)
     res = kantorovich(random_measure(space, rng), random_measure(space, rng))
-    assert calls == [res.potential.values]
+    assert len(calls) == 1
+    (num, D), = calls
+    assert D == space._int[1]
+    assert tuple(Fraction(v, D) for v in num) == res.potential.values
     assert res.potential == LipFunction(space, res.potential.values)
     assert all(type(v) is Fraction for v in res.potential.values)
 
@@ -1017,6 +1021,18 @@ def ref_coupling_from(mu, rng, full_support):
     return g
 
 
+def kantorovich_reference(mu, nu):
+    """The solver's optimal flows as Fractions over L, read off the basis
+    the way the plan used to be built: (gamma, mu weights, nu weights)."""
+    supply, demand, L = _common(mu._int, nu._int)
+    cost, D = mu.space._int
+    basis = transport._northwest_corner(supply, demand)
+    transport._pivot_to_optimum(cost, basis)
+    flows, _ = transport._read_basis(cost, basis, D)
+    return (tuple(tuple(Fraction(v, L) for v in row) for row in flows),
+            mu.weights, nu.weights)
+
+
 def ref_plans(mu, nu, f):
     """(plan, reference) pairs for every plan constructor, on measures
     mu and nu of one space and a map f."""
@@ -1053,6 +1069,7 @@ def ref_plans(mu, nu, f):
         if second.mu.weights == nu.weights:
             pairs.append((compose_plans(first, second), ref_coupling(
                 X, ref_compose(first, second), mu, second.nu)))
+    pairs.append((kantorovich(mu, nu).plan, kantorovich_reference(mu, nu)))
     return pairs
 
 
@@ -1082,8 +1099,15 @@ def test_plan_constructors_match_the_fraction_references(seed):
         n = space.n_points()
         f = tuple((x * 5 + seed) % n for x in range(n))
         for plan, (g, mu_w, nu_w) in ref_plans(mu, nu, f):
-            assert plan.gamma == g
+            # gamma, weights, JSON and repr, built from _int on first
+            # read, are those of the Fraction constructors
+            want = Coupling(space, g, mu=Measure(space, mu_w),
+                            nu=Measure(space, nu_w))
+            assert plan == want and (plan.mu, plan.nu) == (want.mu, want.nu)
+            assert plan.gamma == want.gamma == g
             assert (plan.mu.weights, plan.nu.weights) == (mu_w, nu_w)
+            assert plan.to_json() == want.to_json()
+            assert repr(plan) == repr(want)
             assert norm_d(plan) == ref_norm_d(plan)
             assert norm_d(plan) is norm_d(plan)  # once per plan
             assert plan._int == _matrix_over_lcm(g)
@@ -1273,3 +1297,41 @@ def test_planted_off_by_one_unit_fails_the_marginal_law_only():
     fixed = [list(row) for row in gamma]
     fixed[0][0] += Fraction(1, 6)
     assert check_kantorovich_certificate(mu, nu, fixed, u).passed
+
+
+# ---------------------------------------------------------------------------
+# gamma and weights are built from the integer forms on first read
+
+
+def test_built_plans_hold_integers_until_gamma_is_read():
+    space = random_metric_space(5, max_points=5)
+    a, b = random_composable_chain(space, random.Random(5), 2)
+    res = kantorovich(a.mu, b.nu)
+    plans = [compose_plans(a, b), inverse_plan(a), res.plan]
+    for p in plans:
+        assert "gamma" not in vars(p), p
+        assert all("weights" not in vars(m) for m in (p.mu, p.nu))
+    assert compose_plans(a, b) == plans[0] and a.nu == b.mu
+    assert all("weights" not in vars(m) for m in (a.nu, b.mu))
+    for p in plans:
+        g = p.gamma
+        assert vars(p)["gamma"] is g and p.gamma is g
+        assert g == tuple(tuple(Fraction(v, p._int[1]) for v in row)
+                          for row in p._int[0])
+        # the transpose of a built gamma is handed on, not rebuilt
+        assert vars(inverse_plan(p))["gamma"] == tuple(zip(*g))
+    assert str(res.primal) == str(norm_d(res.plan)) == str(res.dual)
+
+
+def test_measures_compare_by_their_integer_form():
+    X = line3()
+    third = Fraction(1, 3)
+    m = random_measure(X, random.Random(2))
+    same = Measure(X, m.weights)
+    assert "weights" in vars(same)
+    fresh = push_forward(lambda x: x, m)
+    assert fresh == m == same and "weights" not in vars(fresh)
+    assert Measure(X, (third, third, third)) != Measure(
+        X, (third, 2 * third, 0))
+    assert Measure(X, (1, 0, 0)) != Measure(two_point_space(), (1, 0))
+    assert m != m.weights
