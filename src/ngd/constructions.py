@@ -162,6 +162,20 @@ def _flat_differences(G: FiniteGroupoid) -> list:
     return [*chain.from_iterable(map(row.__getitem__, range(len(row))))]
 
 
+def _missing_composites(G: FiniteGroupoid, subject) -> ValidationReport:
+    """The red report for a G lacking composites the fiber laws read,
+    g h^-1 and g u for g, h leaving x and u entering x: names each one."""
+    (leaving, entering), rows, inv = G.fibers(), G.rows(), G.inverse
+    law = LawCheck("G composes every pair the fiber laws read")
+    for x, gs in leaving.items():
+        vs = dict.fromkeys([inv[h] for h in gs] + entering.get(x, []))
+        law.tick(len(gs) * len(vs))
+        for g, v in product(gs, vs):
+            if v not in rows[g]:
+                law.fail(missing=f"({G.arrows[g]})({G.arrows[v]})")
+    return ValidationReport(subject=subject).add(law)
+
+
 def double_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     """Arrows are pairs (g, h) with alpha(g) = alpha(h); composition glues
     along the first slot, (g, h)(h, l) = (g, l); the inverse swaps; the
@@ -226,29 +240,20 @@ def check_double_norm(G: FiniteGroupoid, D=None) -> ValidationReport:
     isometry of fibers: (g u)(h u)^-1 = g h^-1 exactly.  D defaults to
     the double groupoid of G; a D that is not raises ValueError.  A G
     lacking a composite these laws read is red, naming each one."""
-    rep = ValidationReport(subject="double groupoid norm")
     try:
         D, pairs = _double_of(G, D)
         want = _flat_differences(G)
         right = _right_translation(
             G, LawCheck("right translation preserves d~"), itemgetter(1, 2, 0))
-    except KeyError:  # G is not a groupoid: name the composites it lacks
-        (leaving, entering), rows, inv = G.fibers(), G.rows(), G.inverse
-        law = LawCheck("G composes every pair the double norm laws read")
-        for x, gs in leaving.items():
-            vs = dict.fromkeys([inv[h] for h in gs] + entering.get(x, []))
-            law.tick(len(gs) * len(vs))
-            for g, v in product(gs, vs):
-                if v not in rows[g]:
-                    law.fail(missing=f"({G.arrows[g]})({G.arrows[v]})")
-        return rep.add(law)
+    except KeyError:  # G is not a groupoid
+        return _missing_composites(G, "double groupoid norm")
     pres = LawCheck("d~(g,h) = d(g h^-1)")
     (dd, DD), DG = D._int, G._int[1]
     pres.tick(len(pairs))
     for i, (v, w) in enumerate(zip(dd, want)):
         if v * DG != w * DD:
             pres.fail(pair=D.arrows[i])
-    return rep.add(pres, right)
+    return ValidationReport(subject="double groupoid norm").add(pres, right)
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +277,15 @@ def norm_from_fiber_distances(G: FiniteGroupoid, fibers):
 
 
 def check_fiber_distances(G: FiniteGroupoid) -> ValidationReport:
-    """Right-invariance and reconstruction, exactly, in integers."""
+    """Right-invariance and reconstruction, exactly, in integers.  A G
+    lacking a composite these laws read is red, naming each one."""
+    try:
+        right = _right_translation(
+            G, LawCheck("d_omega(u)(g,h) = d_alpha(u)(gu, hu)"))
+    except KeyError:  # G is not a groupoid
+        return _missing_composites(G, "fiber distances")
     recon = LawCheck("d(g) = d_alpha(g)(g, e)")
-    rep = ValidationReport(subject="fiber distances").add(_right_translation(
-        G, LawCheck("d_omega(u)(g,h) = d_alpha(u)(gu, hu)")), recon)
+    rep = ValidationReport(subject="fiber distances").add(right, recon)
     (d, D), M, leaving = G._int, G.differences(), G.fibers()[0]
     rec = [M[a][leaving[a].index(g)][leaving[a].index(a)]
            for g, a in enumerate(G.endpoints()[0])]

@@ -5,22 +5,18 @@ Plans over a finite metric space form a category with an involutive
 inverse (transposition).  It is deliberately NOT a groupoid: gamma^-1
 composed with gamma is usually not an identity plan, and the plans of
 the form h^-1 h include fat things like the quarter-uniform plan on two
-points.  Everything here is exact.  Measures, plans and the metric carry
-their integer form, numerators over the lcm of the denominators, from
-construction on.  Plans are built as integers over a common denominator,
+points.  Everything here is exact.  Measures, plans and the metric
+carry their integer form, numerators over the lcm of the denominators,
 and the plan algebra, equality, the norm d, the seminorms rho_u and the
-certificate sum and compare those integers: one Fraction per result,
-never a chain of Fraction additions.  A plan's gamma and a measure's
-weights are Fractions built on first read, for JSON, matrix text and
-witnesses; plans and measures made inside ngd hold integers only until
-then.  Kantorovich problems are solved by the transportation (network)
-simplex on integer-scaled data, with Bland's rule, and every answer must
-pass an exact optimality certificate, judged on the solver's integer
-flows and potential, so the duality gap comes out identically zero
-rather than merely small.  The certified potential attains the sup of
-rho_u over 1-Lipschitz u, so the laws over Lip1 are judged at it.  The
-dense two-phase simplex solve_lp is kept as the reference the tests
-compare against.
+certificate work on it: one Fraction per result.  A plan's gamma and a
+measure's weights are Fractions built on first read.  Kantorovich
+problems are solved by the transportation (network) simplex on
+integer-scaled data, with Bland's rule, and every answer must pass an
+exact optimality certificate on those integers, so the duality gap
+comes out identically zero rather than merely small.  The certified
+potential attains the sup of rho_u over 1-Lipschitz u, so the laws over
+Lip1 are judged at it.  The dense two-phase simplex solve_lp is kept as
+the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -81,12 +77,33 @@ def _pairing(u, mu: Measure, nu: Measure) -> Fraction:
 # measures and couplings
 
 
-@dataclass
-class Measure:
-    """A probability measure on a finite metric space: exact weights, and
-    in _int their numerators over L, the lcm of their denominators.  ngd
-    builds measures from _int alone; weights are built on first read."""
+class _Exact:
+    """What Measure and Coupling share: equality on (space, _int), and
+    their Fractions (the field _field names) built from _int on first
+    read, then kept.  ngd builds both from _int alone; the field has no
+    class default, so until then reading it lands in __getattr__."""
 
+    def __getattr__(self, name):
+        if name != self._field:
+            return object.__getattribute__(self, name)
+        num, D = self._int
+        value = tuple(tuple(Fraction(v, D) for v in row)
+                      if isinstance(row, tuple) else Fraction(row, D)
+                      for row in num)
+        setattr(self, name, value)
+        return value
+
+    def __eq__(self, other):
+        return (isinstance(other, type(self)) and self.space == other.space
+                and self._int == other._int)
+
+
+@dataclass(eq=False)
+class Measure(_Exact):
+    """A probability measure on a finite metric space: exact weights, and
+    in _int their numerators over L, the lcm of their denominators."""
+
+    _field = "weights"
     space: FiniteMetricSpace
     weights: tuple
 
@@ -112,17 +129,6 @@ class Measure:
         g = math.gcd(*num)  # divides L: the numerators sum to L
         self._int = (tuple(v // g for v in num), L // g)
 
-    def __getattr__(self, name):  # reached only while weights is unbuilt
-        if name != "weights":
-            raise AttributeError(name)
-        num, L = self._int
-        self.weights = w = tuple(Fraction(v, L) for v in num)
-        return w
-
-    def __eq__(self, other):
-        return (isinstance(other, Measure) and self.space == other.space
-                and self._int == other._int)
-
     def __getitem__(self, i):
         return self.weights[i]
 
@@ -141,20 +147,19 @@ def _measure(space, num, L) -> Measure:
     return m
 
 
-@dataclass
-class Coupling:
+@dataclass(eq=False)
+class Coupling(_Exact):
     """A transport plan: joint matrix whose marginals are the endpoint
     measures.  Rows are the first (source) marginal, columns the second.
 
     A plan carries its integer form (integer rows, D) in _int, D the lcm
     of the entry denominators, from construction on; marginals,
-    composition, inverse, norm and equality read it.  A plan built inside
-    ngd holds only _int; gamma is built from it on first read.  Declared
-    marginals are optional; when given they are checked against the
-    row/column sums by integer cross-multiplication, naming the first
-    offending coordinate.
+    composition, inverse and norm read it.  Declared marginals are
+    optional; when given they are checked against the row/column sums by
+    integer cross-multiplication, naming the first offending coordinate.
     """
 
+    _field = "gamma"
     space: FiniteMetricSpace
     gamma: tuple
     mu: Measure | None = None
@@ -198,18 +203,6 @@ class Coupling:
                     f"declared {what} differs from the matrix at point index "
                     f"{i}: {declared[i]} != {Fraction(b, D)}")
         return declared
-
-    def __getattr__(self, name):  # reached only while gamma is unbuilt
-        if name != "gamma":
-            raise AttributeError(name)
-        num, D = self._int
-        self.gamma = g = tuple(
-            tuple(Fraction(v, D) for v in row) for row in num)
-        return g
-
-    def __eq__(self, other):
-        return (isinstance(other, Coupling) and self.space == other.space
-                and self._int == other._int)
 
     def support(self) -> list:
         """Occupied (row, column) pairs."""
@@ -353,10 +346,7 @@ def compose_plans(gamma: Coupling, gamma_prime: Coupling) -> Coupling:
 def inverse_plan(gamma: Coupling) -> Coupling:
     """Transpose: run the plan backwards."""
     num, D = gamma._int
-    out = _plan(gamma.space, tuple(zip(*num)), D, gamma.nu, gamma.mu)
-    if "gamma" in vars(gamma):
-        out.gamma = tuple(zip(*gamma.gamma))
-    return out
+    return _plan(gamma.space, tuple(zip(*num)), D, gamma.nu, gamma.mu)
 
 
 def norm_d(gamma: Coupling) -> Fraction:

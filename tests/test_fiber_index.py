@@ -494,16 +494,20 @@ def test_planted_finite_fixtures_match_the_filter_loops():
     same_report(rep, ref_check_seminorm_family(G, fam))
 
 
-def test_double_norm_names_the_composites_a_retargeted_table_lacks():
+def test_fiber_checks_name_the_composites_a_retargeted_table_lacks():
     # (0<-1)(1<-0) sent to (1<-1) makes 1<-1 the source of 0<-1, so the
     # fiber of 1<-1 holds 0<-1 and (0<-1)(0<-1) is read but not composed:
-    # the check reports it instead of raising KeyError
+    # both checks report it instead of raising KeyError, alike
     G = retargeted_compose_groupoid()
-    rep = check_double_norm(G)
-    assert not rep.passed
-    (law,) = rep.laws
-    assert law.law == "G composes every pair the double norm laws read"
-    assert law.witnesses[0] == {"missing": "(0<-1)(0<-1)"}
+    reps = [check_double_norm(G), check_fiber_distances(G)]
+    assert [rep.subject for rep in reps] == [
+        "double groupoid norm", "fiber distances"]
+    for rep in reps:
+        assert not rep.passed
+        (law,) = rep.laws
+        assert law.law == "G composes every pair the fiber laws read"
+        assert law.witnesses[0] == {"missing": "(0<-1)(0<-1)"}
+        assert law.witnesses == reps[0].laws[0].witnesses
     index = {a: i for i, a in enumerate(G.arrows)}
     named = [tuple(map(index.get, w["missing"][1:-1].split(")(")))
              for w in law.witnesses]

@@ -1318,9 +1318,13 @@ def test_built_plans_hold_integers_until_gamma_is_read():
         assert vars(p)["gamma"] is g and p.gamma is g
         assert g == tuple(tuple(Fraction(v, p._int[1]) for v in row)
                           for row in p._int[0])
-        # the transpose of a built gamma is handed on, not rebuilt
-        assert vars(inverse_plan(p))["gamma"] == tuple(zip(*g))
+        assert inverse_plan(p).gamma == tuple(zip(*g))
     assert str(res.primal) == str(norm_d(res.plan)) == str(res.dual)
+    # any other missing name keeps Python's own error
+    for obj, typo in ((res.plan, "gamme"), (res.plan.mu, "wieghts")):
+        with pytest.raises(AttributeError, match=(
+                f"^'{type(obj).__name__}' object has no attribute '{typo}'$")):
+            getattr(obj, typo)
 
 
 def test_measures_compare_by_their_integer_form():
