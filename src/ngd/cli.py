@@ -103,8 +103,7 @@ def cmd_validate(args) -> int:
             reports.append(validate_groupoid(G))
             reports.append(check_norm(G))
             reports.append(check_separability(G))
-            if space.n_points() <= 6:
-                reports.append(check_double_norm(G))
+            reports.append(check_double_norm(G))
         elif "compose" in data:
             G = FiniteGroupoid.from_json(data)
             reports.append(validate_groupoid(G))

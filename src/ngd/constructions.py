@@ -5,7 +5,10 @@ Everything here is exact table arithmetic, judged in integers over one
 lcm per table; Fractions are the input, JSON and witness boundary.  The
 double groupoid, its norm check and the fiber distances gather from G's
 composition rows (FiniteGroupoid.rows) and per-object difference
-matrices (FiniteGroupoid.differences), built once per G.
+matrices (FiniteGroupoid.differences), built once per G.  The double
+groupoid is a view of G: its pairs and labels are kept on G, and its
+compose table is built on first read.  Its norm d~ is judged through
+the arrow map of dif, (g, h) -> g h^-1, against G's norm.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, chain, product
 from operator import itemgetter
 
@@ -136,22 +140,31 @@ def _double_pairs(G: FiniteGroupoid) -> list:
     return G._pairs
 
 
-def _double_labels(G: FiniteGroupoid, pairs) -> list:
-    """The arrow label of each pair in the double groupoid of G."""
-    return [f"[{G.arrows[g]};{G.arrows[h]}]" for g, h in pairs]
+def _double_labels(G: FiniteGroupoid) -> list:
+    """The arrow labels of the double groupoid of G, built once per G."""
+    if G._pair_labels is None:
+        a = G.arrows
+        G._pair_labels = [f"[{a[g]};{a[h]}]" for g, h in _double_pairs(G)]
+    return G._pair_labels
 
 
-def _double_of(G: FiniteGroupoid, D) -> tuple:
-    """(D, its pairs), D defaulting to the double groupoid of G.  A D
-    given, say one read back from JSON, must have the arrows of G's
-    double groupoid, in order; else ValueError."""
-    pairs = _double_pairs(G)
+def _double_of(G: FiniteGroupoid, D):
+    """D, defaulting to the double groupoid of G.  A D given, say one
+    read back from JSON, must have the arrows of G's double groupoid, in
+    order; else ValueError."""
     if D is None:
-        return double_groupoid(G), pairs
-    if list(D.arrows) != _double_labels(G, pairs):
+        return double_groupoid(G)
+    labels = _double_labels(G)
+    if list(D.arrows) != labels:
         raise ValueError(f"D is not the double groupoid of G: {len(D.arrows)}"
-                         f" arrows against {len(pairs)}, or other labels")
-    return D, pairs
+                         f" arrows against {len(labels)}, or other labels")
+    return D
+
+
+def _dif_map(G: FiniteGroupoid, pairs) -> list:
+    """The arrow map of dif, (g, h) -> m(g, inv h), off G's rows."""
+    rows, inv = G.rows(), G.inverse
+    return [rows[g][inv[h]] for g, h in pairs]
 
 
 def _flat_differences(G: FiniteGroupoid) -> list:
@@ -162,18 +175,33 @@ def _flat_differences(G: FiniteGroupoid) -> list:
     return [*chain.from_iterable(map(row.__getitem__, range(len(row))))]
 
 
-def _missing_composites(G: FiniteGroupoid, subject) -> ValidationReport:
+def _missing_report(G: FiniteGroupoid, subject, error) -> ValidationReport:
     """The red report for a G lacking composites the fiber laws read,
-    g h^-1 and g u for g, h leaving x and u entering x: names each one."""
-    (leaving, entering), rows, inv = G.fibers(), G.rows(), G.inverse
+    naming each one: (inv g) g and g (inv g) for every g, then, once G
+    has those, g h^-1 and g u for g, h leaving x and u entering x.
+    Raises error if G lacks none: then it had another cause."""
+    rows, inv, lbl = G.rows(), G.inverse, G.arrows
+    read = [*dict.fromkeys(p for g, i in enumerate(inv)
+                           for p in ((i, g), (g, i)))]
+    if all(v in rows[g] for g, v in read):  # the fibers are defined
+        leaving, entering = G.fibers()
+        for x, gs in leaving.items():
+            read += product(gs, dict.fromkeys(
+                [inv[h] for h in gs] + entering.get(x, [])))
     law = LawCheck("G composes every pair the fiber laws read")
-    for x, gs in leaving.items():
-        vs = dict.fromkeys([inv[h] for h in gs] + entering.get(x, []))
-        law.tick(len(gs) * len(vs))
-        for g, v in product(gs, vs):
-            if v not in rows[g]:
-                law.fail(missing=f"({G.arrows[g]})({G.arrows[v]})")
+    law.tick(len(read))
+    for g, v in read:
+        if v not in rows[g]:
+            law.fail(missing=f"({lbl[g]})({lbl[v]})")
+    if law.passed:
+        raise error
     return ValidationReport(subject=subject).add(law)
+
+
+def _double_compose(pairs, start) -> dict:
+    """The compose table of double_groupoid: (g, h)(h, l) = (g, l)."""
+    return {(i, k): k + start[g] - start[h] for i, (g, h) in enumerate(pairs)
+            for k in range(start[h], start[h + 1])}
 
 
 def double_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
@@ -183,13 +211,14 @@ def double_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
 
     The pair (g, h) runs from the object (h, h) to (g, g): difference
     arrows index "how to get from h to g inside one fiber".  It is arrow
-    start[g] + (the index of h in its fiber)."""
+    start[g] + (the index of h in its fiber).  The compose table is built,
+    and range checked, on its first read: the checks of D against G read
+    only D's labels and norm."""
     alpha, leaving, pairs = G.endpoints()[0], G.fibers()[0], _double_pairs(G)
     start = [0, *accumulate(len(leaving[a]) for a in alpha)]
-    compose = {(i, k): k + start[g] - start[h] for i, (g, h) in
-               enumerate(pairs) for k in range(start[h], start[h + 1])}
     inverse = [start[h] + leaving[alpha[g]].index(g) for g, h in pairs]
-    arrows = _double_labels(G, pairs)
+    arrows = list(_double_labels(G))  # D's own list: G keeps the cached one
+    compose = partial(_double_compose, pairs, start)
     if G.norm is None:
         return FiniteGroupoid(arrows, compose, inverse)
     flat, value = _flat_differences(G), dict(zip(G._int[0], G.norm))
@@ -201,11 +230,11 @@ def double_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
 def double_difference_morphism(G, D=None):
     """The map (g, h) -> g h^-1 from the double groupoid to G.  Returns a
     core.GroupoidMorphism; it preserves norms (d~ = d o dif) on the nose,
-    which check_double_norm asserts exactly.  A D that is not the double
-    groupoid of G raises ValueError."""
-    D, pairs = _double_of(G, D)
-    amap = [G.compose[(g, G.inverse[h])] for g, h in pairs]
-    return GroupoidMorphism(source=D, target=G, arrow_map=amap, name="dif")
+    which check_double_norm judges through this arrow map.  A D that is
+    not the double groupoid of G raises ValueError."""
+    return GroupoidMorphism(source=_double_of(G, D), target=G,
+                            arrow_map=_dif_map(G, _double_pairs(G)),
+                            name="dif")
 
 
 def _right_translation(G: FiniteGroupoid, law, key=None) -> LawCheck:
@@ -237,22 +266,26 @@ def _right_translation(G: FiniteGroupoid, law, key=None) -> LawCheck:
 
 def check_double_norm(G: FiniteGroupoid, D=None) -> ValidationReport:
     """d~ is norm-preserving along dif, and right translation is an
-    isometry of fibers: (g u)(h u)^-1 = g h^-1 exactly.  D defaults to
-    the double groupoid of G; a D that is not raises ValueError.  A G
-    lacking a composite these laws read is red, naming each one."""
+    isometry of fibers: (g u)(h u)^-1 = g h^-1 exactly.  d~ is D's norm,
+    or with D omitted the norm double_groupoid(G) would give, and no D is
+    built; either is judged against d read at the arrow map of dif.  A D
+    that is not the double groupoid of G raises ValueError.  A G lacking
+    a composite these laws read is red, naming each one."""
     try:
-        D, pairs = _double_of(G, D)
-        want = _flat_differences(G)
+        pairs = _double_pairs(G)
+        dif = _dif_map(G, pairs)
         right = _right_translation(
             G, LawCheck("right translation preserves d~"), itemgetter(1, 2, 0))
-    except KeyError:  # G is not a groupoid
-        return _missing_composites(G, "double groupoid norm")
+        dd, DD = ((_flat_differences(G), G._int[1]) if D is None
+                  else _double_of(G, D)._int)
+    except (KeyError, ValueError) as e:  # G may not be a groupoid
+        return _missing_report(G, "double groupoid norm", e)
     pres = LawCheck("d~(g,h) = d(g h^-1)")
-    (dd, DD), DG = D._int, G._int[1]
+    num, DG = G._int
     pres.tick(len(pairs))
-    for i, (v, w) in enumerate(zip(dd, want)):
-        if v * DG != w * DD:
-            pres.fail(pair=D.arrows[i])
+    for i, (v, k) in enumerate(zip(dd, dif)):
+        if v * DG != num[k] * DD:
+            pres.fail(pair=_double_labels(G)[i])
     return ValidationReport(subject="double groupoid norm").add(pres, right)
 
 
@@ -263,8 +296,15 @@ def check_double_norm(G: FiniteGroupoid, D=None) -> ValidationReport:
 def fiber_distances(G: FiniteGroupoid) -> dict:
     """Per-object distance tables on fibers alpha^-1(x):
     returns {unit arrow x: {(g, h): d(g h^-1)}}, read off the difference
-    matrices."""
-    M, value = G.differences(), dict(zip(G._int[0], G.norm))
+    matrices.  A G lacking a composite they read raises ValueError,
+    naming one."""
+    try:
+        M = G.differences()
+    except KeyError as e:  # G is not a groupoid
+        (law,) = _missing_report(G, "fiber distances", e).laws
+        raise ValueError("G lacks the composite "
+                         f"{law.witnesses[0]['missing']}") from None
+    value = dict(zip(G._int[0], G.norm))
     return {x: dict(zip(product(gs, gs), map(value.__getitem__, chain(*m))))
             for (x, gs), m in zip(G.fibers()[0].items(), M.values())}
 
@@ -282,8 +322,8 @@ def check_fiber_distances(G: FiniteGroupoid) -> ValidationReport:
     try:
         right = _right_translation(
             G, LawCheck("d_omega(u)(g,h) = d_alpha(u)(gu, hu)"))
-    except KeyError:  # G is not a groupoid
-        return _missing_composites(G, "fiber distances")
+    except (KeyError, ValueError) as e:  # G may not be a groupoid
+        return _missing_report(G, "fiber distances", e)
     recon = LawCheck("d(g) = d_alpha(g)(g, e)")
     rep = ValidationReport(subject="fiber distances").add(right, recon)
     (d, D), M, leaving = G._int, G.differences(), G.fibers()[0]

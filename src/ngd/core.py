@@ -167,7 +167,8 @@ class FiniteGroupoid:
     """A finite groupoid given by tables.
 
     arrows   -- list of arrow labels (strings)
-    compose  -- dict (g, h) -> m(g, h) on arrow indices; partial
+    compose  -- dict (g, h) -> m(g, h) on arrow indices; partial.  Or a
+                function returning it, called on the first read of compose
     inverse  -- list, inverse[g] = index of g^-1
     norm     -- optional list of Fractions, one per arrow, never mutated:
                 _int is its integer form (numerators, D), built once
@@ -189,17 +190,11 @@ class FiniteGroupoid:
         for g, gi in enumerate(self.inverse):
             if not (isinstance(gi, int) and 0 <= gi < n):
                 raise ValueError(f"inverse[{g}] = {gi!r} out of range")
-        # one pass over every index; the loop only names the first bad one
-        items, keys = self.compose.items(), self.compose.keys()
-        flat = ({*map(type, keys)} <= {tuple} and {*map(len, keys)} <= {2}
-                and [*chain.from_iterable(keys), *self.compose.values()])
-        if flat != [] and not (flat and {*map(type, flat)} == {int}
-                               and 0 <= min(flat) and max(flat) < n):
-            for (g, h), k in items:
-                for v in (g, h, k):
-                    if not (isinstance(v, int) and 0 <= v < n):
-                        raise ValueError(f"compose entry ({g},{h})->{k} "
-                                         "out of range")
+        if callable(self.compose):  # a builder: see __getattr__
+            self._build = self.compose
+            del self.compose
+        else:
+            _check_compose(self.compose, n)
         self._int = None, None
         if self.norm is not None:
             if len(self.norm) != n:
@@ -209,9 +204,18 @@ class FiniteGroupoid:
             for g, v in enumerate(self._int[0]):
                 if v < 0:
                     raise ValueError(f"norm[{g}] = {self.norm[g]} is negative")
-        # built on first use; _pairs by ngd.constructions._double_pairs
+        # built on first use; _pairs and _pair_labels by ngd.constructions
         self._ends = self._fibers = self._rows = None
-        self._diffs = self._pairs = None
+        self._diffs = self._pairs = self._pair_labels = None
+
+    def __getattr__(self, name):
+        """A compose given as a builder is built and range checked on first
+        read; compose has no class default, so that read lands here."""
+        if name != "compose":
+            return object.__getattribute__(self, name)
+        self.compose = _check_compose(self._build(), len(self.arrows))
+        del self._build
+        return self.compose
 
     @classmethod
     def _normed(cls, arrows, compose, inverse, norm, ints):
@@ -345,6 +349,22 @@ def _inverse_laws(labels, compose, inverse) -> tuple:
         if (gi, g) not in compose or (g, gi) not in compose:
             pairs.fail(g=labels[g])
     return invo, pairs
+
+
+def _check_compose(compose, n) -> dict:
+    """compose, if each index in it is an int in range(n); else ValueError.
+    One pass over every index; the loop only names the first bad one."""
+    keys = compose.keys()
+    flat = ({*map(type, keys)} <= {tuple} and {*map(len, keys)} <= {2}
+            and [*chain.from_iterable(keys), *compose.values()])
+    if flat != [] and not (flat and {*map(type, flat)} == {int}
+                           and 0 <= min(flat) and max(flat) < n):
+        for (g, h), k in compose.items():
+            for v in (g, h, k):
+                if not (isinstance(v, int) and 0 <= v < n):
+                    raise ValueError(f"compose entry ({g},{h})->{k} "
+                                     "out of range")
+    return compose
 
 
 def _rows(compose, n) -> list:

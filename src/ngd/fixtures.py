@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constructions import (FiniteMetricSpace, check_fiber_distances,
+from .constructions import (FiniteMetricSpace, check_double_norm,
+                            check_fiber_distances, double_groupoid,
                             pair_groupoid)
 from .core import (
     FiniteGroupoid,
@@ -178,6 +179,17 @@ def broken_loops():
         [Fraction(min(g, 4 - g)) for g in range(4)] * 2)
 
 
+def off_pair_double_groupoid():
+    """(G, D): G the pair groupoid of the three-point space, D its double
+    groupoid with the norm at the pair [a<-b;c<-b] raised from
+    d((a<-b)(b<-c)) = 2 to 3, so d~ = d o dif fails there alone."""
+    G = pair_groupoid(_three_point_space())
+    D = double_groupoid(G)
+    norm = list(D.norm)
+    norm[D.arrows.index("[a<-b;c<-b]")] += 1
+    return G, FiniteGroupoid(D.arrows, D.compose, D.inverse, norm)
+
+
 def non_separating_seminorms():
     """A seminorm family that is identically zero: subadditive,
     inversion invariant, vanishing on units — and separating nothing."""
@@ -331,6 +343,8 @@ def run_planted_suite(seed: int = 0, samples: int = 200):
     ))
     out.append(("broken loops vs right translation of fiber distances",
                 check_fiber_distances(broken_loops())))
+    out.append(("double norm off at one pair vs d~ = d o dif",
+                check_double_norm(*off_pair_double_groupoid())))
     out.append((
         "inflated norm entry vs subadditivity",
         check_norm(inflated_norm_groupoid()),

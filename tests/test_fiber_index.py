@@ -10,6 +10,7 @@ library compares numerators over one lcm; `ref_table_laws` is the
 Fraction form of the shared (semi)norm kernel.  Every table and every
 report must come out equal, witnesses and their order included."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -44,7 +45,7 @@ from ngd.fixtures import (
     non_separating_seminorms,
     retargeted_compose_groupoid,
 )
-from ngd.transport import transport_category_fixture
+from ngd.transport import transport_category_fixture, two_point_space
 
 
 class Ref:
@@ -515,6 +516,36 @@ def test_fiber_checks_name_the_composites_a_retargeted_table_lacks():
     assert all(pair not in G.compose for pair in named)
 
 
+def test_fiber_checks_name_a_missing_unit_composite():
+    # without (1<-0)(0<-1), 0<-1 has no source: the fibers are undefined,
+    # and both checks report the composite instead of raising ValueError
+    G = pair_groupoid(two_point_space())
+    assert (G.arrows[2], G.arrows[1]) == ("1<-0", "0<-1")
+    H = FiniteGroupoid(G.arrows, {k: v for k, v in G.compose.items()
+                                  if k != (2, 1)}, G.inverse, G.norm)
+    with pytest.raises(ValueError, match="not composable at 0<-1"):
+        H.endpoints()
+    for rep in (check_double_norm(H), check_fiber_distances(H)):
+        assert not rep.passed
+        (law,) = rep.laws
+        assert law.law == "G composes every pair the fiber laws read"
+        assert law.witnesses == [{"missing": "(1<-0)(0<-1)"}]
+
+
+def test_fiber_distances_name_the_composite_a_retargeted_table_lacks():
+    with pytest.raises(ValueError, match=r"composite \(0<-1\)\(0<-1\)$"):
+        fiber_distances(retargeted_compose_groupoid())
+
+
+def test_checks_on_a_groupoid_without_a_norm_still_raise():
+    # nothing is missing, so the checks do not turn the error into a report
+    G = pair_groupoid(two_point_space())
+    H = FiniteGroupoid(G.arrows, G.compose, G.inverse)
+    for check in (check_double_norm, check_fiber_distances):
+        with pytest.raises(ValueError, match="carries no norm"):
+            check(H)
+
+
 def test_broken_loops_fail_alike():
     G = broken_loops()
     assert not validate_groupoid(G).passed
@@ -594,6 +625,44 @@ def test_each_table_is_built_once_per_groupoid(monkeypatch):
     assert sorted(built) == ["_double_pairs", "differences", "rows"]
     assert all(rep.passed for rep in reports)
     assert reports[0].laws[1].checked == reports[1].laws[0].checked
+
+
+@pytest.mark.parametrize("seed", range(0, 50, 7))
+def test_the_double_groupoid_builds_compose_on_first_read(seed):
+    G = pair_groupoid(random_metric_space(seed, max_points=8))
+    D, RD = double_groupoid(G), ref_double_groupoid(G)
+    assert check_double_norm(G, D).passed
+    assert "compose" not in vars(D)
+    assert list(D.compose.items()) == list(RD.compose.items())
+    assert "compose" in vars(D) and D.compose is D.compose
+    assert D.to_json() == RD.to_json()
+    assert double_groupoid(G) == RD and repr(double_groupoid(G)) == repr(RD)
+    with pytest.raises(AttributeError, match="has no attribute 'composee'"):
+        D.composee
+    lazy = pickle.loads(pickle.dumps(double_groupoid(G)))
+    assert "compose" not in vars(lazy) and lazy == RD
+
+
+def test_the_norm_check_without_a_double_groupoid_builds_none(monkeypatch):
+    G = pair_groupoid(random_metric_space(3, max_points=8))
+    want = check_double_norm(G, double_groupoid(G)).to_json()
+
+    def refused(G):
+        raise AssertionError("built a double groupoid")
+    monkeypatch.setattr(constructions, "double_groupoid", refused)
+    assert check_double_norm(G).to_json() == want
+
+
+def test_a_compose_builder_is_range_checked_on_first_read():
+    with pytest.raises(ValueError) as eager:
+        FiniteGroupoid(["e"], {(0, 0): 1}, [0])
+    G = FiniteGroupoid(["e"], lambda: {(0, 0): 1}, [0])
+    for _ in range(2):  # a failed build is not kept
+        with pytest.raises(ValueError) as lazy:
+            G.compose
+        assert str(lazy.value) == str(eager.value) == (
+            "compose entry (0,0)->1 out of range")
+    assert "compose" not in vars(G)
 
 
 @pytest.mark.parametrize("strict_norm", [True, False])

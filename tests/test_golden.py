@@ -1,10 +1,13 @@
-"""The transport CLI, byte for byte against files kept in tests/data.
+"""The transport and validate CLIs, byte for byte against files kept in
+tests/data.
 
-The files were captured from the implementation that built every plan
-entry and weight as a Fraction on construction; plans and measures now
-build them on first read, and the outputs must not move.  The input is
-one 4-point space with a coupling, a second plan composable with it, and
-the two measures (which are also the first plan's declared marginals)."""
+The transport files were captured from the implementation that built
+every plan entry and weight as a Fraction on construction; plans and
+measures now build them on first read, and the outputs must not move.
+Their input is one 4-point space with a coupling, a second plan
+composable with it, and the two measures (which are also the first
+plan's declared marginals).  The validate files pin the report on a
+fixed 8-point rational space, the double groupoid's norm included."""
 
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from ngd import cli
 
 DATA = Path(__file__).parent / "data"
 PLANS = str(DATA / "transport_plans.json")
+SPACE8 = str(DATA / "space8.json")
 
 CASES = [
     *((["transport", PLANS, "--action", action], f"transport_{action}.txt")
@@ -22,6 +26,8 @@ CASES = [
        f"transport_{action}.json")
       for action in ("compose", "inverse", "kantorovich")),
     (["report", "--suite", "transport"], "report_transport.txt"),
+    (["validate", SPACE8], "validate_space8.txt"),
+    (["validate", SPACE8, "--json"], "validate_space8.json"),
 ]
 
 
