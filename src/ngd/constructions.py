@@ -178,24 +178,37 @@ def _flat_differences(G: FiniteGroupoid) -> list:
 def _missing_report(G: FiniteGroupoid, subject, error) -> ValidationReport:
     """The red report for a G lacking composites the fiber laws read,
     naming each one: (inv g) g and g (inv g) for every g, then, once G
-    has those, g h^-1 and g u for g, h leaving x and u entering x.
-    Raises error if G lacks none: then it had another cause."""
+    has those, g h^-1 and g u for g, h leaving x and u entering x; when
+    G has them all, each g u that lands outside the fiber of alpha(u).
+    Raises error if there is none of either: it had another cause."""
     rows, inv, lbl = G.rows(), G.inverse, G.arrows
     read = [*dict.fromkeys(p for g, i in enumerate(inv)
                            for p in ((i, g), (g, i)))]
+    moved = []
     if all(v in rows[g] for g, v in read):  # the fibers are defined
         leaving, entering = G.fibers()
         for x, gs in leaving.items():
             read += product(gs, dict.fromkeys(
                 [inv[h] for h in gs] + entering.get(x, [])))
+            moved += product(gs, entering.get(x, []))
     law = LawCheck("G composes every pair the fiber laws read")
     law.tick(len(read))
     for g, v in read:
         if v not in rows[g]:
             law.fail(missing=f"({lbl[g]})({lbl[v]})")
+    rep = ValidationReport(subject=subject).add(law)
     if law.passed:
-        raise error
-    return ValidationReport(subject=subject).add(law)
+        alpha, law = G.endpoints()[0], LawCheck(
+            "g u lies in the fiber of alpha(u)")
+        law.tick(len(moved))
+        for g, u in moved:
+            if alpha[rows[g][u]] != alpha[u]:
+                law.fail(composite=f"({lbl[g]})({lbl[u]})",
+                         lands=lbl[rows[g][u]])
+        if law.passed:
+            raise error
+        rep.add(law)
+    return rep
 
 
 def _double_compose(pairs, start) -> dict:

@@ -30,10 +30,12 @@ def _maxabs(x) -> float:
 
 def _per_sample(a, b):
     """Residual per leading-axis sample: max |a - b| over the trailing
-    axes, NaN-propagating.  Clouds and arrows are column-major (see
-    ngd.models), so the max runs down contiguous coordinate columns."""
+    axes, NaN-propagating, and 0 where they hold no entry.  Clouds and
+    arrows are column-major (see ngd.models), so the max runs down
+    contiguous coordinate columns."""
     d = np.abs(np.subtract(a, b))
-    return d if d.ndim <= 1 else np.max(d, axis=tuple(range(1, d.ndim)))
+    return d if d.ndim <= 1 else np.max(d, axis=tuple(range(1, d.ndim)),
+                                        initial=0.0)
 
 
 def _judge(check: LawCheck, resids, tol: float, **context) -> None:

@@ -36,7 +36,7 @@ from .emergent import (
 )
 from .limits import BoundedSampler, check_A3
 from .models import EuclideanGroup, HeisenbergGroup, PairModel
-from .scales import as_scale, dyadic_grid
+from .scales import dyadic_grid, kernel_modulus
 from .transport import (
     Coupling,
     Measure,
@@ -56,7 +56,7 @@ class _SquaredDilationGroup(EuclideanGroup):
     """Euclidean carrier whose dilation contracts by s^2 instead of s."""
 
     def dil(self, s: float, a):
-        return np.multiply(s * s, a, order="F")
+        return super().dil(s * s, a)
 
 
 def wrong_exponent_euclidean(dim: int = 1) -> PairModel:
@@ -81,8 +81,8 @@ class _DroppedCorrectionModel(PairModel):
     other."""
 
     def point_dilatation(self, scale, x, y):
-        s = float(as_scale(scale).modulus)
-        return np.add(x, self.group.dil(s, self.pdiff(x, y)), order="F")
+        d = self.group.dil(kernel_modulus(scale), self.pdiff(x, y))
+        return np.add(x, d, out=d)
 
 
 def dropped_correction_heisenberg() -> PairModel:
@@ -98,8 +98,8 @@ class _NaNBelowHeisenbergGroup(HeisenbergGroup):
 
     def point_dilatation(self, s: float, x, y):
         out = super().point_dilatation(s, x, y)
-        if s < 0.2:
-            out[...] = np.nan
+        # a (k, 1) column s: only the blocks of its scales below 0.2
+        np.copyto(out, np.nan, where=np.expand_dims(np.less(s, 0.2), -1))
         return out
 
 
@@ -177,6 +177,19 @@ def broken_loops():
         [c + str(k) for c in "rs" for k in range(4)], compose,
         [b + -g % 4 for b in (0, 4) for g in range(4)],
         [Fraction(min(g, 4 - g)) for g in range(4)] * 2)
+
+
+def misplaced_composite_groupoid():
+    """The pair groupoid of four points at distance 1 with (a<-b)(b<-c)
+    sent to d<-a: every composite the fiber laws read exists, but this
+    one leaves the fiber of alpha(b<-c) = c, where right translation
+    looks for it."""
+    G = pair_groupoid(FiniteMetricSpace(
+        list("abcd"), [[int(i != j) for j in range(4)] for i in range(4)]))
+    at = G.arrows.index
+    bad = dict(G.compose)
+    bad[(at("a<-b"), at("b<-c"))] = at("d<-a")
+    return FiniteGroupoid(G.arrows, bad, G.inverse, G.norm)
 
 
 def off_pair_double_groupoid():

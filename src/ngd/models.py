@@ -25,14 +25,15 @@ override the kernel too); tests/test_models.py checks the two routes
 bit for bit on every carrier class in the package.
 
 Storage rule: shapes are (..., dim) for points and (..., 2, dim) for
-arrows, and every cloud or arrow array the package allocates is stored
-column-major (numpy order "F").  Each coordinate column, in either slot
-of an arrow, is then one contiguous run, which numpy's ufuncs walk with
-a long inner loop; in row-major order that inner axis has length dim,
-and numpy runs several times slower.  Ufuncs keep the order of their
-inputs, so chains of kernels stay column-major; a new allocation site
-passes order="F", or assigns into a buffer that does.  A single point
-(dim,) or arrow (2, dim) is the same in both orders.
+arrows.  Every cloud or arrow array the package allocates comes from
+_empty: batch axes, such as the k scales of a ScaleBatch, outermost, and
+each (n, dim) or (n, 2, dim) block column-major (numpy order "F").  Each
+coordinate column of a block, in either slot of an arrow, is then one
+contiguous run, which numpy's ufuncs walk with a long inner loop; with
+row-major blocks that inner axis has length dim, and with order "F" over
+a (k, n, dim) batch it has length k, several times slower either way.  A
+kernel's scale is a float, or a ScaleBatch's (k, 1) column, which maps
+an (n, dim) cloud to a (k, n, dim) batch, scale by scale.
 """
 
 from __future__ import annotations
@@ -45,18 +46,39 @@ import numpy as np
 from .core import LawCheck, ValidationReport
 from .emergent import _judge, _maxabs, arrow_dilatation
 from .limits import uniform_limit
-from .scales import Scale, as_scale, dyadic_grid
+from .scales import Scale, as_scale, dyadic_grid, kernel_modulus
 
 
 # ---------------------------------------------------------------------------
 # carrier groups
 
 
+def _empty(shape, block=2):
+    """An uninitialised float array of shape, laid out by the storage
+    rule: its trailing block axes column-major, the axes before them
+    outermost."""
+    lead = len(shape) - block
+    if lead <= 0:
+        return np.empty(shape, order="F")
+    return np.empty(shape[:lead] + shape[:lead - 1:-1]).transpose(
+        *range(lead), *range(len(shape) - 1, lead - 1, -1))
+
+
+def _shape(s, *operands):
+    """The shape of a kernel's result: its operands broadcast against
+    each other and against a (k, 1) scale column s, whose k leads."""
+    if isinstance(s, np.ndarray):
+        operands += (s[..., None],)
+    elif len(operands) == 1:
+        return np.shape(operands[0])
+    return np.broadcast(*operands).shape
+
+
 def _ball_sample(group, rng, n, radius, center, draw):
     """n points of the gauge ball of radius around center, by rejection
     from draw(m), which returns m candidates from a box around the ball
     at the identity."""
-    out = np.empty((n, group.dim), order="F")
+    out = _empty((n, group.dim))
     got = 0
     while got < n:
         cand = draw(2 * (n - got) + 8)
@@ -79,19 +101,22 @@ class EuclideanGroup:
         return np.zeros(self.dim)
 
     def mul(self, a, b):
-        return np.add(a, b, order="F")
+        return np.add(a, b, out=_empty(_shape(None, a, b)))
 
     def inv(self, a):
-        return np.negative(a, order="F")
+        return np.negative(a, out=_empty(np.shape(a)))
 
     def dil(self, s: float, a):
-        return np.multiply(float(s), a, order="F")
+        out = _empty(_shape(s, a))
+        if isinstance(s, np.ndarray):
+            s = s[..., None]  # a (k, 1, 1) column scales each block
+        return np.multiply(s, a, out=out)
 
     def point_dilatation(self, s: float, x, y):
         """x . D_s(x^-1 y) = x + s (y - x); goes through dil, so a
         subclass that changes the dilation changes this too."""
-        return np.add(x, self.dil(s, np.subtract(y, x, order="F")),
-                      order="F")
+        d = self.dil(s, np.subtract(y, x, out=_empty(_shape(None, y, x))))
+        return np.add(x, d, out=d)
 
     def gauge(self, a):
         a = np.asarray(a)  # squares summed left to right in any layout
@@ -121,25 +146,24 @@ class HeisenbergGroup:
         b = np.asarray(b, dtype=float)
         x1, y1, t1 = a[..., 0], a[..., 1], a[..., 2]
         x2, y2, t2 = b[..., 0], b[..., 1], b[..., 2]
-        out = np.empty(np.broadcast_shapes(a.shape, b.shape), order="F")
+        out = _empty(_shape(None, a, b))
         o2 = out[..., 2]
         np.add(x1, x2, out=out[..., 0])
         np.add(y1, y2, out=out[..., 1])
         np.add(t1, t2, out=o2)
         # an array even for one point, so the in-place steps below work
-        c = np.multiply(x1, y2, out=np.empty(out.shape[:-1], order="F"))
+        c = np.multiply(x1, y2, out=_empty(out.shape[:-1], 1))
         c -= y1 * x2
         c *= 0.5
         o2 += c
         return out
 
     def inv(self, a):
-        return np.negative(a, order="F")
+        return np.negative(a, out=_empty(np.shape(a)))
 
     def dil(self, s: float, a):
         a = np.asarray(a, dtype=float)
-        s = float(s)
-        out = np.empty(a.shape, order="F")
+        out = _empty(_shape(s, a))
         np.multiply(a[..., 0], s, out=out[..., 0])
         np.multiply(a[..., 1], s, out=out[..., 1])
         np.multiply(a[..., 2], s * s, out=out[..., 2])
@@ -155,13 +179,12 @@ class HeisenbergGroup:
         same map but rounds differently."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        s = float(s)
         x1, y1, t1 = x[..., 0], x[..., 1], x[..., 2]
         x2, y2, t2 = y[..., 0], y[..., 1], y[..., 2]
-        out = np.empty(np.broadcast_shapes(x.shape, y.shape), order="F")
+        out = _empty(_shape(s, x, y))
         o0, o1, o2 = out[..., 0], out[..., 1], out[..., 2]
-        c = np.empty(out.shape[:-1], order="F")
-        t = np.empty(out.shape[:-1], order="F")
+        c = _empty(out.shape[:-1], 1)
+        t = _empty(out.shape[:-1], 1)
         # D_s(x^-1 y), column by column
         np.subtract(x2, x1, out=o0)
         o0 *= s
@@ -220,12 +243,13 @@ class DomainSpec:
 
 
 def _slots(first, second, k):
-    """A column-major array holding first and second (broadcast against
-    each other) in the two slots of a new axis before their last k axes."""
+    """An array holding first and second (broadcast against each other)
+    in the two slots of a new axis before their last k axes, laid out by
+    the storage rule with the sample axis before those k."""
     first = np.asarray(first, dtype=float)
     second = np.asarray(second, dtype=float)
-    shape = np.broadcast_shapes(first.shape, second.shape)
-    out = np.empty(shape[:-k] + (2,) + shape[-k:], order="F")
+    shape = _shape(None, first, second)
+    out = _empty(shape[:-k] + (2,) + shape[-k:], k + 2)
     tail = (slice(None),) * k
     out[(..., 0) + tail] = first
     out[(..., 1) + tail] = second
@@ -260,8 +284,7 @@ class PairModel:
     def point_dilatation(self, scale, x, y):
         """delta^x_eps y = x . D_eps(x^-1 y): dilate y toward the base x,
         by the carrier's fused kernel."""
-        return self.group.point_dilatation(
-            float(as_scale(scale).modulus), x, y)
+        return self.group.point_dilatation(kernel_modulus(scale), x, y)
 
     # -- arrows: ndarray (..., 2, dim), slot 0 = target, slot 1 = source ----
 
@@ -338,7 +361,7 @@ class PairModel:
         """Limit of delta^x_{1/eps} delta^{delta^x_eps u}_mu delta^x_eps v;
         here exactly u . D_mu(u^-1 v), independent of the base x.  It is
         the carrier's map even where a model overrides point_dilatation."""
-        return self.group.point_dilatation(float(as_scale(mu).modulus), u, v)
+        return self.group.point_dilatation(kernel_modulus(mu), u, v)
 
     def tangent_point_dist(self, u, v):
         return self.pdist(u, v)
@@ -498,8 +521,8 @@ def check_A2(model, arrows) -> ValidationReport:
     # vanishing is what matters; the trend check does the work
     rep.limits.append(uniform_limit(
         "A2: sup d(delta_eps a) -> 0",
-        lambda s: model.norm(model.delta(s, arrows)), 0.0, grid, 0.25,
-        atol=1e-13, require_decreasing=True))
+        lambda s: model.norm(model.delta(s, arrows)), np.zeros(len(arrows)),
+        grid, 0.25, atol=1e-13, require_decreasing=True))
     return rep
 
 

@@ -2,7 +2,8 @@
 
 One realization ships: positive rationals under multiplication, with
 modulus equal to the value.  The dyadic grid 2^-k is a sequence of such
-scales.  Models only ever consume a scale through `.modulus`.
+scales; a sweep hands them to its families k at a time, as a ScaleBatch.
+Models only ever consume a scale through kernel_modulus.
 """
 
 from __future__ import annotations
@@ -40,14 +41,37 @@ class Scale:
         return f"Scale({self.value})"
 
 
+class ScaleBatch:
+    """k scales swept as one batch axis: modulus is the (k, 1) column of
+    their float(modulus), so each enters a kernel as the float it would
+    alone; inv() inverts each scale exactly."""
+
+    def __init__(self, scales):
+        import numpy as np  # only the analytic side sweeps batches
+
+        self.scales = tuple(scales)
+        self.modulus = np.array([[float(s.modulus)] for s in self.scales])
+
+    def inv(self) -> "ScaleBatch":
+        return ScaleBatch(s.inv() for s in self.scales)
+
+
+def kernel_modulus(scale):
+    """|scale| as the carrier kernels take it: float(modulus) for one
+    scale, the (k, 1) float column for a ScaleBatch."""
+    s = as_scale(scale)
+    return s.modulus if isinstance(s, ScaleBatch) else float(s.modulus)
+
+
 def dyadic_grid(kmax: int = 20) -> list:
     """Scales 2^-k for k = 1..kmax -- the default evaluation grid."""
     return [Scale(Fraction(1, 2**k)) for k in range(1, kmax + 1)]
 
 
 def as_scale(s) -> Scale:
-    """Coerce ints/Fractions/strings to a rational Scale."""
-    if isinstance(s, Scale):
+    """Coerce ints/Fractions/strings to a rational Scale; a Scale or a
+    ScaleBatch passes through."""
+    if isinstance(s, (Scale, ScaleBatch)):
         return s
     # floats show up from CLI flags; they convert exactly
     return Scale(Fraction(s))

@@ -78,10 +78,11 @@ def _pairing(u, mu: Measure, nu: Measure) -> Fraction:
 
 
 class _Exact:
-    """What Measure and Coupling share: equality on (space, _int), and
-    their Fractions (the field _field names) built from _int on first
-    read, then kept.  ngd builds both from _int alone; the field has no
-    class default, so until then reading it lands in __getattr__."""
+    """What Measure, Coupling and LipFunction share: equality on (space,
+    _int), and their Fractions (the field _field names) built from _int
+    on first read, then kept.  ngd's solvers build them from _int alone;
+    the field has no class default, so until then reading it lands in
+    __getattr__."""
 
     def __getattr__(self, name):
         if name != self._field:
@@ -376,10 +377,13 @@ def _lip1_witness(space, u):
     return None
 
 
-@dataclass
-class LipFunction:
-    """A 1-Lipschitz potential, validated on construction."""
+@dataclass(eq=False)
+class LipFunction(_Exact):
+    """A 1-Lipschitz potential, validated on construction: exact values,
+    and in _int their numerators over the lcm of their denominators,
+    which seminorm_rho reads.  kantorovich builds one from _int alone."""
 
+    _field = "values"
     space: FiniteMetricSpace
     values: tuple
 
@@ -387,7 +391,8 @@ class LipFunction:
         v = tuple(as_fraction(x) for x in self.values)
         if len(v) != self.space.n_points():
             raise ValueError("one value per point, please")
-        w = lip1_witness(self.space, v)
+        self._int = _over_lcm(v)
+        w = _lip1_witness(self.space, self._int)
         if w is not None:
             x, y = w
             raise ValueError(
@@ -417,7 +422,7 @@ def seminorm_rho(u, gamma: Coupling) -> Fraction:
     sequence u is validated as a LipFunction first."""
     if not isinstance(u, LipFunction):
         u = LipFunction(gamma.space, tuple(u))
-    return abs(_pairing(_over_lcm(u.values), gamma.mu, gamma.nu))
+    return abs(_pairing(u._int, gamma.mu, gamma.nu))
 
 
 def is_invtrans(gamma: Coupling):
@@ -775,9 +780,11 @@ def kantorovich(mu: Measure, nu: Measure) -> KantorovichResult:
             "the solver is exact)\n" + rep.summary()
         )
     plan = _plan(space, flows, L, mu, nu)
-    # the certificate has judged phi 1-Lipschitz: no second pass
+    # the certificate has judged phi 1-Lipschitz: no second pass; in
+    # lowest terms, _int is the one a LipFunction built from values holds
+    g = math.gcd(D, *phi)
     u = LipFunction.__new__(LipFunction)
-    u.space, u.values = space, tuple(Fraction(v, D) for v in phi)
+    u.space, u._int = space, (tuple(v // g for v in phi), D // g)
     return KantorovichResult(plan, u, primal, dual, pivots)
 
 
@@ -1023,7 +1030,8 @@ def check_transport(space=None, seed=0, samples=40) -> ValidationReport:
         full = k % 3 != 2
         a, bq, cq = random_composable_chain(space, rng, 3, full_support=full)
 
-        left = compose_plans(compose_plans(a, bq), cq)
+        ab = compose_plans(a, bq)
+        left = compose_plans(ab, cq)
         right = compose_plans(a, compose_plans(bq, cq))
         law = assoc if full else assoc0
         law.tick()
@@ -1042,7 +1050,6 @@ def check_transport(space=None, seed=0, samples=40) -> ValidationReport:
         if inverse_plan(ia) != a or norm_d(ia) != norm_d(a):
             invo.fail(sample=k)
         anti.tick()
-        ab = compose_plans(a, bq)
         if inverse_plan(ab) != compose_plans(inverse_plan(bq), ia):
             anti.fail(sample=k)
 

@@ -42,6 +42,7 @@ from ngd.core import (
 from ngd.fixtures import (
     broken_loops,
     inflated_norm_groupoid,
+    misplaced_composite_groupoid,
     non_separating_seminorms,
     retargeted_compose_groupoid,
 )
@@ -530,6 +531,21 @@ def test_fiber_checks_name_a_missing_unit_composite():
         (law,) = rep.laws
         assert law.law == "G composes every pair the fiber laws read"
         assert law.witnesses == [{"missing": "(1<-0)(0<-1)"}]
+
+
+def test_fiber_checks_name_a_composite_outside_its_fiber():
+    # (a<-b)(b<-c) sent to d<-a: every composite the laws read exists, but
+    # right translation looks for this one in the fiber of c, so both
+    # checks report it instead of raising ValueError
+    G = misplaced_composite_groupoid()
+    for rep in (check_double_norm(G), check_fiber_distances(G)):
+        assert not rep.passed
+        composes, placed = rep.laws
+        assert composes.passed and composes.checked == 80
+        assert placed.law == "g u lies in the fiber of alpha(u)"
+        assert (placed.checked, placed.failures) == (64, 1)
+        assert placed.witnesses == [{"composite": "(a<-b)(b<-c)",
+                                     "lands": "d<-a"}]
 
 
 def test_fiber_distances_name_the_composite_a_retargeted_table_lacks():

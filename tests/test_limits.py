@@ -2,11 +2,21 @@
 extrapolation, the limit axioms on both models, and the planted failures
 the estimators must catch."""
 
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 from fractions import Fraction
 
-from ngd.fixtures import flat_gauge_heisenberg, wrong_exponent_euclidean
+from ngd import cli, limits, models
+from ngd.fixtures import (
+    dropped_correction_heisenberg,
+    flat_gauge_heisenberg,
+    nan_below_heisenberg,
+    wrong_exponent_euclidean,
+)
 from ngd.limits import (
     BoundedSampler,
     check_A3,
@@ -22,7 +32,7 @@ from ngd.limits import (
     translation_groupoid,
     uniform_limit,
 )
-from ngd.models import euclidean_model, heisenberg_model
+from ngd.models import DoubleModel, check_A2, euclidean_model, heisenberg_model
 from ngd.scales import Scale, dyadic_grid
 
 E2 = euclidean_model(dim=2)
@@ -104,8 +114,8 @@ def test_limit_of_values_with_candidate():
 def test_uniform_limit_on_a_family():
     xs = np.linspace(-1, 1, 50)
 
-    def fam(s):
-        return xs + float(s.modulus) * np.cos(xs)
+    def fam(s):  # a chunk of k scales: s.modulus is their (k, 1) column
+        return xs + s.modulus * np.cos(xs)
 
     est = uniform_limit("unif", fam, xs, grid=dyadic_grid(kmax=30),
                         tol=1e-6)
@@ -178,3 +188,117 @@ def test_flat_gauge_fails_nondegeneracy_with_witness():
     w = broken[0].witnesses[0]
     # the witness pair is vertical: distinct points at tangent distance 0
     assert "target_g" in w and "target_h" in w
+
+# ---------------------------------------------------------------------------
+# the scale grid as one batch axis
+
+
+SWEPT = {
+    "heisenberg": heisenberg_model,
+    "euclidean3": lambda: euclidean_model(dim=3),
+    "wrong_exponent": wrong_exponent_euclidean,
+    "dropped_correction": dropped_correction_heisenberg,
+    "nan_below": nan_below_heisenberg,
+    "flat_gauge": flat_gauge_heisenberg,
+}
+
+
+def _sweeps(model, n):
+    """The traces of every driver that sweeps a grid, on n-point clouds,
+    as JSON text: a NaN residual equals itself, -0.0 differs from 0.0."""
+    sampler = BoundedSampler(model, n=n, seed=5)
+    arrows = sampler.arrow_pairs()[0]
+    pairs = DoubleModel(model).pair(*sampler.arrow_pairs())
+    ests = (check_A3(model, sampler).limits
+            + check_A4weak(model, sampler).limits
+            + check_A3mod_A4(model, sampler).limits
+            + [gh_estimate(model, sampler)]
+            + fiber_dilatation_structure(
+                model, sampler=BoundedSampler(model, n=n, seed=11))[1].limits
+            + check_A2(model, arrows).limits
+            + check_A2(DoubleModel(model), pairs).limits)
+    return json.dumps([e.to_json() for e in ests], sort_keys=True)
+
+
+def _chunk_sizes(monkeypatch):
+    """Record the size of every chunk of scales a sweep hands its families."""
+    sizes = []
+
+    class Recorded(limits.ScaleBatch):
+        def __init__(self, scales):
+            super().__init__(scales)
+            sizes.append(len(self.scales))
+
+    monkeypatch.setattr(limits, "ScaleBatch", Recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("name", sorted(SWEPT))
+@pytest.mark.parametrize("n", [200, limits.CHUNK_POINTS // 7,
+                               limits.CHUNK_POINTS + 1])
+def test_batched_sweeps_match_one_scale_per_chunk(monkeypatch, name, n):
+    """Each scale enters its kernels as the float it would alone and is
+    reduced on its own, so every trace is the one-scale-per-chunk trace
+    bit for bit: residuals, order, note and verdict, planted carriers and
+    their NaNs included."""
+    model = SWEPT[name]()
+    sizes = _chunk_sizes(monkeypatch)
+    got = _sweeps(model, n)
+    if n == 200:  # the whole grid goes in one chunk
+        assert set(sizes) == {20, 6}
+    elif n > limits.CHUNK_POINTS:
+        assert set(sizes) == {1}
+    else:  # chunks of several scales, the last one short
+        assert max(sizes) > 1 and min(sizes) < max(sizes)
+    monkeypatch.setattr(limits, "CHUNK_POINTS", 1)
+    sizes.clear()
+    assert got == _sweeps(model, n)
+    assert set(sizes) == {1}
+
+
+def _count_sweep_kernels(monkeypatch):
+    """The scale (float or column shape) of every carrier point_dilatation
+    call made inside uniform_limits."""
+    inside, calls = [], []
+    sweep = limits.uniform_limits
+
+    def counting_sweep(*args, **kwargs):
+        inside.append(1)
+        try:
+            return sweep(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(limits, "uniform_limits", counting_sweep)
+    for cls in (models.HeisenbergGroup, models.EuclideanGroup):
+        def counting(self, s, x, y, kernel=cls.point_dilatation):
+            if inside:
+                calls.append(np.shape(s))
+            return kernel(self, s, x, y)
+
+        monkeypatch.setattr(cls, "point_dilatation", counting)
+    return calls
+
+
+def test_report_sweeps_run_each_kernel_once_per_chunk(monkeypatch):
+    """report --suite all sweeps 18 times on 200-point clouds, each grid in
+    one chunk: 50 kernel calls, where one scale per call made 804."""
+    calls = _count_sweep_kernels(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["report", "--suite", "all", "--json"]) == 0
+    assert len(calls) == 50
+    # the whole grid as one column, or a float mu of a two-scale dilatation
+    assert set(calls) == {(20, 1), (6, 1), ()}
+
+
+def test_large_clouds_sweep_one_scale_per_call(monkeypatch):
+    """At 2e4 points a chunk is one scale: check_A3 and check_A4weak make
+    the per-scale calls they made before the grid became a batch axis."""
+    calls = _count_sweep_kernels(monkeypatch)
+    sampler = BoundedSampler(H, n=20000, seed=1)
+    check_A3(H, sampler)
+    assert len(calls) == 20 * 2
+    calls.clear()
+    check_A4weak(H, sampler)
+    assert len(calls) == 20 * (2 + 2 * len(limits.MUS))
+    assert set(calls) == {(1, 1), ()}

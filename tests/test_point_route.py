@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ngd import models
+from ngd import limits, models
 from ngd.core import LawCheck, ValidationReport
 from ngd.emergent import (
     Delta_eps,
@@ -395,7 +395,7 @@ def ref_fiber_sweeps(model):
         lambda s: model.pdist(u, pd(s, u, v)), 0.0, grid, 0.25,
         atol=1e-10, require_decreasing=True), uniform_limit(
         "fiber A3: rescaled based distance -> tangent distance",
-        lambda s: model.pdist(pd(s, u, v), pd(s, u, w)) / float(s.modulus),
+        lambda s: model.pdist(pd(s, u, v), pd(s, u, w)) / s.modulus,
         model.tangent_point_dist(v, w), grid, 1e-8, atol=1e-10)] + [
         uniform_limit(
             f"fiber A4weak[mu={mu.value}]: two-scale dilatation converges",
@@ -432,6 +432,8 @@ def _count_point_dilatations(monkeypatch, model):
 
 
 def test_two_scale_sweeps_compute_each_cloud_once(monkeypatch):
+    # one scale per chunk, so that the counts below are per scale
+    monkeypatch.setattr(limits, "CHUNK_POINTS", 1)
     H = heisenberg_model()
     calls = _count_point_dilatations(monkeypatch, H)
     sampler = BoundedSampler(H, n=20)

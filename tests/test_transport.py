@@ -1339,3 +1339,38 @@ def test_measures_compare_by_their_integer_form():
         X, (third, 2 * third, 0))
     assert Measure(X, (1, 0, 0)) != Measure(two_point_space(), (1, 0))
     assert m != m.weights
+
+
+def test_check_transport_reads_the_potentials_integer_form(monkeypatch):
+    """seminorm_rho reads the integer form kantorovich hands its potential:
+    no _over_lcm call inside it, and every rho is the Fraction sum."""
+    inside, recounted, rhos = [], [], []
+    over_lcm, rho = transport._over_lcm, transport.seminorm_rho
+
+    def counting(values):
+        if inside:
+            recounted.append(values)
+        return over_lcm(values)
+
+    def recording(u, gamma):
+        inside.append(u)
+        try:
+            got = rho(u, gamma)
+        finally:
+            inside.pop()
+        rhos.append((got, u, gamma))
+        return got
+
+    monkeypatch.setattr(transport, "_over_lcm", counting)
+    monkeypatch.setattr(transport, "seminorm_rho", recording)
+    rep = check_transport(random_metric_space(2, max_points=5), seed=3,
+                          samples=12)
+    assert rep.passed, rep.summary()
+    assert len(rhos) > 12 * 5 and not recounted
+    for got, u, gamma in rhos:
+        want = abs(sum(v * (m - w) for v, m, w in zip(
+            u.values, gamma.mu.weights, gamma.nu.weights)))
+        assert got == want
+        # the integer form is in lowest terms, as one built from values
+        assert u == LipFunction(u.space, u.values)
+        assert u._int == _over_lcm(u.values)
