@@ -23,7 +23,6 @@ from operator import itemgetter
 
 from .core import (
     FiniteGroupoid,
-    GroupoidMorphism,
     LawCheck,
     ValidationReport,
     _matrix_over_lcm,
@@ -238,16 +237,6 @@ def double_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
     return FiniteGroupoid._normed(arrows, compose, inverse,
                                   [*map(value.__getitem__, flat)],
                                   (flat, G._int[1]))
-
-
-def double_difference_morphism(G, D=None):
-    """The map (g, h) -> g h^-1 from the double groupoid to G.  Returns a
-    core.GroupoidMorphism; it preserves norms (d~ = d o dif) on the nose,
-    which check_double_norm judges through this arrow map.  A D that is
-    not the double groupoid of G raises ValueError."""
-    return GroupoidMorphism(source=_double_of(G, D), target=G,
-                            arrow_map=_dif_map(G, _double_pairs(G)),
-                            name="dif")
 
 
 def _right_translation(G: FiniteGroupoid, law, key=None) -> LawCheck:

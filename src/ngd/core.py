@@ -533,39 +533,7 @@ def check_separability(G: FiniteGroupoid, norm=None) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# morphisms and seminorms
-
-
-@dataclass
-class GroupoidMorphism:
-    """Arrow map between finite groupoids (objects ride along)."""
-
-    source: FiniteGroupoid
-    target: FiniteGroupoid
-    arrow_map: list
-    name: str = "F"
-
-
-def check_morphism(M: GroupoidMorphism) -> ValidationReport:
-    comp = LawCheck("preserves composition")
-    invo = LawCheck("preserves inversion")
-    ends = LawCheck("preserves unit arrows / endpoints")
-    rep = ValidationReport(subject=f"morphism {M.name}").add(comp, invo, ends)
-    F = M.arrow_map
-    G, H = M.source, M.target
-    comp.tick(len(G.compose))
-    for (g, h), k in G.compose.items():
-        if H.compose.get((F[g], F[h])) != F[k]:
-            comp.fail(g=G.arrows[g], h=G.arrows[h])
-    (ga, go), (ha, ho) = G.endpoints(), H.endpoints()
-    invo.tick(len(G.arrows))
-    ends.tick(len(G.arrows))
-    for g in range(len(G.arrows)):
-        if F[G.inverse[g]] != H.inverse[F[g]]:
-            invo.fail(g=G.arrows[g])
-        if F[ga[g]] != ha[F[g]] or F[go[g]] != ho[F[g]]:
-            ends.fail(g=G.arrows[g])
-    return rep
+# seminorms
 
 
 @dataclass

@@ -1,11 +1,14 @@
 """Emergent approximate operations of a dilation model.
 
 At a fixed scale eps the fiberwise dilatations induce approximate
-difference / sum / inverse operations on each source fiber.  As eps -> 0
-they converge to the model's tangent operations; at fixed eps they obey a
-battery of exact identities: each single scale gives an idempotent right
-quasigroup (irq) on the fiber, the whole family composes across scales,
-and the based three-argument forms satisfy distributivity-style laws.
+difference / sum / inverse operations on each source fiber (Delta_eps,
+Sigma_eps, inv_eps) and their based three-argument forms (Delta3,
+Sigma3, inv3).  As eps -> 0 they converge to the model's tangent
+operations; at fixed eps they obey a battery of exact identities, checked
+here: each single scale gives an idempotent right quasigroup (Irq) on the
+fiber, the whole dilatation family (GammaIrq) composes across scales, and
+the based forms satisfy distributivity-style laws.  `_judge` is the one
+residual judge of the package's float laws.
 
 Convention: arrow-level operations eat and return (..., 2, dim) arrows of
 a PairModel; point-level ("based") operations eat and return point arrays,
@@ -102,16 +105,6 @@ def inv_eps(model, scale, g):
     return Delta_eps(model, scale, model.unit_of(g), g)
 
 
-def dif_eps(model, scale, g, h):
-    """Blown-up exact difference, delta_{1/eps} dif(delta_eps g, delta_eps h).
-
-    Composing with delta_eps h recovers Delta_eps (a route identity worth
-    testing, not assuming); unlike Delta_eps its source moves with eps, so
-    it converges to tangent_Delta only in the simple (slotwise) sense."""
-    s = as_scale(scale)
-    return model.delta(s.inv(), model.dif(model.delta(s, g), model.delta(s, h)))
-
-
 # ---------------------------------------------------------------------------
 # point-level (based) operations
 
@@ -185,40 +178,6 @@ class GammaIrq:
 def gamma_irq_from_dilation(model) -> GammaIrq:
     return GammaIrq(op=model.point_dilatation,
                     name=f"dilatation family[{model.name}]")
-
-
-def iterate_irq(Q: Irq, k: int) -> Callable:
-    """The k-fold iterate: apply op (k > 0) or opinv (k < 0) |k| times in
-    the second argument; k = 0 is the identity there."""
-
-    def op(x, y):
-        f = Q.op if k >= 0 else Q.opinv
-        for _ in range(abs(k)):
-            y = f(x, y)
-        return y
-
-    return op
-
-
-def _dyadic_exponent(scale) -> int:
-    m = as_scale(scale).modulus
-    num, den = m.numerator, m.denominator
-    if num == 1 and den & (den - 1) == 0:
-        return den.bit_length() - 1
-    if den == 1 and num & (num - 1) == 0:
-        return -(num.bit_length() - 1)
-    raise ValueError(f"not a dyadic scale: {m}")
-
-
-def z_irq_from_iterates(Q: Irq) -> GammaIrq:
-    """Integer-indexed family built by iterating one irq: the scale 2^-k
-    stands for the exponent k, so the family's composition law is the
-    iterate law (op_s)_k = op_{s^k} in disguise."""
-
-    def op(scale, x, y):
-        return iterate_irq(Q, _dyadic_exponent(scale))(x, y)
-
-    return GammaIrq(op=op, name=f"Z iterates of {Q.name}")
 
 
 # ---------------------------------------------------------------------------

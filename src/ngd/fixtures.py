@@ -273,25 +273,6 @@ def marginal_off_by_one_unit():
 
 
 # ---------------------------------------------------------------------------
-# malformed DSL inputs (for the CLI's positioned parse errors)
-
-
-def parse_error_samples():
-    """Expressions the term parser must reject, with the 1-based
-    line:column it should point at."""
-    return [
-        ("Delta(0.1, (3,0)", 1, 17),            # unclosed call
-        ("Sigma(1/2, (1,0), (2,0)))", 1, 25),   # trailing junk
-        ("frob((1,0), (2,0))", 1, 1),           # unknown operation
-        ("inv(1/2)", 1, 8),                     # arity too low
-        ("d()", 1, 3),                          # arity too low
-        ("lim(eps -> 1, d((1,0)))", 1, 12),     # limits go to zero here
-        ("circ(1/2, (1,0),, (2,0))", 1, 17),    # empty argument
-        ("Delta(1/2, (1,0), (2,0)\n  ", 2, 3),  # unclosed, multiline
-    ]
-
-
-# ---------------------------------------------------------------------------
 # the planted suite
 
 
@@ -356,6 +337,8 @@ def run_planted_suite(seed: int = 0, samples: int = 200):
     ))
     out.append(("broken loops vs right translation of fiber distances",
                 check_fiber_distances(broken_loops())))
+    out.append(("composite outside its fiber vs right translation",
+                check_fiber_distances(misplaced_composite_groupoid())))
     out.append(("double norm off at one pair vs d~ = d o dif",
                 check_double_norm(*off_pair_double_groupoid())))
     out.append((

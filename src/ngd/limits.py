@@ -321,9 +321,15 @@ def check_A3(model, sampler=None, grid=None, tol=1e-8) -> ValidationReport:
 
     rep = ValidationReport(subject=f"A3[{model.name}] ({sampler.describe()})")
     dt0 = model.tangent_pair_dist(G, H)
+    chunk = []  # the sweep's last chunk, whose last row is the finest scale
+
+    def pair_distance(s):
+        chunk[:] = [rescaled_pair_distance(model, s, G, H)]
+        return chunk[0]
+
     rep.limits.append(uniform_limit(
         "A3: rescaled fiber distance -> tangent pair distance",
-        lambda s: rescaled_pair_distance(model, s, G, H), dt0, grid, tol))
+        pair_distance, dt0, grid, tol))
 
     diag = LawCheck("tangent distance vanishes on the diagonal")
     sym = LawCheck("tangent distance is symmetric")
@@ -339,7 +345,7 @@ def check_A3(model, sampler=None, grid=None, tol=1e-8) -> ValidationReport:
     _judge(tri, np.maximum(slack, 0.0), 1e-12)
 
     gap = _per_sample(model.target(G), model.target(H))
-    finest = rescaled_pair_distance(model, grid[-1], G, H)
+    finest = chunk[0][-1]
     sep_mask = gap > 0.05
     degenerate = sep_mask & ((dt0 <= 1e-7) | (finest <= 1e-7))
     nondeg.tick(int(sep_mask.sum()))

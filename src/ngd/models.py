@@ -614,136 +614,3 @@ def check_dilation_morphism(model: PairModel) -> ValidationReport:
     rep.merge(check_A1(dm, P))
     rep.merge(check_A2(dm, P))
     return rep
-
-
-# ---------------------------------------------------------------------------
-# deformations: conjugate the structure by delta_mu
-
-
-class DeformedModel:
-    """The mu-deformation of a pair model: same arrows, composition and
-    inverse conjugated through delta_mu, norm rescaled by 1/|mu|:
-
-        m_mu(a, b)  = delta_{1/mu}( delta_mu(a) delta_mu(b) )
-        d_mu(a)     = d(delta_mu a) / |mu|
-        dif_mu(a,b) = delta_{1/mu}( dif(delta_mu a, delta_mu b) )
-
-    alpha is unchanged; omega_mu(a) = omega(delta_mu a)."""
-
-    def __init__(self, base: PairModel, mu):
-        self.base = base
-        self.mu = as_scale(mu)
-        self.name = f"{base.name}@mu={self.mu.modulus}"
-
-    def m(self, a, b):
-        db = self.base
-        composed = db.compose(db.delta(self.mu, a), db.delta(self.mu, b))
-        return db.delta(self.mu.inv(), composed)
-
-    def inverse(self, a):
-        db = self.base
-        return db.delta(self.mu.inv(), db.inverse(db.delta(self.mu, a)))
-
-    def omega_coords(self, a):
-        return self.base.target(self.base.delta(self.mu, a))
-
-    def alpha_coords(self, a):
-        return self.base.source(a)
-
-    def norm(self, a):
-        return self.base.norm(self.base.delta(self.mu, a)) / float(
-            self.mu.modulus
-        )
-
-    def dif(self, a, b):
-        db = self.base
-        return db.delta(
-            self.mu.inv(), db.dif(db.delta(self.mu, a), db.delta(self.mu, b))
-        )
-
-    def dtilde(self, a, b):
-        return self.base.dtilde(
-            self.base.delta(self.mu, a), self.base.delta(self.mu, b)
-        ) / float(self.mu.modulus)
-
-    def double_delta(self, scale, a, b):
-        """The induced pair dilation of the deformed structure, computed by
-        conjugating the base one with delta_mu x delta_mu."""
-        db = self.base
-        dm = DoubleModel(db)
-        P = dm.pair(db.delta(self.mu, a), db.delta(self.mu, b))
-        out = dm.delta(scale, P)
-        return (
-            db.delta(self.mu.inv(), dm.first(out)),
-            db.delta(self.mu.inv(), dm.second(out)),
-        )
-
-
-def deform(model: PairModel, mu) -> DeformedModel:
-    return DeformedModel(model, mu)
-
-
-def check_deformation(model: PairModel, mu) -> ValidationReport:
-    """The deformed structure is a normed groupoid on samples, the deformed
-    difference map is norm preserving (d_mu o dif_mu = dtilde_mu, exactly),
-    and is a morphism for the deformed composition."""
-    tol = 1e-9
-    rng = np.random.default_rng(41)
-    dm = deform(model, mu)
-    db = model
-    rep = ValidationReport(subject=f"deformation[{dm.name}]")
-
-    base = db.e()
-    p, q, r = (db.sample_points(rng, 300) for _ in range(3))
-    B = np.broadcast_to(base, p.shape)
-
-    # composable chain for the deformed composition: omega_mu(b) must equal
-    # alpha(a), i.e. source(a) = target(delta_mu b)
-    b_arr = db.arrow(q, B)
-    mid = dm.omega_coords(b_arr)
-    a_arr = db.arrow(p, mid)
-    c_arr = db.arrow(r, B)
-
-    assoc = LawCheck("deformed composition is associative")
-    unit = LawCheck("unit arrows are deformed units")
-    invl = LawCheck("deformed inverse inverts")
-    rep.add(assoc, unit, invl)
-
-    # a after b after c: build the middle sources to match
-    b2 = db.arrow(q, dm.omega_coords(c_arr))
-    a2 = db.arrow(p, dm.omega_coords(b2))
-    lhs = dm.m(dm.m(a2, b2), c_arr)
-    rhs = dm.m(a2, dm.m(b2, c_arr))
-    _judge(assoc, [_maxabs(lhs - rhs)], tol)
-
-    # one instance; np.max keeps a NaN in either residual
-    r1 = _maxabs(dm.m(a_arr, db.unit(db.source(a_arr))) - a_arr)
-    r2 = _maxabs(dm.m(db.unit(dm.omega_coords(a_arr)), a_arr) - a_arr)
-    _judge(unit, [np.max([r1, r2])], tol)
-
-    lhs = dm.m(dm.inverse(a_arr), a_arr)
-    _judge(invl, [_maxabs(lhs - db.unit(db.source(a_arr)))], tol)
-
-    # norm-preserving morphism: d_mu(dif_mu(g,h)) = dtilde_mu(g,h)
-    pres = LawCheck("d_mu(dif_mu(g,h)) = dtilde_mu(g,h)")
-    morph = LawCheck("dif_mu is a morphism for the deformed composition")
-    conj = LawCheck("induced pair dilation = conjugated pair dilation")
-    rep.add(pres, morph, conj)
-
-    g = db.arrow(p, B)
-    h = db.arrow(q, B)
-    l_ = db.arrow(r, B)
-    _judge(pres, [_maxabs(dm.norm(dm.dif(g, h)) - dm.dtilde(g, h))], tol)
-
-    lhs = dm.dif(g, l_)
-    rhs = dm.m(dm.dif(g, h), dm.dif(h, l_))
-    _judge(morph, [_maxabs(lhs - rhs)], tol)
-
-    for s in [Scale(Fraction(1, 4)), Scale(Fraction(1, 2))]:
-        via_conj = dm.double_delta(s, g, h)
-        # direct route: the deformed structure's own induced dilation,
-        # built from deformed dif / composition
-        direct_first = dm.m(db.delta(s, dm.dif(g, h)), h)
-        _judge(conj, [np.max([_maxabs(via_conj[0] - direct_first),
-                              _maxabs(via_conj[1] - h)])], tol, scale=str(s))
-    return rep

@@ -788,10 +788,6 @@ def kantorovich(mu: Measure, nu: Measure) -> KantorovichResult:
     return KantorovichResult(plan, u, primal, dual, pivots)
 
 
-def wasserstein(mu: Measure, nu: Measure) -> Fraction:
-    return kantorovich(mu, nu).primal
-
-
 # ---------------------------------------------------------------------------
 # the Lip1 polytope
 

@@ -1,0 +1,280 @@
+"""What only the tests use: references, fixtures and test data.
+
+`ngd` ships what its command line, its demos and its benchmark run, and
+tests/test_reachability.py holds it to that.  The names here are reached
+from tests alone, so they live with the tests:
+
+- references the tests compare `ngd` against:
+  - `dif_eps`, the blown-up exact difference, a second route to
+    Delta_eps and to the tangent difference;
+  - `GroupoidMorphism`, `check_morphism` and `double_difference_morphism`,
+    which judge the arrow map of dif as a morphism, apart from
+    check_double_norm;
+  - `DeformedModel` and `check_deformation`, the pair-model laws judged
+    again on the structure conjugated by delta_mu;
+- fixtures fed to the honest checkers: `iterate_irq` and
+  `z_irq_from_iterates`, an integer-indexed irq family built by iterating
+  one irq;
+- test data: `parse_error_samples`, the malformed terms the parser must
+  reject, each with the position its error names.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable
+
+import numpy as np
+
+from ngd.constructions import _dif_map, _double_of, _double_pairs
+from ngd.core import FiniteGroupoid, LawCheck, ValidationReport
+from ngd.emergent import GammaIrq, Irq, _judge, _maxabs
+from ngd.models import DoubleModel, PairModel
+from ngd.scales import Scale, as_scale
+
+
+# ---------------------------------------------------------------------------
+# the blown-up exact difference
+
+
+def dif_eps(model, scale, g, h):
+    """Blown-up exact difference, delta_{1/eps} dif(delta_eps g, delta_eps h).
+
+    Composing with delta_eps h recovers Delta_eps (a route identity worth
+    testing, not assuming); unlike Delta_eps its source moves with eps, so
+    it converges to tangent_Delta only in the simple (slotwise) sense."""
+    s = as_scale(scale)
+    return model.delta(s.inv(), model.dif(model.delta(s, g), model.delta(s, h)))
+
+
+# ---------------------------------------------------------------------------
+# morphisms of finite groupoids
+
+
+@dataclass
+class GroupoidMorphism:
+    """Arrow map between finite groupoids (objects ride along)."""
+
+    source: FiniteGroupoid
+    target: FiniteGroupoid
+    arrow_map: list
+    name: str = "F"
+
+
+def check_morphism(M: GroupoidMorphism) -> ValidationReport:
+    comp = LawCheck("preserves composition")
+    invo = LawCheck("preserves inversion")
+    ends = LawCheck("preserves unit arrows / endpoints")
+    rep = ValidationReport(subject=f"morphism {M.name}").add(comp, invo, ends)
+    F = M.arrow_map
+    G, H = M.source, M.target
+    comp.tick(len(G.compose))
+    for (g, h), k in G.compose.items():
+        if H.compose.get((F[g], F[h])) != F[k]:
+            comp.fail(g=G.arrows[g], h=G.arrows[h])
+    (ga, go), (ha, ho) = G.endpoints(), H.endpoints()
+    invo.tick(len(G.arrows))
+    ends.tick(len(G.arrows))
+    for g in range(len(G.arrows)):
+        if F[G.inverse[g]] != H.inverse[F[g]]:
+            invo.fail(g=G.arrows[g])
+        if F[ga[g]] != ha[F[g]] or F[go[g]] != ho[F[g]]:
+            ends.fail(g=G.arrows[g])
+    return rep
+
+
+def double_difference_morphism(G, D=None):
+    """The map (g, h) -> g h^-1 from the double groupoid to G.  Returns a
+    GroupoidMorphism; it preserves norms (d~ = d o dif) on the nose,
+    which check_double_norm judges through this arrow map.  A D that is
+    not the double groupoid of G raises ValueError."""
+    return GroupoidMorphism(source=_double_of(G, D), target=G,
+                            arrow_map=_dif_map(G, _double_pairs(G)),
+                            name="dif")
+
+
+# ---------------------------------------------------------------------------
+# deformations: conjugate the structure by delta_mu
+
+
+class DeformedModel:
+    """The mu-deformation of a pair model: same arrows, composition and
+    inverse conjugated through delta_mu, norm rescaled by 1/|mu|:
+
+        m_mu(a, b)  = delta_{1/mu}( delta_mu(a) delta_mu(b) )
+        d_mu(a)     = d(delta_mu a) / |mu|
+        dif_mu(a,b) = delta_{1/mu}( dif(delta_mu a, delta_mu b) )
+
+    alpha is unchanged; omega_mu(a) = omega(delta_mu a)."""
+
+    def __init__(self, base: PairModel, mu):
+        self.base = base
+        self.mu = as_scale(mu)
+        self.name = f"{base.name}@mu={self.mu.modulus}"
+
+    def m(self, a, b):
+        db = self.base
+        composed = db.compose(db.delta(self.mu, a), db.delta(self.mu, b))
+        return db.delta(self.mu.inv(), composed)
+
+    def inverse(self, a):
+        db = self.base
+        return db.delta(self.mu.inv(), db.inverse(db.delta(self.mu, a)))
+
+    def omega_coords(self, a):
+        return self.base.target(self.base.delta(self.mu, a))
+
+    def alpha_coords(self, a):
+        return self.base.source(a)
+
+    def norm(self, a):
+        return self.base.norm(self.base.delta(self.mu, a)) / float(
+            self.mu.modulus
+        )
+
+    def dif(self, a, b):
+        db = self.base
+        return db.delta(
+            self.mu.inv(), db.dif(db.delta(self.mu, a), db.delta(self.mu, b))
+        )
+
+    def dtilde(self, a, b):
+        return self.base.dtilde(
+            self.base.delta(self.mu, a), self.base.delta(self.mu, b)
+        ) / float(self.mu.modulus)
+
+    def double_delta(self, scale, a, b):
+        """The induced pair dilation of the deformed structure, computed by
+        conjugating the base one with delta_mu x delta_mu."""
+        db = self.base
+        dm = DoubleModel(db)
+        P = dm.pair(db.delta(self.mu, a), db.delta(self.mu, b))
+        out = dm.delta(scale, P)
+        return (
+            db.delta(self.mu.inv(), dm.first(out)),
+            db.delta(self.mu.inv(), dm.second(out)),
+        )
+
+
+def check_deformation(model: PairModel, mu) -> ValidationReport:
+    """The deformed structure is a normed groupoid on samples, the deformed
+    difference map is norm preserving (d_mu o dif_mu = dtilde_mu, exactly),
+    and is a morphism for the deformed composition."""
+    tol = 1e-9
+    rng = np.random.default_rng(41)
+    dm = DeformedModel(model, mu)
+    db = model
+    rep = ValidationReport(subject=f"deformation[{dm.name}]")
+
+    base = db.e()
+    p, q, r = (db.sample_points(rng, 300) for _ in range(3))
+    B = np.broadcast_to(base, p.shape)
+
+    # composable chain for the deformed composition: omega_mu(b) must equal
+    # alpha(a), i.e. source(a) = target(delta_mu b)
+    b_arr = db.arrow(q, B)
+    mid = dm.omega_coords(b_arr)
+    a_arr = db.arrow(p, mid)
+    c_arr = db.arrow(r, B)
+
+    assoc = LawCheck("deformed composition is associative")
+    unit = LawCheck("unit arrows are deformed units")
+    invl = LawCheck("deformed inverse inverts")
+    rep.add(assoc, unit, invl)
+
+    # a after b after c: build the middle sources to match
+    b2 = db.arrow(q, dm.omega_coords(c_arr))
+    a2 = db.arrow(p, dm.omega_coords(b2))
+    lhs = dm.m(dm.m(a2, b2), c_arr)
+    rhs = dm.m(a2, dm.m(b2, c_arr))
+    _judge(assoc, [_maxabs(lhs - rhs)], tol)
+
+    # one instance; np.max keeps a NaN in either residual
+    r1 = _maxabs(dm.m(a_arr, db.unit(db.source(a_arr))) - a_arr)
+    r2 = _maxabs(dm.m(db.unit(dm.omega_coords(a_arr)), a_arr) - a_arr)
+    _judge(unit, [np.max([r1, r2])], tol)
+
+    lhs = dm.m(dm.inverse(a_arr), a_arr)
+    _judge(invl, [_maxabs(lhs - db.unit(db.source(a_arr)))], tol)
+
+    # norm-preserving morphism: d_mu(dif_mu(g,h)) = dtilde_mu(g,h)
+    pres = LawCheck("d_mu(dif_mu(g,h)) = dtilde_mu(g,h)")
+    morph = LawCheck("dif_mu is a morphism for the deformed composition")
+    conj = LawCheck("induced pair dilation = conjugated pair dilation")
+    rep.add(pres, morph, conj)
+
+    g = db.arrow(p, B)
+    h = db.arrow(q, B)
+    l_ = db.arrow(r, B)
+    _judge(pres, [_maxabs(dm.norm(dm.dif(g, h)) - dm.dtilde(g, h))], tol)
+
+    lhs = dm.dif(g, l_)
+    rhs = dm.m(dm.dif(g, h), dm.dif(h, l_))
+    _judge(morph, [_maxabs(lhs - rhs)], tol)
+
+    for s in [Scale(Fraction(1, 4)), Scale(Fraction(1, 2))]:
+        via_conj = dm.double_delta(s, g, h)
+        # direct route: the deformed structure's own induced dilation,
+        # built from deformed dif / composition
+        direct_first = dm.m(db.delta(s, dm.dif(g, h)), h)
+        _judge(conj, [np.max([_maxabs(via_conj[0] - direct_first),
+                              _maxabs(via_conj[1] - h)])], tol, scale=str(s))
+    return rep
+
+
+# ---------------------------------------------------------------------------
+# an irq family built by iteration
+
+
+def iterate_irq(Q: Irq, k: int) -> Callable:
+    """The k-fold iterate: apply op (k > 0) or opinv (k < 0) |k| times in
+    the second argument; k = 0 is the identity there."""
+
+    def op(x, y):
+        f = Q.op if k >= 0 else Q.opinv
+        for _ in range(abs(k)):
+            y = f(x, y)
+        return y
+
+    return op
+
+
+def _dyadic_exponent(scale) -> int:
+    m = as_scale(scale).modulus
+    num, den = m.numerator, m.denominator
+    if num == 1 and den & (den - 1) == 0:
+        return den.bit_length() - 1
+    if den == 1 and num & (num - 1) == 0:
+        return -(num.bit_length() - 1)
+    raise ValueError(f"not a dyadic scale: {m}")
+
+
+def z_irq_from_iterates(Q: Irq) -> GammaIrq:
+    """Integer-indexed family built by iterating one irq: the scale 2^-k
+    stands for the exponent k, so the family's composition law is the
+    iterate law (op_s)_k = op_{s^k} in disguise."""
+
+    def op(scale, x, y):
+        return iterate_irq(Q, _dyadic_exponent(scale))(x, y)
+
+    return GammaIrq(op=op, name=f"Z iterates of {Q.name}")
+
+
+# ---------------------------------------------------------------------------
+# malformed DSL inputs (for the CLI's positioned parse errors)
+
+
+def parse_error_samples():
+    """Expressions the term parser must reject, with the 1-based
+    line:column it should point at."""
+    return [
+        ("Delta(0.1, (3,0)", 1, 17),            # unclosed call
+        ("Sigma(1/2, (1,0), (2,0)))", 1, 25),   # trailing junk
+        ("frob((1,0), (2,0))", 1, 1),           # unknown operation
+        ("inv(1/2)", 1, 8),                     # arity too low
+        ("d()", 1, 3),                          # arity too low
+        ("lim(eps -> 1, d((1,0)))", 1, 12),     # limits go to zero here
+        ("circ(1/2, (1,0),, (2,0))", 1, 17),    # empty argument
+        ("Delta(1/2, (1,0), (2,0)\n  ", 2, 3),  # unclosed, multiline
+    ]

@@ -49,17 +49,14 @@ from ngd import (
     validate_groupoid,
 )
 from ngd.emergent import Delta3, Sigma3, sample_point_quads
-from ngd.fixtures import (
-    flat_gauge_heisenberg,
-    parse_error_samples,
-    run_planted_suite,
-)
+from ngd.fixtures import flat_gauge_heisenberg, run_planted_suite
 from ngd.transport import (
     compose_plans,
     random_composable_chain,
     random_coupling_between,
     two_point_space,
 )
+from references import parse_error_samples
 
 F = Fraction
 
@@ -188,13 +185,20 @@ def test_criterion_04_identity_battery_and_planted_fixtures():
             rep = check_pplay(Q, quads, tol=1e-10)
             assert rep.passed, rep.summary()
 
-        for name, rep in run_planted_suite(seed=0):
+        suite = run_planted_suite(seed=0)
+        for name, rep in suite:
             assert not rep.passed, f"{name} unexpectedly passed"
             law_evidence = any(
                 c.failures and c.witnesses for c in rep.laws
             )
             est_evidence = any(not e.passed for e in rep.limits)
             assert law_evidence or est_evidence, f"{name} failed silently"
+        assert len(suite) == 14
+        placed = dict(suite)[
+            "composite outside its fiber vs right translation"].law(
+            "g u lies in the fiber of alpha(u)")
+        assert placed.witnesses == [{"composite": "(a<-b)(b<-c)",
+                                     "lands": "d<-a"}]
 
 
 # -- 5: exact transport -----------------------------------------------------

@@ -11,7 +11,6 @@ from ngd.constructions import (
     FiniteMetricSpace,
     check_double_norm,
     check_fiber_distances,
-    double_difference_morphism,
     double_groupoid,
     fiber_distances,
     norm_from_fiber_distances,
@@ -20,11 +19,11 @@ from ngd.constructions import (
 )
 from ngd.core import (
     FiniteGroupoid,
-    check_morphism,
     check_norm,
     check_separability,
     validate_groupoid,
 )
+from references import check_morphism, double_difference_morphism
 
 
 def line_space():

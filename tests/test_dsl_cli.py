@@ -16,10 +16,11 @@ from ngd.constructions import (
     pair_groupoid,
     random_metric_space,
 )
-from ngd.fixtures import parse_error_samples, retargeted_compose_groupoid
+from ngd.fixtures import retargeted_compose_groupoid
 from ngd.models import euclidean_model, heisenberg_model
 from ngd.scales import dyadic_grid
 from ngd.transport import two_point_space
+from references import parse_error_samples
 
 
 # ---------------------------------------------------------------------------

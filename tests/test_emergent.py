@@ -18,16 +18,14 @@ from ngd.emergent import (
     check_gamma_irq,
     check_irq,
     check_pplay,
-    dif_eps,
     gamma_irq_from_dilation,
     inv_eps,
-    iterate_irq,
     sample_point_quads,
-    z_irq_from_iterates,
 )
 from ngd.fixtures import dropped_correction_heisenberg, nan_below_heisenberg
 from ngd.models import euclidean_model, heisenberg_model
 from ngd.scales import Scale
+from references import dif_eps, iterate_irq, z_irq_from_iterates
 
 E1 = euclidean_model(dim=1)
 H = heisenberg_model()

@@ -5,12 +5,15 @@ the estimators must catch."""
 import contextlib
 import io
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from fractions import Fraction
 
 from ngd import cli, limits, models
+from ngd.core import LawCheck
+from ngd.emergent import _per_sample
 from ngd.fixtures import (
     dropped_correction_heisenberg,
     flat_gauge_heisenberg,
@@ -258,8 +261,8 @@ def test_batched_sweeps_match_one_scale_per_chunk(monkeypatch, name, n):
 
 def _count_sweep_kernels(monkeypatch):
     """The scale (float or column shape) of every carrier point_dilatation
-    call made inside uniform_limits."""
-    inside, calls = [], []
+    call made inside uniform_limits, and of every call made outside."""
+    inside, calls, outside = [], [], []
     sweep = limits.uniform_limits
 
     def counting_sweep(*args, **kwargs):
@@ -272,18 +275,17 @@ def _count_sweep_kernels(monkeypatch):
     monkeypatch.setattr(limits, "uniform_limits", counting_sweep)
     for cls in (models.HeisenbergGroup, models.EuclideanGroup):
         def counting(self, s, x, y, kernel=cls.point_dilatation):
-            if inside:
-                calls.append(np.shape(s))
+            (calls if inside else outside).append(np.shape(s))
             return kernel(self, s, x, y)
 
         monkeypatch.setattr(cls, "point_dilatation", counting)
-    return calls
+    return calls, outside
 
 
 def test_report_sweeps_run_each_kernel_once_per_chunk(monkeypatch):
     """report --suite all sweeps 18 times on 200-point clouds, each grid in
     one chunk: 50 kernel calls, where one scale per call made 804."""
-    calls = _count_sweep_kernels(monkeypatch)
+    calls, _ = _count_sweep_kernels(monkeypatch)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["report", "--suite", "all", "--json"]) == 0
     assert len(calls) == 50
@@ -294,11 +296,58 @@ def test_report_sweeps_run_each_kernel_once_per_chunk(monkeypatch):
 def test_large_clouds_sweep_one_scale_per_call(monkeypatch):
     """At 2e4 points a chunk is one scale: check_A3 and check_A4weak make
     the per-scale calls they made before the grid became a batch axis."""
-    calls = _count_sweep_kernels(monkeypatch)
+    calls, outside = _count_sweep_kernels(monkeypatch)
     sampler = BoundedSampler(H, n=20000, seed=1)
     check_A3(H, sampler)
     assert len(calls) == 20 * 2
+    assert not outside  # the finest scale is read off the last chunk
     calls.clear()
     check_A4weak(H, sampler)
     assert len(calls) == 20 * (2 + 2 * len(limits.MUS))
     assert set(calls) == {(1, 1), ()}
+
+
+def test_check_A3_reads_the_finest_scale_off_its_sweep(monkeypatch):
+    """On a report cloud the grid is one 20-scale chunk, and the
+    nondegeneracy clause reads the finest scale off its last row: no
+    kernel call outside the sweep."""
+    calls, outside = _count_sweep_kernels(monkeypatch)
+    check_A3(H, BoundedSampler(H))
+    assert calls == [(20, 1)] * 2
+    assert not outside
+
+
+def _recomputed_nondegeneracy(model, sampler, grid):
+    """check_A3's nondegeneracy clause with the finest scale computed
+    again, one Scale per kernel call."""
+    g, h = sampler.arrow_pairs()
+    probes = model.probe_fiber_arrows(base=sampler.base)
+    G = np.concatenate([g, probes], axis=0)
+    H = np.concatenate([h, np.broadcast_to(model.unit(sampler.base),
+                                           probes.shape)], axis=0)
+    dt0 = model.tangent_pair_dist(G, H)
+    finest = limits.rescaled_pair_distance(model, grid[-1], G, H)
+    sep_mask = _per_sample(model.target(G), model.target(H)) > 0.05
+    degenerate = sep_mask & ((dt0 <= 1e-7) | (finest <= 1e-7))
+    law = LawCheck("nondegeneracy: distinct arrows keep positive tangent "
+                   "distance")
+    law.tick(int(sep_mask.sum()))
+    for i in np.nonzero(degenerate)[0][:3]:
+        law.fail(target_g=model.target(G)[i].tolist(),
+                 target_h=model.target(H)[i].tolist(),
+                 tangent_distance=float(dt0[i]),
+                 rescaled_at_finest=float(finest[i]))
+    return law
+
+
+@pytest.mark.parametrize("n", [120, limits.CHUNK_POINTS + 1])
+def test_nondegeneracy_matches_the_recomputed_finest_scale(n):
+    """The witnesses of the red flat-gauge report are float for float
+    those of a one-scale call at the finest scale, with the grid in one
+    chunk and with one scale per chunk."""
+    model, grid = flat_gauge_heisenberg(), dyadic_grid(kmax=8)
+    sampler = BoundedSampler(model, n=n, seed=0)
+    law = check_A3(model, sampler, grid).laws[-1]
+    ref = _recomputed_nondegeneracy(model, sampler, grid)
+    assert not law.passed and law.witnesses
+    assert json.dumps(asdict(law)) == json.dumps(asdict(ref))

