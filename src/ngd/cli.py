@@ -251,14 +251,14 @@ def cmd_transport(args) -> int:
             if args.json:
                 print(json.dumps({
                     "invertible": w is not None,
-                    "forward": list(w[0].f) if w else None,
-                    "backward": list(w[1].f) if w else None,
+                    "forward": list(w[0]) if w else None,
+                    "backward": list(w[1]) if w else None,
                 }))
             elif w is None:
                 print("not an invertible transport")
             else:
-                print(f"invertible transport: f = {list(w[0].f)}, "
-                      f"backward g = {list(w[1].f)}")
+                print(f"invertible transport: f = {list(w[0])}, "
+                      f"backward g = {list(w[1])}")
         elif args.action == "kantorovich":
             space = FiniteMetricSpace.from_json(data["space"])
             mu = transport.Measure(space, data["mu"])

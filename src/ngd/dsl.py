@@ -444,21 +444,14 @@ def _apply(node: Call, ctx: EvalContext):
         return m.point_dilatation(s, ctx.base,
                                   _as_point(v, ctx, node.args[1]))
 
-    if name == "dilat":
+    if name in ("dilat", "circ"):  # circ is dilat on points only
         s = _as_scale(args[0], node.args[0])
         b, v = args[1], args[2]
-        if _kind(b) == "arrow" and _kind(v) == "arrow":
+        if name == "dilat" and _kind(b) == "arrow" and _kind(v) == "arrow":
             return emergent.arrow_dilatation(m, s, b, v)
         return m.point_dilatation(
             s, _as_point(b, ctx, node.args[1]),
             _as_point(v, ctx, node.args[2]),
-        )
-
-    if name == "circ":
-        s = _as_scale(args[0], node.args[0])
-        return emergent.circ(
-            m, s, _as_point(args[1], ctx, node.args[1]),
-            _as_point(args[2], ctx, node.args[2]),
         )
 
     if name in ("Delta", "Sigma"):

@@ -109,11 +109,6 @@ def inv_eps(model, scale, g):
 # point-level (based) operations
 
 
-def circ(model, scale, x, u):
-    """x circ_eps u -- the based dilatation read as a binary operation."""
-    return model.point_dilatation(scale, x, u)
-
-
 def Delta3(model, scale, x, u, v):
     """Based approximate difference: delta^{delta^x_eps u}_{1/eps} delta^x_eps v."""
     s = as_scale(scale)

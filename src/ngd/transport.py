@@ -258,31 +258,6 @@ def product_plan(mu: Measure, nu: Measure) -> Coupling:
     return _plan(mu.space, [[x * y for y in b] for x in a], La * Lb, mu, nu)
 
 
-@dataclass
-class MapPlan:
-    """A transport map together with the measure it pushes: the pair
-    (f, mu).  f is a tuple of point indices, total on the support of mu
-    (entries off the support may be None)."""
-
-    f: tuple
-    mu: Measure
-
-    def __post_init__(self):
-        n = self.mu.space.n_points()
-        f = tuple(self.f)
-        if len(f) != n:
-            raise ValueError(f"map has {len(f)} entries for {n} points")
-        for x in self.mu.support():
-            if f[x] is None or not (0 <= f[x] < n):
-                raise ValueError(
-                    f"map undefined or out of range at support point {x}"
-                )
-        self.f = f
-
-    def coupling(self) -> Coupling:
-        return map_plan(self.f, self.mu)
-
-
 def map_plan(f, mu: Measure) -> Coupling:
     """The plan induced by a transport map: gamma(x, y) = mu(x) [y = f(x)].
 
@@ -290,10 +265,9 @@ def map_plan(f, mu: Measure) -> Coupling:
     defined on the support of mu."""
     w, L = mu._int
     n = len(w)
-    fx = [f(x) if callable(f) else f[x] for x in range(n)]
     g = [[0] * n for _ in range(n)]
     for x in mu.support():
-        y = fx[x]
+        y = f(x) if callable(f) else f[x]
         if y is None or not (0 <= y < n):
             raise ValueError(f"map undefined at support point {x}")
         g[x][y] += w[x]
@@ -430,8 +404,10 @@ def is_invtrans(gamma: Coupling):
     map whose inverse plan is again induced by a map.
 
     Finite criterion: every occupied row and every occupied column of
-    the matrix holds exactly one entry.  Returns the witness pair
-    (forward MapPlan, backward MapPlan) or None.  Equivalent dual route
+    the matrix holds exactly one entry.  Returns the witness pair of
+    maps (f, g) or None: f is a tuple of point indices, total on the
+    support of mu and None off it, map_plan(f, gamma.mu) is gamma, and g
+    is the backward map on the support of nu.  Equivalent dual route
     (tested elsewhere): both gamma^-1 o gamma = diag(mu) and
     gamma o gamma^-1 = diag(nu)."""
     num = gamma._int[0]
@@ -439,9 +415,8 @@ def is_invtrans(gamma: Coupling):
     cols = [[x for x, v in enumerate(col) if v > 0] for col in zip(*num)]
     if any(len(r) > 1 for r in rows) or any(len(c) > 1 for c in cols):
         return None
-    f = tuple(r[0] if r else None for r in rows)
-    g = tuple(c[0] if c else None for c in cols)
-    return (MapPlan(f, gamma.mu), MapPlan(g, gamma.nu))
+    return (tuple(r[0] if r else None for r in rows),
+            tuple(c[0] if c else None for c in cols))
 
 
 # ---------------------------------------------------------------------------
@@ -1068,7 +1043,7 @@ def check_transport(space=None, seed=0, samples=40) -> ValidationReport:
             itr.fail(sample=k, criterion=witness is not None)
         if witness is not None:
             f, g = witness
-            if inverse_plan(f.coupling()) != g.coupling():
+            if inverse_plan(map_plan(f, a.mu)) != map_plan(g, a.nu):
                 itr.fail(sample=k, note="backward map is not the inverse")
 
         u_a = kantorovich(a.mu, a.nu).potential

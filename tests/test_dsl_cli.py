@@ -138,6 +138,17 @@ def test_cli_eval_json(capsys):
     assert blob["value"] == "2"
 
 
+def test_cli_eval_passes_an_order_one_limit_on_its_tail_bound(capsys):
+    """Delta(eps, (4, 0), (6, 0)) = (-2 + 6 eps, 0): its last-quarter
+    successive differences sit above 1e-8, but at order 1 the differences
+    still to come sum to r_last / (2 - 1), about 8.7e-11."""
+    assert run_cli("eval", "lim(eps -> 0, Delta(eps, (4, 0), (6, 0)))") == 0
+    line, value = capsys.readouterr().out.splitlines()
+    assert value == "(-2, 0)"
+    assert line.startswith("[PASS]")
+    assert line.endswith("; tail bound 8.731e-11 < tol")
+
+
 def test_cli_parse_error_is_exit_two(capsys):
     for src, line, col in parse_error_samples():
         assert run_cli("eval", src) == 2

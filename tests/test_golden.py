@@ -6,7 +6,9 @@ every plan entry and weight as a Fraction on construction; plans and
 measures now build them on first read, and the outputs must not move.
 Their input is one 4-point space with a coupling, a second plan
 composable with it, and the two measures (which are also the first
-plan's declared marginals).  The validate files pin the report on a
+plan's declared marginals).  The classify files read an invertible
+plan on the same space that leaves one point without mass, so both
+maps are None there.  The validate files pin the report on a
 fixed 8-point rational space, the double groupoid's norm included."""
 
 from pathlib import Path
@@ -17,6 +19,7 @@ from ngd import cli
 
 DATA = Path(__file__).parent / "data"
 PLANS = str(DATA / "transport_plans.json")
+INVERTIBLE = str(DATA / "transport_invertible.json")
 SPACE8 = str(DATA / "space8.json")
 
 CASES = [
@@ -25,6 +28,10 @@ CASES = [
     *((["transport", PLANS, "--action", action, "--json"],
        f"transport_{action}.json")
       for action in ("compose", "inverse", "kantorovich")),
+    (["transport", INVERTIBLE, "--action", "classify"],
+     "transport_classify.txt"),
+    (["transport", INVERTIBLE, "--action", "classify", "--json"],
+     "transport_classify.json"),
     (["report", "--suite", "transport"], "report_transport.txt"),
     (["validate", SPACE8], "validate_space8.txt"),
     (["validate", SPACE8, "--json"], "validate_space8.json"),

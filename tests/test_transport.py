@@ -102,6 +102,13 @@ def test_map_plan_and_push_forward():
     assert norm_d(swap) == 1
 
 
+def test_map_plan_reads_the_map_only_on_the_support():
+    """A callable map need not be defined off supp(mu): the dict below
+    knows point 0 only, and mu puts no mass on point 1."""
+    plan = map_plan({0: 1}.__getitem__, Measure(X2, (1, 0)))
+    assert [list(row) for row in plan.gamma] == [[0, 1], [0, 0]]
+
+
 # ---------------------------------------------------------------------------
 # composition
 
@@ -357,7 +364,7 @@ def test_swap_is_an_invertible_transport():
     w = is_invtrans(swap)
     assert w is not None
     fwd, bwd = w
-    assert list(fwd.f) == [1, 0] and list(bwd.f) == [1, 0]
+    assert list(fwd) == [1, 0] and list(bwd) == [1, 0]
 
 
 def test_quarter_uniform_is_not_invertible():
