@@ -47,7 +47,7 @@ def main():
     from ngd import random_metric_space
 
     space = random_metric_space(21, max_points=4)
-    a, b, c = random_composable_chain(space, rng, length=3)
+    a, b, c = random_composable_chain(space, rng)
     left = compose_plans(compose_plans(a, b), c)
     right = compose_plans(a, compose_plans(b, c))
     print(f"\nrandom 3-chain over {space.n_points()} points:"

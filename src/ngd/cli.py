@@ -9,8 +9,11 @@ syntax/type errors, bad flags).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
+import os
 import sys
 import warnings
 from fractions import Fraction
@@ -35,11 +38,22 @@ def _models_from(args):
     return [euclidean_model(dim=args.dim), heisenberg_model()]
 
 
-def _grid_from(args):
+def _grid_from(args, models):
+    """The grid of --eps-grid, or None.  A grid deeper than the gauge of
+    one of the models resolves is malformed input, as one past KMAX_MAX
+    is."""
     from .scales import dyadic_grid
 
     k = args.eps_grid
-    return None if k is None else dyadic_grid(kmax=k)
+    if k is None:
+        return None
+    for model in models:
+        if k > model.group.max_grid_depth:
+            print(f"--eps-grid: the {model.name} gauge resolves grids up to "
+                  f"KMAX = {model.group.max_grid_depth}, got {k}",
+                  file=sys.stderr)
+            raise SystemExit(2)
+    return dyadic_grid(kmax=k)
 
 
 def _emit(reports, args, extra=None):
@@ -139,7 +153,8 @@ def cmd_eval(args) -> int:
     from . import dsl
 
     model = _models_from(args)[0]
-    ctx = dsl.EvalContext(model, eps_grid=_grid_from(args), tol=args.tol)
+    ctx = dsl.EvalContext(model, eps_grid=_grid_from(args, [model]),
+                          tol=args.tol)
     if args.base:
         try:
             base_node = dsl.parse(args.base)
@@ -179,8 +194,9 @@ def _limit_reports(args, axioms):
                          fiber_dilatation_structure, gh_estimate)
 
     reports = []
-    grid = _grid_from(args)
-    for model in _models_from(args):
+    models = _models_from(args)
+    grid = _grid_from(args, models)
+    for model in models:
         sampler = BoundedSampler(
             model, radius=args.radius, n=args.samples, seed=args.seed
         )
@@ -370,14 +386,15 @@ def _suite_transport(args):
         X, [(mu, nu), (mu, mu), (nu, mu)]
     ))
     C, _, _ = transport.transport_category_fixture()
-    rep = check_category_with_inverses(C, strict_norm=False,
-                                       joint_kernel=False)
+    rep = check_category_with_inverses(C)
     rep.subject = "seven-plan fixture category"
     reports.append(rep)
     return reports
 
 
 def cmd_report(args) -> int:
+    if args.eps_grid is not None:  # a grid too deep is refused up front
+        _grid_from(args, _models_from(args))
     suites = {
         "axioms": _suite_axioms,
         "irq": _suite_irq,
@@ -503,12 +520,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # the judges name every non-finite residual, so numpy's warnings are
-    # noise; a filter, not np.errstate, which slows every ufunc call
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "(overflow|invalid value) "
-                                "encountered", RuntimeWarning)
-        return args.fn(args)
+    # stdout is written in one piece at the end, where a reader that has
+    # closed the pipe (`ngd report | head -1`) is caught, so the exit code
+    # stays the verdict
+    out = io.StringIO()
+    try:
+        # the judges name every non-finite residual, so numpy's warnings
+        # are noise; a filter, not np.errstate, which slows every ufunc call
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+            warnings.filterwarnings("ignore", "(overflow|invalid value) "
+                                    "encountered", RuntimeWarning)
+            return args.fn(args)
+    finally:
+        try:
+            sys.stdout.write(out.getvalue())
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the interpreter flushes stdout again on exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

@@ -509,11 +509,11 @@ def check_norm(G: FiniteGroupoid) -> ValidationReport:
          "d(inv g) = d(g)")))
 
 
-def check_separability(G: FiniteGroupoid, norm=None) -> ValidationReport:
+def check_separability(G: FiniteGroupoid) -> ValidationReport:
     """Distinct objects are separated: between two different objects every
-    connecting arrow family has strictly positive minimal norm.  (Stated
-    separately from the zero-norm law so it can be run on seminormed data.)"""
-    d = G._int[0] if norm is None else _over_lcm(norm)[0]
+    connecting arrow family has strictly positive minimal norm, read off
+    G's norm table."""
+    d = G._int[0]
     law = LawCheck("distinct objects are norm-separated")
     rep = ValidationReport(subject="separability").add(law)
     omega = G.endpoints()[1]
@@ -574,7 +574,6 @@ class CategoryWithInverses:
     arrows: list
     compose: dict
     inverse: list
-    norm: list | None = None
     seminorms: SeminormFamily | None = None
 
     def unit_like(self) -> set:
@@ -586,21 +585,18 @@ class CategoryWithInverses:
         }
 
 
-def check_category_with_inverses(
-    C: CategoryWithInverses, strict_norm: bool = True,
-    joint_kernel: bool = True,
-) -> ValidationReport:
-    """Laws for a (semi)normed category with inverses.
+def check_category_with_inverses(C: CategoryWithInverses) -> ValidationReport:
+    """Laws for a seminormed category with inverses.
 
     Algebra: composability is stable under composing (source/target
     bookkeeping), associativity holds where defined, the inverse is an
     involutive antimorphism, inverse pairs compose, and the source of
     g^-1 is the target of g (via composability classes).
 
-    Norm (when strict_norm): zero exactly on the arrows h^-1 h,
-    subadditive, inversion invariant.  Seminorms: vanish on h^-1 h,
-    subadditive, inversion invariant, and (when joint_kernel) the joint
-    kernel consists of such arrows only.
+    Seminorms: vanish on h^-1 h, subadditive, inversion invariant.  The
+    groupoid-only clauses -- a norm zero exactly on h^-1 h, and a joint
+    kernel of such arrows only -- fail on the transport category, so they
+    are not judged here.
     """
     rep = ValidationReport(subject=f"category[{len(C.arrows)} arrows]")
     n = len(C.arrows)
@@ -637,18 +633,10 @@ def check_category_with_inverses(
             if ((inv[g], k) in comp) != (L[k] == L[g]):
                 ends.fail(g=C.arrows[g], k=C.arrows[k])
 
-    units = C.unit_like()
-    if C.norm is not None and strict_norm:
-        rep.add(*_table_laws(
-            C.arrows, comp, inv, units, _tables([None], [C.norm]),
-            ("d = 0 exactly on arrows h^-1 h", "d subadditive",
-             "d inversion invariant")))
     if C.seminorms is not None:
         rep.add(*_table_laws(
-            C.arrows, comp, inv, units,
+            C.arrows, comp, inv, C.unit_like(),
             _tables(C.seminorms.names, C.seminorms.values),
             ("seminorms vanish on arrows h^-1 h", "seminorms subadditive",
-             "seminorms inversion invariant"),
-            joint=("joint seminorm kernel  subset of arrows h^-1 h"
-                   if joint_kernel else None)))
+             "seminorms inversion invariant")))
     return rep

@@ -220,15 +220,15 @@ def check_gamma_irq(Q: GammaIrq, xs, ys) -> ValidationReport:
     return rep
 
 
-def check_pplay(Q: GammaIrq, samples, tol=1e-10) -> ValidationReport:
+def check_pplay(Q: GammaIrq, samples) -> ValidationReport:
     """The identity battery for the based operations derived from a scale
     family: difference/sum inversion, inverse transport, associativity
     transport, and distributivity of the dilatations over the difference.
 
     samples is a tuple (x, u, v, w) of point arrays; the battery runs each
     identity at every scale of dyadic_grid(kmax=5) (and, for the
-    distributivity law, over every pair of its scales).  Failures carry
-    the worst sample as a witness."""
+    distributivity law, over every pair of its scales), judged at 1e-10.
+    Failures carry the worst sample as a witness."""
     grid = dyadic_grid(kmax=5)
     x, u, v, w = (np.asarray(a, dtype=float) for a in samples)
 
@@ -263,25 +263,25 @@ def check_pplay(Q: GammaIrq, samples, tol=1e-10) -> ValidationReport:
         xu = C(s, x, u)  # the moved base x circ_s u, shared by several laws
         iu, d3, s3 = I3(s, x, xu), D3(s, x, xu, v), S3(s, x, xu, v)
         xui = C(s, xu, iu)
-        _judge(a_, _per_sample(D3(s, x, xu, s3), v), tol,
+        _judge(a_, _per_sample(D3(s, x, xu, s3), v), 1e-10,
                eps=str(s.value), x=x, u=u, v=v)
-        _judge(b_, _per_sample(S3(s, x, xu, d3), v), tol,
+        _judge(b_, _per_sample(S3(s, x, xu, d3), v), 1e-10,
                eps=str(s.value), x=x, u=u, v=v)
-        _judge(c_, _per_sample(d3, S3(s, xu, xui, v)), tol,
+        _judge(c_, _per_sample(d3, S3(s, xu, xui, v)), 1e-10,
                eps=str(s.value), x=x, u=u, v=v)
-        _judge(d_, _per_sample(I3(s, xu, xui), u), tol,
+        _judge(d_, _per_sample(I3(s, xu, xui), u), 1e-10,
                eps=str(s.value), x=x, u=u)
         _judge(e_, _per_sample(S3(s, x, xu, S3(s, xu, C(s, xu, v), w)),
-                               S3(s, x, C(s, x, s3), w)), tol,
+                               S3(s, x, C(s, x, s3), w)), 1e-10,
                eps=str(s.value), x=x, u=u, v=v, w=w)
-        _judge(f_, _per_sample(iu, D3(s, x, xu, x)), tol,
+        _judge(f_, _per_sample(iu, D3(s, x, xu, x)), 1e-10,
                eps=str(s.value), x=x, u=u)
-        _judge(g_, _per_sample(S3(s, x, C(s, x, x), u), u), tol,
+        _judge(g_, _per_sample(S3(s, x, C(s, x, x), u), u), 1e-10,
                eps=str(s.value), x=x, u=u)
         for m in grid:
             mu, mv = at_m[m]
             lhs = D3(s, x, C(s, x, mu), mv)
-            _judge(k_, _per_sample(lhs, C(m, *at_sm[s.mul(m)])), tol,
+            _judge(k_, _per_sample(lhs, C(m, *at_sm[s.mul(m)])), 1e-10,
                    eps=str(s.value), mu=str(m.value), x=x, u=u, v=v)
     return rep
 

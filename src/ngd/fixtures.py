@@ -59,17 +59,16 @@ class _SquaredDilationGroup(EuclideanGroup):
         return super().dil(s * s, a)
 
 
-def wrong_exponent_euclidean(dim: int = 1) -> PairModel:
-    """Looks Euclidean, but the dilation exponent is wrong.
+def wrong_exponent_euclidean() -> PairModel:
+    """Looks Euclidean (the plane), but the dilation exponent is wrong.
 
     The family still composes (s^2 mu^2 = (s mu)^2), so the purely
     algebraic identities all hold; what fails is everything that pins
     the numeric scale: norm homogeneity d(delta_s a) = |s| d(a) gives
     |s|^2 instead, and the rescaled distances (1/|eps|) d(...) collapse
     to zero, so the limit distance is degenerate."""
-    return PairModel(
-        _SquaredDilationGroup(dim), name=f"euclidean-{dim}d (squared dilation)"
-    )
+    return PairModel(_SquaredDilationGroup(2),
+                     name="euclidean-2d (squared dilation)")
 
 
 class _DroppedCorrectionModel(PairModel):
@@ -284,7 +283,7 @@ def run_planted_suite(seed: int = 0, samples: int = 200):
     rng = np.random.default_rng(seed)
     out = []
 
-    wrong = wrong_exponent_euclidean(dim=2)
+    wrong = wrong_exponent_euclidean()
     arrows = wrong.sample_fiber_arrows(rng, samples)
     rep = ValidationReport(subject=wrong.name)
     hom = LawCheck("d(delta_s a) = |s| d(a)")

@@ -38,6 +38,7 @@ an (n, dim) cloud to a (k, n, dim) batch, scale by scale.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,6 +97,10 @@ class EuclideanGroup:
         self.dim = dim
 
     name = "euclidean"
+    # the deepest dyadic grid 2^-1 .. 2^-KMAX whose dilated points the
+    # gauge resolves: it squares coordinates, and 2^-2 KMAX must stay a
+    # normal float
+    max_grid_depth = (1 - sys.float_info.min_exp) // 2
 
     def e(self):
         return np.zeros(self.dim)
@@ -137,6 +142,8 @@ class HeisenbergGroup:
 
     dim = 3
     name = "heisenberg"
+    # as for EuclideanGroup, but the gauge takes 4th powers
+    max_grid_depth = (1 - sys.float_info.min_exp) // 4
 
     def e(self):
         return np.zeros(3)
@@ -379,12 +386,10 @@ class PairModel:
             base = self.e()
         return self.arrow(self.group.sample(rng, n, radius, center=base), base)
 
-    def probe_fiber_arrows(self, base=None):
-        """Deterministic axis probes: arrows along each coordinate axis at
-        a few lengths.  These catch direction-dependent degeneracies that
-        random sampling can miss."""
-        if base is None:
-            base = self.e()
+    def probe_fiber_arrows(self, base):
+        """Deterministic axis probes: arrows from base along each
+        coordinate axis at a few lengths.  These catch direction-dependent
+        degeneracies that random sampling can miss."""
         vecs = []
         for i in range(self.dim):
             for s in (0.25, 1.0, 3.5):

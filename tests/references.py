@@ -12,6 +12,8 @@ from tests alone, so they live with the tests:
     check_double_norm;
   - `DeformedModel` and `check_deformation`, the pair-model laws judged
     again on the structure conjugated by delta_mu;
+  - `check_strict_category`, a category judged with the two clauses that
+    hold for groupoids but fail on the transport category;
 - fixtures fed to the honest checkers: `iterate_irq` and
   `z_irq_from_iterates`, an integer-indexed irq family built by iterating
   one irq;
@@ -28,10 +30,38 @@ from typing import Callable
 import numpy as np
 
 from ngd.constructions import _dif_map, _double_of, _double_pairs
-from ngd.core import FiniteGroupoid, LawCheck, ValidationReport
+from ngd.core import (FiniteGroupoid, LawCheck, ValidationReport,
+                      _table_laws, _tables, check_category_with_inverses)
 from ngd.emergent import GammaIrq, Irq, _judge, _maxabs
 from ngd.models import DoubleModel, PairModel
 from ngd.scales import Scale, as_scale
+
+
+# ---------------------------------------------------------------------------
+# the groupoid-only clauses on a category
+
+
+def check_strict_category(C, norm=None, joint_kernel=True):
+    """check_category_with_inverses, then the norm laws of the table norm
+    (zero exactly on the arrows h^-1 h, subadditive, inversion invariant)
+    and, with joint_kernel, the law that the joint seminorm kernel holds
+    such arrows only.  Groupoids satisfy both clauses; the transport
+    category fails both, which is why ngd does not judge them there."""
+    rep = check_category_with_inverses(C)
+    units = C.unit_like()
+    if norm is not None:
+        rep.add(*_table_laws(
+            C.arrows, C.compose, C.inverse, units, _tables([None], [norm]),
+            ("d = 0 exactly on arrows h^-1 h", "d subadditive",
+             "d inversion invariant")))
+    if joint_kernel and C.seminorms is not None:
+        ker = LawCheck("joint seminorm kernel  subset of arrows h^-1 h")
+        rep.add(ker)
+        ker.tick(len(C.arrows) - len(units))
+        for g, values in enumerate(zip(*C.seminorms.values)):
+            if g not in units and not any(values):
+                ker.fail(g=C.arrows[g])
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from ngd.fixtures import (
     non_separating_seminorms,
     retargeted_compose_groupoid,
 )
-from ngd.transport import transport_category_fixture
+from ngd.transport import norm_d, transport_category_fixture
+from references import check_strict_category
 
 
 def cyclic_group_groupoid(n=4):
@@ -183,19 +184,18 @@ class TestTransportFixtureCategory:
         self.C, self.plans, self.labels = transport_category_fixture()
 
     def test_relaxed_check_passes(self):
-        rep = check_category_with_inverses(
-            self.C, strict_norm=False, joint_kernel=False
-        )
+        rep = check_category_with_inverses(self.C)
         assert rep.passed, rep.summary()
 
     def test_strict_norm_clause_fails_on_quarter_uniform(self):
-        rep = check_category_with_inverses(self.C, joint_kernel=False)
+        norm = [norm_d(p) for p in self.plans]
+        rep = check_strict_category(self.C, norm, joint_kernel=False)
         law = rep.law("d = 0 exactly on arrows h^-1 h")
         assert not law.passed
         assert any(w.get("g") == "quarter-uniform" for w in law.witnesses)
 
     def test_joint_kernel_clause_fails_on_swap(self):
-        rep = check_category_with_inverses(self.C, strict_norm=False)
+        rep = check_strict_category(self.C)
         bad = [c for c in rep.laws if not c.passed]
         assert any(
             any(w.get("g") == "swap" for w in c.witnesses) for c in bad
@@ -217,11 +217,11 @@ def test_honest_norm_read_as_a_one_member_family():
 def test_one_kernel_judges_norms_seminorms_and_categories_alike():
     G = inflated_norm_groupoid()
     fam = SeminormFamily(names=["inflated"], values=[list(G.norm)])
-    C = CategoryWithInverses(G.arrows, G.compose, G.inverse, norm=G.norm)
+    C = CategoryWithInverses(G.arrows, G.compose, G.inverse)
     subs = [
         check_norm(G).law("d(gh) <= d(g) + d(h)"),
         check_seminorm_family(G, fam).law("each seminorm is subadditive"),
-        check_category_with_inverses(C).law("d subadditive"),
+        check_strict_category(C, G.norm).law("d subadditive"),
     ]
     assert all(not c.passed for c in subs)
     assert len({c.checked for c in subs}) == 1

@@ -5,12 +5,13 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ngd import cli, dsl, fixtures, transport
+from ngd import cli, dsl, fixtures, models, transport
 from ngd.constructions import (
     check_double_norm,
     pair_groupoid,
@@ -471,14 +472,21 @@ def test_cli_eps_grid_past_the_normal_floats_is_exit_two(command, kmax,
     assert "Traceback" not in err
 
 
-def test_cli_eps_grid_at_the_last_normal_float():
+def test_cli_eps_grid_at_the_last_normal_float(capsys):
     """2^-1022 is the least normal float and 2^1022 is finite, so the
-    grid's last scale and its inverse enter the kernels as floats."""
+    grid's last scale and its inverse enter the kernels as floats.  The
+    term language evaluates on that grid; the CLI refuses it, because no
+    carrier's gauge resolves it."""
     assert cli.KMAX_MAX == 1022
     assert float(Fraction(1, 2**1022)) == sys.float_info.min
     assert math.isfinite(float(Fraction(2**1022)))
     term = "lim(eps -> 0, Sigma(eps, (3, 0), (1, 0)))"
-    assert run_cli("eval", term, "--eps-grid", "1022", "--json") == 0
+    ctx = dsl.EvalContext(euclidean_model(), eps_grid=dyadic_grid(kmax=1022))
+    assert all(est.passed for est in dsl.run(term, ctx)[2])
+    with pytest.raises(SystemExit) as exc:
+        run_cli("eval", term, "--eps-grid", "1022", "--json")
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -487,12 +495,60 @@ def test_cli_eps_grid_at_the_last_normal_float():
     ["eval", "lim(eps -> 0, Delta(eps, (3, 1, 2), (1, 0, 5)))",
      "--model", "heisenberg", "--eps-grid", "1022"],
 ])
-def test_cli_overflow_at_the_last_normal_float_is_judged_quietly(argv):
-    """At 2^-1022 the Heisenberg dilations overflow.  The judge reports the
-    non-finite residual with its witness and the exit code is 1; numpy's
-    RuntimeWarnings do not reach stderr."""
-    proc = subprocess.run([sys.executable, "-m", "ngd.cli", *argv],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1
-    assert "RuntimeWarning" not in proc.stderr and proc.stderr == ""
-    assert "non-finite residual inf at eps=" in proc.stdout
+def test_cli_overflow_at_the_last_normal_float_is_judged_quietly(
+        argv, monkeypatch, capsys):
+    """At 2^-1022 the Heisenberg dilations overflow.  With the carriers'
+    depth bound lifted to KMAX_MAX, the judge reports the non-finite
+    residual with its witness and the exit code is 1; no RuntimeWarning
+    of numpy's leaves the CLI."""
+    for group in (models.EuclideanGroup, models.HeisenbergGroup):
+        monkeypatch.setattr(group, "max_grid_depth", cli.KMAX_MAX)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(*argv) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and "non-finite residual inf at eps=" in out
+
+
+@pytest.mark.parametrize("model, deepest", [("heisenberg", 255),
+                                            ("euclidean", 511)])
+def test_cli_eps_grid_stops_at_the_deepest_grid_the_gauge_resolves(
+        model, deepest, capsys):
+    """A3 passes on the deepest grid a carrier declares.  One step deeper
+    the gauge's powers of 2^-KMAX leave the normal floats, and eval,
+    limits and report refuse the grid as malformed input."""
+    assert run_cli("limits", "--axiom", "A3", "--model", model, "--samples",
+                   "5", "--eps-grid", str(deepest)) == 0
+    for command in (["eval", "1"], ["limits"], ["report"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*command, "--model", model, "--eps-grid",
+                    str(deepest + 1))
+        assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count(f"--eps-grid: the {model} gauge resolves grids up to "
+                     f"KMAX = {deepest}, got {deepest + 1}\n") == 3
+
+
+def test_cli_eps_grid_is_bounded_by_the_models_a_command_runs(capsys):
+    """limits runs both carriers under --model all, and eval only the
+    first, the Euclidean one."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("limits", "--eps-grid", "256")
+    assert exc.value.code == 2
+    assert "the heisenberg gauge" in capsys.readouterr().err
+    assert run_cli("eval", "lim(eps -> 0, Sigma(eps, (3, 0), (1, 0)))",
+                   "--eps-grid", "256") == 0
+
+
+def test_cli_report_ends_quietly_on_a_closed_pipe():
+    """The JSON report (74 KB) outgrows a pipe buffer, so its write meets
+    the closed pipe: no traceback, and the exit code is still the
+    verdict."""
+    with subprocess.Popen(
+            [sys.executable, "-m", "ngd.cli", "report", "--suite", "all",
+             "--json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            bufsize=0) as proc:
+        first = proc.stdout.readline()  # unbuffered: two bytes are read
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert first == b"{\n" and err == b"" and proc.returncode == 0

@@ -111,15 +111,17 @@ def test_order_one_trace_with_a_large_tail_still_fails():
     assert not est.passed and "tail bound" not in est.note
 
 
-def test_limit_of_values_with_candidate():
+def test_residuals_against_a_candidate():
+    """A trace against a known limit: max |v - candidate| per scale."""
     eps = [2.0**-k for k in range(1, 31)]
     values = [np.array([1.0 + e]) for e in eps]
-    est = limit_of_values("cand", eps, values, candidate=np.array([1.0]),
-                          tol=1e-6)
-    assert est.passed
-    bad = limit_of_values("cand", eps, values, candidate=np.array([1.5]),
-                          tol=1e-6)
-    assert not bad.passed
+
+    def against(c):
+        return estimate_from_residuals(
+            "cand", eps, [np.max(np.abs(v - c)) for v in values], tol=1e-6)
+
+    assert against(np.array([1.0])).passed
+    assert not against(np.array([1.5])).passed
 
 
 def test_uniform_limit_on_a_family():
@@ -173,7 +175,7 @@ def test_translation_arrows_move_the_base():
     s, x = Scale(Fraction(1, 16)), H.e()
     rng = np.random.default_rng(23)
     u, v, w = (H.sample_points(rng, 200, 4.0, center=x) for _ in range(3))
-    rep = limits._translation_laws(H, s, u, v, w, 1e-12)
+    rep = limits._translation_laws(H, s, u, v, w)
     assert rep.passed, rep.summary()
     rng = np.random.default_rng(11)
     u = H.sample_points(rng, 5)
@@ -345,14 +347,14 @@ def _recomputed_nondegeneracy(model, sampler, grid):
     """check_A3's nondegeneracy clause with the finest scale computed
     again, one Scale per kernel call."""
     g, h = sampler.arrow_pairs()
-    probes = model.probe_fiber_arrows(base=sampler.base)
+    probes = model.probe_fiber_arrows(sampler.base)
     G = np.concatenate([g, probes], axis=0)
     H = np.concatenate([h, np.broadcast_to(model.unit(sampler.base),
                                            probes.shape)], axis=0)
     dt0 = model.tangent_pair_dist(G, H)
     finest = limits.rescaled_pair_distance(model, grid[-1], G, H)
     sep_mask = _per_sample(model.target(G), model.target(H)) > 0.05
-    degenerate = sep_mask & ((dt0 <= 1e-7) | (finest <= 1e-7))
+    degenerate = sep_mask & ~((dt0 > 1e-7) & (finest > 1e-7))
     law = LawCheck("nondegeneracy: distinct arrows keep positive tangent "
                    "distance")
     law.tick(int(sep_mask.sum()))
@@ -375,3 +377,15 @@ def test_nondegeneracy_matches_the_recomputed_finest_scale(n):
     ref = _recomputed_nondegeneracy(model, sampler, grid)
     assert not law.passed and law.witnesses
     assert json.dumps(asdict(law)) == json.dumps(asdict(ref))
+
+
+def test_nan_distances_fail_the_nondegeneracy_law():
+    """nan_below_heisenberg dilates to NaN below eps = 0.2, so the rescaled
+    distance at the finest scale is NaN for every sample: a degenerate
+    distance, not a positive one."""
+    model = nan_below_heisenberg()
+    rep = check_A3(model, BoundedSampler(model, n=50), dyadic_grid(kmax=8))
+    law = rep.law("nondegeneracy: distinct arrows keep positive tangent "
+                  "distance")
+    assert law.checked == 68 and not law.passed
+    assert all(np.isnan(w["rescaled_at_finest"]) for w in law.witnesses)

@@ -427,7 +427,7 @@ def test_samplers_and_kernels_store_columns_contiguously(g):
     for model in _layout_models(g):
         a = model.sample_fiber_arrows(rng, 50, base=center)
         P = models.DoubleModel(model).pair(a, model.arrow(y, center))
-        outs = [x, y, a, P, model.probe_fiber_arrows(), g.inv(x),
+        outs = [x, y, a, P, model.probe_fiber_arrows(model.e()), g.inv(x),
                 g.dil(0.5, x), g.mul(x, y), model.arrow(x, y),
                 model.point_dilatation(Scale(Fraction(1, 2)), x, y),
                 model.delta(Scale(Fraction(1, 2)), a)]

@@ -88,9 +88,7 @@ def ref_Delta_eps(model, scale, g, h):
                                 model.delta(s, g))
 
 
-def ref_check_A3mod_A4(model, sampler=None, grid=None, tol=1e-8):
-    if sampler is None:
-        sampler = BoundedSampler(model)
+def ref_check_A3mod_A4(model, sampler, grid=None, tol=1e-8):
     G, H = sampler.arrow_pairs()
     rep = ValidationReport(subject=f"strong limits[{model.name}] ({sampler.describe()})")
 

@@ -1,5 +1,10 @@
 """Every public top-level function or class in `ngd` is reached.
 
+The four censuses below read what `ngd` runs: the modules of src/ngd,
+demos/*.py and the files of perfbench/ but its tests.  A reference or a
+call from a test counts for none of them: what only tests use is test
+code and lives under tests/.
+
 A name defined at the top level of a module in src/ngd counts as reached
 when what `ngd` runs reaches it: the command line, the demos or the
 benchmark.  The roots are demos/*.py, the files of perfbench/ but its
@@ -13,28 +18,28 @@ body of a reached class included.  A reference is a `Name`, an
 targets by name).  An `Attribute` does not reach a top-level function
 when some class in src/ngd defines a method of that name:
 `model.dtilde(...)` reaches the method, not a function that shares its
-name.  Docstrings, comments and imports do not count, and neither do
-tests: a name only tests reach is test code and lives under tests/.
-There is no allow-list: a name that fails here is deleted, moved into
+name.  Docstrings, comments and imports do not count.  There is no
+allow-list: a name that fails here is deleted, moved into
 the tests, or given a caller.
 
 Every public method of a public class is reached too, matched by name: a
 method `m` is reached when, outside its own definition, some attribute
-call `obj.m(...)` names it.  A bare call `m(...)` calls a function of
+call `obj.m(...)` in those files names it.  A bare call `m(...)` calls a function of
 that name, not the method, and does not count.  A property is read, not
 called, so any reference to its name counts for it.  Names starting with
 `_`, dunders included, are not public.
 
 Every option is set by some caller.  A parameter with a default, of a
 public top-level function, a public method or a class's `__init__`, is
-set when some call in those same files passes it, by keyword or by
-position.  Calls are matched by name: `f(...)` and `obj.f(...)` for a
+set when some call in those files passes it, by keyword or by position.  Calls are matched by name: `f(...)` and `obj.f(...)` for a
 function or method `f`, `C(...)` for the constructor of `C`.  A call
 with `*args` sets every positional parameter, and one with `**kwargs`
 every parameter.  Dataclass fields are state, not options, and are not
 counted.  There is no allow-list here either: an option no caller sets
 becomes a literal at its use, or a module constant when several
-functions share it.
+functions share it; an option every caller sets to one value becomes
+that value, and a None default every caller overrides becomes a
+required parameter.
 
 Every command-line flag is read.  Each flag or positional a subcommand
 of `ngd` declares is read, as `args.<dest>` or `getattr(args, "<dest>")`,
@@ -109,15 +114,16 @@ def _method_names(tree):
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
 
 
-@functools.cache  # the three censuses read the same trees
+@functools.cache  # the four censuses read the same trees
 def _parse():
-    """(the modules of src/ngd but __init__, {path: tree} for every file
-    that may call them)."""
+    """(the modules of src/ngd but __init__, {path: tree} for them and for
+    the demos and perfbench files that call them)."""
     modules = sorted(p for p in PACKAGE.glob("*.py")
                      if p.name != "__init__.py")
     callers = list(modules)
-    for sub in ("tests", "demos", "perfbench"):
-        callers += sorted((ROOT / sub).rglob("*.py"))
+    for sub in ("demos", "perfbench"):
+        callers += sorted(p for p in (ROOT / sub).rglob("*.py")
+                          if not p.name.startswith("test_"))
     return modules, {p: ast.parse(p.read_text(), filename=str(p))
                      for p in callers}
 
@@ -150,8 +156,7 @@ def test_every_public_name_is_reached():
             if not names:  # runs on import or as a script
                 todo += refs
     for p, tree in trees.items():
-        if (p.parent in (ROOT / "demos", ROOT / "perfbench")
-                and not p.name.startswith("test_")):
+        if p.parent != PACKAGE:
             todo += _references(tree)
 
     reached = set()
