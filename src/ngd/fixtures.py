@@ -40,6 +40,7 @@ from .scales import dyadic_grid, kernel_modulus
 from .transport import (
     Coupling,
     Measure,
+    _basis_tree,
     _northwest_corner,
     _read_basis,
     check_kantorovich_certificate,
@@ -251,7 +252,8 @@ def unpivoted_transport_basis():
     nu = Measure(X, (0, h, h))
     supply, demand, L = _common(mu._int, nu._int)
     cost, D = X._int
-    flows, u = _read_basis(cost, _northwest_corner(supply, demand), D)
+    basis = _northwest_corner(supply, demand)
+    flows, u = _read_basis(cost, basis, _basis_tree(cost, basis)[-1])
     return (mu, nu, tuple(tuple(Fraction(v, L) for v in row) for row in flows),
             tuple(Fraction(v, D) for v in u))
 

@@ -560,96 +560,135 @@ def _northwest_corner(supply, demand) -> dict:
             y += 1
 
 
-def _walk(n, basis, root):
-    """Walk the basis tree from root.  Nodes are rows 0..n-1 and columns
-    n..2n-1, joined by the basic cells; returns the nodes in visiting
-    order and each node's parent."""
-    adj = [[] for _ in range(2 * n)]
-    for k in basis:
-        x, y = divmod(k, n)
-        adj[x].append(n + y)
-        adj[n + y].append(x)
-    order, parent = [root], {root: None}
-    for p in order:
-        for q in adj[p]:
-            if q not in parent:
-                parent[q] = p
-                order.append(q)
-    return order, parent
+def _basis_tree(cost, basis):
+    """The northwest-corner basis as a strongly feasible spanning tree, in
+    place on the basis; returns (parent, cell, depth, kids, pi).
 
-
-def _cell(n, p, q):
-    """The cell joining tree nodes p and q."""
-    return p * n + q - n if p < n else q * n + p - n
-
-
-def _potentials(cost, basis):
-    """Row and column potentials: u_0 = 0 and u_x + v_y = c(x, y) on
-    every basic cell."""
+    Nodes are rows 0..n-1, columns n..2n-1 and an artificial root 2n.
+    The basic cell x * n + y is the arc from row x to column n + y, and
+    each node keeps its parent, the cell joining the two (-1 for an arc
+    to the root), its depth, its children and its potential, with
+    pi[x] - pi[n + y] = c(x, y) on every tree cell: the reduced cost of a
+    cell is c(x, y) - pi[x] + pi[n + y].  The basis is walked from row 0,
+    which hangs from the root with pi = 0.  A tree is strongly feasible
+    when every arc of zero flow points towards the root.  The sweep's
+    zero cells that point away from it join a row to a column below it,
+    such as a column of zero demand; that column is hung from the root
+    by an artificial arc of zero flow instead, keeping its potential, and
+    its cell leaves the basis."""
     n = len(cost)
-    order, parent = _walk(n, basis, 0)
-    pot = [0] * (2 * n)
-    for q in order[1:]:
-        x, y = divmod(_cell(n, parent[q], q), n)
-        pot[q] = cost[x][y] - pot[parent[q]]
-    return pot[:n], pot[n:]
+    root = 2 * n
+    parent, cell = [root] + [None] * root, [-1] * (root + 1)
+    depth, kids, pi = [0] * (root + 1), [[] for _ in range(root + 1)], [0] * (root + 1)
+    depth[0] = 1
+    kids[root].append(0)
+    for k, flow in list(basis.items()):
+        x, y = divmod(k, n)
+        if parent[n + y] is None:
+            p, q = x, n + y
+            pi[q] = pi[x] - cost[x][y]
+            if not flow:
+                del basis[k]
+                p, k = root, -1
+        else:
+            p, q = n + y, x
+            pi[x] = pi[p] + cost[x][y]
+        parent[q], cell[q], depth[q] = p, k, depth[p] + 1
+        kids[p].append(q)
+    return parent, cell, depth, kids, pi
 
 
-def _pivot_to_optimum(cost, basis) -> int:
-    """The transportation simplex, in place on the basis; returns the
-    number of pivots.
+def _pivot_to_optimum(cost, basis, tree) -> int:
+    """The network simplex on the transportation problem, in place on the
+    basis and its tree (see _basis_tree); returns the number of pivots.
 
-    The entering cell is the lowest-index cell with a negative reduced
-    cost c(x, y) - u_x - v_y.  It closes one cycle in the tree, whose
-    cells alternate minus and plus starting next to it; the leaving cell
-    is the lowest-index minus cell of minimum flow.  That is Bland's rule
-    on the transportation LP, whose bases are the spanning trees, so
-    degenerate pivots cannot cycle and the loop terminates."""
+    The entering cell (x, y) has the most negative reduced cost, the
+    first in row-major order on a tie.  It closes one cycle in the tree,
+    found by walking up from row x and column y to their apex, and
+    oriented along the cell: down from the apex to x, across to y, up to
+    the apex.  Minus cells, traversed against their direction, are the
+    rows' parent arcs on x's side and the columns' on y's side; they
+    lose theta, the least flow among them, and plus cells gain it.  The
+    leaving cell is the last minus cell of flow theta met along the
+    orientation from the apex (Cunningham's rule; the root's artificial
+    arcs count as cells of zero flow).  The subtree it cuts off is hung
+    again from the entering cell, and only its potentials move: by the
+    entering reduced cost on x's side, by minus it on y's.
+
+    Termination (Cunningham 1976; Ahuja, Magnanti and Orlin 1993,
+    section 11.6).  The rule keeps the tree strongly feasible, and
+    _basis_tree starts strongly feasible.  A pivot with theta > 0 lowers
+    the cost.  A pivot with theta = 0 cannot block on y's side, whose
+    minus arcs point down and so carry flow, so it cuts off x's side and
+    lowers every potential there: the sum of the potentials, which the
+    tree fixes, falls strictly.  No tree comes back, and there are
+    finitely many.  A cycle through the root has theta = 0, so the
+    artificial arcs never carry flow, and a tree with no cell of
+    negative reduced cost is an optimal basis of the transport problem
+    itself."""
+    parent, cell, depth, kids, pi = tree
     n = len(cost)
     pivots = 0
     while True:
-        u, v = _potentials(cost, basis)
-        enter = next(
-            (
-                (x, y)
-                for x in range(n)
-                for y in range(n)
-                if cost[x][y] - u[x] < v[y]
-            ),
-            None,
-        )
-        if enter is None:
+        best, cols = 0, pi[n:2 * n]
+        for r, row in enumerate(cost):
+            m = min(map(add, row, cols)) - pi[r]
+            if m < best:
+                best, x = m, r
+        if not best:
             return pivots
-        x, y = enter
-        _, parent = _walk(n, basis, n + y)
-        cycle, p = [], x
-        while p != n + y:
-            cycle.append(_cell(n, p, parent[p]))
-            p = parent[p]
-        minus, plus = cycle[0::2], cycle[1::2]
-        leave = min(minus, key=lambda k: (basis[k], k))
-        theta = basis.pop(leave)
-        for k in minus:
-            if k != leave:
-                basis[k] -= theta
-        for k in plus:
-            basis[k] += theta
+        y = list(map(add, cost[x], cols)).index(best + pi[x])
+        a, b, up_x, up_y = x, n + y, [], []
+        while a != b:
+            if depth[a] >= depth[b]:
+                up_x.append(a)
+                a = parent[a]
+            else:
+                up_y.append(b)
+                b = parent[b]
+        y_side = [s for s in reversed(up_y) if s >= n and cell[s] >= 0]
+        minus = y_side + [s for s in up_x if s < n or cell[s] < 0]
+        flows = [basis.get(cell[s], 0) for s in minus]
+        theta = min(flows)
+        i = flows.index(theta)
+        p = minus[i]
+        if theta:
+            for s in up_x:
+                basis[cell[s]] += -theta if s < n else theta
+            for s in up_y:
+                basis[cell[s]] += -theta if s >= n else theta
+        basis.pop(cell[p], None)
         basis[x * n + y] = theta
+        q, prev, delta = ((n + y, x, -best) if i < len(y_side)
+                          else (x, n + y, best))
+        k, s = x * n + y, q
+        while prev != p:
+            up, up_k = parent[s], cell[s]
+            kids[up].remove(s)
+            kids[prev].append(s)
+            parent[s], cell[s] = prev, k
+            prev, k, s = s, up_k, up
+        stack = [q]
+        while stack:
+            s = stack.pop()
+            pi[s] += delta
+            depth[s] = depth[parent[s]] + 1
+            stack += kids[s]
         pivots += 1
 
 
-def _read_basis(cost, basis, D):
+def _read_basis(cost, basis, pi):
     """The plan and the potential a basis stands for: (flows, phi), the
-    plan's flows in the integer-scaled units, and phi the numerators over
-    D of the c-transform of the column potentials, phi(x) = min_y (c(x, y)
-    - v_y) / D: 1-Lipschitz by the triangle inequality, and a maximiser
-    when the basis is optimal."""
+    plan's flows in the integer-scaled units, and phi the c-transform of
+    the column potentials the tree holds, phi(x) = min_y (c(x, y) +
+    pi[n + y]), over the cost's denominator: 1-Lipschitz by the triangle
+    inequality, and a maximiser when the basis is optimal."""
     n = len(cost)
     flows = [[0] * n for _ in range(n)]
     for k, flow in basis.items():
         flows[k // n][k % n] = flow
-    _, v = _potentials(cost, basis)
-    return flows, [min(c - vy for c, vy in zip(row, v)) for row in cost]
+    cols = pi[n:2 * n]
+    return flows, [min(map(add, row, cols)) for row in cost]
 
 
 def check_kantorovich_certificate(mu: Measure, nu: Measure, gamma, u):
@@ -737,17 +776,22 @@ def kantorovich(mu: Measure, nu: Measure) -> KantorovichResult:
     supply, demand, L = _common(mu._int, nu._int)
     cost, D = space._int
     basis = _northwest_corner(supply, demand)
-    pivots = _pivot_to_optimum(cost, basis)
-    flows, phi = _read_basis(cost, basis, D)
+    tree = _basis_tree(cost, basis)
+    pivots = _pivot_to_optimum(cost, basis, tree)
+    flows, phi = _read_basis(cost, basis, tree[-1])
     rep, primal, dual = _certify(mu, nu, (flows, L), (phi, D))
     if not rep.passed:
         raise AssertionError(
             "transport certificate failed (this is an internal error: "
             "the solver is exact)\n" + rep.summary()
         )
-    plan = _plan(space, flows, L, mu, nu)
-    # the certificate has judged phi 1-Lipschitz: no second pass; in
-    # lowest terms, _int is the one a LipFunction built from values holds
+    # the certificate has judged the plan's marginals and signs and phi
+    # 1-Lipschitz: no second pass; in lowest terms, each _int is the one
+    # a checked construction holds
+    g = math.gcd(L, *basis.values())
+    plan = Coupling.__new__(Coupling)
+    plan.space, plan.mu, plan.nu, plan._norm = space, mu, nu, None
+    plan._int = (tuple(tuple(v // g for v in row) for row in flows), L // g)
     g = math.gcd(D, *phi)
     u = LipFunction.__new__(LipFunction)
     u.space, u._int = space, (tuple(v // g for v in phi), D // g)

@@ -627,7 +627,8 @@ def test_certificate_catches_the_unpivoted_basis(monkeypatch):
         mu, nu, res.plan.gamma, res.potential.values
     ).passed
 
-    monkeypatch.setattr(transport, "_pivot_to_optimum", lambda cost, b: 0)
+    monkeypatch.setattr(transport, "_pivot_to_optimum",
+                        lambda cost, basis, tree: 0)
     with pytest.raises(AssertionError, match="certificate failed"):
         kantorovich(mu, nu)
 
@@ -1040,8 +1041,9 @@ def kantorovich_reference(mu, nu):
     supply, demand, L = _common(mu._int, nu._int)
     cost, D = mu.space._int
     basis = transport._northwest_corner(supply, demand)
-    transport._pivot_to_optimum(cost, basis)
-    flows, _ = transport._read_basis(cost, basis, D)
+    tree = transport._basis_tree(cost, basis)
+    transport._pivot_to_optimum(cost, basis, tree)
+    flows, _ = transport._read_basis(cost, basis, tree[-1])
     return (tuple(tuple(Fraction(v, L) for v in row) for row in flows),
             mu.weights, nu.weights)
 
