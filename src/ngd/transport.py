@@ -11,9 +11,10 @@ and the plan algebra, equality, the norm d, the seminorms rho_u and the
 certificate work on it: one Fraction per result.  A plan's gamma and a
 measure's weights are Fractions built on first read.  Kantorovich
 problems are solved by the transportation (network) simplex on
-integer-scaled data, with Bland's rule, and every answer must pass an
-exact optimality certificate on those integers, so the duality gap
-comes out identically zero rather than merely small.  The certified
+integer-scaled data, keeping a strongly feasible spanning tree from
+pivot to pivot, and every answer must pass an exact optimality
+certificate on those integers, so the duality gap comes out
+identically zero rather than merely small.  The certified
 potential attains the sup of rho_u over 1-Lipschitz u, so the laws over
 Lip1 are judged at it.  The dense two-phase simplex solve_lp is kept as
 the reference the tests compare against.
@@ -26,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, count
 from operator import add, mul, neg, sub
 
 from .constructions import FiniteMetricSpace
@@ -561,27 +562,23 @@ def _northwest_corner(supply, demand) -> dict:
 
 
 def _basis_tree(cost, basis):
-    """The northwest-corner basis as a strongly feasible spanning tree, in
-    place on the basis; returns (parent, cell, depth, kids, pi).
+    """The northwest-corner basis as a strongly feasible tree, in place on
+    the basis: (parent, cell, depth, kids, pi), one entry per node.
 
     Nodes are rows 0..n-1, columns n..2n-1 and an artificial root 2n.
-    The basic cell x * n + y is the arc from row x to column n + y, and
-    each node keeps its parent, the cell joining the two (-1 for an arc
-    to the root), its depth, its children and its potential, with
-    pi[x] - pi[n + y] = c(x, y) on every tree cell: the reduced cost of a
-    cell is c(x, y) - pi[x] + pi[n + y].  The basis is walked from row 0,
-    which hangs from the root with pi = 0.  A tree is strongly feasible
-    when every arc of zero flow points towards the root.  The sweep's
-    zero cells that point away from it join a row to a column below it,
-    such as a column of zero demand; that column is hung from the root
-    by an artificial arc of zero flow instead, keeping its potential, and
-    its cell leaves the basis."""
+    Cell x * n + y is the arc from row x to column n + y; -1 marks an
+    artificial arc, from a node to the root, without flow.  pi[x] -
+    pi[n + y] = c(x, y) on tree cells, so a cell's reduced cost is c(x, y)
+    - pi[x] + pi[n + y].  Row 0 hangs from the root at pi = 0, then each
+    cell, in the sweep's order, hangs the row or column it reaches first.
+    A cell hanging a column without flow (one of zero demand, say) points
+    away from the root, which strong feasibility forbids: that column
+    hangs from the root instead, and the cell leaves the basis."""
     n = len(cost)
     root = 2 * n
     parent, cell = [root] + [None] * root, [-1] * (root + 1)
-    depth, kids, pi = [0] * (root + 1), [[] for _ in range(root + 1)], [0] * (root + 1)
-    depth[0] = 1
-    kids[root].append(0)
+    depth, pi = [1] + [0] * root, [0] * (root + 1)
+    kids = [[] for _ in range(root)] + [[0]]
     for k, flow in list(basis.items()):
         x, y = divmod(k, n)
         if parent[n + y] is None:
@@ -599,37 +596,31 @@ def _basis_tree(cost, basis):
 
 
 def _pivot_to_optimum(cost, basis, tree) -> int:
-    """The network simplex on the transportation problem, in place on the
-    basis and its tree (see _basis_tree); returns the number of pivots.
+    """The network simplex, in place on the basis and its tree; returns
+    the number of pivots.
 
     The entering cell (x, y) has the most negative reduced cost, the
-    first in row-major order on a tie.  It closes one cycle in the tree,
-    found by walking up from row x and column y to their apex, and
-    oriented along the cell: down from the apex to x, across to y, up to
-    the apex.  Minus cells, traversed against their direction, are the
-    rows' parent arcs on x's side and the columns' on y's side; they
-    lose theta, the least flow among them, and plus cells gain it.  The
-    leaving cell is the last minus cell of flow theta met along the
-    orientation from the apex (Cunningham's rule; the root's artificial
-    arcs count as cells of zero flow).  The subtree it cuts off is hung
-    again from the entering cell, and only its potentials move: by the
-    entering reduced cost on x's side, by minus it on y's.
+    first in row-major order.  Its cycle runs down from the apex of x and
+    y to x, across to y and up again.  The minus arcs, crossed against
+    their direction, are the arcs above rows and the artificial arcs on
+    x's side and the cells above columns on y's; they lose theta, the
+    least flow among them, and the other cells gain it.  The last minus
+    arc of flow theta from the apex leaves (Cunningham's rule).  The
+    subtree it cuts off hangs again from the entering cell, and only its
+    potentials move.
 
-    Termination (Cunningham 1976; Ahuja, Magnanti and Orlin 1993,
-    section 11.6).  The rule keeps the tree strongly feasible, and
-    _basis_tree starts strongly feasible.  A pivot with theta > 0 lowers
-    the cost.  A pivot with theta = 0 cannot block on y's side, whose
-    minus arcs point down and so carry flow, so it cuts off x's side and
-    lowers every potential there: the sum of the potentials, which the
-    tree fixes, falls strictly.  No tree comes back, and there are
-    finitely many.  A cycle through the root has theta = 0, so the
-    artificial arcs never carry flow, and a tree with no cell of
-    negative reduced cost is an optimal basis of the transport problem
-    itself."""
+    Termination (Cunningham 1976; Ahuja, Magnanti and Orlin 1993, 11.6):
+    the artificial root makes the first tree strongly feasible, and the
+    rule keeps it so.  A pivot with theta > 0 lowers the cost.  One with
+    theta = 0 cannot block on y's side, whose minus arcs point down and
+    so carry flow: it lowers every potential on x's side.  The tree fixes
+    the potentials, as the root's children keep theirs, so no tree comes
+    back.  A cycle through the root has theta = 0: artificial arcs never
+    carry flow, and the last tree is an optimal basis of the transport
+    problem itself."""
     parent, cell, depth, kids, pi = tree
     n = len(cost)
-    pivots = 0
-    while True:
+    for pivots in count():
         best, cols = 0, pi[n:2 * n]
         for r, row in enumerate(cost):
             m = min(map(add, row, cols)) - pi[r]
@@ -659,6 +650,8 @@ def _pivot_to_optimum(cost, basis, tree) -> int:
                 basis[cell[s]] += -theta if s >= n else theta
         basis.pop(cell[p], None)
         basis[x * n + y] = theta
+        # hang the cut subtree from the entering cell, reversing the path
+        # from its end there up to p; then shift it to price the cell 0
         q, prev, delta = ((n + y, x, -best) if i < len(y_side)
                           else (x, n + y, best))
         k, s = x * n + y, q
@@ -674,7 +667,6 @@ def _pivot_to_optimum(cost, basis, tree) -> int:
             pi[s] += delta
             depth[s] = depth[parent[s]] + 1
             stack += kids[s]
-        pivots += 1
 
 
 def _read_basis(cost, basis, pi):

@@ -17,6 +17,8 @@ from tests alone, so they live with the tests:
 - fixtures fed to the honest checkers: `iterate_irq` and
   `z_irq_from_iterates`, an integer-indexed irq family built by iterating
   one irq;
+  - `basis_potentials`, a transportation basis's potentials walked out
+    from scratch, against which the solver's kept tree is judged;
 - test data: `parse_error_samples`, the malformed terms the parser must
   reject, each with the position its error names.
 """
@@ -289,6 +291,37 @@ def z_irq_from_iterates(Q: Irq) -> GammaIrq:
         return iterate_irq(Q, _dyadic_exponent(scale))(x, y)
 
     return GammaIrq(op=op, name=f"Z iterates of {Q.name}")
+
+
+# ---------------------------------------------------------------------------
+# transportation bases
+
+
+def basis_potentials(cost, basis, anchors):
+    """The potentials of a transportation basis, from scratch.
+
+    Nodes are rows 0..n-1 and columns n..2n-1, joined by the basic cells
+    x * n + y.  The walk starts at the anchors {node: potential} and sets
+    pi[x] - pi[n + y] = c(x, y) on every cell it crosses.  With anchors
+    {0: 0} and a spanning basis, u = pi[:n] and v = -pi[n:] are the row
+    and column potentials with u_0 = 0 and u_x + v_y = c(x, y) on every
+    basic cell.  A node the walk cannot reach raises KeyError."""
+    n = len(cost)
+    adj = [[] for _ in range(2 * n)]
+    for k in basis:
+        x, y = divmod(k, n)
+        adj[x].append(n + y)
+        adj[n + y].append(x)
+    pi, order = dict(anchors), list(anchors)
+    for p in order:
+        for q in adj[p]:
+            if q not in pi:
+                if q < n:
+                    pi[q] = pi[p] + cost[q][p - n]
+                else:
+                    pi[q] = pi[p] - cost[p][q - n]
+                order.append(q)
+    return [pi[q] for q in range(2 * n)]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from ngd import transport
 from ngd.constructions import FiniteMetricSpace, random_metric_space
 from ngd.core import _common, _matrix_over_lcm, _over_lcm
 from ngd.fixtures import marginal_off_by_one_unit, unpivoted_transport_basis
+from references import basis_potentials
 from ngd.transport import (
     Coupling,
     LipFunction,
@@ -558,6 +559,103 @@ def test_kantorovich_matches_the_dense_lp_oracle():
         assert (res.primal, res.dual) == dense_lp_values(mu, nu)
 
 
+def solve_in_steps(mu, nu):
+    """kantorovich's solver on (mu, nu), step by step: (cost, basis,
+    tree, anchors), the optimal basis and the tree kept with it, and
+    anchors the potentials of the nodes the first tree hung from its
+    root."""
+    supply, demand, _ = _common(mu._int, nu._int)
+    cost, _ = mu.space._int
+    basis = transport._northwest_corner(supply, demand)
+    tree = transport._basis_tree(cost, basis)
+    parent, cell, depth, kids, pi = tree
+    anchors = {q: pi[q] for q in kids[-1]}
+    transport._pivot_to_optimum(cost, basis, tree)
+    return cost, basis, tree, anchors
+
+
+def assert_optimal_tree(cost, basis, tree, anchors):
+    """The tree holds its basis, strongly feasible and optimal, and the
+    potentials it kept are those walked out afresh from the basis."""
+    parent, cell, depth, kids, pi = tree
+    n = len(cost)
+    root = 2 * n
+    assert sum(map(len, kids)) == root and depth[root] == 0
+    for q in range(root):
+        p = parent[q]
+        assert q in kids[p] and depth[q] == depth[p] + 1
+        if cell[q] < 0:  # an artificial arc keeps its first potential
+            assert p == root and pi[q] == anchors[q]
+            continue
+        x, y = divmod(cell[q], n)
+        assert {p, q} == {x, n + y} and pi[x] - pi[n + y] == cost[x][y]
+        # a cell of zero flow points up: from its row to its column above
+        assert basis[cell[q]] > 0 or q == x
+    assert sorted(basis) == sorted(k for k in cell if k >= 0)
+    assert min(c - pi[x] + pi[n + y] for x, row in enumerate(cost)
+               for y, c in enumerate(row)) == 0
+    assert basis_potentials(
+        cost, basis, {q: pi[q] for q in kids[root]}) == pi[:root]
+
+
+def degenerate_problems(rng, n):
+    """Problems on the uniform metric of n points that force tied reduced
+    costs and zero flows: mu = nu, point masses, sparse supports, and a
+    spread sent to one point, whose columns of zero demand the first
+    tree hangs from its artificial root."""
+    U = uniform_space(n)
+    mu = random_measure(U, rng, full_support=False)
+    spread = Measure(U, (Fraction(1, n),) * n)
+    return [
+        (mu, mu),
+        (spread, spread),
+        (point_mass(U, 0), point_mass(U, n - 1)),
+        (point_mass(U, n // 2), point_mass(U, n // 2)),
+        (mu, random_measure(U, rng, full_support=False)),
+        (random_measure(U, rng, full_support=False), point_mass(U, 0)),
+        (spread, point_mass(U, n - 1)),
+        (point_mass(U, n - 1), spread),
+    ]
+
+
+def test_kantorovich_ends_and_certifies_on_degenerate_families():
+    """Up to n = 12, every degenerate solve ends, and ends certified; its
+    value is the dense LPs' where n <= 5.  The solver has no pivot cap:
+    that it returns at all is the strongly feasible tree's doing."""
+    rng = random.Random(12)
+    rooted = 0
+    for n in range(1, 13):
+        for mu, nu in degenerate_problems(rng, n):
+            cost, basis, tree, anchors = solve_in_steps(mu, nu)
+            assert_optimal_tree(cost, basis, tree, anchors)
+            rooted += len(anchors) > 1
+            res = kantorovich(mu, nu)
+            assert check_kantorovich_certificate(
+                mu, nu, res.plan.gamma, res.potential.values).passed
+            if n <= 5:
+                assert (res.primal, res.dual) == dense_lp_values(mu, nu)
+    assert rooted > 12
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_kept_tree_holds_its_basis_potentials(seed):
+    """On random problems the kept tree is optimal and its potentials are
+    its basis's.  With full support nothing hangs from the artificial
+    root but row 0: the basis spans, and its potentials are read with
+    u_0 = 0, as they were before the solver kept its tree."""
+    space = random_metric_space(seed, max_points=9)
+    n = space.n_points()
+    rng = random.Random(seed)
+    for full in (True, False):
+        mu = random_measure(space, rng, full_support=full)
+        nu = random_measure(space, rng, full_support=full)
+        cost, basis, tree, anchors = solve_in_steps(mu, nu)
+        assert_optimal_tree(cost, basis, tree, anchors)
+        if full:
+            assert anchors == {0: 0} and len(basis) == 2 * n - 1
+            assert basis_potentials(cost, basis, {0: 0}) == tree[-1][:2 * n]
+
+
 def test_kantorovich_on_the_one_point_space():
     X1 = FiniteMetricSpace(points=["a"], dist=[[0]])
     one = Measure(X1, (Fraction(1),))
@@ -568,21 +666,24 @@ def test_kantorovich_on_the_one_point_space():
     assert res.pivots == 0
 
 
-def test_kantorovich_certificate_at_thirty_points():
-    """n = 30, far beyond the dense tableaux: random rational edge weights
-    closed by exact shortest paths, the certificate checked against this
-    test's own d, mu and nu."""
-    rng = random.Random(30)
-    n = 30
-    d = [[Fraction(0)] * n for _ in range(n)]
+def assert_certified_at(n, seed):
+    """One solve at n points, far beyond the dense tableaux: random
+    rational edge weights closed by exact shortest paths (on numerators
+    over 840, the lcm of the weights' denominators), the certificate
+    checked against this test's own d, mu and nu."""
+    rng = random.Random(seed)
+    w = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(x + 1, n):
-            d[x][y] = d[y][x] = Fraction(rng.randint(1, 24), rng.randint(1, 8))
+            w[x][y] = w[y][x] = rng.randint(1, 24) * 840 // rng.randint(1, 8)
     for k in range(n):
-        for x in range(n):
+        wk = w[k]
+        for x, row in enumerate(w):
+            via = row[k]
             for y in range(n):
-                if x != y and d[x][k] + d[k][y] < d[x][y]:
-                    d[x][y] = d[x][k] + d[k][y]
+                if x != y and via + wk[y] < row[y]:
+                    row[y] = via + wk[y]
+    d = [[Fraction(v, 840) for v in row] for row in w]
     a = [rng.randint(0, 12) for _ in range(n)]
     b = [rng.randint(1, 12) for _ in range(n)]
     mu = [Fraction(v, sum(a)) for v in a]
@@ -601,6 +702,14 @@ def test_kantorovich_certificate_at_thirty_points():
     assert cost == value == res.primal == res.dual
     assert res.pivots > 0
     assert res.den_bits == den_bits_of(res) > 1
+
+
+def test_kantorovich_certificate_at_thirty_points():
+    assert_certified_at(30, seed=30)
+
+
+def test_kantorovich_certificate_at_sixty_points():
+    assert_certified_at(60, seed=60)
 
 
 def test_certificate_catches_the_unpivoted_basis(monkeypatch):
