@@ -539,7 +539,8 @@ class KantorovichResult:
 
 
 def _northwest_corner(supply, demand) -> dict:
-    """The northwest-corner basis as {cell: flow}, cell = x * n + y.
+    """The northwest-corner basis as {cell: flow}, cell = x * n + y, in
+    the order the sweep books them.
 
     Exactly 2n - 1 cells: when a row and a column run out together the
     sweep steps down and books a degenerate zero cell.  The cells form a
