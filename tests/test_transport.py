@@ -1146,11 +1146,8 @@ def ref_coupling_from(mu, rng, full_support):
 def kantorovich_reference(mu, nu):
     """The solver's optimal flows as Fractions over L, read off the basis
     the way the plan used to be built: (gamma, mu weights, nu weights)."""
-    supply, demand, L = _common(mu._int, nu._int)
-    cost, D = mu.space._int
-    basis = transport._northwest_corner(supply, demand)
-    tree = transport._basis_tree(cost, basis)
-    transport._pivot_to_optimum(cost, basis, tree)
+    *_, L = _common(mu._int, nu._int)
+    cost, basis, tree, _ = solve_in_steps(mu, nu)
     flows, _ = transport._read_basis(cost, basis, tree[-1])
     return (tuple(tuple(Fraction(v, L) for v in row) for row in flows),
             mu.weights, nu.weights)
