@@ -9,7 +9,10 @@ composable with it, and the two measures (which are also the first
 plan's declared marginals).  The classify files read an invertible
 plan on the same space that leaves one point without mass, so both
 maps are None there.  The validate files pin the report on a
-fixed 8-point rational space, the double groupoid's norm included."""
+fixed 8-point rational space, the double groupoid's norm included.  The
+analytic report files pin the axioms, irq, limits and planted suites at
+their defaults, residuals printed to 3 significant digits; the planted
+suite is red by design, so it exits 1."""
 
 from pathlib import Path
 
@@ -23,22 +26,25 @@ INVERTIBLE = str(DATA / "transport_invertible.json")
 SPACE8 = str(DATA / "space8.json")
 
 CASES = [
-    *((["transport", PLANS, "--action", action], f"transport_{action}.txt")
+    *((["transport", PLANS, "--action", action], f"transport_{action}.txt", 0)
       for action in ("compose", "inverse", "kantorovich")),
     *((["transport", PLANS, "--action", action, "--json"],
-       f"transport_{action}.json")
+       f"transport_{action}.json", 0)
       for action in ("compose", "inverse", "kantorovich")),
     (["transport", INVERTIBLE, "--action", "classify"],
-     "transport_classify.txt"),
+     "transport_classify.txt", 0),
     (["transport", INVERTIBLE, "--action", "classify", "--json"],
-     "transport_classify.json"),
-    (["report", "--suite", "transport"], "report_transport.txt"),
-    (["validate", SPACE8], "validate_space8.txt"),
-    (["validate", SPACE8, "--json"], "validate_space8.json"),
+     "transport_classify.json", 0),
+    *((["report", "--suite", suite], f"report_{suite}.txt", code)
+      for suite, code in (("transport", 0), ("axioms", 0), ("irq", 0),
+                          ("limits", 0), ("planted", 1))),
+    (["validate", SPACE8], "validate_space8.txt", 0),
+    (["validate", SPACE8, "--json"], "validate_space8.json", 0),
 ]
 
 
-@pytest.mark.parametrize("argv, golden", CASES, ids=[g for _, g in CASES])
-def test_cli_output_matches_the_golden_file(argv, golden, capsys):
-    assert cli.main(argv) == 0
+@pytest.mark.parametrize("argv, golden, code", CASES,
+                         ids=[g for _, g, _ in CASES])
+def test_cli_output_matches_the_golden_file(argv, golden, code, capsys):
+    assert cli.main(argv) == code
     assert capsys.readouterr().out == (DATA / golden).read_text()
