@@ -8,7 +8,10 @@ operations; at fixed eps they obey a battery of exact identities, checked
 here: each single scale gives an idempotent right quasigroup (Irq) on the
 fiber, the whole dilatation family (GammaIrq) composes across scales, and
 the based forms satisfy distributivity-style laws.  `_judge` is the one
-residual judge of the package's float laws.
+residual judge of the package's float laws.  The batteries sweep their
+scales in chunks (ngd.scales.chunks, k n <= CHUNK_POINTS): one kernel call
+per identity and chunk, then `_judge` once per scale row, as a per-scale
+loop would.  So a GammaIrq's op must take a ScaleBatch as well as a Scale.
 
 Convention: arrow-level operations eat and return (..., 2, dim) arrows of
 a PairModel; point-level ("based") operations eat and return point arrays,
@@ -24,21 +27,36 @@ from typing import Callable
 import numpy as np
 
 from .core import LawCheck, ValidationReport
-from .scales import as_scale, dyadic_grid
+from .scales import ScaleBatch, as_scale, batch, chunks, dyadic_grid
 
 
 def _maxabs(x) -> float:
     return float(np.max(np.abs(x))) if np.size(x) else 0.0
 
 
-def _per_sample(a, b):
-    """Residual per leading-axis sample: max |a - b| over the trailing
-    axes, NaN-propagating, and 0 where they hold no entry.  Clouds and
-    arrows are column-major (see ngd.models), so the max runs down
-    contiguous coordinate columns."""
+def _per_sample(a, b, lead=1):
+    """Residual per sample of the first `lead` axes: max |a - b| over the
+    axes after them, NaN-propagating, and 0 where they hold no entry.
+    Clouds and arrows are column-major (see ngd.models), so the max runs
+    down contiguous coordinate columns."""
     d = np.abs(np.subtract(a, b))
-    return d if d.ndim <= 1 else np.max(d, axis=tuple(range(1, d.ndim)),
-                                        initial=0.0)
+    return d if d.ndim <= lead else np.max(
+        d, axis=tuple(range(lead, d.ndim)), initial=0.0)
+
+
+def _judge_rows(check, S, a, b, tol, own, lead=2, **context):
+    """_judge the chunk S's result a against b a scale at a time (a lone
+    Scale's one row a view), residuals per sample (lead=2) or their max
+    (lead=1), each with its scale's own context first (one dict of own)."""
+    a = a if isinstance(S, ScaleBatch) else a[None]
+    for r, row in zip(_per_sample(a, b, lead), own):
+        _judge(check, r, tol, **row, **context)
+
+
+def _pair_chunks(grid, n):
+    """grid's (s, m, s m) triples, s major, by chunk, with their columns."""
+    for chunk in chunks([(s, m, s.mul(m)) for s in grid for m in grid], n):
+        yield (chunk, *map(batch, zip(*chunk)))
 
 
 def _judge(check: LawCheck, resids, tol: float, **context) -> None:
@@ -151,14 +169,16 @@ class Irq:
     op: Callable
     opinv: Callable
     name: str = "irq"
+    scale: object = None  # of GammaIrq.at: a ScaleBatch's ops give a row each
 
 
 @dataclass
 class GammaIrq:
     """A scale-indexed irq family circ(s, x, y) with the composition law
-    circ(s, x, circ(m, x, y)) = circ(s*m, x, y)."""
+    circ(s, x, circ(m, x, y)) = circ(s*m, x, y).  op takes a Scale or a
+    ScaleBatch, whose k results it stacks on a leading axis."""
 
-    op: Callable  # (scale, x, y) -> point(s)
+    op: Callable  # (scale or ScaleBatch, x, y) -> point(s)
     name: str = "scale-indexed irq family"
 
     def at(self, scale) -> Irq:
@@ -166,7 +186,8 @@ class GammaIrq:
         return Irq(
             op=lambda u, v: self.op(s, u, v),
             opinv=lambda u, v: self.op(s.inv(), u, v),
-            name=f"{self.name} @ {s.value}",
+            name=f"{self.name} @ {', '.join(str(t.value) for t in s.scales)}",
+            scale=s,
         )
 
 
@@ -185,18 +206,21 @@ def sample_point_quads(model, rng, n=1000, radius=4.0):
 
 
 def check_irq(Q: Irq, xs, ys) -> ValidationReport:
-    """P1 and P2 on sampled pairs (xs[i], ys[i])."""
+    """P1 and P2 on sampled pairs (xs[i], ys[i]), per scale of a batch."""
     tol = 1e-10
     rep = ValidationReport(subject=Q.name)
-    p1 = LawCheck("P1: x op (x opinv y) = x opinv (x op y) = y")
-    p2 = LawCheck("P2: x op x = x opinv x = x")
-    rep.add(p1, p2)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    _judge(p1, _per_sample(Q.op(xs, Q.opinv(xs, ys)), ys), tol, x=xs, y=ys)
-    _judge(p1, _per_sample(Q.opinv(xs, Q.op(xs, ys)), ys), tol, x=xs, y=ys)
-    _judge(p2, _per_sample(Q.op(xs, xs), xs), tol, x=xs)
-    _judge(p2, _per_sample(Q.opinv(xs, xs), xs), tol, x=xs)
+    rows = [Q.op(xs, Q.opinv(xs, ys)), Q.opinv(xs, Q.op(xs, ys)),
+            Q.op(xs, xs), Q.opinv(xs, xs)]
+    for a, b, c, d in zip(*rows) if isinstance(Q.scale, ScaleBatch) else [rows]:
+        p1 = LawCheck("P1: x op (x opinv y) = x opinv (x op y) = y")
+        p2 = LawCheck("P2: x op x = x opinv x = x")
+        rep.add(p1, p2)
+        _judge(p1, _per_sample(a, ys), tol, x=xs, y=ys)
+        _judge(p1, _per_sample(b, ys), tol, x=xs, y=ys)
+        _judge(p2, _per_sample(c, xs), tol, x=xs)
+        _judge(p2, _per_sample(d, xs), tol, x=xs)
     return rep
 
 
@@ -206,16 +230,14 @@ def check_gamma_irq(Q: GammaIrq, xs, ys) -> ValidationReport:
     grid = dyadic_grid(kmax=5)
     rep = ValidationReport(subject=Q.name)
     comp = LawCheck("composition: x circ_s (x circ_m y) = x circ_{sm} y")
-    for s in grid:
-        rep.merge(check_irq(Q.at(s), xs, ys))
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    for s in grid:
-        for m in grid:
-            lhs = Q.op(s, xs, Q.op(m, xs, ys))
-            rhs = Q.op(s.mul(m), xs, ys)
-            _judge(comp, _per_sample(lhs, rhs), 1e-10,
-                   s=str(s.value), m=str(m.value), x=xs, y=ys)
+    for chunk in chunks(grid, len(xs)):
+        rep.merge(check_irq(Q.at(batch(chunk)), xs, ys))
+    for chunk, s, m, sm in _pair_chunks(grid, len(xs)):
+        _judge_rows(comp, s, Q.op(s, xs, Q.op(m, xs, ys)), Q.op(sm, xs, ys),
+                    1e-10, [{"s": str(a.value), "m": str(b.value)}
+                            for a, b, _ in chunk], x=xs, y=ys)
     rep.add(comp)
     return rep
 
@@ -227,13 +249,13 @@ def check_pplay(Q: GammaIrq, samples) -> ValidationReport:
 
     samples is a tuple (x, u, v, w) of point arrays; the battery runs each
     identity at every scale of dyadic_grid(kmax=5) (and, for the
-    distributivity law, over every pair of its scales), judged at 1e-10.
-    Failures carry the worst sample as a witness."""
+    distributivity law, over every pair of its scales), judged per scale at
+    1e-10.  Failures carry the worst sample as a witness."""
     grid = dyadic_grid(kmax=5)
     x, u, v, w = (np.asarray(a, dtype=float) for a in samples)
+    n = len(x)
 
-    def C(s, a, b):
-        return Q.op(s, a, b)
+    C = Q.op
 
     def D3(s, a, ab, c):  # D3, S3, I3 take the moved base ab = a circ_s b
         return C(s.inv(), ab, C(s, a, c))
@@ -255,35 +277,43 @@ def check_pplay(Q: GammaIrq, samples) -> ValidationReport:
     k_ = LawCheck("(k) dilatations distribute over the based difference")
     rep.add(a_, b_, c_, d_, e_, f_, g_, k_)
 
-    # the distributivity law's clouds that depend on m or sm alone
-    at_m = {m: (C(m, x, u), C(m, x, v)) for m in grid}
-    at_sm = {sm: C(sm, x, u) for sm in {s.mul(m) for s in grid for m in grid}}
-    at_sm = {sm: (smu, D3(sm, x, smu, v)) for sm, smu in at_sm.items()}
-    for s in grid:
+    for chunk in chunks(grid, n):
+        s, eps = batch(chunk), [{"eps": str(t.value)} for t in chunk]
         xu = C(s, x, u)  # the moved base x circ_s u, shared by several laws
         iu, d3, s3 = I3(s, x, xu), D3(s, x, xu, v), S3(s, x, xu, v)
         xui = C(s, xu, iu)
-        _judge(a_, _per_sample(D3(s, x, xu, s3), v), 1e-10,
-               eps=str(s.value), x=x, u=u, v=v)
-        _judge(b_, _per_sample(S3(s, x, xu, d3), v), 1e-10,
-               eps=str(s.value), x=x, u=u, v=v)
-        _judge(c_, _per_sample(d3, S3(s, xu, xui, v)), 1e-10,
-               eps=str(s.value), x=x, u=u, v=v)
-        _judge(d_, _per_sample(I3(s, xu, xui), u), 1e-10,
-               eps=str(s.value), x=x, u=u)
-        _judge(e_, _per_sample(S3(s, x, xu, S3(s, xu, C(s, xu, v), w)),
-                               S3(s, x, C(s, x, s3), w)), 1e-10,
-               eps=str(s.value), x=x, u=u, v=v, w=w)
-        _judge(f_, _per_sample(iu, D3(s, x, xu, x)), 1e-10,
-               eps=str(s.value), x=x, u=u)
-        _judge(g_, _per_sample(S3(s, x, C(s, x, x), u), u), 1e-10,
-               eps=str(s.value), x=x, u=u)
-        for m in grid:
-            mu, mv = at_m[m]
-            lhs = D3(s, x, C(s, x, mu), mv)
-            _judge(k_, _per_sample(lhs, C(m, *at_sm[s.mul(m)])), 1e-10,
-                   eps=str(s.value), mu=str(m.value), x=x, u=u, v=v)
+        _judge_rows(a_, s, D3(s, x, xu, s3), v, 1e-10, eps, x=x, u=u, v=v)
+        _judge_rows(b_, s, S3(s, x, xu, d3), v, 1e-10, eps, x=x, u=u, v=v)
+        _judge_rows(c_, s, d3, S3(s, xu, xui, v), 1e-10, eps, x=x, u=u, v=v)
+        _judge_rows(d_, s, I3(s, xu, xui), u, 1e-10, eps, x=x, u=u)
+        _judge_rows(e_, s, S3(s, x, xu, S3(s, xu, C(s, xu, v), w)),
+                    S3(s, x, C(s, x, s3), w), 1e-10, eps, x=x, u=u, v=v, w=w)
+        _judge_rows(f_, s, iu, D3(s, x, xu, x), 1e-10, eps, x=x, u=u)
+        _judge_rows(g_, s, S3(s, x, C(s, x, x), u), u, 1e-10, eps, x=x, u=u)
+
+    # (k): the clouds of m or of sm alone, swept once over their scales
+    at_m = _gather(grid, n, lambda m: (C(m, x, u), C(m, x, v)))
+    at_sm = _gather(list(dict.fromkeys(s.mul(m) for s in grid for m in grid)),
+                    n, lambda sm: ((smu := C(sm, x, u)), D3(sm, x, smu, v)))
+    for chunk, s, m, _ in _pair_chunks(grid, n):
+        _, ms, sms = zip(*chunk)
+        (mu, mv), (smu, smd) = at_m(ms), at_sm(sms)
+        _judge_rows(k_, s, D3(s, x, C(s, x, mu), mv), C(m, smu, smd), 1e-10,
+                    [{"eps": str(a.value), "mu": str(b.value)}
+                     for a, b, _ in chunk], x=x, u=u, v=v)
     return rep
+
+
+def _gather(scales, n, f):
+    """f swept over scales a chunk at a time; returns take(keys): f's clouds
+    at keys as a chunk's input, stacked by the storage rule (ngd.models)."""
+    rows = {}
+    for chunk in chunks(scales, n):
+        S = batch(chunk)
+        clouds = f(S) if isinstance(S, ScaleBatch) else [[a] for a in f(S)]
+        rows.update(zip(chunk, zip(*clouds)))
+    return lambda keys: [c[0] if len(c) == 1 else np.stack(
+        [r.T for r in c]).transpose(0, 2, 1) for c in zip(*map(rows.get, keys))]
 
 
 def check_based_compat(model, n=300) -> ValidationReport:
@@ -306,11 +336,11 @@ def check_based_compat(model, n=300) -> ValidationReport:
                   for _ in range(3))
     hu = model.arrow(hp, up)  # h u^-1 in pair coordinates
     gu = model.arrow(gp, up)
-    for s in dyadic_grid(kmax=5):
-        lhs = Delta_eps(model, s, hu, gu)
-        rhs = model.arrow(Delta3(model, s, up, gp, hp), up)
-        _judge(cd, _per_sample(lhs, rhs), 1e-10, eps=str(s.value), u=up, g=gp, h=hp)
-        lhs = Sigma_eps(model, s, hu, gu)
-        rhs = model.arrow(Sigma3(model, s, up, gp, hp), up)
-        _judge(cs, _per_sample(lhs, rhs), 1e-10, eps=str(s.value), u=up, g=gp, h=hp)
+    for chunk in chunks(dyadic_grid(kmax=5), n):
+        s, eps = batch(chunk), [{"eps": str(t.value)} for t in chunk]
+        for law, arrow_op, based_op in ((cd, Delta_eps, Delta3),
+                                        (cs, Sigma_eps, Sigma3)):
+            _judge_rows(law, s, arrow_op(model, s, hu, gu), model.arrow(
+                based_op(model, s, up, gp, hp), up), 1e-10, eps, u=up, g=gp,
+                h=hp)
     return rep

@@ -27,16 +27,11 @@ from .core import (
     check_seminorm_family,
     validate_groupoid,
 )
-from .emergent import (
-    _judge,
-    _maxabs,
-    check_pplay,
-    gamma_irq_from_dilation,
-    sample_point_quads,
-)
+from .emergent import (_judge_rows, check_pplay, gamma_irq_from_dilation,
+                       sample_point_quads)
 from .limits import BoundedSampler, check_A3
 from .models import EuclideanGroup, HeisenbergGroup, PairModel
-from .scales import dyadic_grid, kernel_modulus
+from .scales import batch, chunks, dyadic_grid, kernel_modulus
 from .transport import (
     Coupling,
     Measure,
@@ -282,75 +277,50 @@ def run_planted_suite(seed: int = 0, samples: int = 200):
     to fail.  Returns a list of (name, ValidationReport).  A healthy
     library produces a RED list here: every report must contain at
     least one failed law.  The CLI turns that red into exit code 1."""
-    rng = np.random.default_rng(seed)
-    out = []
+    n = min(samples, 120)
+
+    def nondegeneracy(model):
+        return check_A3(model, BoundedSampler(model, n=n, seed=seed),
+                        grid=dyadic_grid(kmax=8))
+
+    def battery(model, offset):
+        quads = sample_point_quads(model, np.random.default_rng(seed + offset),
+                                   n=n)
+        return check_pplay(gamma_irq_from_dilation(model), quads)
 
     wrong = wrong_exponent_euclidean()
-    arrows = wrong.sample_fiber_arrows(rng, samples)
+    arrows = wrong.sample_fiber_arrows(np.random.default_rng(seed), samples)
     rep = ValidationReport(subject=wrong.name)
     hom = LawCheck("d(delta_s a) = |s| d(a)")
     rep.add(hom)
-    for s in dyadic_grid(kmax=4):
-        resid = _maxabs(wrong.norm(wrong.delta(s, arrows))
-                        - float(s.modulus) * wrong.norm(arrows))
-        _judge(hom, [resid], 1e-9, scale=str(s))
-    out.append(("squared dilation exponent vs norm homogeneity", rep))
-    out.append((
-        "squared dilation exponent vs limit nondegeneracy",
-        check_A3(
-            wrong,
-            sampler=BoundedSampler(wrong, n=min(samples, 120), seed=seed),
-            grid=dyadic_grid(kmax=8),
-        ),
-    ))
-
-    dropped = dropped_correction_heisenberg()
-    quads = sample_point_quads(
-        dropped, np.random.default_rng(seed + 1), n=min(samples, 120)
-    )
-    out.append((
-        "dropped correction term vs based-operation identities",
-        check_pplay(gamma_irq_from_dilation(dropped), quads),
-    ))
-
-    nan_model = nan_below_heisenberg()
-    quads = sample_point_quads(
-        nan_model, np.random.default_rng(seed + 2), n=min(samples, 120)
-    )
-    out.append((
-        "NaN dilatations below eps = 0.2 vs the identity battery",
-        check_pplay(gamma_irq_from_dilation(nan_model), quads),
-    ))
-
-    flat = flat_gauge_heisenberg()
-    out.append((
-        "flat horizontal gauge vs limit nondegeneracy",
-        check_A3(
-            flat,
-            sampler=BoundedSampler(flat, n=min(samples, 120), seed=seed),
-            grid=dyadic_grid(kmax=8),
-        ),
-    ))
-
-    out.append((
-        "retargeted composition vs groupoid typing",
-        validate_groupoid(retargeted_compose_groupoid()),
-    ))
-    out.append(("broken loops vs right translation of fiber distances",
-                check_fiber_distances(broken_loops())))
-    out.append(("composite outside its fiber vs right translation",
-                check_fiber_distances(misplaced_composite_groupoid())))
-    out.append(("double norm off at one pair vs d~ = d o dif",
-                check_double_norm(*off_pair_double_groupoid())))
-    out.append((
-        "inflated norm entry vs subadditivity",
-        check_norm(inflated_norm_groupoid()),
-    ))
-    G, fam = non_separating_seminorms()
-    out.append((
-        "identically zero seminorms vs separation",
-        check_seminorm_family(G, fam),
-    ))
+    for chunk in chunks(dyadic_grid(kmax=4), len(arrows)):
+        s = batch(chunk)
+        _judge_rows(hom, s, wrong.norm(wrong.delta(s, arrows)),
+                    kernel_modulus(s) * wrong.norm(arrows), 1e-9,
+                    [{"scale": str(t)} for t in chunk], 1)
+    out = [
+        ("squared dilation exponent vs norm homogeneity", rep),
+        ("squared dilation exponent vs limit nondegeneracy",
+         nondegeneracy(wrong)),
+        ("dropped correction term vs based-operation identities",
+         battery(dropped_correction_heisenberg(), 1)),
+        ("NaN dilatations below eps = 0.2 vs the identity battery",
+         battery(nan_below_heisenberg(), 2)),
+        ("flat horizontal gauge vs limit nondegeneracy",
+         nondegeneracy(flat_gauge_heisenberg())),
+        ("retargeted composition vs groupoid typing",
+         validate_groupoid(retargeted_compose_groupoid())),
+        ("broken loops vs right translation of fiber distances",
+         check_fiber_distances(broken_loops())),
+        ("composite outside its fiber vs right translation",
+         check_fiber_distances(misplaced_composite_groupoid())),
+        ("double norm off at one pair vs d~ = d o dif",
+         check_double_norm(*off_pair_double_groupoid())),
+        ("inflated norm entry vs subadditivity",
+         check_norm(inflated_norm_groupoid())),
+        ("identically zero seminorms vs separation",
+         check_seminorm_family(*non_separating_seminorms())),
+    ]
 
     rep = ValidationReport(subject="mismatched transport pair")
     law = LawCheck("planted pair has matching middle marginals")

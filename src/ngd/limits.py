@@ -39,8 +39,8 @@ from fractions import Fraction
 import numpy as np
 
 from .core import LawCheck, ValidationReport
-from .scales import (Scale, ScaleBatch, as_scale, dyadic_grid,
-                     kernel_modulus)
+from .scales import (CHUNK_POINTS, Scale, ScaleBatch, as_scale, chunks,
+                     dyadic_grid, kernel_modulus)
 from .emergent import Sigma3, inv3, _judge, _maxabs, _per_sample
 
 
@@ -187,32 +187,23 @@ def uniform_limit(axiom, fam, candidate, grid=None, tol=1e-8, atol=5e-13,
                           tol, atol, require_decreasing)[0]
 
 
-# points per chunk of a sweep, k n: timed on check_A3, check_A4weak and
-# gh_estimate at n = 200 .. 4000, chunks of 4096 to 8192 points ran
-# fastest, past 16384 slower than one scale per call.  6144 sweeps the
-# report clouds (218 points with A3's probes) in one chunk each.
-CHUNK_POINTS = 6144
-
-
 def uniform_limits(axioms, fams, candidates, grid=None, tol=1e-8,
                    atol=5e-13, require_decreasing=False) -> list:
     """uniform_limit of several families swept together: the grid is cut
-    into chunks of k scales, k n <= CHUNK_POINTS with n the longest
-    leading (sample) axis of the candidates, or k = 1 if none has one.
-    fams(S) returns one array per axiom for a chunk S, so each kernel runs
+    into chunks (ngd.scales.chunks) for n the longest leading (sample) axis
+    of the candidates, or one scale each if none has one.  fams(S) returns
+    one array per axiom for a chunk S, a ScaleBatch, so each kernel runs
     once per chunk, on a (k, n, dim) batch, and work the families share is
     done once.  Residuals are reduced per scale: chunking changes no trace."""
     if grid is None:
         grid = dyadic_grid()
     cands = [np.asarray(c, dtype=float) for c in candidates]
     n = max((len(c) for c in cands if c.ndim), default=CHUNK_POINTS)
-    k = max(1, CHUNK_POINTS // max(n, 1))
     residuals = [[] for _ in axioms]
-    for i in range(0, len(grid), k):
-        for r, f, c in zip(residuals, fams(ScaleBatch(grid[i:i + k])),
-                           cands):
+    for chunk in chunks(grid, n):
+        for r, f, c in zip(residuals, fams(ScaleBatch(chunk)), cands):
             r += _per_sample(f, c).tolist()
-    eps = [float(s.modulus) for s in grid]
+    eps = [s._float for s in grid]
     return [estimate_from_residuals(axiom, eps, r, tol=tol, atol=atol,
                                     require_decreasing=require_decreasing)
             for axiom, r in zip(axioms, residuals)]

@@ -45,9 +45,10 @@ from fractions import Fraction
 import numpy as np
 
 from .core import LawCheck, ValidationReport
-from .emergent import _judge, _maxabs, arrow_dilatation
+from .emergent import (_judge, _judge_rows, _maxabs, _pair_chunks,
+                       arrow_dilatation)
 from .limits import uniform_limit
-from .scales import Scale, as_scale, dyadic_grid, kernel_modulus
+from .scales import Scale, as_scale, batch, chunks, dyadic_grid, kernel_modulus
 
 
 # ---------------------------------------------------------------------------
@@ -501,14 +502,15 @@ def check_A1(model, arrows) -> ValidationReport:
     rep.add(fib, act, one)
 
     _judge(one, [_maxabs(model.delta(Scale.one(), arrows) - arrows)], tol)
-    for s in scales:
-        da = model.delta(s, arrows)
-        _judge(fib, [_maxabs(model.alpha_coords(da)
-                             - model.alpha_coords(arrows))], tol, scale=str(s))
-        for r2 in scales:
-            lhs = model.delta(s, model.delta(r2, arrows))
-            rhs = model.delta(s.mul(r2), arrows)
-            _judge(act, [_maxabs(lhs - rhs)], tol, s=str(s), r=str(r2))
+    for chunk in chunks(scales, len(arrows)):
+        s = batch(chunk)
+        _judge_rows(fib, s, model.alpha_coords(model.delta(s, arrows)),
+                    model.alpha_coords(arrows), tol,
+                    [{"scale": str(t)} for t in chunk], 1)
+    for chunk, s, r, sr in _pair_chunks(scales, len(arrows)):
+        _judge_rows(act, s, model.delta(s, model.delta(r, arrows)),
+                    model.delta(sr, arrows), tol,
+                    [{"s": str(a), "r": str(b)} for a, b, _ in chunk], 1)
     return rep
 
 
@@ -520,9 +522,10 @@ def check_A2(model, arrows) -> ValidationReport:
     fixed = LawCheck("unit arrows are fixed")
     rep.add(fixed)
     units = model.unit_of(arrows)
-    for s in grid[:4] + grid[-1:]:
-        _judge(fixed, [_maxabs(model.delta(s, units) - units)], 1e-12,
-               scale=str(s))
+    for chunk in chunks(grid[:4] + grid[-1:], len(arrows)):
+        s = batch(chunk)
+        _judge_rows(fixed, s, model.delta(s, units), units, 1e-12,
+                    [{"scale": str(t)} for t in chunk], 1)
     # vanishing is what matters; the trend check does the work
     rep.limits.append(uniform_limit(
         "A2: sup d(delta_eps a) -> 0",
@@ -612,10 +615,12 @@ def check_dilation_morphism(model: PairModel) -> ValidationReport:
     rep = ValidationReport(subject=f"induced double dilation[{model.name}]")
     inter = LawCheck("dif o delta~_s = delta_s o dif")
     rep.add(inter)
-    for s in [Scale(Fraction(1, 2)), Scale(Fraction(1, 16)), Scale(Fraction(4))]:
-        lhs = dm.dif_map(dm.delta(s, P))
-        rhs = model.delta(s, dm.dif_map(P))
-        _judge(inter, [_maxabs(lhs - rhs)], 1e-9, scale=str(s))
+    for chunk in chunks([Scale(Fraction(1, 2)), Scale(Fraction(1, 16)),
+                         Scale(Fraction(4))], len(P)):
+        s = batch(chunk)
+        _judge_rows(inter, s, dm.dif_map(dm.delta(s, P)),
+                    model.delta(s, dm.dif_map(P)), 1e-9,
+                    [{"scale": str(t)} for t in chunk], 1)
     rep.merge(check_A1(dm, P))
     rep.merge(check_A2(dm, P))
     return rep

@@ -2,13 +2,14 @@
 
 One realization ships: positive rationals under multiplication, with
 modulus equal to the value.  The dyadic grid 2^-k is a sequence of such
-scales; a sweep hands them to its families k at a time, as a ScaleBatch.
-Models only ever consume a scale through kernel_modulus.
+scales; the analytic checks sweep them in chunks (see chunks), each a
+ScaleBatch or a lone Scale.  Models only ever consume a scale through
+kernel_modulus.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -17,11 +18,13 @@ class Scale:
     """A positive rational scale; modulus is the value itself."""
 
     value: Fraction
+    _float: float = field(init=False, repr=False, compare=False)  # taken once
 
     def __post_init__(self):
         object.__setattr__(self, "value", Fraction(self.value))
         if self.value <= 0:
             raise ValueError(f"scale must be positive, got {self.value}")
+        object.__setattr__(self, "_float", float(self.value))
 
     @property
     def modulus(self) -> Fraction:
@@ -37,6 +40,8 @@ class Scale:
     def one(cls) -> "Scale":
         return cls(Fraction(1))
 
+    scales = property(lambda self: (self,))  # as the chunk of one scale
+
     def __repr__(self):
         return f"Scale({self.value})"
 
@@ -50,7 +55,7 @@ class ScaleBatch:
         import numpy as np  # only the analytic side sweeps batches
 
         self.scales = tuple(scales)
-        self.modulus = np.array([[float(s.modulus)] for s in self.scales])
+        self.modulus = np.array([[s._float] for s in self.scales])
 
     def inv(self) -> "ScaleBatch":
         return ScaleBatch(s.inv() for s in self.scales)
@@ -60,7 +65,27 @@ def kernel_modulus(scale):
     """|scale| as the carrier kernels take it: float(modulus) for one
     scale, the (k, 1) float column for a ScaleBatch."""
     s = as_scale(scale)
-    return s.modulus if isinstance(s, ScaleBatch) else float(s.modulus)
+    return s.modulus if isinstance(s, ScaleBatch) else s._float
+
+
+# points per chunk of a sweep, k n: timed on check_A3, check_A4weak and
+# gh_estimate at n = 200 .. 4000, chunks of 4096 to 8192 points ran
+# fastest, past 16384 slower than one scale per call.  6144 sweeps the
+# report clouds (218 points with A3's probes) in one chunk each.
+CHUNK_POINTS = 6144
+
+
+def chunks(scales, n) -> list:
+    """scales (or tuples of them) cut, in order, into chunks of k >= 1 with
+    k n <= CHUNK_POINTS for n samples a scale: the one chunk rule."""
+    k = max(1, CHUNK_POINTS // max(n, 1))
+    return [scales[i:i + k] for i in range(0, len(scales), k)]
+
+
+def batch(scales):
+    """A chunk as the kernels take it: a lone scale as itself (a float to
+    the kernels, its results views), several as a ScaleBatch."""
+    return scales[0] if len(scales) == 1 else ScaleBatch(scales)
 
 
 def dyadic_grid(kmax: int = 20) -> list:

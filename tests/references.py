@@ -14,9 +14,14 @@ from tests alone, so they live with the tests:
     again on the structure conjugated by delta_mu;
   - `check_strict_category`, a category judged with the two clauses that
     hold for groupoids but fail on the transport category;
+  - the per-scale checks, one kernel call per scale or scale pair, that
+    the batteries of `ngd` replaced with chunks of scales:
+    `ref_check_pplay` (recomputing every intermediate), `ref_check_irq`,
+    `ref_check_gamma_irq`, `ref_check_based_compat`, `ref_check_A1`,
+    `ref_check_A2` and `ref_check_dilation_morphism`;
 - fixtures fed to the honest checkers: `iterate_irq` and
   `z_irq_from_iterates`, an integer-indexed irq family built by iterating
-  one irq;
+  one irq, which takes a ScaleBatch as the carrier kernels do;
   - `basis_potentials`, a transportation basis's potentials walked out
     from scratch, against which the solver's kept tree is judged;
 - test data: `parse_error_samples`, the malformed terms the parser must
@@ -34,9 +39,11 @@ import numpy as np
 from ngd.constructions import _dif_map, _double_of, _double_pairs
 from ngd.core import (FiniteGroupoid, LawCheck, ValidationReport,
                       _table_laws, _tables, check_category_with_inverses)
-from ngd.emergent import GammaIrq, Irq, _judge, _maxabs
+from ngd.emergent import (Delta3, Delta_eps, GammaIrq, Irq, Sigma3, Sigma_eps,
+                          _judge, _maxabs, _per_sample)
+from ngd.limits import uniform_limit
 from ngd.models import DoubleModel, PairModel
-from ngd.scales import Scale, as_scale
+from ngd.scales import Scale, ScaleBatch, as_scale, dyadic_grid
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +292,194 @@ def _dyadic_exponent(scale) -> int:
 def z_irq_from_iterates(Q: Irq) -> GammaIrq:
     """Integer-indexed family built by iterating one irq: the scale 2^-k
     stands for the exponent k, so the family's composition law is the
-    iterate law (op_s)_k = op_{s^k} in disguise."""
+    iterate law (op_s)_k = op_{s^k} in disguise.  For a ScaleBatch of k
+    scales and (n, dim) point clouds (or (k, n, dim) batches of them) it
+    stacks the k per-scale iterates on a leading axis."""
 
     def op(scale, x, y):
-        return iterate_irq(Q, _dyadic_exponent(scale))(x, y)
+        s = as_scale(scale)
+        if not isinstance(s, ScaleBatch):
+            return iterate_irq(Q, _dyadic_exponent(s))(x, y)
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y),
+                                    (len(s.scales), 1, 1))
+        return np.stack([
+            iterate_irq(Q, _dyadic_exponent(t))(a, b) for t, a, b in
+            zip(s.scales, np.broadcast_to(x, shape), np.broadcast_to(y, shape))])
 
     return GammaIrq(op=op, name=f"Z iterates of {Q.name}")
+
+
+# ---------------------------------------------------------------------------
+# the per-scale checks
+
+
+def ref_check_pplay(Q, samples, tol=1e-10):
+    """check_pplay one scale at a time, every intermediate recomputed."""
+    grid = dyadic_grid(kmax=5)
+    x, u, v, w = (np.asarray(a, dtype=float) for a in samples)
+
+    def C(s, a, b):
+        return Q.op(s, a, b)
+
+    def D3(s, a, b, c):
+        return C(s.inv(), C(s, a, b), C(s, a, c))
+
+    def S3(s, a, b, c):
+        return C(s.inv(), a, C(s, C(s, a, b), c))
+
+    def I3(s, a, b):
+        return C(s.inv(), C(s, a, b), a)
+
+    rep = ValidationReport(subject=f"identity battery[{Q.name}]")
+    a_ = LawCheck("(a) based difference undoes based sum")
+    b_ = LawCheck("(b) based sum undoes based difference")
+    c_ = LawCheck("(c) difference = sum against the based inverse")
+    d_ = LawCheck("(d) inverse is involutive across the moved base")
+    e_ = LawCheck("(e) sum transports associativity across fibers")
+    f_ = LawCheck("(f) inverse = difference with the base")
+    g_ = LawCheck("(g) summing from the base point is the identity")
+    k_ = LawCheck("(k) dilatations distribute over the based difference")
+    rep.add(a_, b_, c_, d_, e_, f_, g_, k_)
+
+    for s in grid:
+        xu = C(s, x, u)
+        iu = I3(s, x, u)
+        _judge(a_, _per_sample(D3(s, x, u, S3(s, x, u, v)), v), tol,
+               eps=str(s.value), x=x, u=u, v=v)
+        _judge(b_, _per_sample(S3(s, x, u, D3(s, x, u, v)), v), tol,
+               eps=str(s.value), x=x, u=u, v=v)
+        _judge(c_, _per_sample(D3(s, x, u, v), S3(s, xu, iu, v)), tol,
+               eps=str(s.value), x=x, u=u, v=v)
+        _judge(d_, _per_sample(I3(s, xu, iu), u), tol,
+               eps=str(s.value), x=x, u=u)
+        _judge(e_, _per_sample(S3(s, x, u, S3(s, xu, v, w)),
+                               S3(s, x, S3(s, x, u, v), w)), tol,
+               eps=str(s.value), x=x, u=u, v=v, w=w)
+        _judge(f_, _per_sample(iu, D3(s, x, u, x)), tol,
+               eps=str(s.value), x=x, u=u)
+        _judge(g_, _per_sample(S3(s, x, x, u), u), tol,
+               eps=str(s.value), x=x, u=u)
+        for m in grid:
+            sm = s.mul(m)
+            lhs = D3(s, x, C(m, x, u), C(m, x, v))
+            rhs = C(m, C(sm, x, u), D3(sm, x, u, v))
+            _judge(k_, _per_sample(lhs, rhs), tol,
+                   eps=str(s.value), mu=str(m.value), x=x, u=u, v=v)
+    return rep
+
+
+def ref_check_irq(Q: Irq, xs, ys) -> ValidationReport:
+    """check_irq of one irq."""
+    tol = 1e-10
+    rep = ValidationReport(subject=Q.name)
+    p1 = LawCheck("P1: x op (x opinv y) = x opinv (x op y) = y")
+    p2 = LawCheck("P2: x op x = x opinv x = x")
+    rep.add(p1, p2)
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    _judge(p1, _per_sample(Q.op(xs, Q.opinv(xs, ys)), ys), tol, x=xs, y=ys)
+    _judge(p1, _per_sample(Q.opinv(xs, Q.op(xs, ys)), ys), tol, x=xs, y=ys)
+    _judge(p2, _per_sample(Q.op(xs, xs), xs), tol, x=xs)
+    _judge(p2, _per_sample(Q.opinv(xs, xs), xs), tol, x=xs)
+    return rep
+
+
+def ref_check_gamma_irq(Q: GammaIrq, xs, ys) -> ValidationReport:
+    """check_gamma_irq one scale and one (s, m) pair at a time."""
+    grid = dyadic_grid(kmax=5)
+    rep = ValidationReport(subject=Q.name)
+    comp = LawCheck("composition: x circ_s (x circ_m y) = x circ_{sm} y")
+    for s in grid:
+        rep.merge(ref_check_irq(Q.at(s), xs, ys))
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    for s in grid:
+        for m in grid:
+            lhs = Q.op(s, xs, Q.op(m, xs, ys))
+            rhs = Q.op(s.mul(m), xs, ys)
+            _judge(comp, _per_sample(lhs, rhs), 1e-10,
+                   s=str(s.value), m=str(m.value), x=xs, y=ys)
+    rep.add(comp)
+    return rep
+
+
+def ref_check_based_compat(model, n=300) -> ValidationReport:
+    """check_based_compat one scale at a time."""
+    rng = np.random.default_rng(20)
+    rep = ValidationReport(subject=f"based/two-argument compatibility[{model.name}]")
+    cd = LawCheck("arrow difference = based difference, right-translated")
+    cs = LawCheck("arrow sum = based sum, right-translated")
+    rep.add(cd, cs)
+
+    gp, hp, up = (model.sample_points(rng, n, 4.0, center=model.e())
+                  for _ in range(3))
+    hu = model.arrow(hp, up)
+    gu = model.arrow(gp, up)
+    for s in dyadic_grid(kmax=5):
+        lhs = Delta_eps(model, s, hu, gu)
+        rhs = model.arrow(Delta3(model, s, up, gp, hp), up)
+        _judge(cd, _per_sample(lhs, rhs), 1e-10, eps=str(s.value), u=up, g=gp, h=hp)
+        lhs = Sigma_eps(model, s, hu, gu)
+        rhs = model.arrow(Sigma3(model, s, up, gp, hp), up)
+        _judge(cs, _per_sample(lhs, rhs), 1e-10, eps=str(s.value), u=up, g=gp, h=hp)
+    return rep
+
+
+def ref_check_A1(model, arrows) -> ValidationReport:
+    """check_A1 one scale and one (s, r) pair at a time."""
+    tol = 1e-9
+    scales = [Scale(Fraction(1, 2)), Scale(Fraction(1, 8)),
+              Scale(Fraction(2)), Scale(Fraction(8)), Scale(Fraction(3, 4))]
+    rep = ValidationReport(subject=f"A1[{model.name}]")
+    fib = LawCheck("delta preserves the source fiber")
+    act = LawCheck("delta_s delta_r = delta_{s r}")
+    one = LawCheck("delta_1 = id")
+    rep.add(fib, act, one)
+
+    _judge(one, [_maxabs(model.delta(Scale.one(), arrows) - arrows)], tol)
+    for s in scales:
+        da = model.delta(s, arrows)
+        _judge(fib, [_maxabs(model.alpha_coords(da)
+                             - model.alpha_coords(arrows))], tol, scale=str(s))
+        for r2 in scales:
+            lhs = model.delta(s, model.delta(r2, arrows))
+            rhs = model.delta(s.mul(r2), arrows)
+            _judge(act, [_maxabs(lhs - rhs)], tol, s=str(s), r=str(r2))
+    return rep
+
+
+def ref_check_A2(model, arrows) -> ValidationReport:
+    """check_A2 with its fixed-unit law one scale at a time."""
+    grid = dyadic_grid()
+    rep = ValidationReport(subject=f"A2[{model.name}]")
+    fixed = LawCheck("unit arrows are fixed")
+    rep.add(fixed)
+    units = model.unit_of(arrows)
+    for s in grid[:4] + grid[-1:]:
+        _judge(fixed, [_maxabs(model.delta(s, units) - units)], 1e-12,
+               scale=str(s))
+    rep.limits.append(uniform_limit(
+        "A2: sup d(delta_eps a) -> 0",
+        lambda s: model.norm(model.delta(s, arrows)), np.zeros(len(arrows)),
+        grid, 0.25, atol=1e-13, require_decreasing=True))
+    return rep
+
+
+def ref_check_dilation_morphism(model: PairModel) -> ValidationReport:
+    """check_dilation_morphism one scale at a time, with the per-scale
+    A1 and A2 of the double model."""
+    dm = DoubleModel(model)
+    P = dm.sample_fiber_arrows(np.random.default_rng(618), 300)
+    rep = ValidationReport(subject=f"induced double dilation[{model.name}]")
+    inter = LawCheck("dif o delta~_s = delta_s o dif")
+    rep.add(inter)
+    for s in [Scale(Fraction(1, 2)), Scale(Fraction(1, 16)), Scale(Fraction(4))]:
+        lhs = dm.dif_map(dm.delta(s, P))
+        rhs = model.delta(s, dm.dif_map(P))
+        _judge(inter, [_maxabs(lhs - rhs)], 1e-9, scale=str(s))
+    rep.merge(ref_check_A1(dm, P))
+    rep.merge(ref_check_A2(dm, P))
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from ngd import cli, limits, models
+from ngd import cli, limits, models, scales
 from ngd.core import LawCheck
 from ngd.emergent import _per_sample
 from ngd.fixtures import (
@@ -266,7 +266,7 @@ def test_batched_sweeps_match_one_scale_per_chunk(monkeypatch, name, n):
         assert set(sizes) == {1}
     else:  # chunks of several scales, the last one short
         assert max(sizes) > 1 and min(sizes) < max(sizes)
-    monkeypatch.setattr(limits, "CHUNK_POINTS", 1)
+    monkeypatch.setattr(scales, "CHUNK_POINTS", 1)
     sizes.clear()
     assert got == _sweeps(model, n)
     assert set(sizes) == {1}
@@ -304,6 +304,17 @@ def test_report_sweeps_run_each_kernel_once_per_chunk(monkeypatch):
     assert len(calls) == 50
     # the whole grid as one column, or a float mu of a two-scale dilatation
     assert set(calls) == {(20, 1), (6, 1), ()}
+
+
+def test_report_makes_its_kernel_calls_in_chunks(monkeypatch):
+    """report --suite all makes 492 carrier kernel calls in all, where
+    one scale per call outside the sweeps made 1,574: the batteries, the
+    irq family, A1, A2's fixed units, the induced double dilation and the
+    planted homogeneity law each take a chunk of scales per call."""
+    calls, outside = _count_sweep_kernels(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["report", "--suite", "all", "--json"]) == 0
+    assert len(calls) + len(outside) == 492
 
 
 def test_large_clouds_sweep_one_scale_per_call(monkeypatch):

@@ -3,9 +3,10 @@ replaced.
 
 `check_A3mod_A4` reads its difference traces off target columns through
 `point_dilatation`, `check_pplay` computes each shared intermediate once,
-and `arrow_dilatation` builds only its result arrow.  The references below
-are the earlier implementations, kept verbatim: they build every arrow and
-recompute every intermediate.  Every report must come out byte-identical,
+and `arrow_dilatation` builds only its result arrow.  The references
+(below, and `ref_check_pplay` in tests/references.py) are the earlier
+implementations, kept verbatim: they build every arrow and recompute
+every intermediate.  Every report must come out byte-identical,
 witnesses and their order included, on every carrier class, planted ones
 too.  Reports are compared as JSON text, so a NaN residual compares equal
 to itself and -0.0 differs from 0.0."""
@@ -16,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ngd import limits, models
+from ngd import limits, models, scales
 from ngd.core import LawCheck, ValidationReport
 from ngd.emergent import (
     Delta_eps,
@@ -25,6 +26,7 @@ from ngd.emergent import (
     _judge,
     _per_sample,
     arrow_dilatation,
+    check_gamma_irq,
     check_pplay,
     gamma_irq_from_dilation,
     inv_eps,
@@ -55,7 +57,7 @@ from ngd.models import (
     restricted_euclidean_model,
 )
 from ngd.scales import Scale, as_scale, dyadic_grid
-from references import dif_eps, z_irq_from_iterates
+from references import dif_eps, ref_check_pplay, z_irq_from_iterates
 
 CARRIERS = {
     "heisenberg": heisenberg_model,
@@ -127,60 +129,6 @@ def ref_check_A3mod_A4(model, sampler, grid=None, tol=1e-8):
     return rep
 
 
-def ref_check_pplay(Q, samples, tol=1e-10):
-    grid = dyadic_grid(kmax=5)
-    x, u, v, w = (np.asarray(a, dtype=float) for a in samples)
-
-    def C(s, a, b):
-        return Q.op(s, a, b)
-
-    def D3(s, a, b, c):
-        return C(s.inv(), C(s, a, b), C(s, a, c))
-
-    def S3(s, a, b, c):
-        return C(s.inv(), a, C(s, C(s, a, b), c))
-
-    def I3(s, a, b):
-        return C(s.inv(), C(s, a, b), a)
-
-    rep = ValidationReport(subject=f"identity battery[{Q.name}]")
-    a_ = LawCheck("(a) based difference undoes based sum")
-    b_ = LawCheck("(b) based sum undoes based difference")
-    c_ = LawCheck("(c) difference = sum against the based inverse")
-    d_ = LawCheck("(d) inverse is involutive across the moved base")
-    e_ = LawCheck("(e) sum transports associativity across fibers")
-    f_ = LawCheck("(f) inverse = difference with the base")
-    g_ = LawCheck("(g) summing from the base point is the identity")
-    k_ = LawCheck("(k) dilatations distribute over the based difference")
-    rep.add(a_, b_, c_, d_, e_, f_, g_, k_)
-
-    for s in grid:
-        xu = C(s, x, u)
-        iu = I3(s, x, u)
-        _judge(a_, _per_sample(D3(s, x, u, S3(s, x, u, v)), v), tol,
-               eps=str(s.value), x=x, u=u, v=v)
-        _judge(b_, _per_sample(S3(s, x, u, D3(s, x, u, v)), v), tol,
-               eps=str(s.value), x=x, u=u, v=v)
-        _judge(c_, _per_sample(D3(s, x, u, v), S3(s, xu, iu, v)), tol,
-               eps=str(s.value), x=x, u=u, v=v)
-        _judge(d_, _per_sample(I3(s, xu, iu), u), tol,
-               eps=str(s.value), x=x, u=u)
-        _judge(e_, _per_sample(S3(s, x, u, S3(s, xu, v, w)),
-                               S3(s, x, S3(s, x, u, v), w)), tol,
-               eps=str(s.value), x=x, u=u, v=v, w=w)
-        _judge(f_, _per_sample(iu, D3(s, x, u, x)), tol,
-               eps=str(s.value), x=x, u=u)
-        _judge(g_, _per_sample(S3(s, x, x, u), u), tol,
-               eps=str(s.value), x=x, u=u)
-        for m in grid:
-            sm = s.mul(m)
-            lhs = D3(s, x, C(m, x, u), C(m, x, v))
-            rhs = C(m, C(sm, x, u), D3(sm, x, u, v))
-            _judge(k_, _per_sample(lhs, rhs), tol,
-                   eps=str(s.value), mu=str(m.value), x=x, u=u, v=v)
-    return rep
-
-
 # ---------------------------------------------------------------------------
 # comparisons
 
@@ -244,23 +192,47 @@ def test_battery_matches_the_recomputing_reference(model, seed):
         same_report(check_pplay(Q, quads), ref_check_pplay(Q, quads))
 
 
-def test_battery_computes_each_shared_cloud_once():
+def _counting_family(model):
+    """The dilatation family of model, recording the kernel scale of each
+    call of its op (a float's shape () or a ScaleBatch column's)."""
     calls = []
-    G = gamma_irq_from_dilation(heisenberg_model())
+    G = gamma_irq_from_dilation(model)
 
     def op(s, a, b):
-        calls.append(s)
+        calls.append(np.shape(scales.kernel_modulus(s)))
         return G.op(s, a, b)
 
-    Q = GammaIrq(op=op, name=G.name)
+    return GammaIrq(op=op, name=G.name), calls
+
+
+def test_battery_computes_each_shared_cloud_once():
+    Q, calls = _counting_family(heisenberg_model())
     quads = sample_point_quads(heisenberg_model(), np.random.default_rng(2), 8)
     check_pplay(Q, quads)
     new = len(calls)
     calls.clear()
     ref_check_pplay(Q, quads)
-    # per scale 27 kernel calls; 10 for the m-side clouds; 3 for each of
-    # the 9 distinct products sm; 4 per (s, m) pair -- against 455
-    assert (new, len(calls)) == (5 * 27 + 10 + 9 * 3 + 25 * 4, 455)
+    # the 5 scales in one chunk: 27 kernel calls; 2 for the m-side clouds
+    # of all 5 m; 3 for those of the 9 distinct products sm; 4 for the 25
+    # (s, m) pairs in one chunk -- against 455 one scale at a time
+    assert (new, len(calls)) == (27 + 2 + 3 + 4, 455)
+
+
+def test_battery_takes_one_float_scale_a_call_on_large_clouds():
+    """At 2e4 points a chunk is one scale, which reaches the kernels as a
+    float: per scale 27 kernel calls; 10 for the m-side clouds; 3 for each
+    of the 9 distinct products sm; 4 per (s, m) pair.  The irq family
+    makes its 6 calls per scale and 3 per pair."""
+    H = heisenberg_model()
+    Q, calls = _counting_family(H)
+    quads = sample_point_quads(H, np.random.default_rng(2), 20000)
+    check_pplay(Q, quads)
+    assert len(calls) == 5 * 27 + 10 + 9 * 3 + 25 * 4 == 272
+    assert set(calls) == {()}
+    calls.clear()
+    check_gamma_irq(Q, quads[0], quads[1])
+    assert len(calls) == 5 * 6 + 25 * 3
+    assert set(calls) == {()}
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +402,7 @@ def _count_point_dilatations(monkeypatch, model):
 
 def test_two_scale_sweeps_compute_each_cloud_once(monkeypatch):
     # one scale per chunk, so that the counts below are per scale
-    monkeypatch.setattr(limits, "CHUNK_POINTS", 1)
+    monkeypatch.setattr(scales, "CHUNK_POINTS", 1)
     H = heisenberg_model()
     calls = _count_point_dilatations(monkeypatch, H)
     sampler = BoundedSampler(H, n=20)

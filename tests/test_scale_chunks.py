@@ -1,0 +1,123 @@
+"""The batteries that sweep their scales in chunks, against the per-scale
+checks they replaced (tests/references.py).
+
+check_pplay, check_gamma_irq, check_A1, check_based_compat and
+check_dilation_morphism make one kernel call per identity and chunk of
+scales, on a (k, n, dim) batch, and judge each scale's row on its own.
+Every report must match the per-scale one as JSON text, witnesses and
+their order included, on the shipped carriers and on the planted ones,
+at cloud sizes from empty to past one chunk: at n = 246 the 25 scale
+pairs of a pair law take two chunks."""
+
+import json
+
+import numpy as np
+import pytest
+
+from ngd import scales
+from ngd.emergent import (GammaIrq, check_based_compat, check_gamma_irq,
+                          check_pplay, gamma_irq_from_dilation,
+                          sample_point_quads)
+from ngd.fixtures import (dropped_correction_heisenberg,
+                          nan_below_heisenberg, wrong_exponent_euclidean)
+from ngd.models import (DoubleModel, check_A1, check_dilation_morphism,
+                        euclidean_model, heisenberg_model)
+from ngd.scales import CHUNK_POINTS, ScaleBatch, chunks, dyadic_grid
+from references import (ref_check_A1, ref_check_based_compat,
+                        ref_check_dilation_morphism, ref_check_gamma_irq,
+                        ref_check_pplay)
+
+MODELS = {
+    "heisenberg": heisenberg_model,
+    "euclidean1": lambda: euclidean_model(dim=1),
+    "euclidean3": lambda: euclidean_model(dim=3),
+    "dropped_correction": dropped_correction_heisenberg,
+    "nan_below": nan_below_heisenberg,
+    "squared_dilation": wrong_exponent_euclidean,
+}
+SIZES = [0, 1, 8, 200, 246]
+
+
+@pytest.fixture(params=sorted(MODELS))
+def model(request):
+    return MODELS[request.param]()
+
+
+def same_report(a, b):
+    assert json.dumps(a.to_json(), sort_keys=True) == \
+        json.dumps(b.to_json(), sort_keys=True)
+    assert json.dumps([c.witnesses for c in a.laws], sort_keys=True) == \
+        json.dumps([c.witnesses for c in b.laws], sort_keys=True)
+
+
+def test_the_pair_laws_split_at_246_points():
+    pairs = [(s, m) for s in dyadic_grid(5) for m in dyadic_grid(5)]
+    assert [len(c) for c in chunks(pairs, 246)] == [24, 1]
+    assert [len(c) for c in chunks(pairs, 200)] == [25]
+    assert [len(c) for c in chunks(pairs, CHUNK_POINTS + 1)] == [1] * 25
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_battery_matches_the_per_scale_reference(model, n):
+    quads = sample_point_quads(model, np.random.default_rng(n + 1), n=n)
+    G = gamma_irq_from_dilation(model)
+    same_report(check_pplay(G, quads), ref_check_pplay(G, quads))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_irq_family_matches_the_per_scale_reference(model, n):
+    x, y = sample_point_quads(model, np.random.default_rng(n + 2), n=n)[:2]
+    G = gamma_irq_from_dilation(model)
+    same_report(check_gamma_irq(G, x, y), ref_check_gamma_irq(G, x, y))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_scale_action_matches_the_per_scale_reference(model, n):
+    rng = np.random.default_rng(n + 3)
+    arrows = model.sample_fiber_arrows(rng, n)
+    same_report(check_A1(model, arrows), ref_check_A1(model, arrows))
+    D = DoubleModel(model)
+    pairs = D.pair(arrows, model.sample_fiber_arrows(rng, n))
+    same_report(check_A1(D, pairs), ref_check_A1(D, pairs))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_based_compatibility_matches_the_per_scale_reference(model, n):
+    same_report(check_based_compat(model, n=n),
+                ref_check_based_compat(model, n=n))
+
+
+def test_dilation_morphism_matches_the_per_scale_reference(model):
+    same_report(check_dilation_morphism(model),
+                ref_check_dilation_morphism(model))
+
+
+def test_one_scale_a_chunk_matches_the_per_scale_reference(monkeypatch):
+    """With one scale a chunk every scale goes in as a float, and the
+    batteries still match."""
+    monkeypatch.setattr(scales, "CHUNK_POINTS", 1)
+    model = nan_below_heisenberg()
+    quads = sample_point_quads(model, np.random.default_rng(4), n=30)
+    G = gamma_irq_from_dilation(model)
+    same_report(check_pplay(G, quads), ref_check_pplay(G, quads))
+    same_report(check_gamma_irq(G, *quads[:2]),
+                ref_check_gamma_irq(G, *quads[:2]))
+
+
+def test_stacked_clouds_follow_the_storage_rule():
+    """The distributivity law gathers its m-side clouds into (k, n, dim)
+    batches laid out as the kernels lay out theirs: each coordinate
+    column of a block one contiguous run."""
+    H = heisenberg_model()
+    G = gamma_irq_from_dilation(H)
+    seen = []
+
+    def op(s, a, b):
+        for arr in (a, b):
+            if np.ndim(arr) == 3 and isinstance(s, ScaleBatch):
+                seen.append(arr.strides[1:])
+        return G.op(s, a, b)
+
+    quads = sample_point_quads(H, np.random.default_rng(0), n=50)
+    check_pplay(GammaIrq(op=op, name=G.name), quads)
+    assert seen and set(seen) == {(8, 50 * 8)}
