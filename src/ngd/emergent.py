@@ -47,10 +47,12 @@ def _per_sample(a, b, lead=1):
 def _judge_rows(check, S, a, b, tol, own, lead=2, **context):
     """_judge the chunk S's result a against b a scale at a time (a lone
     Scale's one row a view), residuals per sample (lead=2) or their max
-    (lead=1), each with its scale's own context first (one dict of own)."""
+    (lead=1), each with its scale's own context first (one dict of own).
+    check is one law, or a list of one law per scale."""
+    checks = check if isinstance(check, list) else [check] * len(own)
     a = a if isinstance(S, ScaleBatch) else a[None]
-    for r, row in zip(_per_sample(a, b, lead), own):
-        _judge(check, r, tol, **row, **context)
+    for c, r, row in zip(checks, _per_sample(a, b, lead), own):
+        _judge(c, r, tol, **row, **context)
 
 
 def _pair_chunks(grid, n):
@@ -211,16 +213,16 @@ def check_irq(Q: Irq, xs, ys) -> ValidationReport:
     rep = ValidationReport(subject=Q.name)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    rows = [Q.op(xs, Q.opinv(xs, ys)), Q.opinv(xs, Q.op(xs, ys)),
-            Q.op(xs, xs), Q.opinv(xs, xs)]
-    for a, b, c, d in zip(*rows) if isinstance(Q.scale, ScaleBatch) else [rows]:
-        p1 = LawCheck("P1: x op (x opinv y) = x opinv (x op y) = y")
-        p2 = LawCheck("P2: x op x = x opinv x = x")
-        rep.add(p1, p2)
-        _judge(p1, _per_sample(a, ys), tol, x=xs, y=ys)
-        _judge(p1, _per_sample(b, ys), tol, x=xs, y=ys)
-        _judge(p2, _per_sample(c, xs), tol, x=xs)
-        _judge(p2, _per_sample(d, xs), tol, x=xs)
+    S = Q.scale
+    own = [{}] * (len(S.scales) if isinstance(S, ScaleBatch) else 1)
+    p1 = [LawCheck("P1: x op (x opinv y) = x opinv (x op y) = y") for _ in own]
+    p2 = [LawCheck("P2: x op x = x opinv x = x") for _ in own]
+    for laws in zip(p1, p2):
+        rep.add(*laws)
+    _judge_rows(p1, S, Q.op(xs, Q.opinv(xs, ys)), ys, tol, own, x=xs, y=ys)
+    _judge_rows(p1, S, Q.opinv(xs, Q.op(xs, ys)), ys, tol, own, x=xs, y=ys)
+    _judge_rows(p2, S, Q.op(xs, xs), xs, tol, own, x=xs)
+    _judge_rows(p2, S, Q.opinv(xs, xs), xs, tol, own, x=xs)
     return rep
 
 
@@ -235,9 +237,9 @@ def check_gamma_irq(Q: GammaIrq, xs, ys) -> ValidationReport:
     for chunk in chunks(grid, len(xs)):
         rep.merge(check_irq(Q.at(batch(chunk)), xs, ys))
     for chunk, s, m, sm in _pair_chunks(grid, len(xs)):
-        _judge_rows(comp, s, Q.op(s, xs, Q.op(m, xs, ys)), Q.op(sm, xs, ys),
-                    1e-10, [{"s": str(a.value), "m": str(b.value)}
-                            for a, b, _ in chunk], x=xs, y=ys)
+        lhs, rhs = Q.op(s, xs, Q.op(m, xs, ys)), Q.op(sm, xs, ys)
+        _judge_rows(comp, s, lhs, rhs, 1e-10, [{"s": str(a.value),
+                    "m": str(b.value)} for a, b, _ in chunk], x=xs, y=ys)
     rep.add(comp)
     return rep
 
@@ -298,9 +300,9 @@ def check_pplay(Q: GammaIrq, samples) -> ValidationReport:
     for chunk, s, m, _ in _pair_chunks(grid, n):
         _, ms, sms = zip(*chunk)
         (mu, mv), (smu, smd) = at_m(ms), at_sm(sms)
-        _judge_rows(k_, s, D3(s, x, C(s, x, mu), mv), C(m, smu, smd), 1e-10,
-                    [{"eps": str(a.value), "mu": str(b.value)}
-                     for a, b, _ in chunk], x=x, u=u, v=v)
+        lhs = D3(s, x, C(s, x, mu), mv)
+        _judge_rows(k_, s, lhs, C(m, smu, smd), 1e-10, [{"eps": str(a.value),
+                    "mu": str(b.value)} for a, b, _ in chunk], x=x, u=u, v=v)
     return rep
 
 
