@@ -296,7 +296,7 @@ def check_pplay(Q: GammaIrq, samples) -> ValidationReport:
     # (k): the clouds of m or of sm alone, swept once over their scales
     at_m = _gather(grid, n, lambda m: (C(m, x, u), C(m, x, v)))
     at_sm = _gather(list(dict.fromkeys(s.mul(m) for s in grid for m in grid)),
-                    n, lambda sm: ((smu := C(sm, x, u)), D3(sm, x, smu, v)))
+                    n, lambda sm: ((ab := C(sm, x, u)), D3(sm, x, ab, v)))
     for chunk, s, m, _ in _pair_chunks(grid, n):
         _, ms, sms = zip(*chunk)
         (mu, mv), (smu, smd) = at_m(ms), at_sm(sms)
