@@ -32,16 +32,11 @@ from .emergent import (_judge_rows, check_pplay, gamma_irq_from_dilation,
 from .limits import BoundedSampler, check_A3
 from .models import EuclideanGroup, HeisenbergGroup, PairModel
 from .scales import batch, chunks, dyadic_grid, kernel_modulus
-from .transport import (
-    Coupling,
-    Measure,
-    _basis_tree,
-    _northwest_corner,
-    _read_basis,
-    check_kantorovich_certificate,
-    kantorovich,
-    two_point_space,
-)
+from .transport import (_OUTER, Coupling, MarginalMismatch, Measure,
+                        _basis_tree, _built, _judge_outer, _northwest_corner,
+                        _read_basis, check_kantorovich_certificate,
+                        compose_plans, kantorovich, product_plan,
+                        two_point_space)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +263,19 @@ def marginal_off_by_one_unit():
     return mu, nu, gamma, res.potential.values
 
 
+def composite_off_by_one_unit():
+    """The composite of mu (x) mu and mu (x) nu on three points of a line,
+    mu = (1/2, 1/3, 1/6) and nu its mirror, built by the trusted
+    constructor with (0, 1/2, 1/2) as its second marginal: one unit of
+    L = 6 moved from point 0 to 1.  Only the outer-marginal law sees it."""
+    sixth = Fraction(1, 6)
+    mu = Measure(_three_point_space(), (3 * sixth, 2 * sixth, sixth))
+    nu = Measure(mu.space, mu.weights[::-1])
+    ab = compose_plans(product_plan(mu, mu), product_plan(mu, nu))
+    return _built(mu.space, *ab._int, mu,
+                  Measure(mu.space, (0, 3 * sixth, 3 * sixth)))
+
+
 # ---------------------------------------------------------------------------
 # the planted suite
 
@@ -325,8 +333,6 @@ def run_planted_suite(seed: int = 0, samples: int = 200):
     rep = ValidationReport(subject="mismatched transport pair")
     law = LawCheck("planted pair has matching middle marginals")
     rep.add(law)
-    from .transport import MarginalMismatch, compose_plans
-
     gamma, gamma_prime = mismatched_transport_pair()
     law.tick()
     try:
@@ -342,4 +348,11 @@ def run_planted_suite(seed: int = 0, samples: int = 200):
             ("plan one unit short of its marginal", marginal_off_by_one_unit)):
         out.append((f"{name} vs the optimality certificate",
                     check_kantorovich_certificate(*planted())))
+
+    rep = ValidationReport(subject="composite off by one unit")
+    law = LawCheck(_OUTER)
+    rep.add(law)
+    _judge_outer(law, composite_off_by_one_unit())
+    out.append(("composite one unit off its second marginal vs its "
+                "factors' outer marginals", rep))
     return out

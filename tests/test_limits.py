@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from ngd import cli, limits, models, scales
+from ngd import cli, limits, models, scales, transport
 from ngd.core import LawCheck
 from ngd.emergent import _per_sample
 from ngd.fixtures import (
@@ -315,6 +315,31 @@ def test_report_makes_its_kernel_calls_in_chunks(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["report", "--suite", "all", "--json"]) == 0
     assert len(calls) + len(outside) == 492
+
+
+def test_report_checks_only_the_plans_and_measures_it_reads(monkeypatch):
+    """report --suite all runs the checked construction on the three plans
+    the seven-plan fixture writes out (two marginal checks each) and on 11
+    measures (the fixture's, its plans' marginals and the duality
+    check's).  When every plan the algebra built was settled, the report
+    ran 1,578 plan settles, 3,156 marginal checks and 756 measure checks:
+    the built plans are trusted now, and check_transport judges their
+    marginals as a counted law."""
+    checked = []
+    for cls, name in ((transport.Coupling, "__post_init__"),
+                      (transport.Coupling, "_marginal"),
+                      (transport.Measure, "__post_init__")):
+        def counting(self, *args, run=getattr(cls, name),
+                     key=f"{cls.__name__}.{name}"):
+            checked.append(key)
+            return run(self, *args)
+
+        monkeypatch.setattr(cls, name, counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["report", "--suite", "all", "--json"]) == 0
+    assert [checked.count(key) for key in (
+        "Coupling.__post_init__", "Coupling._marginal",
+        "Measure.__post_init__")] == [3, 6, 11]
 
 
 def test_large_clouds_sweep_one_scale_per_call(monkeypatch):

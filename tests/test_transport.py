@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from ngd import transport
 from ngd.constructions import FiniteMetricSpace, random_metric_space
 from ngd.core import _common, _matrix_over_lcm, _over_lcm
-from ngd.fixtures import marginal_off_by_one_unit, unpivoted_transport_basis
+from ngd.fixtures import (composite_off_by_one_unit,
+                          marginal_off_by_one_unit, run_planted_suite,
+                          unpivoted_transport_basis)
 from ngd.transport import (
     Coupling,
     LipFunction,
@@ -1256,9 +1258,6 @@ def test_refusals_read_like_the_fraction_path():
         text = refusal(lambda: Coupling(space, gamma, **declared))
         assert text == refusal(lambda: ref_coupling(space, gamma,
                                                     **declared))
-        num, D = _matrix_over_lcm(gamma)
-        assert text == refusal(
-            lambda: transport._plan(space, num, D, **declared))
         texts.add(text)
     assert texts == {
         "negative coupling entry -1/6",
@@ -1494,3 +1493,121 @@ def test_check_transport_reads_the_potentials_integer_form(monkeypatch):
         # the integer form is in lowest terms, as one built from values
         assert u == LipFunction(u.space, u.values)
         assert u._int == _over_lcm(u.values)
+
+
+# ---------------------------------------------------------------------------
+# the trusted plan algebra against the checked route
+#
+# The plans the algebra builds adopt the marginals it guarantees and are
+# reduced only where the operation can break lowest terms.  Rebuilt by
+# Coupling(...), with their declared marginals and without, each must come
+# out the same: one integer form, one mu and one nu.
+
+
+def assert_checked_route_agrees(plan):
+    space = plan.space
+    declared = Coupling(space, plan.gamma, mu=plan.mu, nu=plan.nu)
+    summed = Coupling(space, plan.gamma)
+    assert plan._int == declared._int == summed._int
+    assert all(type(row) is tuple for row in plan._int[0])
+    assert (plan.mu, plan.nu) == (summed.mu, summed.nu)
+
+
+def built_plans(space, rng):
+    """Every plan constructor on space, on measures with full support, with
+    zero-mass points (point 0 empty) and with a map that merges all mass
+    onto point 0; then their inverses and every composable pair."""
+    n = space.n_points()
+    plans = []
+    for full in (True, False):
+        mu, nu = (random_measure(space, rng, full_support=full)
+                  for _ in range(2))
+        zero = measure_with_zeros(space, rng)
+        merged = map_plan([0] * n, zero)
+        assert merged.nu._int == ((1,) + (0,) * (n - 1), 1)
+        f = tuple(rng.randrange(n) for _ in range(n))
+        plans += [
+            diag_plan(mu), diag_plan(zero), product_plan(mu, zero),
+            product_plan(zero, nu), merged, map_plan(f, mu),
+            random_coupling_from(mu, rng, full_support=full),
+            random_coupling_from(zero, rng, full_support=full),
+            random_coupling_between(zero, nu, rng),
+            random_coupling_between(mu, nu, rng),
+        ]
+    plans += [inverse_plan(p) for p in plans]
+    return plans + [compose_plans(p, q) for p in plans for q in plans
+                    if p.nu == q.mu]
+
+
+@pytest.mark.parametrize(
+    "space",
+    [two_point_space(), line3(),
+     *(random_metric_space(seed=s, max_points=6) for s in range(9))],
+    ids=["two-point", "line3", *(f"random{s}" for s in range(9))])
+def test_built_plans_equal_their_checked_rebuilds(space):
+    plans = built_plans(space, random.Random(space.n_points()))
+    assert len(plans) > 40
+    for plan in plans:
+        assert_checked_route_agrees(plan)
+
+
+def test_outer_marginal_law_catches_a_composite_off_its_marginal(
+        monkeypatch):
+    """A compose that reverses the rows of its matrix still adopts its
+    factors' outer marginals and builds without complaint; the counted law
+    names the composites whose rows no longer sum to mu."""
+    honest = transport.compose_plans
+
+    def reversed_rows(gamma, gamma_prime):
+        p = honest(gamma, gamma_prime)
+        num, D = p._int
+        return transport._built(p.space, num[::-1], D, p.mu, p.nu)
+
+    monkeypatch.setattr(transport, "compose_plans", reversed_rows)
+    rep = check_transport(line3(), seed=0, samples=10)
+    law = rep.law("composites carry their factors' outer marginals")
+    assert law.checked == 40 and law.failures > 0
+    assert {w["plan"] for w in law.witnesses} <= {"ab", "left", "right",
+                                                  "loop"}
+    assert all(set(w) == {"sample", "plan", "row", "sum", "marginal"}
+               for w in law.witnesses)
+
+
+def test_planted_composite_fails_only_the_outer_marginal_law():
+    plan = composite_off_by_one_unit()
+    assert (plan.nu.weights, plan.mu.weights) == (
+        (0, Fraction(1, 2), Fraction(1, 2)),
+        (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+    # the declared nu is off by one unit of L = 6 at points 0 and 1
+    with pytest.raises(ValueError, match="second marginal .* index 0"):
+        Coupling(plan.space, plan.gamma, mu=plan.mu, nu=plan.nu)
+    name, rep = run_planted_suite()[-1]
+    assert name.startswith("composite one unit off its second marginal")
+    law = rep.law("composites carry their factors' outer marginals")
+    assert (law.checked, law.failures) == (1, 1)
+    assert law.witnesses == [{"column": 0, "sum": "1/6", "marginal": "0"}]
+
+
+def test_duality_and_category_read_integer_forms(monkeypatch):
+    """check_kantorovich_duality's gap and saturation laws read the
+    certificate's sums, and category_from_plans builds its potentials from
+    the vertices' integer forms: with seminorm_rho refused in the first and
+    the checked LipFunction refused in the second, the reports stay."""
+    X = two_point_space()
+    mu = Measure(X, (Fraction(1, 2), Fraction(1, 2)))
+    nu = Measure(X, (Fraction(1, 4), Fraction(3, 4)))
+    pairs = [(mu, nu), (mu, mu), (nu, mu)]
+    duality = check_kantorovich_duality(X, pairs).to_json()
+    category, plans, _ = transport.transport_category_fixture()
+
+    def refused(*args):
+        raise AssertionError("a checked route was taken")
+
+    monkeypatch.setattr(transport, "seminorm_rho", refused)
+    assert check_kantorovich_duality(X, pairs).to_json() == duality
+    monkeypatch.undo()
+    monkeypatch.setattr(LipFunction, "__post_init__", refused)
+    again, _, _ = transport.transport_category_fixture()
+    assert again.seminorms.values == category.seminorms.values
+    assert all(type(v) is Fraction for row in again.seminorms.values
+               for v in row)
