@@ -39,7 +39,7 @@ def _per_sample(a, b, lead=1):
     axes after them, NaN-propagating, and 0 where they hold no entry.
     Clouds and arrows are column-major (see ngd.models), so the max runs
     down contiguous coordinate columns."""
-    d = np.abs(np.subtract(a, b))
+    d = np.abs(d := np.subtract(a, b), out=d)  # in place
     return d if d.ndim <= lead else np.max(
         d, axis=tuple(range(lead, d.ndim)), initial=0.0)
 

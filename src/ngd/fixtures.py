@@ -348,6 +348,10 @@ def run_planted_suite(seed: int = 0, samples: int = 200):
             ("plan one unit short of its marginal", marginal_off_by_one_unit)):
         out.append((f"{name} vs the optimality certificate",
                     check_kantorovich_certificate(*planted())))
+    h = Fraction(1, 2)  # a 2 x 3 plan, a 2-value potential: each sum right
+    mu = Measure(_three_point_space(), (h, h, 0))
+    out[-1][1].merge(check_kantorovich_certificate(
+        mu, mu, ((h, 0, 0), (0, h, 0)), (0, 0)))
 
     rep = ValidationReport(subject="composite off by one unit")
     law = LawCheck(_OUTER)

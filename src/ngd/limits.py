@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itruediv  # d /= m: in place, or a new numpy scalar
 
 import numpy as np
 
@@ -264,23 +265,24 @@ class BoundedSampler:
 def rescaled_distance(model, scale, x, u, v):
     """d^x_eps(u, v) = (1/|eps|) dist(delta^x_eps u, delta^x_eps v)."""
     pd = model.point_dilatation
-    return model.pdist(pd(scale, x, u),
-                       pd(scale, x, v)) / kernel_modulus(scale)
+    return itruediv(model.pdist(pd(scale, x, u),
+                                pd(scale, x, v)), kernel_modulus(scale))
 
 
 def rescaled_pair_distance(model, scale, g, h):
     """(1/|eps|) d(dif(delta_eps g, delta_eps h)) on same-fiber arrows,
     read off the dilated targets without building the arrows."""
     pd, src, tgt = model.point_dilatation, model.source, model.target
-    return model.pdist(pd(scale, src(g), tgt(g)),
-                       pd(scale, src(h), tgt(h))) / kernel_modulus(scale)
+    return itruediv(model.pdist(pd(scale, src(g), tgt(g)),
+                                pd(scale, src(h), tgt(h))),
+                    kernel_modulus(scale))
 
 
 def rescaled_norm(model, scale, a):
     """(1/|eps|) d(delta_eps a), read off the dilated target."""
     src = model.source(a)
-    return model.pdist(model.point_dilatation(scale, src, model.target(a)),
-                       src) / kernel_modulus(scale)
+    return itruediv(model.pdist(model.point_dilatation(
+        scale, src, model.target(a)), src), kernel_modulus(scale))
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,18 @@ contiguous run, which numpy's ufuncs walk with a long inner loop; with
 row-major blocks that inner axis has length dim, and with order "F" over
 a (k, n, dim) batch it has length k, several times slower either way.  A
 kernel's scale is a float, or a ScaleBatch's (k, 1) column, which maps
-an (n, dim) cloud to a (k, n, dim) batch, scale by scale.
+an (n, dim) cloud to a (k, n, dim) batch, scale by scale.  An array of
+_FLOOR floats or more (256 KiB, past glibc's 128 KiB mmap threshold,
+where each fresh block faults its pages in) views a buffer on this
+thread's free list, owned by whoever holds a view of it; _empty reuses
+it, last handed out first, once only the list holds it.
 """
 
 from __future__ import annotations
 
+import math
 import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,15 +61,29 @@ from .scales import Scale, as_scale, batch, chunks, dyadic_grid, kernel_modulus
 # carrier groups
 
 
+_FLOOR = 1 << 15
+_free = threading.local()  # its __dict__: size -> flat buffers
+_IDLE = (lambda free: sys.getrefcount(free[0]))([np.empty(1)])  # no other ref
+
+
 def _empty(shape, block=2):
     """An uninitialised float array of shape, laid out by the storage
     rule: its trailing block axes column-major, the axes before them
-    outermost."""
-    lead = len(shape) - block
-    if lead <= 0:
-        return np.empty(shape, order="F")
-    return np.empty(shape[:lead] + shape[:lead - 1:-1]).transpose(
+    outermost; from _FLOOR floats up, on a buffer of the free list."""
+    lead = max(len(shape) - block, 0)
+    dims, size = shape[:lead] + shape[lead:][::-1], math.prod(shape)
+    out = np.empty(dims) if size < _FLOOR else _take(size).reshape(dims)
+    return out.T if lead == 0 else out.transpose(
         *range(lead), *range(len(shape) - 1, lead - 1, -1))
+
+
+def _take(size):
+    """The idle buffer of size floats handed out last, or a new one."""
+    free = vars(_free).setdefault(size, [])
+    i = next((i for i in range(len(free) - 1, -1, -1)
+              if sys.getrefcount(free[i]) == _IDLE), None)
+    free.append(np.empty(size) if i is None else free.pop(i))
+    return free[-1]
 
 
 def _shape(s, *operands):
@@ -126,7 +146,10 @@ class EuclideanGroup:
 
     def gauge(self, a):
         a = np.asarray(a)  # squares summed left to right in any layout
-        return np.sqrt(sum(a[..., k] ** 2 for k in range(a.shape[-1])))
+        r = np.square(a[..., 0], out=_empty(a.shape[:-1], 1))
+        for k in range(1, a.shape[-1]):
+            r += a[..., k] ** 2
+        return np.sqrt(r, out=r)[()]  # [()]: a numpy scalar for one point
 
     def sample(self, rng, n, radius, center=None):
         """n points with gauge(center^-1 p) <= radius (rejection from the
@@ -145,9 +168,7 @@ class HeisenbergGroup:
     name = "heisenberg"
     # as for EuclideanGroup, but the gauge takes 4th powers
     max_grid_depth = (1 - sys.float_info.min_exp) // 4
-
-    def e(self):
-        return np.zeros(3)
+    e, inv = EuclideanGroup.e, EuclideanGroup.inv  # 0 and -a, as in R^3
 
     def mul(self, a, b):
         a = np.asarray(a, dtype=float)
@@ -165,9 +186,6 @@ class HeisenbergGroup:
         c *= 0.5
         o2 += c
         return out
-
-    def inv(self, a):
-        return np.negative(a, out=_empty(np.shape(a)))
 
     def dil(self, s: float, a):
         a = np.asarray(a, dtype=float)
@@ -217,9 +235,13 @@ class HeisenbergGroup:
         return out
 
     def gauge(self, a):
-        a = np.asarray(a)
-        r2 = a[..., 0] ** 2 + a[..., 1] ** 2
-        return (r2**2 + 16.0 * a[..., 2] ** 2) ** 0.25
+        a = np.asarray(a)  # as written: numpy scalar math for one point
+        r = np.square(a[..., 0], out=_empty(a.shape[:-1], 1))[()]
+        r += a[..., 1] ** 2
+        r **= 2
+        r += 16.0 * a[..., 2] ** 2
+        r **= 0.25
+        return r
 
     def sample(self, rng, n, radius, center=None):
         tb = radius**2 / 4.0  # |t| <= gauge^2 / 4 on the ball

@@ -49,16 +49,18 @@ class Scale:
 class ScaleBatch:
     """k scales swept as one batch axis: modulus is the (k, 1) column of
     their float(modulus), so each enters a kernel as the float it would
-    alone; inv() inverts each scale exactly."""
+    alone; inv() inverts each scale exactly, once per batch."""
 
     def __init__(self, scales):
         import numpy as np  # only the analytic side sweeps batches
 
         self.scales = tuple(scales)
         self.modulus = np.array([[s._float] for s in self.scales])
+        self._inv = None
 
     def inv(self) -> "ScaleBatch":
-        return ScaleBatch(s.inv() for s in self.scales)
+        self._inv = self._inv or ScaleBatch(s.inv() for s in self.scales)
+        return self._inv
 
 
 def kernel_modulus(scale):

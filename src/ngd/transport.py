@@ -703,12 +703,12 @@ def check_kantorovich_certificate(mu: Measure, nu: Measure, gamma, u):
     """Certify a plan matrix gamma and a potential u as optimal for the
     transport problem (mu, nu), from the raw values alone.
 
-    Four laws: gamma is a coupling of (mu, nu) (nonnegative, exact row
-    and column sums); u is 1-Lipschitz (witness: a violating pair); the
-    gap sum d.gamma - sum u.(mu - nu) is zero; complementary slackness,
-    u(x) - u(y) = d(x, y) on every occupied cell.  Weak duality makes a
-    passing pair optimal on both sides, whatever produced it.  All sums
-    and comparisons are in integers, each operand over its own lcm."""
+    Four laws: gamma is an n x n coupling of (mu, nu) (nonnegative, exact
+    row and column sums); u is 1-Lipschitz on n points (witness: a bad
+    pair); the gap sum d.gamma - sum u.(mu - nu) is zero; complementary
+    slackness, u(x) - u(y) = d(x, y) on every occupied cell.  Weak duality
+    makes a passing pair optimal on both sides, whatever produced it.
+    All sums and comparisons are in integers, each over its own lcm."""
     return _certify(mu, nu, _matrix_over_lcm(gamma), _over_lcm(u))[0]
 
 
@@ -752,7 +752,9 @@ def _certify(mu, nu, plan, potential):
 
     (g, Dg), (ui, Du) = plan, potential
     marg.tick(2 * n)
-    for w in _off_marginals(plan, mu, nu):
+    shape = (len(g), *sorted({len(row) for row in g}))  # rows, row lengths
+    for w in (_off_marginals(plan, mu, nu) if shape == (n, n)
+              else [dict(shape=shape)]):
         marg.fail(**w)
     for x, row in enumerate(g):
         for y, v in enumerate(row):
@@ -760,11 +762,14 @@ def _certify(mu, nu, plan, potential):
                 marg.fail(cell=(x, y), mass=str(Fraction(v, Dg)))
 
     lip.tick(n * (n - 1))
-    w = _lip1_witness(space, potential)
-    if w is not None:
+    if len(ui) != n:
+        lip.fail(length=len(ui))
+    elif (w := _lip1_witness(space, potential)) is not None:
         x, y = w
         lip.fail(pair=w, difference=str(Fraction(ui[x] - ui[y], Du)),
                  d=str(space.dist[x][y]))
+    if shape != (n, n) or len(ui) != n:  # the sums below need both whole
+        return rep, None, None
 
     occupied = [
         (x, y) for x, row in enumerate(g) for y, v in enumerate(row) if v > 0

@@ -121,3 +121,13 @@ def test_stacked_clouds_follow_the_storage_rule():
     quads = sample_point_quads(H, np.random.default_rng(0), n=50)
     check_pplay(GammaIrq(op=op, name=G.name), quads)
     assert seen and set(seen) == {(8, 50 * 8)}
+
+
+def test_a_batch_inverts_once():
+    """ScaleBatch.inv() builds its k inverse scales and their column once:
+    the batteries call it many times per chunk."""
+    S = ScaleBatch(dyadic_grid(kmax=5))
+    assert S.inv() is S.inv()
+    assert S.inv().inv().scales == S.scales
+    assert np.array_equal(S.inv().inv().modulus, S.modulus)
+    assert [s.value for s in S.inv().scales] == [2**k for k in range(1, 6)]

@@ -1418,6 +1418,44 @@ def test_planted_off_by_one_unit_fails_the_marginal_law_only():
     assert check_kantorovich_certificate(mu, nu, fixed, u).passed
 
 
+HALF = Fraction(1, 2)
+COUPLING = "plan is a coupling of (mu, nu), exactly"
+LIPSCHITZ = "potential is 1-Lipschitz"
+
+
+@pytest.mark.parametrize("gamma, u, law, witness", [
+    (((HALF, 0, 0), (0, HALF, 0)), (0, 0, 0), COUPLING, {"shape": (2, 3)}),
+    (((HALF, 0), (0, HALF), (0, 0)), (0, 0, 0), COUPLING, {"shape": (3, 2)}),
+    (((HALF, 0, 0), (0, HALF), (0, 0, 0)), (0, 0, 0), COUPLING,
+     {"shape": (3, 2, 3)}),
+    (((HALF, 0, 0), (0, HALF, 0), (0, 0, 0)), (0, 0), LIPSCHITZ,
+     {"length": 2}),
+], ids=["2x3 plan", "3x2 plan", "ragged plan", "two-value potential"])
+def test_certificate_judges_the_shape_of_plan_and_potential(gamma, u, law,
+                                                            witness):
+    """With mu = nu = (1/2, 1/2, 0) on three points, every row and column
+    that zip pairs up sums right, so without the shape clauses each of
+    these passed every law.  A misshapen pair fails on its shape, and
+    the gap and slackness laws, which need both whole, read nothing."""
+    mu = Measure(line3(), (HALF, HALF, 0))
+    rep = check_kantorovich_certificate(mu, mu, gamma, u)
+    assert failing_laws(rep) == [law]
+    assert rep.law(law).witnesses == [witness]
+    assert [c.checked for c in rep.laws] == [6, 6, 0, 0]
+    square = ((HALF, 0, 0), (0, HALF, 0), (0, 0, 0))
+    assert check_kantorovich_certificate(mu, mu, square, (0, 0, 0)).passed
+
+
+def test_planted_suite_holds_a_misshapen_certificate():
+    """A 2 x 3 plan with a two-value potential joins the certificate report
+    of the plan one unit short, after that plan's own four laws."""
+    rep = dict(run_planted_suite())[
+        "plan one unit short of its marginal vs the optimality certificate"]
+    assert [c.law for c in rep.laws[4:]] == [c.law for c in rep.laws[:4]]
+    assert [c.witnesses for c in rep.laws[4:6]] == [[{"shape": (2, 3)}],
+                                                    [{"length": 2}]]
+
+
 # ---------------------------------------------------------------------------
 # gamma and weights are built from the integer forms on first read
 
