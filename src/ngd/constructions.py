@@ -25,6 +25,7 @@ from .core import (
     FiniteGroupoid,
     LawCheck,
     ValidationReport,
+    _gather,
     _matrix_over_lcm,
     as_fraction,
 )
@@ -119,7 +120,7 @@ def pair_groupoid(space: FiniteMetricSpace) -> FiniteGroupoid:
     rows, D = space._int
     return FiniteGroupoid._normed(
         arrows, compose, inverse, list(chain(*space.dist)),
-        (list(chain(*rows)), D))
+        (tuple(chain(*rows)), D))
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +167,12 @@ def _dif_map(G: FiniteGroupoid, pairs) -> list:
     return [rows[g][inv[h]] for g, h in pairs]
 
 
-def _flat_differences(G: FiniteGroupoid) -> list:
+def _flat_differences(G: FiniteGroupoid) -> tuple:
     """The difference matrices flattened in arrow order: the numerators
     of d(g h^-1) for the pairs (g, h) of _double_pairs(G), in order."""
     row = dict(zip(chain(*G.fibers()[0].values()),
                    chain(*G.differences().values())))
-    return [*chain.from_iterable(map(row.__getitem__, range(len(row))))]
+    return (*chain.from_iterable(map(row.__getitem__, range(len(row)))),)
 
 
 def _missing_report(G: FiniteGroupoid, subject, error) -> ValidationReport:
@@ -223,45 +224,46 @@ def double_groupoid(G: FiniteGroupoid) -> FiniteGroupoid:
 
     The pair (g, h) runs from the object (h, h) to (g, g): difference
     arrows index "how to get from h to g inside one fiber".  It is arrow
-    start[g] + (the index of h in its fiber).  The compose table is built,
-    and range checked, on its first read: the checks of D against G read
-    only D's labels and norm."""
+    start[g] + (the index of h in its fiber).  The compose table is built
+    on its first read: the checks of D against G read only D's labels and
+    norm."""
     alpha, leaving, pairs = G.endpoints()[0], G.fibers()[0], _double_pairs(G)
     start = [0, *accumulate(len(leaving[a]) for a in alpha)]
-    inverse = [start[h] + leaving[alpha[g]].index(g) for g, h in pairs]
+    at = {g: i for gs in leaving.values() for i, g in enumerate(gs)}
+    inverse = [start[h] + at[g] for g, h in pairs]
     arrows = list(_double_labels(G))  # D's own list: G keeps the cached one
     compose = partial(_double_compose, pairs, start)
-    if G.norm is None:
-        return FiniteGroupoid(arrows, compose, inverse)
-    flat, value = _flat_differences(G), dict(zip(G._int[0], G.norm))
-    return FiniteGroupoid._normed(arrows, compose, inverse,
-                                  [*map(value.__getitem__, flat)],
-                                  (flat, G._int[1]))
+    norm, ints = None, (None, None)
+    if G.norm is not None:
+        flat, value = _flat_differences(G), dict(zip(G._int[0], G.norm))
+        norm, ints = [*map(value.__getitem__, flat)], (flat, G._int[1])
+    return FiniteGroupoid._normed(arrows, compose, inverse, norm, ints)
 
 
 def _right_translation(G: FiniteGroupoid, law, key=None) -> LawCheck:
     """Right translation preserves fiber distances, d(g h^-1) =
     d((gu)(hu)^-1) for g, h leaving omega(u): per u, the difference matrix
     of alpha(u) reindexed by p, the positions of the g u, equals that of
-    omega(u).  Ticks law once, then fails it at each failing (u, g, h), in
-    the order of key."""
-    (alpha, omega), leaving = G.endpoints(), G.fibers()[0]
-    rows, M = G.rows(), G.differences()
-    checked, bad = 0, []
-    for u, x in enumerate(omega):
-        gs = leaving.get(x, ())
-        checked += len(gs) ** 2
-        if not gs:
-            continue
-        p = [*map(leaving[alpha[u]].index, [rows[g][u] for g in gs])]
-        there, here = M[alpha[u]], M[x]
-        get = itemgetter(*p) if len(p) > 1 else lambda r, j=p[0]: (r[j],)
-        if [*map(get, map(there.__getitem__, p))] != here:
-            bad += [(u, g, h) for i, g in enumerate(gs)
-                    for j, h in enumerate(gs)
-                    if here[i][j] != there[p[i]][p[j]]]
-    law.tick(checked)
-    for u, g, h in sorted(bad, key=key):
+    omega(u).  Judged once per G; ticks law once, then fails it at each
+    failing (u, g, h), in the order of key."""
+    if G._right is None:
+        (alpha, omega), leaving = G.endpoints(), G.fibers()[0]
+        rows, M = G.rows(), G.differences()
+        checked, bad = 0, []
+        for u, x in enumerate(omega):
+            gs = leaving.get(x, ())
+            checked += len(gs) ** 2
+            if not gs:
+                continue
+            p = [*map(leaving[alpha[u]].index, [rows[g][u] for g in gs])]
+            there, here = M[alpha[u]], M[x]
+            if [*map(_gather(p), map(there.__getitem__, p))] != here:
+                bad += [(u, g, h) for i, g in enumerate(gs)
+                        for j, h in enumerate(gs)
+                        if here[i][j] != there[p[i]][p[j]]]
+        G._right = checked, bad
+    law.tick(G._right[0])
+    for u, g, h in sorted(G._right[1], key=key):
         law.fail(g=G.arrows[g], h=G.arrows[h], u=G.arrows[u])
     return law
 

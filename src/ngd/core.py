@@ -16,6 +16,8 @@ A norm is a nonnegative weight on arrows that vanishes exactly on unit
 arrows, is subadditive along composition and invariant under inversion.
 All finite-table arithmetic is exact: tables are judged in integers,
 over one lcm each; Fractions are the input, JSON and witness boundary.
+FiniteGroupoid(...) and from_json check their input; pair_groupoid and
+double_groupoid build trusted tables through _normed, labels checked.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, count
+from functools import partial
+from itertools import count
 from operator import itemgetter
 
 MAX_WITNESSES = 10
@@ -166,18 +169,25 @@ class ValidationReport:
 class FiniteGroupoid:
     """A finite groupoid given by tables.
 
-    arrows   -- list of arrow labels (strings)
+    arrows   -- list of arrow labels (strings), no two alike
     compose  -- dict (g, h) -> m(g, h) on arrow indices; partial.  Or a
                 function returning it, called on the first read of compose
     inverse  -- list, inverse[g] = index of g^-1
     norm     -- optional list of Fractions, one per arrow, never mutated:
                 _int is its integer form (numerators, D), built once
+
+    FiniteGroupoid(...) and from_json range check every index and the norm;
+    _normed, the route of pair_groupoid and double_groupoid, trusts their
+    tables and checks only that no two labels are alike.
     """
 
     arrows: list
     compose: dict
     inverse: list
     norm: list | None = None
+    # built on first use; _pairs and _pair_labels by ngd.constructions
+    _ends = _fibers = _rows = _diffs = _right = _pairs = _pair_labels = None
+    _int = None, None
 
     def __post_init__(self):
         n = len(self.arrows)
@@ -191,11 +201,9 @@ class FiniteGroupoid:
             if not (isinstance(gi, int) and 0 <= gi < n):
                 raise ValueError(f"inverse[{g}] = {gi!r} out of range")
         if callable(self.compose):  # a builder: see __getattr__
-            self._build = self.compose
-            del self.compose
+            self._build = partial(_check_compose, vars(self).pop("compose"), n)
         else:
             _check_compose(self.compose, n)
-        self._int = None, None
         if self.norm is not None:
             if len(self.norm) != n:
                 raise ValueError("norm table length mismatch")
@@ -204,24 +212,24 @@ class FiniteGroupoid:
             for g, v in enumerate(self._int[0]):
                 if v < 0:
                     raise ValueError(f"norm[{g}] = {self.norm[g]} is negative")
-        # built on first use; _pairs and _pair_labels by ngd.constructions
-        self._ends = self._fibers = self._rows = None
-        self._diffs = self._pairs = self._pair_labels = None
 
     def __getattr__(self, name):
-        """A compose given as a builder is built and range checked on first
-        read; compose has no class default, so that read lands here."""
+        """A compose given as a builder is built on first read; compose has
+        no class default, so that read lands here."""
         if name != "compose":
             return object.__getattribute__(self, name)
-        self.compose = _check_compose(self._build(), len(self.arrows))
+        self.compose = self._build()
         del self._build
         return self.compose
 
     @classmethod
     def _normed(cls, arrows, compose, inverse, norm, ints):
-        """With a norm checked by the caller, and its integer form."""
-        G = cls(arrows, compose, inverse)
-        G.norm, G._int = norm, ints
+        """Trusted tables: labels checked; norm and ints taken as given."""
+        if len(set(arrows)) != len(arrows):
+            raise ValueError("duplicate arrow labels")
+        G = cls.__new__(cls)
+        G.arrows, G.inverse, G.norm, G._int = arrows, inverse, norm, ints
+        setattr(G, "_build" if callable(compose) else "compose", compose)
         return G
 
     # -- endpoints and fibers -----------------------------------------------
@@ -352,18 +360,13 @@ def _inverse_laws(labels, compose, inverse) -> tuple:
 
 
 def _check_compose(compose, n) -> dict:
-    """compose, if each index in it is an int in range(n); else ValueError.
-    One pass over every index; the loop only names the first bad one."""
-    keys = compose.keys()
-    flat = ({*map(type, keys)} <= {tuple} and {*map(len, keys)} <= {2}
-            and [*chain.from_iterable(keys), *compose.values()])
-    if flat != [] and not (flat and {*map(type, flat)} == {int}
-                           and 0 <= min(flat) and max(flat) < n):
-        for (g, h), k in compose.items():
-            for v in (g, h, k):
-                if not (isinstance(v, int) and 0 <= v < n):
-                    raise ValueError(f"compose entry ({g},{h})->{k} "
-                                     "out of range")
+    """compose, or the table a builder compose returns, if each index in it
+    is an int in range(n); else ValueError naming the first bad entry."""
+    compose = compose() if callable(compose) else compose
+    for (g, h), k in compose.items():
+        for v in (g, h, k):
+            if not (isinstance(v, int) and 0 <= v < n):
+                raise ValueError(f"compose entry ({g},{h})->{k} out of range")
     return compose
 
 
@@ -375,24 +378,34 @@ def _rows(compose, n) -> list:
     return rows
 
 
+def _gather(keys):
+    """Reads a row at keys, as a tuple; KeyError if one is missing."""
+    return (itemgetter(*keys) if len(keys) > 1
+            else lambda r, ks=tuple(keys): tuple(map(r.__getitem__, ks)))
+
+
 def _assoc_law(title, labels, compose, rows, after) -> LawCheck:
     """Associativity with closure: for every composite gh and every k in
     after[h] (the arrows that should compose on the right of h), hk,
-    (gh)k and g(hk) exist and (gh)k = g(hk).  One gather per composite
-    over after[h]; the per-k loop runs only on a composite that fails."""
+    (gh)k and g(hk) exist and (gh)k = g(hk).  One tuple of the (gh)k and
+    one of the g(hk) per composite; the per-k loop runs only on a mismatch
+    or a KeyError (a missing hk is read as the key None)."""
     assoc = LawCheck(title)
     assoc.tick(sum(map(len, map(after.__getitem__,
                                 map(itemgetter(1), compose)))))
-    hks = [[*map(r.get, ks)] for r, ks in zip(rows, after)]
+    lefts = [*map(_gather, after)]
+    rights = [_gather([*map(r.get, ks)]) for r, ks in zip(rows, after)]
     for (g, h), gh in compose.items():
-        left = [*map(rows[gh].get, after[h])]
-        if None in hks[h] or None in left or [
-                *map(rows[g].get, hks[h])] != left:
-            for k in after[h]:
-                hk = compose.get((h, k))
-                left = compose.get((gh, k))
-                if hk is None or left is None or compose.get((g, hk)) != left:
-                    assoc.fail(g=labels[g], h=labels[h], k=labels[k])
+        try:
+            if lefts[h](rows[gh]) == rights[h](rows[g]):
+                continue
+        except KeyError:
+            pass
+        for k in after[h]:
+            hk = compose.get((h, k))
+            left = compose.get((gh, k))
+            if hk is None or left is None or compose.get((g, hk)) != left:
+                assoc.fail(g=labels[g], h=labels[h], k=labels[k])
     return assoc
 
 
@@ -525,10 +538,9 @@ def check_separability(G: FiniteGroupoid) -> ValidationReport:
                 between.setdefault(omega[g], []).append(g)
         law.tick(len(between))
         for y in sorted(between):
-            arrows = between[y]
-            if min(d[g] for g in arrows) == 0:
-                g0 = next(g for g in arrows if d[g] == 0)
-                law.fail(x=G.arrows[x], y=G.arrows[y], arrow=G.arrows[g0])
+            zero = [g for g in between[y] if d[g] == 0]
+            if zero:
+                law.fail(x=G.arrows[x], y=G.arrows[y], arrow=G.arrows[zero[0]])
     return rep
 
 

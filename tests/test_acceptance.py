@@ -198,7 +198,7 @@ def test_criterion_04_identity_battery_and_planted_fixtures():
             )
             est_evidence = any(not e.passed for e in rep.limits)
             assert law_evidence or est_evidence, f"{name} failed silently"
-        assert len(suite) == 15
+        assert len(suite) == 16
         placed = dict(suite)[
             "composite outside its fiber vs right translation"].law(
             "g u lies in the fiber of alpha(u)")

@@ -259,6 +259,18 @@ def test_cli_validate_malformed_shape_is_exit_two(tmp_path, capsys, blob,
         assert "invalid structure" in err
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_cli_validate_refuses_a_space_whose_arrow_labels_collide(
+        tmp_path, capsys, flags):
+    # the points a and a<-a give two arrows labelled a<-a<-a
+    f = tmp_path / "space.json"
+    f.write_text(json.dumps({"points": ["a", "a<-a", "b"],
+                             "dist": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}))
+    assert run_cli("validate", str(f), *flags) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "invalid structure: duplicate arrow labels\n")
+
+
 def test_cli_validate_keeps_the_report_when_inverse_pairs_fail(tmp_path,
                                                                capsys):
     # a is its own inverse but (a, a) is missing: alpha is undefined, so

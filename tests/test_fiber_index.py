@@ -11,6 +11,7 @@ Fraction form of the shared (semi)norm kernel.  Every table and every
 report must come out equal, witnesses and their order included."""
 
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -624,29 +625,42 @@ def test_a_retargeted_composite_breaks_right_translation_at_one_u():
 def test_each_table_is_built_once_per_groupoid(monkeypatch):
     """One G through the double groupoid, its norm check and the fiber
     distances: rows, difference matrices and the pair list are each built
-    once, and both right-translation laws read them."""
+    once, and the right-translation kernel runs once for both laws that
+    read it."""
     G = pair_groupoid(random_metric_space(7, max_points=6))
     built = []
 
     def spy(owner, name, cached):
         run = getattr(owner, name)
 
-        def counted(H):
+        def counted(H, *args):
             if H is G and getattr(H, cached) is None:
                 built.append(name)
-            return run(H)
+            return run(H, *args)
         monkeypatch.setattr(owner, name, counted)
 
     spy(FiniteGroupoid, "rows", "_rows")
     spy(FiniteGroupoid, "differences", "_diffs")
     spy(constructions, "_double_pairs", "_pairs")
+    spy(constructions, "_right_translation", "_right")
     D = double_groupoid(G)
     reports = [check_double_norm(G, D), check_fiber_distances(G),
-               validate_groupoid(G)]
+               validate_groupoid(G), check_double_norm(G)]
     fiber_distances(G)
-    assert sorted(built) == ["_double_pairs", "differences", "rows"]
+    assert sorted(built) == ["_double_pairs", "_right_translation",
+                             "differences", "rows"]
     assert all(rep.passed for rep in reports)
     assert reports[0].laws[1].checked == reports[1].laws[0].checked
+
+
+def test_a_failed_right_translation_is_not_kept():
+    # the kernel raises on a G lacking a composite it reads: each check
+    # reports the missing composites, and nothing is kept in its place
+    G = retargeted_compose_groupoid()
+    first = check_double_norm(G)
+    assert not first.passed and G._right is None
+    assert not check_fiber_distances(G).passed and G._right is None
+    same_report(check_double_norm(G), first)
 
 
 @pytest.mark.parametrize("seed", range(0, 50, 7))
@@ -763,3 +777,197 @@ def test_category_involution_witness_names_the_inverse():
     law = check_category_with_inverses(C).law("inverse is an involution")
     assert law.failures == 1
     assert law.witnesses == [{"g": "e", "inv": "a"}]
+
+
+# ---------------------------------------------------------------------------
+# trusted tables against checked rebuilds
+
+
+def first_points(X, n):
+    """The metric space on the first n points of X."""
+    return FiniteMetricSpace(X.points[:n], [row[:n] for row in X.dist[:n]])
+
+
+def rebuilt(G):
+    """G's tables, copied, through the checked constructor."""
+    return FiniteGroupoid(list(G.arrows), dict(G.compose), list(G.inverse),
+                          list(G.norm))
+
+
+def battery(G):
+    """Every finite check on G, as (report, ...) and the fiber tables."""
+    D = double_groupoid(G)
+    fibers = fiber_distances(G)
+    reports = [validate_groupoid(G), check_norm(G), check_separability(G),
+               check_double_norm(G, D), check_double_norm(G),
+               check_fiber_distances(G)]
+    return reports, fibers, norm_from_fiber_distances(G, fibers)
+
+
+def same_as_rebuilt(T):
+    """T, built trusted, against its checked rebuild C: fields, integer
+    form, JSON, a pickle round trip (taken before T's compose is read),
+    every battery report, and every table either of them then holds."""
+    copy = pickle.loads(pickle.dumps(T))
+    C = rebuilt(T)
+    assert T == C and T._int == C._int and T.to_json() == C.to_json()
+    assert copy == C and vars(copy) == vars(T)
+    (got, *tables), (want, *want_tables) = battery(T), battery(C)
+    for a, b in zip(got, want):
+        same_report(a, b)
+    assert tables == want_tables
+    assert vars(T) == vars(C)
+    assert all(rep.passed for rep in got)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_trusted_tables_equal_their_checked_rebuilds(seed):
+    X = random_metric_space(seed, max_points=8)
+    for n in range(1, len(X.points) + 1):
+        G = pair_groupoid(first_points(X, n))
+        assert len(G.arrows) == n * n
+        same_as_rebuilt(G)
+        same_as_rebuilt(double_groupoid(G))
+
+
+def test_the_trusted_routes_still_refuse_duplicate_labels():
+    # (a <- a<-a) and (a<-a <- a) are both labelled a<-a<-a
+    X = FiniteMetricSpace(["a", "a<-a", "b"], [[0, 1, 1], [1, 0, 1],
+                                               [1, 1, 0]])
+    with pytest.raises(ValueError, match="^duplicate arrow labels$"):
+        pair_groupoid(X)
+    # 0<-0 and 1<-0 leave the same object; labelled x and x;x, the pairs
+    # (x, x;x) and (x;x, x) are both labelled [x;x;x]
+    G = pair_groupoid(two_point_space())
+    H = FiniteGroupoid(["x", "u", "x;x", "v"], G.compose, G.inverse, G.norm)
+    with pytest.raises(ValueError, match="^duplicate arrow labels$"):
+        double_groupoid(H)
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda d: d["compose"].append(["e", "e", "x"]), "unknown arrow id 'x'"),
+    (lambda d: d["compose"].append(["x", "e", "e"]), "unknown arrow id 'x'"),
+    (lambda d: d["inverse"].append(["e", "x"]), "unknown arrow id 'x'"),
+    (lambda d: d["inverse"].pop(), "inverse table does not cover every "
+                                   "arrow"),
+])
+def test_from_json_still_checks_its_input(edit, error):
+    data = {"arrows": ["e", "a"],
+            "compose": [["e", "e", "e"], ["e", "a", "a"], ["a", "e", "a"],
+                        ["a", "a", "e"]],
+            "inverse": [["e", "e"], ["a", "a"]]}
+    assert validate_groupoid(FiniteGroupoid.from_json(data)).passed
+    edit(data)
+    with pytest.raises(ValueError) as exc:
+        FiniteGroupoid.from_json(data)
+    assert str(exc.value) == error
+
+
+@pytest.mark.parametrize("arrows, compose, inverse, error", [
+    (["e", "e"], {(0, 0): 0}, [0, 1], "duplicate arrow labels"),
+    (["e", "a"], {(0, 0): 2}, [0, 1], "compose entry (0,0)->2 out of range"),
+    (["e", "a"], {(0, -1): 0}, [0, 1],
+     "compose entry (0,-1)->0 out of range"),
+    (["e", "a"], {(0, 0): 0}, [0, 2], "inverse[1] = 2 out of range"),
+    (["e", "a"], {(0, 0): 0}, [0, "1"], "inverse[1] = '1' out of range"),
+    (["e", "a"], {(0, 0): 0}, [0], "inverse table has 1 entries for 2 arrows"),
+])
+def test_the_checked_constructor_still_range_checks(arrows, compose, inverse,
+                                                    error):
+    with pytest.raises(ValueError) as exc:
+        FiniteGroupoid(arrows, compose, inverse)
+    assert str(exc.value) == error
+
+
+# ---------------------------------------------------------------------------
+# associativity: one tuple per composite, the per-k loop on a failure
+
+
+def assoc_branches(comp, after):
+    """Which branches of the associativity law the composites of comp
+    take: the length of after[h] when it is 0 or 1, and the reason a
+    composite falls back to the per-k loop."""
+    seen = set()
+    for (g, h), gh in comp.items():
+        if len(after[h]) < 2:
+            seen.add(f"after of length {len(after[h])}")
+        for k in after[h]:
+            hk, left = comp.get((h, k)), comp.get((gh, k))
+            if hk is None:
+                seen.add("missing hk")
+            elif left is None:
+                seen.add("missing (gh)k")
+            elif comp.get((g, hk)) != left:
+                seen.add("mismatch" if (g, hk) in comp else "missing g(hk)")
+    return seen
+
+
+def category_after(C):
+    return [sorted(k for h2, k in C.compose if h2 == h)
+            for h in range(len(C.arrows))]
+
+
+def groupoid_after(G):
+    ref = Ref(G)
+    return [[k for k, w in enumerate(ref._omega) if w == a]
+            for a in ref._alpha]
+
+
+def assoc_categories():
+    """Tables read as categories: h composes with one k, most arrows with
+    none, and (gh)k, g(hk) or both are missing, or differ."""
+    names = ["g", "h", "k", "gh", "hk", "ghk", "x"]
+    base = {(0, 1): 3, (1, 2): 4}
+    for extra in ({}, {(0, 4): 5}, {(3, 2): 5}, {(3, 2): 5, (0, 4): 6}):
+        yield CategoryWithInverses(names, {**base, **extra},
+                                   list(range(len(names))))
+    G = retargeted_compose_groupoid()
+    yield CategoryWithInverses(G.arrows, G.compose, G.inverse)
+    yield transport_category_fixture()[0]
+
+
+def assoc_groupoids():
+    """Tables read as groupoids: one point, a removed composite (a
+    missing hk and a missing (gh)k) and a retargeted one."""
+    yield pair_groupoid(first_points(random_metric_space(0), 1))
+    G = pair_groupoid(random_metric_space(5, max_points=4))
+    yield FiniteGroupoid(G.arrows, {k: v for k, v in G.compose.items()
+                                    if k != (1, 6)}, G.inverse, G.norm)
+    yield retargeted_compose_groupoid()
+    yield broken_loops()
+
+
+def test_associativity_takes_every_branch_as_the_references_do():
+    seen = set()
+    for C in assoc_categories():
+        same_report(check_category_with_inverses(C),
+                    ref_check_strict_category(C, joint_kernel=False))
+        seen |= assoc_branches(C.compose, category_after(C))
+    for G in assoc_groupoids():
+        same_report(validate_groupoid(G), ref_validate_groupoid(G))
+        seen |= assoc_branches(G.compose, groupoid_after(G))
+    assert seen == {"after of length 0", "after of length 1", "missing hk",
+                    "missing (gh)k", "missing g(hk)", "mismatch"}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_associativity_on_random_partial_tables(seed):
+    """Random partial tables on 1-5 arrows with a random involution, read
+    as categories and as groupoids: counts, witnesses and their order as
+    in the references."""
+    rng = random.Random(seed)
+    for _ in range(50):
+        n = rng.randint(1, 5)
+        inverse = list(range(n))
+        for _ in range(rng.randint(0, n // 2)):
+            a, b = rng.sample(range(n), 2)
+            if inverse[a] == a and inverse[b] == b:
+                inverse[a], inverse[b] = b, a
+        compose = {(g, h): rng.randrange(n) for g in range(n)
+                   for h in range(n) if rng.random() < 0.6}
+        names = [f"a{i}" for i in range(n)]
+        C = CategoryWithInverses(names, compose, inverse)
+        same_report(check_category_with_inverses(C),
+                    ref_check_strict_category(C))
+        G = FiniteGroupoid(names, compose, inverse)
+        same_report(validate_groupoid(G), ref_validate_groupoid(G))

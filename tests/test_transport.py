@@ -1447,13 +1447,20 @@ def test_certificate_judges_the_shape_of_plan_and_potential(gamma, u, law,
 
 
 def test_planted_suite_holds_a_misshapen_certificate():
-    """A 2 x 3 plan with a two-value potential joins the certificate report
-    of the plan one unit short, after that plan's own four laws."""
-    rep = dict(run_planted_suite())[
-        "plan one unit short of its marginal vs the optimality certificate"]
-    assert [c.law for c in rep.laws[4:]] == [c.law for c in rep.laws[:4]]
-    assert [c.witnesses for c in rep.laws[4:6]] == [[{"shape": (2, 3)}],
-                                                    [{"length": 2}]]
+    """A 2 x 3 plan with a two-value potential has its own certificate
+    report, right after the plan one unit short; each of the two lists the
+    four certificate laws once, so rep.law reaches every one of them."""
+    names = [name for name, _ in run_planted_suite()]
+    suite = dict(run_planted_suite())
+    short = "plan one unit short of its marginal vs the optimality certificate"
+    shape = "misshapen 2 x 3 plan and potential vs the optimality certificate"
+    assert names.index(shape) == names.index(short) + 1
+    laws = [c.law for c in suite[short].laws]
+    assert [c.law for c in suite[shape].laws] == laws
+    assert len(set(laws)) == 4
+    assert [suite[shape].law(law).witnesses for law in laws[:2]] == [
+        [{"shape": (2, 3)}], [{"length": 2}]]
+    assert not suite[shape].passed
 
 
 # ---------------------------------------------------------------------------
