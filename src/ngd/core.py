@@ -18,6 +18,8 @@ All finite-table arithmetic is exact: tables are judged in integers,
 over one lcm each; Fractions are the input, JSON and witness boundary.
 FiniteGroupoid(...) and from_json check their input; pair_groupoid and
 double_groupoid build trusted tables through _normed, labels checked.
+Reports: each law is a LawCheck; LawCheck.judge counts and files every
+single instance, and tick(n) + fail are the table loops' bulk primitives.
 """
 
 from __future__ import annotations
@@ -72,7 +74,9 @@ def _common(a, b):
 
 @dataclass
 class LawCheck:
-    """Outcome of checking one law: instance count and counterexamples."""
+    """Outcome of checking one law: instance count and counterexamples.
+    judge is the one route for a single instance; tick(n) and fail are the
+    bulk primitives of the table loops, which name each failure in a batch."""
 
     law: str
     checked: int = 0
@@ -91,6 +95,13 @@ class LawCheck:
         self.failures += 1
         if len(self.witnesses) < MAX_WITNESSES:
             self.witnesses.append(data)
+
+    def judge(self, ok, n: int = 1, build=None, **witness) -> None:
+        """Count n instances; if not ok, file the witness data followed by
+        build()'s keys, so a costly witness is built only on failure."""
+        self.checked += n
+        if not ok:
+            self.fail(**witness, **(build() if build else {}))
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -306,6 +317,8 @@ class FiniteGroupoid:
             data = json.loads(data)
         arrows = list(data["arrows"])
         idx = {lbl: i for i, lbl in enumerate(arrows)}
+        if len(idx) != len(arrows):
+            raise ValueError("duplicate arrow labels")
 
         def look(lbl):
             if lbl not in idx:

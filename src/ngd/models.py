@@ -571,11 +571,8 @@ def check_A0(model) -> ValidationReport:
     for d(g), d(h) <= R and |eps| <= 1."""
     rep = ValidationReport(subject=f"A0[{model.name}]")
     if model.domain is None:
-        triv = LawCheck("domains are global; inclusion chain trivial",
-                        note="no DomainSpec on this model")
-        triv.tick()
-        rep.add(triv)
-        return rep
+        return rep.add(LawCheck("domains are global; inclusion chain trivial",
+                                checked=1, note="no DomainSpec on this model"))
     A, B, R = Fraction(2), Fraction(4), Fraction(2)
     samples = 200
     grid = dyadic_grid(kmax=12)
@@ -588,43 +585,35 @@ def check_A0(model) -> ValidationReport:
     T = model.domain.threshold
     for s in grid:
         m = s.modulus
-        chain.tick()
-        ok = (
-            m <= m * A
-            and m * A <= T(1 / m)
-            and T(1 / m) <= m * B
-            and m * B <= m * T(m)
-        )
-        if not ok:
-            chain.fail(eps=str(m), T_inv=str(T(1 / m)),
-                       A_term=str(m * A), B_term=str(m * B))
+        chain.judge(m <= m * A and m * A <= T(1 / m) and T(1 / m) <= m * B
+                    and m * B <= m * T(m), build=lambda: dict(
+                        eps=str(m), T_inv=str(T(1 / m)), A_term=str(m * A),
+                        B_term=str(m * B)))
 
     # membership witnesses through the actual predicates
     for s in grid[:6]:
         arrows = model.sample_fiber_arrows(rng, samples, radius=float(B))
         img = model.delta(s, arrows)
         inside_A = model.norm(arrows) <= float(A)
-        member.tick()
         # delta_eps({d<=A}) must land inside dom(1/eps)
         ok = model.domain.contains(model, img, s.inv())
-        if not bool(np.all(ok[inside_A])):
-            member.fail(eps=str(s.modulus), clause="delta_eps{d<=A} in dom(1/eps)")
+        member.judge(np.all(ok[inside_A]), build=lambda: dict(
+            eps=str(s.modulus), clause="delta_eps{d<=A} in dom(1/eps)"))
         # arrows of dom(1/eps) with the sampled radius must be delta_eps
         # images of {d <= B}: pull back by delta_{1/eps} and check the norm
         in_dom = model.domain.contains(model, arrows, s.inv())
         back = model.delta(s.inv(), arrows)
-        member.tick()
-        if not bool(np.all(model.norm(back)[in_dom] <= float(B) + 1e-9)):
-            member.fail(eps=str(s.modulus), clause="dom(1/eps) in delta_eps{d<=B}")
+        member.judge(np.all(model.norm(back)[in_dom] <= float(B) + 1e-9),
+                     build=lambda: dict(eps=str(s.modulus), clause=(
+                         "dom(1/eps) in delta_eps{d<=B}")))
 
     pairs_rng = np.random.default_rng(7)
     g = model.sample_fiber_arrows(pairs_rng, samples, radius=float(R))
     h = model.sample_fiber_arrows(pairs_rng, samples, radius=float(R))
     for s in grid[:6]:
-        diffcl.tick()
         dd = model.dif(model.delta(s, g), model.delta(s, h))
-        if not bool(np.all(model.domain.contains(model, dd, s.inv()))):
-            diffcl.fail(eps=str(s.modulus))
+        diffcl.judge(np.all(model.domain.contains(model, dd, s.inv())),
+                     build=lambda: dict(eps=str(s.modulus)))
     return rep
 
 

@@ -730,10 +730,8 @@ _OUTER = "composites carry their factors' outer marginals"
 
 def _judge_outer(law, built, **where):
     """Judge the _OUTER law once, on a built plan: its first bad sum fails."""
-    law.tick()
     w = next(_off_marginals(built._int, built.mu, built.nu), None)
-    if w is not None:
-        law.fail(**where, **w)
+    law.judge(w is None, **where, **(w or {}))
 
 
 def _certify(mu, nu, plan, potential):
@@ -776,9 +774,8 @@ def _certify(mu, nu, plan, potential):
     ]
     primal = Fraction(sum(d[x][y] * g[x][y] for x, y in occupied), Dd * Dg)
     dual = _pairing(potential, mu, nu)
-    gap.tick()
-    if primal != dual:
-        gap.fail(primal=str(primal), dual=str(dual))
+    gap.judge(primal == dual,
+              build=lambda: dict(primal=str(primal), dual=str(dual)))
 
     for x, y in occupied:
         slack.tick()
@@ -1063,70 +1060,52 @@ def check_transport(space=None, seed=0, samples=40) -> ValidationReport:
         ab = compose_plans(a, bq)
         left = compose_plans(ab, cq)
         right = compose_plans(a, compose_plans(bq, cq))
-        law = assoc if full else assoc0
-        law.tick()
-        if left != right:
-            law.fail(sample=k, left=left.gamma, right=right.gamma)
+        (assoc if full else assoc0).judge(left == right, sample=k, build=(
+            lambda: dict(left=left.gamma, right=right.gamma)))
 
         id_mu, id_nu = diag_plan(a.mu), diag_plan(a.nu)
-        ident.tick(2)
-        if compose_plans(a, id_nu) != a:
-            ident.fail(side="post", sample=k)
-        if compose_plans(id_mu, a) != a:
-            ident.fail(side="pre", sample=k)
+        ident.judge(compose_plans(a, id_nu) == a, side="post", sample=k)
+        ident.judge(compose_plans(id_mu, a) == a, side="pre", sample=k)
 
         ia = inverse_plan(a)
-        invo.tick()
-        if inverse_plan(ia) != a or norm_d(ia) != norm_d(a):
-            invo.fail(sample=k)
-        anti.tick()
-        if inverse_plan(ab) != compose_plans(inverse_plan(bq), ia):
-            anti.fail(sample=k)
-
-        nzero.tick()
-        if (norm_d(a) == 0) != (a == id_mu):
-            nzero.fail(sample=k, d=str(norm_d(a)))
-        nsub.tick()
-        if norm_d(ab) > norm_d(a) + norm_d(bq):
-            nsub.fail(sample=k)
+        invo.judge(inverse_plan(ia) == a and norm_d(ia) == norm_d(a), sample=k)
+        anti.judge(inverse_plan(ab) == compose_plans(inverse_plan(bq), ia),
+                   sample=k)
+        nzero.judge((norm_d(a) == 0) == (a == id_mu), sample=k,
+                    build=lambda: dict(d=str(norm_d(a))))
+        nsub.judge(norm_d(ab) <= norm_d(a) + norm_d(bq), sample=k)
 
         loop = compose_plans(a, ia)
         for name, p in (("ab", ab), ("left", left), ("right", right),
                         ("loop", loop)):
             _judge_outer(outer, p, sample=k, plan=name)
-        twon.tick()
-        if norm_d(loop) > 2 * norm_d(a):
-            twon.fail(sample=k)
+        twon.judge(norm_d(loop) <= 2 * norm_d(a), sample=k)
 
-        itr.tick()
         witness = is_invtrans(a)
         diag_both = loop == id_mu and compose_plans(ia, a) == id_nu
-        if (witness is not None) != diag_both:
-            itr.fail(sample=k, criterion=witness is not None)
+        itr.judge((witness is not None) == diag_both, sample=k,
+                  criterion=witness is not None)
         if witness is not None:
             f, g = witness
-            if inverse_plan(map_plan(f, a.mu)) != map_plan(g, a.nu):
-                itr.fail(sample=k, note="backward map is not the inverse")
+            itr.judge(inverse_plan(map_plan(f, a.mu)) == map_plan(g, a.nu),
+                      n=0, sample=k, note="backward map is not the inverse")
 
         u_a = kantorovich(a.mu, a.nu).potential
-        dom.tick()
-        if norm_d(a) < seminorm_rho(u_a, a):
-            dom.fail(sample=k, u=u_a.values)
+        dom.judge(norm_d(a) >= seminorm_rho(u_a, a), sample=k,
+                  build=lambda: dict(u=u_a.values))
         # rho_u sees only mu - nu: these two identities give the law for
         # every u, and the seminorms are judged at two optimal potentials
-        rsub.tick(2)
         m_a, m_b, m_ab, m_ia = _marginal_differences(a, bq, ab, ia)
-        if m_ab != list(map(add, m_a, m_b)):
-            rsub.fail(sample=k, side="marginal difference not additive")
-        if m_ia != list(map(neg, m_a)):
-            rsub.fail(sample=k, side="marginal difference not negated")
+        rsub.judge(m_ab == list(map(add, m_a, m_b)), sample=k,
+                   side="marginal difference not additive")
+        rsub.judge(m_ia == list(map(neg, m_a)), sample=k,
+                   side="marginal difference not negated")
         for u in (u_a, kantorovich(ab.mu, ab.nu).potential):
-            rsub.tick(2)
-            if (seminorm_rho(u, ab)
-                    > seminorm_rho(u, a) + seminorm_rho(u, bq)):
-                rsub.fail(sample=k, u=u.values, side="subadditive")
-            if seminorm_rho(u, ia) != seminorm_rho(u, a):
-                rsub.fail(sample=k, u=u.values, side="inversion")
+            rsub.judge(
+                seminorm_rho(u, ab) <= seminorm_rho(u, a) + seminorm_rho(u, bq),
+                build=lambda: dict(sample=k, u=u.values, side="subadditive"))
+            rsub.judge(seminorm_rho(u, ia) == seminorm_rho(u, a), build=lambda:
+                       dict(sample=k, u=u.values, side="inversion"))
 
         mism.tick()
         shifted = random_measure(space, rng)
@@ -1144,13 +1123,10 @@ def check_transport(space=None, seed=0, samples=40) -> ValidationReport:
         mu = random_measure(space, rng, full_support=(k % 2 == 0))
         gf = tuple(g[f[x]] for x in range(n))
         fp = map_plan(f, mu)
-        mapc.tick()
-        if compose_plans(fp, map_plan(g, fp.nu)) != map_plan(gf, mu):
-            mapc.fail(sample=k, f=f, g=g)
-        mapeq.tick()
+        mapc.judge(compose_plans(fp, map_plan(g, fp.nu)) == map_plan(gf, mu),
+                   sample=k, f=f, g=g)
         same_ae = all(f[x] == g[x] for x in mu.support())
-        if (fp == map_plan(g, mu)) != same_ae:
-            mapeq.fail(sample=k, f=f, g=g)
+        mapeq.judge((fp == map_plan(g, mu)) == same_ae, sample=k, f=f, g=g)
 
     # separability: distinct measures have rho_{u*} = W1 > 0; rho_u only
     # sees the marginals, so any plan between mu and nu will do
@@ -1159,11 +1135,10 @@ def check_transport(space=None, seed=0, samples=40) -> ValidationReport:
         nu = random_measure(space, rng)
         if mu == nu:
             continue
-        sep.tick()
         res = kantorovich(mu, nu)
         rho = seminorm_rho(res.potential, product_plan(mu, nu))
-        if rho != res.primal or rho <= 0:
-            sep.fail(mu=mu.weights, nu=nu.weights, u=res.potential.values)
+        sep.judge(rho == res.primal and rho > 0, build=lambda: dict(
+            mu=mu.weights, nu=nu.weights, u=res.potential.values))
     return rep
 
 
@@ -1181,16 +1156,13 @@ def check_kantorovich_duality(space, measures) -> ValidationReport:
     rng = random.Random(11)
     for mu, nu in measures:
         res = kantorovich(mu, nu)
-        gap.tick()
-        if res.primal != res.dual:
-            gap.fail(mu=mu.weights, nu=nu.weights)
-        sat.tick()
-        if abs(res.dual) != res.primal:
-            sat.fail(mu=mu.weights, nu=nu.weights)
+
+        def pair():
+            return dict(mu=mu.weights, nu=nu.weights)
+        gap.judge(res.primal == res.dual, build=pair)
+        sat.judge(abs(res.dual) == res.primal, build=pair)
         # any coupling with the same marginals must cost at least as much
         for _ in range(8):
             probe = random_coupling_between(mu, nu, rng)
-            opt.tick()
-            if norm_d(probe) < res.primal:
-                opt.fail(mu=mu.weights, nu=nu.weights)
+            opt.judge(norm_d(probe) >= res.primal, build=pair)
     return rep

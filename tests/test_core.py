@@ -117,6 +117,42 @@ def test_law_check_caps_witnesses():
     assert not c.passed
 
 
+def _refused():
+    raise AssertionError("a witness was built for a passing instance")
+
+
+def test_judge_counts_every_instance_and_files_only_failures():
+    c = LawCheck("demo")
+    c.judge(True, sample=0)
+    c.judge(True, n=3, build=_refused)
+    assert (c.checked, c.failures, c.witnesses) == (4, 0, [])
+    c.judge(False, n=2, sample=1, side="post")
+    c.judge(False, n=0, build=lambda: {"note": "extra"})
+    assert (c.checked, c.failures) == (6, 2)
+    assert c.witnesses == [{"sample": 1, "side": "post"}, {"note": "extra"}]
+
+
+def test_judge_files_keyword_data_before_the_built_keys():
+    c = LawCheck("demo")
+    c.judge(False, sample=3, plan="ab",
+            build=lambda: {"row": 0, "sum": "1/2"})
+    assert list(c.witnesses[0]) == ["sample", "plan", "row", "sum"]
+    assert c.witnesses[0] == {"sample": 3, "plan": "ab", "row": 0,
+                              "sum": "1/2"}
+
+
+def test_judge_keeps_the_witness_cap_while_counting_failures():
+    from ngd.core import MAX_WITNESSES
+
+    c = LawCheck("demo")
+    for k in range(50):
+        c.judge(k % 2 == 1, k=k, build=lambda: {"half": k // 2})
+    assert (c.checked, c.failures) == (50, 25)
+    assert c.witnesses == [{"k": k, "half": k // 2}
+                           for k in range(0, 2 * MAX_WITNESSES, 2)]
+    assert not c.passed
+
+
 def test_report_merge_and_lookup():
     a = ValidationReport(subject="a").add(LawCheck("one"))
     b = ValidationReport(subject="b").add(LawCheck("two"))

@@ -850,6 +850,8 @@ def test_the_trusted_routes_still_refuse_duplicate_labels():
     (lambda d: d["inverse"].append(["e", "x"]), "unknown arrow id 'x'"),
     (lambda d: d["inverse"].pop(), "inverse table does not cover every "
                                    "arrow"),
+    (lambda d: (d["arrows"].append("a"), d["inverse"].append(["a", "a"])),
+     "duplicate arrow labels"),
 ])
 def test_from_json_still_checks_its_input(edit, error):
     data = {"arrows": ["e", "a"],

@@ -2,10 +2,12 @@
 deformation machinery."""
 
 import inspect
+import json
 
 import numpy as np
 import pytest
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from ngd import fixtures, models
 from ngd.emergent import _per_sample
 from ngd.models import (
+    DomainSpec,
     EuclideanGroup,
     HeisenbergGroup,
     PairModel,
@@ -138,6 +141,25 @@ def test_trivial_domain_report_on_unrestricted_models():
 def test_restricted_model_domain_bookkeeping():
     rep = check_A0(restricted_euclidean_model())
     assert rep.passed, rep.summary()
+
+
+LAW_FAULTS = json.loads((Path(__file__).parent / "data" /
+                         "law_faults.json").read_text())
+
+
+@pytest.mark.parametrize("name, threshold", [
+    ("A0 threshold shrunk to 1/eps", lambda m: 1 / m),
+    ("A0 threshold inflated to 100/eps", lambda m: 100 / m)],
+    ids=["shrunk", "inflated"])
+def test_a_broken_domain_threshold_fails_A0_with_witnesses(
+        name, threshold, monkeypatch):
+    """Each law of check_A0 with its (checked, failures, witnesses), each
+    witness by its repr, as the implementation that ticked and failed
+    each law by hand reported them (tests/data/law_faults.json)."""
+    model = restricted_euclidean_model()
+    monkeypatch.setattr(model, "domain", DomainSpec(threshold))
+    assert [[c.law, c.checked, c.failures, list(map(repr, c.witnesses))]
+            for c in check_A0(model).laws] == LAW_FAULTS[name]
 
 
 def test_pair_distance_is_left_invariant():

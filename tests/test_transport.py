@@ -2,9 +2,12 @@
 disintegration, the plan norm, Lipschitz seminorms, and Kantorovich
 duality solved by rational simplex."""
 
+import dataclasses
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -1656,3 +1659,101 @@ def test_duality_and_category_read_integer_forms(monkeypatch):
     assert again.seminorms.values == category.seminorms.values
     assert all(type(v) is Fraction for row in again.seminorms.values
                for v in row)
+
+
+# ---------------------------------------------------------------------------
+# every transport law's failure witnesses, pinned
+#
+# No report breaks most of check_transport's laws, so each case below
+# breaks one function the laws call and pins every law's (checked,
+# failures, witnesses), each witness by its repr, so that a key dropped,
+# renamed or reordered fails.  The expected records in
+# tests/data/law_faults.json were taken from the implementation that
+# ticked and failed each law by hand.
+
+LAW_FAULTS = json.loads((Path(__file__).parent / "data" /
+                         "law_faults.json").read_text())
+
+
+def _law_records(*reports):
+    return [[c.law, c.checked, c.failures, list(map(repr, c.witnesses))]
+            for rep in reports for c in rep.laws]
+
+
+def _battery():
+    space = line3()
+    third = Fraction(1, 3)
+    spread = Measure(space, (third,) * 3)
+    left = Measure(space, (Fraction(1, 2), Fraction(1, 2), Fraction(0)))
+    pairs = [(point_mass(space, 0), spread), (spread, point_mass(space, 2)),
+             (left, spread)]
+    return _law_records(check_transport(space, seed=0, samples=12),
+                        check_kantorovich_duality(space, pairs))
+
+
+def _certificate():
+    space = line3()
+    one, zero = Fraction(1), Fraction(0)
+    return _law_records(check_kantorovich_certificate(
+        point_mass(space, 0), point_mass(space, 2),
+        ((zero, zero, one), (zero,) * 3, (zero,) * 3), (2, 1, 0)))
+
+
+def _misrouted(honest):
+    """g^-1 g g^-1 in place of g^-1: the marginals are right, the plan is
+    not the transpose."""
+    def inverse(g):
+        ig = honest(g)
+        return transport.compose_plans(transport.compose_plans(ig, g), ig)
+    return inverse
+
+
+def _rows_reversed(honest):
+    def compose(g, gp):
+        p = honest(g, gp)
+        num, D = p._int
+        return transport._built(p.space, num[::-1], D, p.mu, p.nu)
+    return compose
+
+
+def _dual_off_by_one(honest):
+    def solve(mu, nu):
+        res = honest(mu, nu)
+        return dataclasses.replace(res, dual=res.dual + 1)
+    return solve
+
+
+TRANSPORT_FAULTS = [
+    ("norm_d less 10", "norm_d", lambda h: lambda g: h(g) - 10, _battery),
+    ("norm_d zero", "norm_d", lambda h: lambda g: h(g) * 0, _battery),
+    ("diag_plan a product", "diag_plan",
+     lambda h: lambda mu: product_plan(mu, mu), _battery),
+    ("inverse_plan misrouted", "inverse_plan", _misrouted, _battery),
+    ("is_invtrans on every plan", "is_invtrans",
+     lambda h: lambda g: (tuple(range(g.space.n_points())),) * 2, _battery),
+    ("map_plan reads its map reversed", "map_plan",
+     lambda h: lambda f, mu: h([y or 0 for y in f[::-1]], mu), _battery),
+    ("map_plan sends every point to 0", "map_plan",
+     lambda h: lambda f, mu: h([0] * len(f), mu), _battery),
+    ("seminorm_rho signed and cubed", "seminorm_rho",
+     lambda h: lambda u, g: transport._pairing(u._int, g.mu, g.nu) ** 3,
+     _battery),
+    ("marginal differences swapped", "_marginal_differences",
+     lambda h: lambda a, b, ab, ia: h(a, b, ia, ab), _battery),
+    ("compose_plans reverses rows", "compose_plans", _rows_reversed,
+     _battery),
+    ("kantorovich dual off by one", "kantorovich", _dual_off_by_one,
+     _battery),
+    ("random_coupling_between ignores nu", "random_coupling_between",
+     lambda h: lambda mu, nu, rng: diag_plan(mu), _battery),
+    ("certificate pairing off by one", "_pairing",
+     lambda h: lambda *a: h(*a) + 1, _certificate),
+]
+
+
+@pytest.mark.parametrize("name, attr, fault, run", TRANSPORT_FAULTS,
+                         ids=[case[0] for case in TRANSPORT_FAULTS])
+def test_a_broken_transport_function_fails_its_laws_with_witnesses(
+        name, attr, fault, run, monkeypatch):
+    monkeypatch.setattr(transport, attr, fault(getattr(transport, attr)))
+    assert run() == LAW_FAULTS[name]
