@@ -98,10 +98,12 @@ class LawCheck:
 
     def judge(self, ok, n: int = 1, build=None, **witness) -> None:
         """Count n instances; if not ok, file the witness data followed by
-        build()'s keys, so a costly witness is built only on failure."""
+        build()'s keys, so a costly witness is built only on a failure
+        that is filed."""
         self.checked += n
         if not ok:
-            self.fail(**witness, **(build() if build else {}))
+            room = build and len(self.witnesses) < MAX_WITNESSES
+            self.fail(**witness, **(build() if room else {}))
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"

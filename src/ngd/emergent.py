@@ -12,6 +12,9 @@ residual judge of the package's float laws.  The batteries sweep their
 scales in chunks (ngd.scales.chunks, k n <= CHUNK_POINTS): one kernel call
 per identity and chunk, then `_judge` once per scale row, as a per-scale
 loop would.  So a GammaIrq's op must take a ScaleBatch as well as a Scale.
+A check computes each shared cloud once: `_moved_base_ops` takes the moved
+base x circ_s u where Delta3, Sigma3 and inv3 take u, and `_gather` keeps
+a sweep's clouds for every scale pair that reads them.
 
 Convention: arrow-level operations eat and return (..., 2, dim) arrows of
 a PairModel; point-level ("based") operations eat and return point arrays,
@@ -129,31 +132,39 @@ def inv_eps(model, scale, g):
 # point-level (based) operations
 
 
+def _moved_base_ops(C, s):
+    """Delta3, Sigma3 and inv3 at scale s of the scale family C (a GammaIrq's
+    op, or a model's point_dilatation), each taking the moved base
+    ab = a circ_s b where the based forms take b, so that a check computes
+    a moved base it shares once:
+
+        D3(a, ab, c) = ab circ_{1/s} (a circ_s c)
+        S3(a, ab, c) = a circ_{1/s} (ab circ_s c)
+        I3(a, ab)    = ab circ_{1/s} a"""
+    si = s.inv()
+    return (lambda a, ab, c: C(si, ab, C(s, a, c)),
+            lambda a, ab, c: C(si, a, C(s, ab, c)),
+            lambda a, ab: C(si, ab, a))
+
+
 def Delta3(model, scale, x, u, v):
     """Based approximate difference: delta^{delta^x_eps u}_{1/eps} delta^x_eps v."""
-    s = as_scale(scale)
-    return model.point_dilatation(
-        s.inv(),
-        model.point_dilatation(s, x, u),
-        model.point_dilatation(s, x, v),
-    )
+    s, pd = as_scale(scale), model.point_dilatation
+    return _moved_base_ops(pd, s)[0](x, pd(s, x, u), v)
 
 
 def Sigma3(model, scale, x, u, v):
     """Based approximate sum: delta^x_{1/eps} delta^{delta^x_eps u}_eps v."""
-    s = as_scale(scale)
-    return model.point_dilatation(
-        s.inv(), x,
-        model.point_dilatation(s, model.point_dilatation(s, x, u), v),
-    )
+    s, pd = as_scale(scale), model.point_dilatation
+    return _moved_base_ops(pd, s)[1](x, pd(s, x, u), v)
 
 
 def inv3(model, scale, x, u):
     """Based approximate inverse: delta^{delta^x_eps u}_{1/eps} x.  Equals
     Delta3(x; u, x) -- the identity-battery check (f) confirms the two
     routes agree rather than assuming it."""
-    s = as_scale(scale)
-    return model.point_dilatation(s.inv(), model.point_dilatation(s, x, u), x)
+    s, pd = as_scale(scale), model.point_dilatation
+    return _moved_base_ops(pd, s)[2](x, pd(s, x, u))
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +247,14 @@ def check_gamma_irq(Q: GammaIrq, xs, ys) -> ValidationReport:
     ys = np.asarray(ys, dtype=float)
     for chunk in chunks(grid, len(xs)):
         rep.merge(check_irq(Q.at(batch(chunk)), xs, ys))
-    for chunk, s, m, sm in _pair_chunks(grid, len(xs)):
-        lhs, rhs = Q.op(s, xs, Q.op(m, xs, ys)), Q.op(sm, xs, ys)
-        _judge_rows(comp, s, lhs, rhs, 1e-10, [{"s": str(a.value),
-                    "m": str(b.value)} for a, b, _ in chunk], x=xs, y=ys)
+    # x circ_t y once for each t of the grid and each product s m
+    ts = list(dict.fromkeys(grid + [s.mul(m) for s in grid for m in grid]))
+    at = _gather(ts, len(xs), lambda t: [Q.op(t, xs, ys)])
+    for chunk, s, _, _ in _pair_chunks(grid, len(xs)):
+        _, ms, sms = zip(*chunk)
+        (my,), (smy,) = at(ms), at(sms)
+        own = [{"s": str(a.value), "m": str(b.value)} for a, b, _ in chunk]
+        _judge_rows(comp, s, Q.op(s, xs, my), smy, 1e-10, own, x=xs, y=ys)
     rep.add(comp)
     return rep
 
@@ -258,16 +273,6 @@ def check_pplay(Q: GammaIrq, samples) -> ValidationReport:
     n = len(x)
 
     C = Q.op
-
-    def D3(s, a, ab, c):  # D3, S3, I3 take the moved base ab = a circ_s b
-        return C(s.inv(), ab, C(s, a, c))
-
-    def S3(s, a, ab, c):
-        return C(s.inv(), a, C(s, ab, c))
-
-    def I3(s, a, ab):
-        return C(s.inv(), ab, a)
-
     rep = ValidationReport(subject=f"identity battery[{Q.name}]")
     a_ = LawCheck("(a) based difference undoes based sum")
     b_ = LawCheck("(b) based sum undoes based difference")
@@ -281,26 +286,33 @@ def check_pplay(Q: GammaIrq, samples) -> ValidationReport:
 
     for chunk in chunks(grid, n):
         s, eps = batch(chunk), [{"eps": str(t.value)} for t in chunk]
-        xu = C(s, x, u)  # the moved base x circ_s u, shared by several laws
-        iu, d3, s3 = I3(s, x, xu), D3(s, x, xu, v), S3(s, x, xu, v)
-        xui = C(s, xu, iu)
-        _judge_rows(a_, s, D3(s, x, xu, s3), v, 1e-10, eps, x=x, u=u, v=v)
-        _judge_rows(b_, s, S3(s, x, xu, d3), v, 1e-10, eps, x=x, u=u, v=v)
-        _judge_rows(c_, s, d3, S3(s, xu, xui, v), 1e-10, eps, x=x, u=u, v=v)
-        _judge_rows(d_, s, I3(s, xu, xui), u, 1e-10, eps, x=x, u=u)
-        _judge_rows(e_, s, S3(s, x, xu, S3(s, xu, C(s, xu, v), w)),
-                    S3(s, x, C(s, x, s3), w), 1e-10, eps, x=x, u=u, v=v, w=w)
-        _judge_rows(f_, s, iu, D3(s, x, xu, x), 1e-10, eps, x=x, u=u)
-        _judge_rows(g_, s, S3(s, x, C(s, x, x), u), u, 1e-10, eps, x=x, u=u)
+        D3, S3, I3 = _moved_base_ops(C, s)
+        si = s.inv()
+        # each cloud here is read by several laws: the moved bases of u, x
+        # and s3 from x, and xu circ_s v, the inner step of S3(x, xu, v);
+        # so s3, (a)'s D3(x, xu, s3) and (f)'s D3(x, xu, x) take one call
+        xu, xx = C(s, x, u), C(s, x, x)
+        xuv = C(s, xu, v)
+        iu, d3, s3 = I3(x, xu), D3(x, xu, v), C(si, x, xuv)
+        xui, xs3 = C(s, xu, iu), C(s, x, s3)
+        _judge_rows(a_, s, C(si, xu, xs3), v, 1e-10, eps, x=x, u=u, v=v)
+        _judge_rows(b_, s, S3(x, xu, d3), v, 1e-10, eps, x=x, u=u, v=v)
+        _judge_rows(c_, s, d3, S3(xu, xui, v), 1e-10, eps, x=x, u=u, v=v)
+        _judge_rows(d_, s, I3(xu, xui), u, 1e-10, eps, x=x, u=u)
+        _judge_rows(e_, s, S3(x, xu, S3(xu, xuv, w)), S3(x, xs3, w), 1e-10,
+                    eps, x=x, u=u, v=v, w=w)
+        _judge_rows(f_, s, iu, C(si, xu, xx), 1e-10, eps, x=x, u=u)
+        _judge_rows(g_, s, S3(x, xx, u), u, 1e-10, eps, x=x, u=u)
 
     # (k): the clouds of m or of sm alone, swept once over their scales
     at_m = _gather(grid, n, lambda m: (C(m, x, u), C(m, x, v)))
     at_sm = _gather(list(dict.fromkeys(s.mul(m) for s in grid for m in grid)),
-                    n, lambda sm: ((ab := C(sm, x, u)), D3(sm, x, ab, v)))
+                    n, lambda sm: ((ab := C(sm, x, u)),
+                                   _moved_base_ops(C, sm)[0](x, ab, v)))
     for chunk, s, m, _ in _pair_chunks(grid, n):
         _, ms, sms = zip(*chunk)
         (mu, mv), (smu, smd) = at_m(ms), at_sm(sms)
-        lhs = D3(s, x, C(s, x, mu), mv)
+        lhs = _moved_base_ops(C, s)[0](x, C(s, x, mu), mv)
         _judge_rows(k_, s, lhs, C(m, smu, smd), 1e-10, [{"eps": str(a.value),
                     "mu": str(b.value)} for a, b, _ in chunk], x=x, u=u, v=v)
     return rep

@@ -99,15 +99,16 @@ def _shape(s, *operands):
 def _ball_sample(group, rng, n, radius, center, draw):
     """n points of the gauge ball of radius around center, by rejection
     from draw(m), which returns m candidates from a box around the ball
-    at the identity."""
+    at the identity: the accepted ones are kept by index, in order."""
     out = _empty((n, group.dim))
     got = 0
     while got < n:
         cand = draw(2 * (n - got) + 8)
-        keep = cand[group.gauge(cand) <= radius]
-        take = min(len(keep), n - got)
-        out[got : got + take] = keep[:take]
-        got += take
+        keep = np.flatnonzero(group.gauge(cand) <= radius)[:n - got]
+        for j in range(group.dim):  # clip: keep is in range, out unbuffered
+            np.take(cand[:, j], keep, out=out[got:got + len(keep), j],
+                    mode="clip")
+        got += len(keep)
     return out if center is None else group.mul(center, out)
 
 

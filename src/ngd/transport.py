@@ -1081,14 +1081,15 @@ def check_transport(space=None, seed=0, samples=40) -> ValidationReport:
             _judge_outer(outer, p, sample=k, plan=name)
         twon.judge(norm_d(loop) <= 2 * norm_d(a), sample=k)
 
-        witness = is_invtrans(a)
+        # two clauses, one instance: the witness names each clause failed
+        witness, failed = is_invtrans(a), {}
         diag_both = loop == id_mu and compose_plans(ia, a) == id_nu
-        itr.judge((witness is not None) == diag_both, sample=k,
-                  criterion=witness is not None)
-        if witness is not None:
-            f, g = witness
-            itr.judge(inverse_plan(map_plan(f, a.mu)) == map_plan(g, a.nu),
-                      n=0, sample=k, note="backward map is not the inverse")
+        if (witness is not None) != diag_both:
+            failed["criterion"] = witness is not None
+        if witness is not None and (inverse_plan(map_plan(witness[0], a.mu))
+                                    != map_plan(witness[1], a.nu)):
+            failed["note"] = "backward map is not the inverse"
+        itr.judge(not failed, sample=k, **failed)
 
         u_a = kantorovich(a.mu, a.nu).potential
         dom.judge(norm_d(a) >= seminorm_rho(u_a, a), sample=k,

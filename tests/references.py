@@ -19,6 +19,11 @@ from tests alone, so they live with the tests:
     `ref_check_pplay` (recomputing every intermediate), `ref_check_irq`,
     `ref_check_gamma_irq`, `ref_check_based_compat`, `ref_check_A1`,
     `ref_check_A2` and `ref_check_dilation_morphism`;
+  - the checks that each recomputed the clouds they share, before each
+    shared cloud was computed once: `ref_translation_laws` and
+    `ref_cone_check`, with `two_scale_dilatation`;
+  - `ref_ball_sample`, the ball sampler that kept its points by a boolean
+    mask;
 - fixtures fed to the honest checkers: `iterate_irq` and
   `z_irq_from_iterates`, an integer-indexed irq family built by iterating
   one irq, which takes a ScaleBatch as the carrier kernels do;
@@ -40,9 +45,9 @@ from ngd.constructions import _dif_map, _double_of, _double_pairs
 from ngd.core import (FiniteGroupoid, LawCheck, ValidationReport,
                       _table_laws, _tables, check_category_with_inverses)
 from ngd.emergent import (Delta3, Delta_eps, GammaIrq, Irq, Sigma3, Sigma_eps,
-                          _judge, _maxabs, _per_sample)
-from ngd.limits import uniform_limit
-from ngd.models import DoubleModel, PairModel
+                          _judge, _maxabs, _per_sample, inv3)
+from ngd.limits import EPS_STAR, MUS, rescaled_distance, uniform_limit
+from ngd.models import DoubleModel, PairModel, _empty
 from ngd.scales import Scale, ScaleBatch, as_scale, dyadic_grid
 
 
@@ -480,6 +485,94 @@ def ref_check_dilation_morphism(model: PairModel) -> ValidationReport:
     rep.merge(ref_check_A1(dm, P))
     rep.merge(ref_check_A2(dm, P))
     return rep
+
+
+# ---------------------------------------------------------------------------
+# the checks that recomputed their shared clouds
+
+
+def two_scale_dilatation(model, scale, mu, x, u, v):
+    """delta^x_{1/eps} delta^{delta^x_eps u}_mu delta^x_eps v -- the
+    conjugated dilatation whose small-eps limit is the tangent dilatation."""
+    s, pd = as_scale(scale), model.point_dilatation
+    return pd(s.inv(), x, pd(mu, pd(s, x, u), pd(s, x, v)))
+
+
+def ref_translation_laws(model, s, u, v, w) -> ValidationReport:
+    """limits._translation_laws with each Sigma3 and inv3 computed whole."""
+    rep = ValidationReport(
+        subject=f"translation structure[{model.name}] at eps={s.value}")
+    iso = LawCheck("arrows are isometries between rescaled distances")
+    clos = LawCheck("composition closes: translation after translation is a translation")
+    unit = LawCheck("the base-parameter translation is the identity")
+    invl = LawCheck("the inverse translation undoes the translation")
+    tang = LawCheck("rescaled distance agrees with the tangent distance")
+    rep.add(iso, clos, unit, invl, tang)
+
+    x = np.asarray(model.e(), dtype=float)
+    xb = np.broadcast_to(x, u.shape)
+    mb = model.point_dilatation(s, x, u)  # the moved base x circ_s u
+    uv = Sigma3(model, s, x, u, v)
+    lhs = rescaled_distance(model, s, xb, uv, Sigma3(model, s, x, u, w))
+    rhs = rescaled_distance(model, s, mb, v, w)
+    _judge(iso, np.abs(lhs - rhs), 1e-12, eps=str(s.value), u=u)
+
+    inner = Sigma3(model, s, mb, v, w)
+    _judge(clos, _per_sample(Sigma3(model, s, x, u, inner),
+                             Sigma3(model, s, x, uv, w)), 1e-12,
+           eps=str(s.value), u=u, v=v, w=w)
+
+    _judge(unit, _per_sample(Sigma3(model, s, xb, xb, u), u), 1e-12,
+           eps=str(s.value))
+
+    undone = Sigma3(model, s, mb, inv3(model, s, x, u), uv)
+    _judge(invl, _per_sample(undone, v), 1e-12, eps=str(s.value), u=u, v=v)
+
+    _judge(tang, np.abs(rescaled_distance(model, s, xb, u, v)
+                        - model.tangent_point_dist(u, v)),
+           1e-12, eps=str(s.value))
+    return rep
+
+
+def ref_cone_check(model, sampler) -> ValidationReport:
+    """limits.cone_check with every dilated cloud computed again at each
+    mu."""
+    u, v = sampler.point_tuple(2)
+    x = np.broadcast_to(sampler.base, u.shape)
+    star = EPS_STAR
+    rep = ValidationReport(subject=f"metric cone[{model.name}] ({sampler.describe()})")
+    homog = LawCheck("rescaled distance is homogeneous under based dilatations")
+    basecase = LawCheck("two-scale dilatation centered at its base = based dilatation")
+    rep.add(homog, basecase)
+    base_d = rescaled_distance(model, star, x, u, v)
+    for mu in MUS:
+        du = model.point_dilatation(mu, x, u)
+        dv = model.point_dilatation(mu, x, v)
+        lhs = rescaled_distance(model, star, x, du, dv)
+        _judge(homog, np.abs(lhs - float(mu.modulus) * base_d), 1e-10,
+               mu=str(mu.value))
+        emp = two_scale_dilatation(model, star, mu, x, x, v)
+        _judge(basecase, _per_sample(emp, model.point_dilatation(mu, x, v)),
+               1e-10, mu=str(mu.value))
+    return rep
+
+
+# ---------------------------------------------------------------------------
+# the boolean-mask ball sampler
+
+
+def ref_ball_sample(group, rng, n, radius, center, draw):
+    """models._ball_sample keeping the accepted candidates by a boolean
+    mask and a slice copy."""
+    out = _empty((n, group.dim))
+    got = 0
+    while got < n:
+        cand = draw(2 * (n - got) + 8)
+        keep = cand[group.gauge(cand) <= radius]
+        take = min(len(keep), n - got)
+        out[got : got + take] = keep[:take]
+        got += take
+    return out if center is None else group.mul(center, out)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,14 @@ def test_judge_keeps_the_witness_cap_while_counting_failures():
     assert not c.passed
 
 
+def test_judge_builds_witnesses_only_while_the_cap_is_open():
+    built = []
+    c = LawCheck("demo")
+    for k in range(42):
+        c.judge(False, k=k, build=lambda: built.append(k) or {})
+    assert (len(built), c.failures, len(c.witnesses)) == (10, 42, 10)
+
+
 def test_report_merge_and_lookup():
     a = ValidationReport(subject="a").add(LawCheck("one"))
     b = ValidationReport(subject="b").add(LawCheck("two"))

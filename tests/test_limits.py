@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from ngd import cli, limits, models, scales, transport
 from ngd.core import LawCheck
-from ngd.emergent import _per_sample
+from ngd.emergent import (_per_sample, check_gamma_irq, check_pplay,
+                          gamma_irq_from_dilation, sample_point_quads)
 from ngd.fixtures import (
     dropped_correction_heisenberg,
     flat_gauge_heisenberg,
@@ -307,14 +308,62 @@ def test_report_sweeps_run_each_kernel_once_per_chunk(monkeypatch):
 
 
 def test_report_makes_its_kernel_calls_in_chunks(monkeypatch):
-    """report --suite all makes 492 carrier kernel calls in all, where
+    """report --suite all makes 424 carrier kernel calls in all, where
     one scale per call outside the sweeps made 1,574: the batteries, the
     irq family, A1, A2's fixed units, the induced double dilation and the
-    planted homogeneity law each take a chunk of scales per call."""
+    planted homogeneity law each take a chunk of scales per call, and
+    each check computes a cloud it shares once (492 calls when each law
+    computed its own)."""
     calls, outside = _count_sweep_kernels(monkeypatch)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["report", "--suite", "all", "--json"]) == 0
-    assert len(calls) + len(outside) == 492
+    assert len(calls) + len(outside) == 424
+
+
+# Carrier kernel calls of each analytic-batch check, per carrier, at
+# CHUNK_POINTS + 1 points: one scale per chunk, as at 2e4 points.  Each
+# check computes a cloud it shares once; 783 calls in all (868 when each
+# law computed its own).
+KERNEL_CENSUS = {
+    "check_pplay": 257,
+    "check_gamma_irq": 65,
+    "check_A3": 40,
+    "check_A4weak": 169,
+    "check_A3mod_A4": 87,
+    "cone_check": 21,
+    "gh_estimate": 40,
+    "check_translation_groupoid": 42,
+    "fiber_dilatation_structure": 62,
+}
+
+
+@pytest.mark.parametrize("model", [H, euclidean_model(dim=3)],
+                         ids=["heisenberg", "euclidean3"])
+def test_analytic_batch_checks_make_the_census_kernel_calls(monkeypatch,
+                                                            model):
+    n = scales.CHUNK_POINTS + 1
+    quads = sample_point_quads(model, np.random.default_rng(0), n)
+    G = gamma_irq_from_dilation(model)
+    runs = {
+        "check_pplay": lambda: check_pplay(G, quads),
+        "check_gamma_irq": lambda: check_gamma_irq(G, *quads[:2]),
+        "check_translation_groupoid": lambda: check_translation_groupoid(
+            model, n=n),
+        "fiber_dilatation_structure": lambda: fiber_dilatation_structure(
+            model, sampler=BoundedSampler(model, n=n)),
+    }
+    for name in ("check_A3", "check_A4weak", "check_A3mod_A4", "cone_check",
+                 "gh_estimate"):
+        runs[name] = lambda check=getattr(limits, name): check(
+            model, BoundedSampler(model, n=n))
+    calls, outside = _count_sweep_kernels(monkeypatch)
+    census = {}
+    for name, run in runs.items():
+        run()
+        census[name] = len(calls) + len(outside)
+        calls.clear()
+        outside.clear()
+    assert census == KERNEL_CENSUS
 
 
 def test_report_checks_only_the_plans_and_measures_it_reads(monkeypatch):
@@ -360,13 +409,15 @@ def test_large_clouds_sweep_one_scale_per_call(monkeypatch):
                          ids=["heisenberg", "euclidean3"])
 def test_translation_laws_compute_the_based_sum_once_per_scale(monkeypatch,
                                                                model):
-    """Per scale, 30 kernel calls: u o v = Sigma3(x; u, v) is computed once
-    and read by the isometry, closure and inverse laws (36 when each law
-    computed it again)."""
+    """Per scale, 21 kernel calls: u o v = Sigma3(x; u, v), the moved
+    base x circ_s u, its dilatations of v and w and the moved base of
+    u o v are each computed once and read by every law that needs them
+    (30 when only u o v was shared, 36 when each law computed it
+    again)."""
     calls, outside = _count_sweep_kernels(monkeypatch)
     rep = check_translation_groupoid(model, n=50)
     assert rep.passed, rep.summary()
-    assert not calls and len(outside) == 2 * 30
+    assert not calls and len(outside) == 2 * 21
 
 
 def test_check_A3_reads_the_finest_scale_off_its_sweep(monkeypatch):

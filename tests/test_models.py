@@ -27,9 +27,9 @@ from ngd.models import (
     heisenberg_model,
     restricted_euclidean_model,
 )
-from ngd.scales import Scale, dyadic_grid
+from ngd.scales import CHUNK_POINTS, Scale, dyadic_grid
 import references
-from references import DeformedModel, check_deformation
+from references import DeformedModel, check_deformation, ref_ball_sample
 
 coords = st.floats(min_value=-8, max_value=8, allow_nan=False,
                    allow_infinity=False)
@@ -286,6 +286,24 @@ def test_every_carrier_class_is_covered():
     names = {c.__name__ for c in _carrier_classes()}
     assert {"EuclideanGroup", "HeisenbergGroup", "_SquaredDilationGroup",
             "_NaNBelowHeisenbergGroup"} <= names
+
+
+@pytest.mark.parametrize("g", _carriers(),
+                         ids=lambda g: f"{type(g).__name__}-{g.dim}")
+@pytest.mark.parametrize("n", [0, 1, 7, 200, CHUNK_POINTS + 1])
+def test_ball_sampler_keeps_the_points_of_the_mask_route(g, n, monkeypatch):
+    """Kept by index, the sampler draws the same candidates and keeps the
+    same points, in the same order and layout, as by a boolean mask, and
+    leaves the rng where that route left it."""
+    for center in (None, np.linspace(0.5, -0.75, g.dim)):
+        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        got = g.sample(rng, n, 4.0, center=center)
+        with monkeypatch.context() as m:
+            m.setattr(models, "_ball_sample", ref_ball_sample)
+            ref = g.sample(ref_rng, n, 4.0, center=center)
+        assert got.shape == (n, g.dim) and got.strides == ref.strides
+        assert np.array_equal(_bits(got), _bits(ref))
+        assert rng.random() == ref_rng.random()
 
 
 @pytest.mark.parametrize("g", _carriers(skip=PLANTED_KERNELS),

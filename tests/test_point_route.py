@@ -2,11 +2,12 @@
 replaced.
 
 `check_A3mod_A4` reads its difference traces off target columns through
-`point_dilatation`, `check_pplay` computes each shared intermediate once,
-and `arrow_dilatation` builds only its result arrow.  The references
-(below, and `ref_check_pplay` in tests/references.py) are the earlier
-implementations, kept verbatim: they build every arrow and recompute
-every intermediate.  Every report must come out byte-identical,
+`point_dilatation`, `check_pplay`, `cone_check` and the translation laws
+compute each shared intermediate once, and `arrow_dilatation` builds only
+its result arrow.  The references (below, and `ref_check_pplay`,
+`ref_cone_check` and `ref_translation_laws` in tests/references.py) are
+the earlier implementations, kept verbatim: they build every arrow and
+recompute every intermediate.  Every report must come out byte-identical,
 witnesses and their order included, on every carrier class, planted ones
 too.  Reports are compared as JSON text, so a NaN residual compares equal
 to itself and -0.0 differs from 0.0."""
@@ -47,7 +48,6 @@ from ngd.limits import (
     fiber_dilatation_structure,
     rescaled_norm,
     rescaled_pair_distance,
-    two_scale_dilatation,
     uniform_limit,
 )
 from ngd.models import (
@@ -57,7 +57,14 @@ from ngd.models import (
     restricted_euclidean_model,
 )
 from ngd.scales import Scale, as_scale, dyadic_grid
-from references import dif_eps, ref_check_pplay, z_irq_from_iterates
+from references import (
+    dif_eps,
+    ref_check_pplay,
+    ref_cone_check,
+    ref_translation_laws,
+    two_scale_dilatation,
+    z_irq_from_iterates,
+)
 
 CARRIERS = {
     "heisenberg": heisenberg_model,
@@ -212,26 +219,27 @@ def test_battery_computes_each_shared_cloud_once():
     new = len(calls)
     calls.clear()
     ref_check_pplay(Q, quads)
-    # the 5 scales in one chunk: 27 kernel calls; 2 for the m-side clouds
+    # the 5 scales in one chunk: 24 kernel calls; 2 for the m-side clouds
     # of all 5 m; 3 for those of the 9 distinct products sm; 4 for the 25
     # (s, m) pairs in one chunk -- against 455 one scale at a time
-    assert (new, len(calls)) == (27 + 2 + 3 + 4, 455)
+    assert (new, len(calls)) == (24 + 2 + 3 + 4, 455)
 
 
 def test_battery_takes_one_float_scale_a_call_on_large_clouds():
     """At 2e4 points a chunk is one scale, which reaches the kernels as a
-    float: per scale 27 kernel calls; 10 for the m-side clouds; 3 for each
+    float: per scale 24 kernel calls; 10 for the m-side clouds; 3 for each
     of the 9 distinct products sm; 4 per (s, m) pair.  The irq family
-    makes its 6 calls per scale and 3 per pair."""
+    makes its 6 calls per scale, 1 for x circ_t y at each of the 10
+    distinct scales t of the grid and its products, and 1 per pair."""
     H = heisenberg_model()
     Q, calls = _counting_family(H)
     quads = sample_point_quads(H, np.random.default_rng(2), 20000)
     check_pplay(Q, quads)
-    assert len(calls) == 5 * 27 + 10 + 9 * 3 + 25 * 4 == 272
+    assert len(calls) == 5 * 24 + 10 + 9 * 3 + 25 * 4 == 257
     assert set(calls) == {()}
     calls.clear()
     check_gamma_irq(Q, quads[0], quads[1])
-    assert len(calls) == 5 * 6 + 25 * 3
+    assert len(calls) == 5 * 6 + 10 + 25 == 65
     assert set(calls) == {()}
 
 
@@ -388,6 +396,23 @@ def test_two_scale_sweeps_match_the_recomputing_reference(model, kmax):
         _traces(ref_fiber_sweeps(model))
 
 
+@pytest.mark.parametrize("n", [200, scales.CHUNK_POINTS + 1])
+def test_shared_clouds_match_the_recomputing_references(model, n):
+    """The translation laws and the cone check, each shared cloud computed
+    once, against their forms that computed each Sigma3, inv3 and
+    two-scale dilatation whole; 1/8 is below the NaN kernel's 0.2."""
+    sampler = BoundedSampler(model, n=n, seed=3)
+    same_report(limits.cone_check(model, sampler),
+                ref_cone_check(model, sampler))
+    rng = np.random.default_rng(n)
+    u, v, w = (model.sample_points(rng, n, 4.0, center=model.e())
+               for _ in range(3))
+    for s in (Scale(Fraction(1, 2)), Scale(Fraction(1, 4)),
+              Scale(Fraction(1, 8))):
+        same_report(limits._translation_laws(model, s, u, v, w),
+                    ref_translation_laws(model, s, u, v, w))
+
+
 def _count_point_dilatations(monkeypatch, model):
     calls = []
     pd = model.point_dilatation
@@ -415,9 +440,9 @@ def test_two_scale_sweeps_compute_each_cloud_once(monkeypatch):
         run()
         counts.append(len(calls))
     # A4weak: two clouds per scale, then 2 calls per (mu, scale) and 3 for
-    # the base case, against 4 per (mu, scale); fiber structure: 22 calls
-    # for the scale action, 1 per scale for A2, then two clouds per scale
-    # shared by A3 and 2 calls per (mu, scale), against 1 + 2 + 2 * 4 per
-    # scale
+    # the base case, against 4 per (mu, scale); fiber structure: 18 calls
+    # for the scale action (delta^u_r v once per r), 1 per scale for A2,
+    # then two clouds per scale shared by A3 and 2 calls per (mu, scale),
+    # against 1 + 2 + 2 * 4 per scale
     assert counts == [20 * 2 + 3 * 20 * 2 + 3, 3 * 20 * 4,
-                      22 + 6 + 6 * 2 + 2 * 6 * 2, 6 * (1 + 2 + 2 * 4)]
+                      18 + 6 + 6 * 2 + 2 * 6 * 2, 6 * (1 + 2 + 2 * 4)]

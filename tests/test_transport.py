@@ -1756,4 +1756,6 @@ TRANSPORT_FAULTS = [
 def test_a_broken_transport_function_fails_its_laws_with_witnesses(
         name, attr, fault, run, monkeypatch):
     monkeypatch.setattr(transport, attr, fault(getattr(transport, attr)))
-    assert run() == LAW_FAULTS[name]
+    records = run()
+    assert records == LAW_FAULTS[name]
+    assert all(failures <= checked for _, checked, failures, _ in records)
