@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
@@ -457,6 +458,7 @@ def _at_most(parse, top, why):
     return bounded
 
 
+@functools.cache  # built on the first main() call, reused after it
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ngd",

@@ -42,7 +42,10 @@ def as_fraction(value) -> Fraction:
         return value
     if isinstance(value, bool) or isinstance(value, float):
         raise ValueError(f"expected an exact rational, got {value!r}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def _matrix_over_lcm(rows):

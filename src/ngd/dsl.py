@@ -174,7 +174,11 @@ class _Parser:
             return Call("neg", [inner], t.line, t.col)
         if t.kind == "num":
             self.i += 1
-            return Num(Fraction(t.text), t.line, t.col)
+            try:
+                return Num(Fraction(t.text), t.line, t.col)
+            except (ValueError, ZeroDivisionError):  # 1/0, 0/0, 1.5/2
+                raise TermError(f"not a rational number: {t.text!r}",
+                                t.line, t.col) from None
         if t.kind == "lp":
             return self.tuple_or_group()
         if t.kind == "name":

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,12 @@ def batch(scales):
 
 def dyadic_grid(kmax: int = 20) -> list:
     """Scales 2^-k for k = 1..kmax -- the default evaluation grid."""
-    return [Scale(Fraction(1, 2**k)) for k in range(1, kmax + 1)]
+    return list(_dyadic_scales(kmax))  # a fresh list for each caller
+
+
+@cache  # the Scales, built once per kmax and shared: they are frozen
+def _dyadic_scales(kmax: int) -> tuple:
+    return tuple(Scale(Fraction(1, 2**k)) for k in range(1, kmax + 1))
 
 
 def as_scale(s) -> Scale:

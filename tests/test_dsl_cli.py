@@ -564,3 +564,77 @@ def test_cli_report_ends_quietly_on_a_closed_pipe():
         proc.stdout.close()
         err = proc.stderr.read()
     assert first == b"{\n" and err == b"" and proc.returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# a zero denominator: exit 2 in a term, exit 1 in JSON, never a traceback
+
+
+@pytest.mark.parametrize("argv,literal,where", [
+    (["eval", "delta(1/0, (1, 0))"], "1/0", "line 1, col 7"),
+    (["eval", "0/0"], "0/0", "line 1, col 1"),
+    (["eval", "(1, 2/0)"], "2/0", "line 1, col 5"),
+    (["eval", "1.5/2"], "1.5/2", "line 1, col 1"),
+    (["eval", "circ(1/2, 1, 3)", "--base", "1/0"], "1/0",
+     "--base: line 1, col 1"),
+])
+def test_cli_term_literal_that_is_no_rational_is_exit_two(argv, literal,
+                                                          where, capsys):
+    assert run_cli(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err == f"{where}: not a rational number: {literal!r}\n"
+
+
+MEASURES = {"space": PLAN["space"], "mu": ["1/2", "1/2"],
+            "nu": ["1/4", "3/4"]}
+
+
+@pytest.mark.parametrize("blob,command", [
+    ({"points": [0, 1], "dist": [["0", "1/0"], ["1/0", "0"]]},
+     ("validate",)),
+    (dict(MEASURES, mu=["1/0", "1/2"]), ("transport", "--action",
+                                         "kantorovich")),
+    (dict(MEASURES, nu=["1/2", "1/0"]), ("transport", "--action",
+                                         "kantorovich")),
+    (dict(PLAN, gamma=[["0", "0"], ["0", "1/0"]]), ("validate",)),
+    (dict(PLAN, gamma=[["0", "0"], ["0", "1/0"]]), ("transport", "--action",
+                                                    "norm")),
+    (dict(GROUPOID_E, norm={"e": "1/0"}), ("validate",)),
+], ids=["dist", "mu", "nu", "gamma-validate", "gamma-norm", "norm"])
+def test_cli_json_zero_denominator_is_exit_one(tmp_path, capsys, blob,
+                                               command):
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(blob))
+    assert run_cli(command[0], str(f), *command[1:]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err == "invalid structure: zero denominator in '1/0'\n"
+
+
+# ---------------------------------------------------------------------------
+# main() called again and again in one process
+
+
+def test_cli_reuses_one_parser_without_leaking_state(capsys):
+    """Each call answers as the first call of a fresh process does, though
+    every call after the first parses with the same parser."""
+    eval_term = ["eval", "delta(1/2, (3, 0))", "--model", "euclidean",
+                 "--dim", "2"]
+    sequence = [
+        ["report", "--samples", "0"],
+        ["report", "--suite", "transport", "--json"],
+        ["report", "--suite", "transport"],
+        eval_term + ["--base", "(1, 0)"],
+        eval_term,
+    ]
+    for argv in sequence:
+        fresh = subprocess.run([sys.executable, "-m", "ngd.cli", *argv],
+                               capture_output=True, text=True, timeout=120)
+        try:
+            code = run_cli(*argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert (code, capsys.readouterr().out) == (fresh.returncode,
+                                                   fresh.stdout), argv
+    assert cli.build_parser() is cli.build_parser()

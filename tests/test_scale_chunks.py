@@ -10,6 +10,7 @@ at cloud sizes from empty to past one chunk: at n = 246 the 25 scale
 pairs of a pair law take two chunks."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -131,3 +132,20 @@ def test_a_batch_inverts_once():
     assert S.inv().inv().scales == S.scales
     assert np.array_equal(S.inv().inv().modulus, S.modulus)
     assert [s.value for s in S.inv().scales] == [2**k for k in range(1, 6)]
+
+
+@pytest.mark.parametrize("kmax", [1, 5, 20, 36])
+def test_dyadic_grid_is_a_fresh_list_of_the_dyadic_scales(kmax):
+    """The Scales are built once per kmax; each call hands out its own
+    list of them, so a caller's grid + [...] or append leaves the next
+    call's grid alone."""
+    first, second = dyadic_grid(kmax), dyadic_grid(kmax)
+    assert first == second and first is not second
+    assert [s.value for s in first] == [Fraction(1, 2**k)
+                                        for k in range(1, kmax + 1)]
+    assert all(type(s.value) is Fraction for s in first)
+    first.append(scales.Scale(3))
+    first[0] = scales.Scale(5)
+    third = dyadic_grid(kmax)
+    assert third == second and len(third) == kmax
+    assert third[0].value == Fraction(1, 2)
