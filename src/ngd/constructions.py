@@ -13,7 +13,6 @@ the arrow map of dif, (g, h) -> g h^-1, against G's norm.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,8 +73,6 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_json(cls, data):
-        if isinstance(data, str):
-            data = json.loads(data)
         return cls(points=list(data["points"]), dist=data["dist"])
 
 

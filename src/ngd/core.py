@@ -18,13 +18,13 @@ All finite-table arithmetic is exact: tables are judged in integers,
 over one lcm each; Fractions are the input, JSON and witness boundary.
 FiniteGroupoid(...) and from_json check their input; pair_groupoid and
 double_groupoid build trusted tables through _normed, labels checked.
-Reports: each law is a LawCheck; LawCheck.judge counts and files every
-single instance, and tick(n) + fail are the table loops' bulk primitives.
+Reports: each law is a LawCheck.  judge counts and files each single
+instance, judge_residuals each sample of a float batch, and tick(n) + fail
+are the table loops' bulk primitives.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -78,8 +78,9 @@ def _common(a, b):
 @dataclass
 class LawCheck:
     """Outcome of checking one law: instance count and counterexamples.
-    judge is the one route for a single instance; tick(n) and fail are the
-    bulk primitives of the table loops, which name each failure in a batch."""
+    judge is the one route for a single instance, judge_residuals for float
+    residuals; tick(n) and fail are the bulk primitives of the table loops,
+    which name each failure in a batch."""
 
     law: str
     checked: int = 0
@@ -107,6 +108,25 @@ class LawCheck:
         if not ok:
             room = build and len(self.witnesses) < MAX_WITNESSES
             self.fail(**witness, **(build() if room else {}))
+
+    def judge_residuals(self, resids, tol: float, **context) -> None:
+        """Judge each sample of the 1-d array resids as one instance, failing
+        those above tol or not finite; file one witness, the worst sample or
+        the first non-finite one, per-sample context read at it.  A pass
+        costs one max (a NaN fails it); array methods only, so no numpy."""
+        n = resids.size
+        self.checked += n
+        if not n or (worst := resids.max()) <= tol:
+            return
+        self.failures += n - int((resids <= tol).sum())
+        if len(self.witnesses) < MAX_WITNESSES:
+            i = int(resids.argmax() if abs(worst) < math.inf
+                    else (abs(resids) < math.inf).argmin())
+            data = {"residual": float(resids[i]), "sample": i}
+            for key, val in context.items():
+                per_sample = getattr(val, "ndim", 0) and len(val) == n
+                data[key] = val[i].tolist() if per_sample else val
+            self.witnesses.append(data)
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -318,8 +338,6 @@ class FiniteGroupoid:
 
     @classmethod
     def from_json(cls, data) -> "FiniteGroupoid":
-        if isinstance(data, str):
-            data = json.loads(data)
         arrows = list(data["arrows"])
         idx = {lbl: i for i, lbl in enumerate(arrows)}
         if len(idx) != len(arrows):

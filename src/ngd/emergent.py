@@ -7,11 +7,12 @@ Sigma3, inv3).  As eps -> 0 they converge to the model's tangent
 operations; at fixed eps they obey a battery of exact identities, checked
 here: each single scale gives an idempotent right quasigroup (Irq) on the
 fiber, the whole dilatation family (GammaIrq) composes across scales, and
-the based forms satisfy distributivity-style laws.  `_judge` is the one
-residual judge of the package's float laws.  The batteries sweep their
-scales in chunks (ngd.scales.chunks, k n <= CHUNK_POINTS): one kernel call
-per identity and chunk, then `_judge` once per scale row, as a per-scale
-loop would.  So a GammaIrq's op must take a ScaleBatch as well as a Scale.
+the based forms satisfy distributivity-style laws.  Each float law is
+judged by LawCheck.judge_residuals, one instance per sample.  The
+batteries sweep their scales in chunks (ngd.scales.chunks, k n <=
+CHUNK_POINTS): one kernel call per identity and chunk, then one judge per
+scale row, as a per-scale loop would.  So a GammaIrq's op must take a
+ScaleBatch as well as a Scale.
 A check computes each shared cloud once: `_moved_base_ops` takes the moved
 base x circ_s u where Delta3, Sigma3 and inv3 take u, and `_gather` keeps
 a sweep's clouds for every scale pair that reads them.
@@ -23,7 +24,6 @@ with the base an explicit argument.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,41 +47,23 @@ def _per_sample(a, b, lead=1):
         d, axis=tuple(range(lead, d.ndim)), initial=0.0)
 
 
-def _judge_rows(check, S, a, b, tol, own, lead=2, **context):
-    """_judge the chunk S's result a against b a scale at a time (a lone
-    Scale's one row a view), residuals per sample (lead=2) or their max
-    (lead=1), each with its scale's own context first (one dict of own).
-    check is one law, or a list of one law per scale."""
-    checks = check if isinstance(check, list) else [check] * len(own)
+def _judge_rows(check, S, a, b, tol, own, **context):
+    """Judge the chunk S's result a against b a scale at a time (a lone
+    Scale's one row a view), one instance per sample.  own maps witness
+    keys to scale columns of the chunk, each row filing str(t.value) of
+    its scales first; check is one law, or a list of one per scale."""
     a = a if isinstance(S, ScaleBatch) else a[None]
-    for c, r, row in zip(checks, _per_sample(a, b, lead), own):
-        _judge(c, r, tol, **row, **context)
+    cols = [[str(t.value) for t in col.scales] for col in own.values()]
+    rows = [dict(zip(own, values)) for values in zip(*cols)]
+    checks = check if isinstance(check, list) else [check] * len(rows)
+    for c, r, row in zip(checks, _per_sample(a, b, 2), rows):
+        c.judge_residuals(r, tol, **row, **context)
 
 
 def _pair_chunks(grid, n):
     """grid's (s, m, s m) triples, s major, by chunk, with their columns."""
     for chunk in chunks([(s, m, s.mul(m)) for s in grid for m in grid], n):
         yield (chunk, *map(batch, zip(*chunk)))
-
-
-def _judge(check: LawCheck, resids, tol: float, **context) -> None:
-    """Tick the law once per sample batch; file the worst offender as a
-    witness (with any per-sample context arrays sliced at that index).
-    A non-finite residual fails, and its first sample is the witness."""
-    resids = np.atleast_1d(np.asarray(resids, dtype=float))
-    check.tick(int(resids.size))
-    worst = float(resids.max()) if resids.size else 0.0
-    if not math.isfinite(worst):
-        i = int(np.argmin(np.isfinite(resids)))  # first non-finite sample
-    elif worst > tol:
-        i = int(np.argmax(resids))
-    else:
-        return
-    data = {"residual": float(resids[i]), "sample": i}
-    for key, val in context.items():
-        arr = np.asarray(val)
-        data[key] = arr[i].tolist() if arr.ndim > 0 and arr.shape[0] == resids.size else val
-    check.fail(**data)
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +206,10 @@ def check_irq(Q: Irq, xs, ys) -> ValidationReport:
     rep = ValidationReport(subject=Q.name)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    S = Q.scale
-    own = [{}] * (len(S.scales) if isinstance(S, ScaleBatch) else 1)
-    p1 = [LawCheck("P1: x op (x opinv y) = x opinv (x op y) = y") for _ in own]
-    p2 = [LawCheck("P2: x op x = x opinv x = x") for _ in own]
+    S, own = Q.scale, {"eps": Q.scale}
+    p1 = [LawCheck("P1: x op (x opinv y) = x opinv (x op y) = y")
+          for _ in S.scales]
+    p2 = [LawCheck("P2: x op x = x opinv x = x") for _ in S.scales]
     for laws in zip(p1, p2):
         rep.add(*laws)
     _judge_rows(p1, S, Q.op(xs, Q.opinv(xs, ys)), ys, tol, own, x=xs, y=ys)
@@ -250,11 +232,11 @@ def check_gamma_irq(Q: GammaIrq, xs, ys) -> ValidationReport:
     # x circ_t y once for each t of the grid and each product s m
     ts = list(dict.fromkeys(grid + [s.mul(m) for s in grid for m in grid]))
     at = _gather(ts, len(xs), lambda t: [Q.op(t, xs, ys)])
-    for chunk, s, _, _ in _pair_chunks(grid, len(xs)):
+    for chunk, s, m, _ in _pair_chunks(grid, len(xs)):
         _, ms, sms = zip(*chunk)
         (my,), (smy,) = at(ms), at(sms)
-        own = [{"s": str(a.value), "m": str(b.value)} for a, b, _ in chunk]
-        _judge_rows(comp, s, Q.op(s, xs, my), smy, 1e-10, own, x=xs, y=ys)
+        _judge_rows(comp, s, Q.op(s, xs, my), smy, 1e-10, {"s": s, "m": m},
+                    x=xs, y=ys)
     rep.add(comp)
     return rep
 
@@ -284,8 +266,8 @@ def check_pplay(Q: GammaIrq, samples) -> ValidationReport:
     k_ = LawCheck("(k) dilatations distribute over the based difference")
     rep.add(a_, b_, c_, d_, e_, f_, g_, k_)
 
-    for chunk in chunks(grid, n):
-        s, eps = batch(chunk), [{"eps": str(t.value)} for t in chunk]
+    for s in map(batch, chunks(grid, n)):
+        eps = {"eps": s}
         D3, S3, I3 = _moved_base_ops(C, s)
         si = s.inv()
         # each cloud here is read by several laws: the moved bases of u, x
@@ -313,8 +295,8 @@ def check_pplay(Q: GammaIrq, samples) -> ValidationReport:
         _, ms, sms = zip(*chunk)
         (mu, mv), (smu, smd) = at_m(ms), at_sm(sms)
         lhs = _moved_base_ops(C, s)[0](x, C(s, x, mu), mv)
-        _judge_rows(k_, s, lhs, C(m, smu, smd), 1e-10, [{"eps": str(a.value),
-                    "mu": str(b.value)} for a, b, _ in chunk], x=x, u=u, v=v)
+        _judge_rows(k_, s, lhs, C(m, smu, smd), 1e-10, {"eps": s, "mu": m},
+                    x=x, u=u, v=v)
     return rep
 
 
@@ -350,11 +332,10 @@ def check_based_compat(model, n=300) -> ValidationReport:
                   for _ in range(3))
     hu = model.arrow(hp, up)  # h u^-1 in pair coordinates
     gu = model.arrow(gp, up)
-    for chunk in chunks(dyadic_grid(kmax=5), n):
-        s, eps = batch(chunk), [{"eps": str(t.value)} for t in chunk]
+    for s in map(batch, chunks(dyadic_grid(kmax=5), n)):
         for law, arrow_op, based_op in ((cd, Delta_eps, Delta3),
                                         (cs, Sigma_eps, Sigma3)):
             _judge_rows(law, s, arrow_op(model, s, hu, gu), model.arrow(
-                based_op(model, s, up, gp, hp), up), 1e-10, eps, u=up, g=gp,
-                h=hp)
+                based_op(model, s, up, gp, hp), up), 1e-10, {"eps": s}, u=up,
+                g=gp, h=hp)
     return rep

@@ -44,7 +44,7 @@ import numpy as np
 from .core import LawCheck, ValidationReport
 from .scales import (CHUNK_POINTS, Scale, ScaleBatch, chunks, dyadic_grid,
                      kernel_modulus)
-from .emergent import _judge, _maxabs, _moved_base_ops, _per_sample
+from .emergent import _maxabs, _moved_base_ops, _per_sample
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +331,12 @@ def check_A3(model, sampler, grid=None, tol=1e-8) -> ValidationReport:
     nondeg = LawCheck("nondegeneracy: distinct arrows keep positive tangent distance")
     rep.add(diag, sym, tri, nondeg)
 
-    _judge(diag, np.abs(model.tangent_pair_dist(G, G)), 1e-12)
-    _judge(sym, np.abs(dt0 - model.tangent_pair_dist(H, G)), 1e-12)
+    diag.judge_residuals(np.abs(model.tangent_pair_dist(G, G)), 1e-12)
+    sym.judge_residuals(np.abs(dt0 - model.tangent_pair_dist(H, G)), 1e-12)
     L = np.roll(G, 1, axis=0)  # same fiber, so a legal third corner
     slack = (model.tangent_pair_dist(G, L)
              - dt0 - model.tangent_pair_dist(H, L))
-    _judge(tri, np.maximum(slack, 0.0), 1e-12)
+    tri.judge_residuals(np.maximum(slack, 0.0), 1e-12)
 
     tg, th = model.target(G), model.target(H)
     finest = chunk[0][-1]
@@ -375,7 +375,8 @@ def check_A4weak(model, sampler, grid=None, tol=1e-8) -> ValidationReport:
     for mu in MUS:
         lhs = model.tangent_bar_dilatation(mu, x, x, v)
         rhs = model.point_dilatation(mu, x, v)
-        _judge(basecase, _per_sample(lhs, rhs), 1e-12, mu=str(mu.value))
+        basecase.judge_residuals(_per_sample(lhs, rhs), 1e-12,
+                                 mu=str(mu.value))
     return rep
 
 
@@ -427,14 +428,16 @@ def check_A3mod_A4(model, sampler, grid=None,
 
     lhs = rescaled_pair_distance(model, star, G, H)
     rhs = rescaled_norm(model, star, tD)
-    _judge(bridge, np.abs(lhs - rhs), 1e-10, eps_star=str(star.value))
+    bridge.judge_residuals(np.abs(lhs - rhs), 1e-10,
+                           eps_star=str(star.value))
 
     dg, dh = pd(star, base, tg), pd(star, base, th)
     back = pd(star, dh, pd(star.inv(), dh, dg))
-    _judge(route, _per_sample(back, dg), 1e-10, eps_star=str(star.value))
+    route.judge_residuals(_per_sample(back, dg), 1e-10,
+                          eps_star=str(star.value))
 
-    _judge(exact, np.abs(model.tangent_pair_dist(G, H)
-                         - model.tangent_norm(tD)), 1e-12)
+    exact.judge_residuals(np.abs(model.tangent_pair_dist(G, H)
+                                 - model.tangent_norm(tD)), 1e-12)
     return rep
 
 
@@ -455,11 +458,12 @@ def cone_check(model, sampler) -> ValidationReport:
     for mu in MUS:
         du, dv = pd(mu, x, u), pd(mu, x, v)
         lhs = rescaled_distance(model, star, x, du, dv)
-        _judge(homog, np.abs(lhs - float(mu.modulus) * base_d), 1e-10,
-               mu=str(mu.value))
+        homog.judge_residuals(np.abs(lhs - float(mu.modulus) * base_d),
+                              1e-10, mu=str(mu.value))
         # the two-scale dilatation delta^x_{1/eps*} delta^{sx}_mu sv at u = x
         emp = pd(star.inv(), x, pd(mu, sx, sv))
-        _judge(basecase, _per_sample(emp, dv), 1e-10, mu=str(mu.value))
+        basecase.judge_residuals(_per_sample(emp, dv), 1e-10,
+                                 mu=str(mu.value))
     return rep
 
 
@@ -514,10 +518,11 @@ def fiber_dilatation_structure(model, x=None, sampler=None):
                                       Scale(Fraction(3, 4)))]  # at every s
     for s in [Scale(Fraction(1, 2)), Scale(Fraction(1, 8)), Scale(Fraction(4))]:
         for r, dv in rv:
-            _judge(act, _per_sample(dil(s, u, dv), dil(s.mul(r), u, v)), 1e-9,
-                   s=str(s.value), r=str(r.value))
-        _judge(act, _per_sample(dil(s, u, u), u), 1e-12, s=str(s.value))
-    _judge(act, _per_sample(dil(Scale.one(), u, v), v), 1e-12)
+            act.judge_residuals(_per_sample(dil(s, u, dv), dil(
+                s.mul(r), u, v)), 1e-9, s=str(s.value), r=str(r.value))
+        act.judge_residuals(_per_sample(dil(s, u, u), u), 1e-12,
+                            s=str(s.value))
+    act.judge_residuals(_per_sample(dil(Scale.one(), u, v), v), 1e-12)
 
     rep.limits.append(uniform_limit(
         "fiber A2: dist(u, delta^u_eps v) -> 0",
@@ -568,21 +573,22 @@ def _translation_laws(model, s, u, v, w) -> ValidationReport:
     uv, uw = pd(s.inv(), x, mv), pd(s.inv(), x, mw)  # u o v = S3(x, mb, v)
     xuv = pd(s, x, uv)  # the moved base of u o v, read twice
     lhs = itruediv(model.pdist(xuv, pd(s, xb, uw)), mod)
-    _judge(iso, np.abs(lhs - itruediv(model.pdist(mv, mw), mod)), 1e-12,
-           eps=str(s.value), u=u)
+    iso.judge_residuals(np.abs(lhs - itruediv(model.pdist(mv, mw), mod)),
+                        1e-12, eps=str(s.value), u=u)
 
-    _judge(clos, _per_sample(S3(x, mb, S3(mb, mv, w)), S3(x, xuv, w)), 1e-12,
-           eps=str(s.value), u=u, v=v, w=w)
+    clos.judge_residuals(_per_sample(S3(x, mb, S3(mb, mv, w)), S3(x, xuv, w)),
+                         1e-12, eps=str(s.value), u=u, v=v, w=w)
 
-    _judge(unit, _per_sample(S3(xb, pd(s, xb, xb), u), u), 1e-12,
-           eps=str(s.value))
+    unit.judge_residuals(_per_sample(S3(xb, pd(s, xb, xb), u), u), 1e-12,
+                         eps=str(s.value))
 
     undone = S3(mb, pd(s, mb, I3(x, mb)), uv)
-    _judge(invl, _per_sample(undone, v), 1e-12, eps=str(s.value), u=u, v=v)
+    invl.judge_residuals(_per_sample(undone, v), 1e-12, eps=str(s.value),
+                         u=u, v=v)
 
-    _judge(tang, np.abs(itruediv(model.pdist(mb, pd(s, xb, v)), mod)
-                        - model.tangent_point_dist(u, v)),
-           1e-12, eps=str(s.value))
+    tang.judge_residuals(np.abs(itruediv(model.pdist(mb, pd(s, xb, v)), mod)
+                                - model.tangent_point_dist(u, v)),
+                         1e-12, eps=str(s.value))
     return rep
 
 

@@ -51,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import LawCheck, ValidationReport
-from .emergent import (_judge, _judge_rows, _maxabs, _pair_chunks,
+from .emergent import (_judge_rows, _maxabs, _pair_chunks, _per_sample,
                        arrow_dilatation)
 from .limits import uniform_limit
 from .scales import Scale, as_scale, batch, chunks, dyadic_grid, kernel_modulus
@@ -524,16 +524,14 @@ def check_A1(model, arrows) -> ValidationReport:
     one = LawCheck("delta_1 = id")
     rep.add(fib, act, one)
 
-    _judge(one, [_maxabs(model.delta(Scale.one(), arrows) - arrows)], tol)
-    for chunk in chunks(scales, len(arrows)):
-        s = batch(chunk)
+    one.judge_residuals(_per_sample(model.delta(Scale.one(), arrows), arrows),
+                        tol)
+    for s in map(batch, chunks(scales, len(arrows))):
         _judge_rows(fib, s, model.alpha_coords(model.delta(s, arrows)),
-                    model.alpha_coords(arrows), tol,
-                    [{"scale": str(t)} for t in chunk], 1)
-    for chunk, s, r, sr in _pair_chunks(scales, len(arrows)):
+                    model.alpha_coords(arrows), tol, {"scale": s})
+    for _, s, r, sr in _pair_chunks(scales, len(arrows)):
         _judge_rows(act, s, model.delta(s, model.delta(r, arrows)),
-                    model.delta(sr, arrows), tol,
-                    [{"s": str(a), "r": str(b)} for a, b, _ in chunk], 1)
+                    model.delta(sr, arrows), tol, {"s": s, "r": r})
     return rep
 
 
@@ -545,10 +543,9 @@ def check_A2(model, arrows) -> ValidationReport:
     fixed = LawCheck("unit arrows are fixed")
     rep.add(fixed)
     units = model.unit_of(arrows)
-    for chunk in chunks(grid[:4] + grid[-1:], len(arrows)):
-        s = batch(chunk)
+    for s in map(batch, chunks(grid[:4] + grid[-1:], len(arrows))):
         _judge_rows(fixed, s, model.delta(s, units), units, 1e-12,
-                    [{"scale": str(t)} for t in chunk], 1)
+                    {"scale": s})
     # vanishing is what matters; the trend check does the work
     rep.limits.append(uniform_limit(
         "A2: sup d(delta_eps a) -> 0",
@@ -627,12 +624,10 @@ def check_dilation_morphism(model: PairModel) -> ValidationReport:
     rep = ValidationReport(subject=f"induced double dilation[{model.name}]")
     inter = LawCheck("dif o delta~_s = delta_s o dif")
     rep.add(inter)
-    for chunk in chunks([Scale(Fraction(1, 2)), Scale(Fraction(1, 16)),
-                         Scale(Fraction(4))], len(P)):
-        s = batch(chunk)
+    for s in map(batch, chunks([Scale(Fraction(1, 2)), Scale(Fraction(1, 16)),
+                                Scale(Fraction(4))], len(P))):
         _judge_rows(inter, s, dm.dif_map(dm.delta(s, P)),
-                    model.delta(s, dm.dif_map(P)), 1e-9,
-                    [{"scale": str(t)} for t in chunk], 1)
+                    model.delta(s, dm.dif_map(P)), 1e-9, {"scale": s})
     rep.merge(check_A1(dm, P))
     rep.merge(check_A2(dm, P))
     return rep

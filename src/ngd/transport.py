@@ -26,7 +26,6 @@ is kept as the reference the tests compare against.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -227,8 +226,6 @@ class Coupling(_Exact):
 
     @classmethod
     def from_json(cls, data):
-        if isinstance(data, str):
-            data = json.loads(data)
         space = FiniteMetricSpace.from_json(data["space"])
         mu = Measure(space, data["mu"]) if "mu" in data else None
         nu = Measure(space, data["nu"]) if "nu" in data else None

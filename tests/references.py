@@ -45,7 +45,7 @@ from ngd.constructions import _dif_map, _double_of, _double_pairs
 from ngd.core import (FiniteGroupoid, LawCheck, ValidationReport,
                       _table_laws, _tables, check_category_with_inverses)
 from ngd.emergent import (Delta3, Delta_eps, GammaIrq, Irq, Sigma3, Sigma_eps,
-                          _judge, _maxabs, _per_sample, inv3)
+                          _per_sample, inv3)
 from ngd.limits import EPS_STAR, MUS, rescaled_distance, uniform_limit
 from ngd.models import DoubleModel, PairModel, _empty
 from ngd.scales import Scale, ScaleBatch, as_scale, dyadic_grid
@@ -232,15 +232,15 @@ def check_deformation(model: PairModel, mu) -> ValidationReport:
     a2 = db.arrow(p, dm.omega_coords(b2))
     lhs = dm.m(dm.m(a2, b2), c_arr)
     rhs = dm.m(a2, dm.m(b2, c_arr))
-    _judge(assoc, [_maxabs(lhs - rhs)], tol)
+    assoc.judge_residuals(_per_sample(lhs, rhs), tol)
 
-    # one instance; np.max keeps a NaN in either residual
-    r1 = _maxabs(dm.m(a_arr, db.unit(db.source(a_arr))) - a_arr)
-    r2 = _maxabs(dm.m(db.unit(dm.omega_coords(a_arr)), a_arr) - a_arr)
-    _judge(unit, [np.max([r1, r2])], tol)
+    # one instance per sample; np.maximum keeps a NaN in either residual
+    r1 = _per_sample(dm.m(a_arr, db.unit(db.source(a_arr))), a_arr)
+    r2 = _per_sample(dm.m(db.unit(dm.omega_coords(a_arr)), a_arr), a_arr)
+    unit.judge_residuals(np.maximum(r1, r2), tol)
 
     lhs = dm.m(dm.inverse(a_arr), a_arr)
-    _judge(invl, [_maxabs(lhs - db.unit(db.source(a_arr)))], tol)
+    invl.judge_residuals(_per_sample(lhs, db.unit(db.source(a_arr))), tol)
 
     # norm-preserving morphism: d_mu(dif_mu(g,h)) = dtilde_mu(g,h)
     pres = LawCheck("d_mu(dif_mu(g,h)) = dtilde_mu(g,h)")
@@ -251,19 +251,20 @@ def check_deformation(model: PairModel, mu) -> ValidationReport:
     g = db.arrow(p, B)
     h = db.arrow(q, B)
     l_ = db.arrow(r, B)
-    _judge(pres, [_maxabs(dm.norm(dm.dif(g, h)) - dm.dtilde(g, h))], tol)
+    pres.judge_residuals(np.abs(dm.norm(dm.dif(g, h)) - dm.dtilde(g, h)), tol)
 
     lhs = dm.dif(g, l_)
     rhs = dm.m(dm.dif(g, h), dm.dif(h, l_))
-    _judge(morph, [_maxabs(lhs - rhs)], tol)
+    morph.judge_residuals(_per_sample(lhs, rhs), tol)
 
     for s in [Scale(Fraction(1, 4)), Scale(Fraction(1, 2))]:
         via_conj = dm.double_delta(s, g, h)
         # direct route: the deformed structure's own induced dilation,
         # built from deformed dif / composition
         direct_first = dm.m(db.delta(s, dm.dif(g, h)), h)
-        _judge(conj, [np.max([_maxabs(via_conj[0] - direct_first),
-                              _maxabs(via_conj[1] - h)])], tol, scale=str(s))
+        conj.judge_residuals(np.maximum(_per_sample(via_conj[0], direct_first),
+                                        _per_sample(via_conj[1], h)), tol,
+                             scale=str(s.value))
     return rep
 
 
@@ -349,27 +350,27 @@ def ref_check_pplay(Q, samples, tol=1e-10):
     for s in grid:
         xu = C(s, x, u)
         iu = I3(s, x, u)
-        _judge(a_, _per_sample(D3(s, x, u, S3(s, x, u, v)), v), tol,
-               eps=str(s.value), x=x, u=u, v=v)
-        _judge(b_, _per_sample(S3(s, x, u, D3(s, x, u, v)), v), tol,
-               eps=str(s.value), x=x, u=u, v=v)
-        _judge(c_, _per_sample(D3(s, x, u, v), S3(s, xu, iu, v)), tol,
-               eps=str(s.value), x=x, u=u, v=v)
-        _judge(d_, _per_sample(I3(s, xu, iu), u), tol,
-               eps=str(s.value), x=x, u=u)
-        _judge(e_, _per_sample(S3(s, x, u, S3(s, xu, v, w)),
-                               S3(s, x, S3(s, x, u, v), w)), tol,
-               eps=str(s.value), x=x, u=u, v=v, w=w)
-        _judge(f_, _per_sample(iu, D3(s, x, u, x)), tol,
-               eps=str(s.value), x=x, u=u)
-        _judge(g_, _per_sample(S3(s, x, x, u), u), tol,
-               eps=str(s.value), x=x, u=u)
+        a_.judge_residuals(_per_sample(D3(s, x, u, S3(s, x, u, v)), v), tol,
+                           eps=str(s.value), x=x, u=u, v=v)
+        b_.judge_residuals(_per_sample(S3(s, x, u, D3(s, x, u, v)), v), tol,
+                           eps=str(s.value), x=x, u=u, v=v)
+        c_.judge_residuals(_per_sample(D3(s, x, u, v), S3(s, xu, iu, v)), tol,
+                           eps=str(s.value), x=x, u=u, v=v)
+        d_.judge_residuals(_per_sample(I3(s, xu, iu), u), tol,
+                           eps=str(s.value), x=x, u=u)
+        e_.judge_residuals(_per_sample(S3(s, x, u, S3(s, xu, v, w)),
+                                       S3(s, x, S3(s, x, u, v), w)), tol,
+                           eps=str(s.value), x=x, u=u, v=v, w=w)
+        f_.judge_residuals(_per_sample(iu, D3(s, x, u, x)), tol,
+                           eps=str(s.value), x=x, u=u)
+        g_.judge_residuals(_per_sample(S3(s, x, x, u), u), tol,
+                           eps=str(s.value), x=x, u=u)
         for m in grid:
             sm = s.mul(m)
             lhs = D3(s, x, C(m, x, u), C(m, x, v))
             rhs = C(m, C(sm, x, u), D3(sm, x, u, v))
-            _judge(k_, _per_sample(lhs, rhs), tol,
-                   eps=str(s.value), mu=str(m.value), x=x, u=u, v=v)
+            k_.judge_residuals(_per_sample(lhs, rhs), tol,
+                               eps=str(s.value), mu=str(m.value), x=x, u=u, v=v)
     return rep
 
 
@@ -382,10 +383,13 @@ def ref_check_irq(Q: Irq, xs, ys) -> ValidationReport:
     rep.add(p1, p2)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    _judge(p1, _per_sample(Q.op(xs, Q.opinv(xs, ys)), ys), tol, x=xs, y=ys)
-    _judge(p1, _per_sample(Q.opinv(xs, Q.op(xs, ys)), ys), tol, x=xs, y=ys)
-    _judge(p2, _per_sample(Q.op(xs, xs), xs), tol, x=xs)
-    _judge(p2, _per_sample(Q.opinv(xs, xs), xs), tol, x=xs)
+    eps = str(Q.scale.value)
+    p1.judge_residuals(_per_sample(Q.op(xs, Q.opinv(xs, ys)), ys), tol,
+                       eps=eps, x=xs, y=ys)
+    p1.judge_residuals(_per_sample(Q.opinv(xs, Q.op(xs, ys)), ys), tol,
+                       eps=eps, x=xs, y=ys)
+    p2.judge_residuals(_per_sample(Q.op(xs, xs), xs), tol, eps=eps, x=xs)
+    p2.judge_residuals(_per_sample(Q.opinv(xs, xs), xs), tol, eps=eps, x=xs)
     return rep
 
 
@@ -402,8 +406,8 @@ def ref_check_gamma_irq(Q: GammaIrq, xs, ys) -> ValidationReport:
         for m in grid:
             lhs = Q.op(s, xs, Q.op(m, xs, ys))
             rhs = Q.op(s.mul(m), xs, ys)
-            _judge(comp, _per_sample(lhs, rhs), 1e-10,
-                   s=str(s.value), m=str(m.value), x=xs, y=ys)
+            comp.judge_residuals(_per_sample(lhs, rhs), 1e-10,
+                                 s=str(s.value), m=str(m.value), x=xs, y=ys)
     rep.add(comp)
     return rep
 
@@ -423,10 +427,10 @@ def ref_check_based_compat(model, n=300) -> ValidationReport:
     for s in dyadic_grid(kmax=5):
         lhs = Delta_eps(model, s, hu, gu)
         rhs = model.arrow(Delta3(model, s, up, gp, hp), up)
-        _judge(cd, _per_sample(lhs, rhs), 1e-10, eps=str(s.value), u=up, g=gp, h=hp)
+        cd.judge_residuals(_per_sample(lhs, rhs), 1e-10, eps=str(s.value), u=up, g=gp, h=hp)
         lhs = Sigma_eps(model, s, hu, gu)
         rhs = model.arrow(Sigma3(model, s, up, gp, hp), up)
-        _judge(cs, _per_sample(lhs, rhs), 1e-10, eps=str(s.value), u=up, g=gp, h=hp)
+        cs.judge_residuals(_per_sample(lhs, rhs), 1e-10, eps=str(s.value), u=up, g=gp, h=hp)
     return rep
 
 
@@ -441,15 +445,18 @@ def ref_check_A1(model, arrows) -> ValidationReport:
     one = LawCheck("delta_1 = id")
     rep.add(fib, act, one)
 
-    _judge(one, [_maxabs(model.delta(Scale.one(), arrows) - arrows)], tol)
+    one.judge_residuals(_per_sample(model.delta(Scale.one(), arrows), arrows),
+                        tol)
     for s in scales:
         da = model.delta(s, arrows)
-        _judge(fib, [_maxabs(model.alpha_coords(da)
-                             - model.alpha_coords(arrows))], tol, scale=str(s))
+        fib.judge_residuals(_per_sample(model.alpha_coords(da),
+                                        model.alpha_coords(arrows)), tol,
+                            scale=str(s.value))
         for r2 in scales:
             lhs = model.delta(s, model.delta(r2, arrows))
             rhs = model.delta(s.mul(r2), arrows)
-            _judge(act, [_maxabs(lhs - rhs)], tol, s=str(s), r=str(r2))
+            act.judge_residuals(_per_sample(lhs, rhs), tol, s=str(s.value),
+                                r=str(r2.value))
     return rep
 
 
@@ -461,8 +468,8 @@ def ref_check_A2(model, arrows) -> ValidationReport:
     rep.add(fixed)
     units = model.unit_of(arrows)
     for s in grid[:4] + grid[-1:]:
-        _judge(fixed, [_maxabs(model.delta(s, units) - units)], 1e-12,
-               scale=str(s))
+        fixed.judge_residuals(_per_sample(model.delta(s, units), units),
+                              1e-12, scale=str(s.value))
     rep.limits.append(uniform_limit(
         "A2: sup d(delta_eps a) -> 0",
         lambda s: model.norm(model.delta(s, arrows)), np.zeros(len(arrows)),
@@ -481,7 +488,7 @@ def ref_check_dilation_morphism(model: PairModel) -> ValidationReport:
     for s in [Scale(Fraction(1, 2)), Scale(Fraction(1, 16)), Scale(Fraction(4))]:
         lhs = dm.dif_map(dm.delta(s, P))
         rhs = model.delta(s, dm.dif_map(P))
-        _judge(inter, [_maxabs(lhs - rhs)], 1e-9, scale=str(s))
+        inter.judge_residuals(_per_sample(lhs, rhs), 1e-9, scale=str(s.value))
     rep.merge(ref_check_A1(dm, P))
     rep.merge(ref_check_A2(dm, P))
     return rep
@@ -515,22 +522,22 @@ def ref_translation_laws(model, s, u, v, w) -> ValidationReport:
     uv = Sigma3(model, s, x, u, v)
     lhs = rescaled_distance(model, s, xb, uv, Sigma3(model, s, x, u, w))
     rhs = rescaled_distance(model, s, mb, v, w)
-    _judge(iso, np.abs(lhs - rhs), 1e-12, eps=str(s.value), u=u)
+    iso.judge_residuals(np.abs(lhs - rhs), 1e-12, eps=str(s.value), u=u)
 
     inner = Sigma3(model, s, mb, v, w)
-    _judge(clos, _per_sample(Sigma3(model, s, x, u, inner),
-                             Sigma3(model, s, x, uv, w)), 1e-12,
-           eps=str(s.value), u=u, v=v, w=w)
+    clos.judge_residuals(_per_sample(Sigma3(model, s, x, u, inner),
+                                     Sigma3(model, s, x, uv, w)), 1e-12,
+                         eps=str(s.value), u=u, v=v, w=w)
 
-    _judge(unit, _per_sample(Sigma3(model, s, xb, xb, u), u), 1e-12,
-           eps=str(s.value))
+    unit.judge_residuals(_per_sample(Sigma3(model, s, xb, xb, u), u), 1e-12,
+                         eps=str(s.value))
 
     undone = Sigma3(model, s, mb, inv3(model, s, x, u), uv)
-    _judge(invl, _per_sample(undone, v), 1e-12, eps=str(s.value), u=u, v=v)
+    invl.judge_residuals(_per_sample(undone, v), 1e-12, eps=str(s.value), u=u, v=v)
 
-    _judge(tang, np.abs(rescaled_distance(model, s, xb, u, v)
-                        - model.tangent_point_dist(u, v)),
-           1e-12, eps=str(s.value))
+    tang.judge_residuals(np.abs(rescaled_distance(model, s, xb, u, v)
+                                - model.tangent_point_dist(u, v)),
+                         1e-12, eps=str(s.value))
     return rep
 
 
@@ -549,11 +556,11 @@ def ref_cone_check(model, sampler) -> ValidationReport:
         du = model.point_dilatation(mu, x, u)
         dv = model.point_dilatation(mu, x, v)
         lhs = rescaled_distance(model, star, x, du, dv)
-        _judge(homog, np.abs(lhs - float(mu.modulus) * base_d), 1e-10,
-               mu=str(mu.value))
+        homog.judge_residuals(np.abs(lhs - float(mu.modulus) * base_d), 1e-10,
+                              mu=str(mu.value))
         emp = two_scale_dilatation(model, star, mu, x, x, v)
-        _judge(basecase, _per_sample(emp, model.point_dilatation(mu, x, v)),
-               1e-10, mu=str(mu.value))
+        basecase.judge_residuals(_per_sample(emp, model.point_dilatation(mu, x, v)),
+                                 1e-10, mu=str(mu.value))
     return rep
 
 

@@ -2,9 +2,11 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ngd.core import (
+    MAX_WITNESSES,
     CategoryWithInverses,
     FiniteGroupoid,
     LawCheck,
@@ -159,6 +161,84 @@ def test_judge_builds_witnesses_only_while_the_cap_is_open():
     for k in range(42):
         c.judge(False, k=k, build=lambda: built.append(k) or {})
     assert (len(built), c.failures, len(c.witnesses)) == (10, 42, 10)
+
+
+def test_judge_residuals_counts_each_sample_and_each_failing_one():
+    c = LawCheck("demo")
+    c.judge_residuals(np.array([0.0, 1e-10, 5e-11]), 1e-10)
+    assert (c.checked, c.failures, c.witnesses) == (3, 0, [])
+    c.judge_residuals(np.array([0.0, 3.0, 1e-12, 5.0, 2.0, 1.0]), 1.0)
+    assert (c.checked, c.failures) == (9, 3)
+    assert c.witnesses == [{"residual": 5.0, "sample": 3}]
+    c.judge_residuals(np.array([]), 1.0)
+    assert (c.checked, c.failures, len(c.witnesses)) == (9, 3, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_judge_residuals_fails_each_non_finite_sample(bad):
+    c = LawCheck("demo")
+    c.judge_residuals(np.array([0.0, 7.0, bad, 0.0, np.nan, np.inf]), 1.0)
+    assert (c.checked, c.failures) == (6, 4)
+    # the first non-finite sample, not the worst finite one nor numpy's
+    # argmax, which would point at the first NaN
+    assert c.witnesses[0]["sample"] == 2
+    assert repr(c.witnesses[0]["residual"]) == repr(float(bad))
+
+
+def test_judge_residuals_reads_per_sample_context_at_the_witness():
+    c = LawCheck("demo")
+    x = np.arange(12.0).reshape(4, 3)
+    c.judge_residuals(np.array([0.0, 2.0, 9.0, 1.0]), 0.5, eps="1/2",
+                      x=x, y=np.arange(4.0) * 10)
+    assert c.witnesses == [{"residual": 9.0, "sample": 2, "eps": "1/2",
+                            "x": [6.0, 7.0, 8.0], "y": 20.0}]
+    assert list(c.witnesses[0]) == ["residual", "sample", "eps", "x", "y"]
+
+
+def test_judge_residuals_files_one_witness_a_call_under_the_cap():
+    c = LawCheck("demo")
+    for k in range(MAX_WITNESSES + 5):
+        c.judge_residuals(np.array([1.0, 2.0, 0.0]), 0.5, k=str(k))
+    assert (c.checked, c.failures) == (3 * (MAX_WITNESSES + 5),
+                                       2 * (MAX_WITNESSES + 5))
+    assert [w["k"] for w in c.witnesses] == [str(k)
+                                             for k in range(MAX_WITNESSES)]
+    assert all(w["sample"] == 1 for w in c.witnesses)
+
+
+def test_judge_residuals_never_counts_more_failures_than_samples():
+    rng = np.random.default_rng(30)
+    c = LawCheck("demo")
+    for _ in range(50):
+        r = rng.choice([0.0, 1e-11, 1e-9, 1.0, np.nan, np.inf],
+                       size=int(rng.integers(0, 20)))
+        before = c.failures
+        c.judge_residuals(r, 1e-10)
+        assert c.failures - before == int(np.sum(~(r <= 1e-10)))
+        assert c.failures <= c.checked
+    assert c.checked and c.failures and c.witnesses
+
+
+_CALLED = []
+
+
+class _Logged(np.ndarray):
+    """An array that logs the public names read off it."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            _CALLED.append(name)
+        return super().__getattribute__(name)
+
+
+def test_judge_residuals_passes_on_one_max():
+    c = LawCheck("demo")
+    _CALLED.clear()
+    c.judge_residuals(np.array([0.0, 1e-12, 3e-11]).view(_Logged), 1e-10)
+    assert c.passed and _CALLED == ["size", "max"]
+    _CALLED.clear()
+    c.judge_residuals(np.array([0.0, np.nan]).view(_Logged), 1e-10)
+    assert not c.passed and _CALLED[:2] == ["size", "max"]
 
 
 def test_report_merge_and_lookup():

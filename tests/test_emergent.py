@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ngd.core import LawCheck
 from ngd.emergent import (
-    _judge,
     Delta3,
     Delta_eps,
     Sigma3,
@@ -210,13 +209,27 @@ def test_judge_fails_a_non_finite_residual_with_its_first_sample():
     for bad in (np.nan, np.inf):
         law = LawCheck("demo")
         resid = np.array([0.0, 1e-20, bad, 1e-20, np.nan])
-        _judge(law, resid, 1e-10, x=np.arange(5.0))
-        assert not law.passed and law.checked == 5
+        law.judge_residuals(resid, 1e-10, x=np.arange(5.0))
+        assert not law.passed and (law.checked, law.failures) == (5, 2)
         w = law.witnesses[0]
         assert w["sample"] == 2 and w["x"] == 2.0
     law = LawCheck("finite and small")
-    _judge(law, np.array([0.0, 1e-20]), 1e-10)
+    law.judge_residuals(np.array([0.0, 1e-20]), 1e-10)
     assert law.passed
+
+
+def test_irq_witnesses_name_their_scale_and_count_each_sample():
+    """check_irq judges P1 (two clauses) and P2 per sample at each scale of
+    its batch, and a failing law's witness names that scale as eps."""
+    bad = nan_below_heisenberg()
+    x, y = sample_point_quads(bad, np.random.default_rng(3), n=40)[:2]
+    rep = check_gamma_irq(gamma_irq_from_dilation(bad), x, y)
+    irq = [c for c in rep.laws if c.law.startswith(("P1", "P2"))]
+    assert [c.checked for c in irq] == [80] * 10  # two clauses of 40 each
+    failed = [c for c in irq if not c.passed]
+    assert [c.witnesses[0]["eps"] for c in failed] == [
+        "1/8", "1/8", "1/16", "1/16", "1/32", "1/32"]
+    assert all(0 < c.failures <= c.checked for c in failed)
 
 
 def test_nan_kernel_fails_the_battery():

@@ -188,7 +188,34 @@ def test_deformed_norm_collapses_for_homogeneous_models():
 
 
 # ---------------------------------------------------------------------------
-# NaN residuals fail: every residual law goes through emergent._judge
+# NaN residuals fail: every residual law goes through LawCheck.judge_residuals
+
+
+def test_scale_action_laws_count_one_instance_per_sample():
+    model = heisenberg_model()
+    arrows = model.sample_fiber_arrows(np.random.default_rng(8), 30)
+    counts = {c.law: c.checked for c in check_A1(model, arrows).laws}
+    assert counts == {"delta preserves the source fiber": 5 * 30,
+                      "delta_s delta_r = delta_{s r}": 25 * 30,
+                      "delta_1 = id": 30}
+    assert [c.checked for c in check_A2(model, arrows).laws] == [5 * 30]
+    rep = check_dilation_morphism(model)  # 300 pairs, three scales
+    assert rep.law("dif o delta~_s = delta_s o dif").checked == 3 * 300
+
+
+def test_planted_homogeneity_fails_each_sample_and_names_the_worst():
+    rep = dict(fixtures.run_planted_suite())[
+        "squared dilation exponent vs norm homogeneity"]
+    (law,) = rep.laws
+    assert (law.checked, law.failures) == (4 * 200, 4 * 200)
+    model = fixtures.wrong_exponent_euclidean()
+    arrows = model.sample_fiber_arrows(np.random.default_rng(0), 200)
+    for w, s in zip(law.witnesses, dyadic_grid(kmax=4)):
+        resid = np.abs(model.norm(model.delta(s, arrows))
+                       - float(s.value) * model.norm(arrows))
+        assert w["scale"] == str(s.value)
+        assert w["sample"] == int(np.argmax(resid))
+        assert w["residual"] == pytest.approx(resid.max())
 
 
 def test_action_law_is_red_on_nan_dilatations():

@@ -24,7 +24,6 @@ from ngd.emergent import (
     Delta_eps,
     GammaIrq,
     Sigma_eps,
-    _judge,
     _per_sample,
     arrow_dilatation,
     check_gamma_irq,
@@ -124,15 +123,15 @@ def ref_check_A3mod_A4(model, sampler, grid=None, tol=1e-8):
 
     lhs = rescaled_pair_distance(model, star, G, H)
     rhs = rescaled_norm(model, star, tD)
-    _judge(bridge, np.abs(lhs - rhs), 1e-10, eps_star=str(star.value))
+    bridge.judge_residuals(np.abs(lhs - rhs), 1e-10, eps_star=str(star.value))
 
     back = model.delta(star, dif_eps(model, star, G, H))
     direct = model.dif(model.delta(star, G), model.delta(star, H))
-    _judge(route, _per_sample(back, direct), 1e-10,
-           eps_star=str(star.value))
+    route.judge_residuals(_per_sample(back, direct), 1e-10,
+                          eps_star=str(star.value))
 
-    _judge(exact, np.abs(model.tangent_pair_dist(G, H)
-                         - model.tangent_norm(tD)), 1e-12)
+    exact.judge_residuals(np.abs(model.tangent_pair_dist(G, H)
+                                 - model.tangent_norm(tD)), 1e-12)
     return rep
 
 

@@ -45,12 +45,22 @@ Every command-line flag is read.  Each flag or positional a subcommand
 of `ngd` declares is read, as `args.<dest>` or `getattr(args, "<dest>")`,
 by that subcommand's `cmd_*` function or by a function of cli.py that
 it reaches by name, the table of report suites included.
+
+One law kernel counts.  Outside the methods of `ngd.core.LawCheck`, no
+code in src/ngd assigns to a `.checked` or `.failures` attribute, by `=`,
+`+=` or `setattr`, or adds to a `.witnesses` list: a law counts its
+instances and files its witnesses through `tick`, `fail`, `judge` and
+`judge_residuals`, so that one place decides what an instance, a failure
+and a witness are.  Building a law with `LawCheck(..., checked=1)` is
+construction, not a count, and is allowed.
 """
 
 import argparse
 import ast
 import functools
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ngd"
@@ -317,3 +327,60 @@ def test_every_cli_flag_is_read():
                    if not isinstance(a, argparse._HelpAction)
                    and a.dest not in read]
     assert not unread, "flags no code reads: " + ", ".join(unread)
+
+
+COUNTS = ("checked", "failures", "witnesses")
+
+
+def _count_writes(node):
+    """Whether node writes a LawCheck count or adds a witness: assigns to
+    an attribute named in COUNTS (or to an item of one), calls setattr
+    with such a name, or calls append, extend or insert on `.witnesses`."""
+    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [
+            node.target]
+        return any(isinstance(n, ast.Attribute) and n.attr in COUNTS
+                   for t in targets for n in ast.walk(t))
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    if isinstance(f, ast.Name) and f.id == "setattr":
+        return (len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value in COUNTS)
+    return (isinstance(f, ast.Attribute)
+            and f.attr in ("append", "extend", "insert")
+            and isinstance(f.value, ast.Attribute)
+            and f.value.attr == "witnesses")
+
+
+def test_only_the_law_kernel_counts_and_files_witnesses():
+    modules, trees = _parse()
+    kernel = next(node for node in trees[PACKAGE / "core.py"].body
+                  if isinstance(node, ast.ClassDef)
+                  and node.name == "LawCheck")
+    inside = {id(n) for n in ast.walk(kernel)}
+    writes = [(p, node) for p in modules for node in ast.walk(trees[p])
+              if _count_writes(node)]
+    # the census sees the kernel's own writes: tick, fail, judge_residuals
+    assert sum(id(node) in inside for _, node in writes) >= 4
+    outside = [f"{p.name}:{node.lineno}" for p, node in writes
+               if id(node) not in inside]
+    assert not outside, "counts written outside LawCheck: " + ", ".join(
+        outside)
+
+
+@pytest.mark.parametrize("code, writes", [
+    ("law.checked += 1", True),
+    ("law.failures = 0", True),
+    ("law.witnesses[0] = {}", True),
+    ("law.witnesses.append({})", True),
+    ("rep.law(name).witnesses.extend(ws)", True),
+    ("setattr(law, 'failures', 2)", True),
+    ("LawCheck('x', checked=1)", False),
+    ("law.tick(3)", False),
+    ("n = law.checked + law.failures", False),
+    ("ws = list(law.witnesses)", False),
+])
+def test_the_count_census_reads_each_kind_of_write(code, writes):
+    tree = ast.parse(code)
+    assert any(map(_count_writes, ast.walk(tree))) == writes
