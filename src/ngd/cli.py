@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .constructions import (FiniteMetricSpace, check_double_norm,
                             pair_groupoid, random_metric_space)
-from .core import (FiniteGroupoid, LawCheck, ValidationReport,
+from .core import (FiniteGroupoid, LawCheck, ValidationReport, _json,
                    check_category_with_inverses, check_norm,
                    check_separability, validate_groupoid)
 
@@ -97,10 +97,9 @@ def cmd_validate(args) -> int:
             from . import transport
 
             gamma = transport.Coupling.from_json(data)
-            rep = ValidationReport(subject="transport plan")
-            rep.add(LawCheck("matrix is a coupling of its declared marginals",
-                             checked=1))
-            reports.append(rep)
+            law = LawCheck("matrix is a coupling of its declared marginals")
+            law.judge(True)  # from_json refuses any other matrix
+            reports.append(ValidationReport(subject="transport plan").add(law))
             w = transport.is_invtrans(gamma)
             extra = {"norm": str(transport.norm_d(gamma)),
                      "invertible": w is not None}
@@ -109,9 +108,8 @@ def cmd_validate(args) -> int:
                 print("invertible transport" if w else
                       "not an invertible transport")
             return _emit(reports, args, extra=extra)
-        elif "dist" in data or (
-            "space" in data and "dist" in data.get("space", {})
-        ):
+        elif "dist" in data or ("space" in data and
+                                "dist" in _json(data, "space", dict)):
             space = FiniteMetricSpace.from_json(data.get("space", data))
             G = pair_groupoid(space)
             reports.append(validate_groupoid(G))
@@ -233,11 +231,8 @@ def cmd_limits(args) -> int:
 def _coupling_from(data, key="gamma"):
     from . import transport
 
-    sub = {"space": data["space"], "gamma": data[key]}
-    for mk in ("mu", "nu"):
-        if key == "gamma" and mk in data:
-            sub[mk] = data[mk]
-    return transport.Coupling.from_json(sub)
+    return transport.Coupling.from_json(data if key == "gamma" else {
+        "space": data["space"], "gamma": _json(data, key)})
 
 
 def cmd_transport(args) -> int:
@@ -276,9 +271,9 @@ def cmd_transport(args) -> int:
                 print(f"invertible transport: f = {list(w[0])}, "
                       f"backward g = {list(w[1])}")
         elif args.action == "kantorovich":
-            space = FiniteMetricSpace.from_json(data["space"])
-            mu = transport.Measure(space, data["mu"])
-            nu = transport.Measure(space, data["nu"])
+            space = FiniteMetricSpace.from_json(_json(data, "space", dict))
+            mu, nu = (transport.Measure(space, _json(data, k))
+                      for k in ("mu", "nu"))
             res = transport.kantorovich(mu, nu)
             if args.json:
                 print(json.dumps({

@@ -25,6 +25,7 @@ from .core import (
     LawCheck,
     ValidationReport,
     _gather,
+    _json,
     _matrix_over_lcm,
     as_fraction,
 )
@@ -73,7 +74,8 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_json(cls, data):
-        return cls(points=list(data["points"]), dist=data["dist"])
+        return cls(points=list(_json(data, "points")),
+                   dist=_json(data, "dist"))
 
 
 def random_metric_space(seed: int, max_points: int = 8) -> FiniteMetricSpace:
@@ -189,19 +191,16 @@ def _missing_report(G: FiniteGroupoid, subject, error) -> ValidationReport:
                 [inv[h] for h in gs] + entering.get(x, [])))
             moved += product(gs, entering.get(x, []))
     law = LawCheck("G composes every pair the fiber laws read")
-    law.tick(len(read))
-    for g, v in read:
-        if v not in rows[g]:
-            law.fail(missing=f"({lbl[g]})({lbl[v]})")
+    law.judge_all(len(read), [(g, v) for g, v in read if v not in rows[g]],
+                  lambda g, v: dict(missing=f"({lbl[g]})({lbl[v]})"))
     rep = ValidationReport(subject=subject).add(law)
     if law.passed:
         alpha, law = G.endpoints()[0], LawCheck(
             "g u lies in the fiber of alpha(u)")
-        law.tick(len(moved))
-        for g, u in moved:
-            if alpha[rows[g][u]] != alpha[u]:
-                law.fail(composite=f"({lbl[g]})({lbl[u]})",
-                         lands=lbl[rows[g][u]])
+        law.judge_all(len(moved), [(g, u) for g, u in moved
+                                   if alpha[rows[g][u]] != alpha[u]],
+                      lambda g, u: dict(composite=f"({lbl[g]})({lbl[u]})",
+                                        lands=lbl[rows[g][u]]))
         if law.passed:
             raise error
         rep.add(law)
@@ -241,8 +240,8 @@ def _right_translation(G: FiniteGroupoid, law, key=None) -> LawCheck:
     """Right translation preserves fiber distances, d(g h^-1) =
     d((gu)(hu)^-1) for g, h leaving omega(u): per u, the difference matrix
     of alpha(u) reindexed by p, the positions of the g u, equals that of
-    omega(u).  Judged once per G; ticks law once, then fails it at each
-    failing (u, g, h), in the order of key."""
+    omega(u).  Judged once per G; each (g, h, u) is an instance, and the
+    failing ones are filed in the order of key."""
     if G._right is None:
         (alpha, omega), leaving = G.endpoints(), G.fibers()[0]
         rows, M = G.rows(), G.differences()
@@ -255,13 +254,13 @@ def _right_translation(G: FiniteGroupoid, law, key=None) -> LawCheck:
             p = [*map(leaving[alpha[u]].index, [rows[g][u] for g in gs])]
             there, here = M[alpha[u]], M[x]
             if [*map(_gather(p), map(there.__getitem__, p))] != here:
-                bad += [(u, g, h) for i, g in enumerate(gs)
+                bad += [(g, h, u) for i, g in enumerate(gs)
                         for j, h in enumerate(gs)
                         if here[i][j] != there[p[i]][p[j]]]
         G._right = checked, bad
-    law.tick(G._right[0])
-    for u, g, h in sorted(G._right[1], key=key):
-        law.fail(g=G.arrows[g], h=G.arrows[h], u=G.arrows[u])
+    law.judge_all(G._right[0], sorted(G._right[1], key=key),
+                  lambda g, h, u: dict(g=G.arrows[g], h=G.arrows[h],
+                                       u=G.arrows[u]))
     return law
 
 
@@ -276,17 +275,16 @@ def check_double_norm(G: FiniteGroupoid, D=None) -> ValidationReport:
         pairs = _double_pairs(G)
         dif = _dif_map(G, pairs)
         right = _right_translation(
-            G, LawCheck("right translation preserves d~"), itemgetter(1, 2, 0))
+            G, LawCheck("right translation preserves d~"))
         dd, DD = ((_flat_differences(G), G._int[1]) if D is None
                   else _double_of(G, D)._int)
     except (KeyError, ValueError) as e:  # G may not be a groupoid
         return _missing_report(G, "double groupoid norm", e)
     pres = LawCheck("d~(g,h) = d(g h^-1)")
     num, DG = G._int
-    pres.tick(len(pairs))
-    for i, (v, k) in enumerate(zip(dd, dif)):
-        if v * DG != num[k] * DD:
-            pres.fail(pair=_double_labels(G)[i])
+    pres.judge_all(len(pairs), [(i,) for i, (v, k) in enumerate(zip(dd, dif))
+                                if v * DG != num[k] * DD],
+                   lambda i: dict(pair=_double_labels(G)[i]))
     return ValidationReport(subject="double groupoid norm").add(pres, right)
 
 
@@ -322,7 +320,8 @@ def check_fiber_distances(G: FiniteGroupoid) -> ValidationReport:
     lacking a composite these laws read is red, naming each one."""
     try:
         right = _right_translation(
-            G, LawCheck("d_omega(u)(g,h) = d_alpha(u)(gu, hu)"))
+            G, LawCheck("d_omega(u)(g,h) = d_alpha(u)(gu, hu)"),
+            itemgetter(2, 0, 1))
     except (KeyError, ValueError) as e:  # G may not be a groupoid
         return _missing_report(G, "fiber distances", e)
     recon = LawCheck("d(g) = d_alpha(g)(g, e)")
@@ -330,9 +329,7 @@ def check_fiber_distances(G: FiniteGroupoid) -> ValidationReport:
     (d, D), M, leaving = G._int, G.differences(), G.fibers()[0]
     rec = [M[a][leaving[a].index(g)][leaving[a].index(a)]
            for g, a in enumerate(G.endpoints()[0])]
-    recon.tick(len(d))
-    for g, want in enumerate(d):
-        if rec[g] != want:
-            recon.fail(g=G.arrows[g], got=str(Fraction(rec[g], D)),
-                       want=str(G.norm[g]))
+    recon.judge_all(len(d), [(g,) for g, v in enumerate(d) if rec[g] != v],
+                    lambda g: dict(g=G.arrows[g], got=str(Fraction(rec[g], D)),
+                                   want=str(G.norm[g])))
     return rep

@@ -18,9 +18,10 @@ All finite-table arithmetic is exact: tables are judged in integers,
 over one lcm each; Fractions are the input, JSON and witness boundary.
 FiniteGroupoid(...) and from_json check their input; pair_groupoid and
 double_groupoid build trusted tables through _normed, labels checked.
-Reports: each law is a LawCheck.  judge counts and files each single
-instance, judge_residuals each sample of a float batch, and tick(n) + fail
-are the table loops' bulk primitives.
+Reports: each law is a LawCheck, counted by three verbs: judge for one
+instance, judge_all for a batch of exact instances and the failing ones
+among them, judge_residuals for each sample of a float batch.  A failure
+is a failing instance, so failures never exceed checked.
 """
 
 from __future__ import annotations
@@ -46,6 +47,15 @@ def as_fraction(value) -> Fraction:
         return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
+
+
+def _json(data, key, kind=list):
+    """data[key], a JSON array, or with kind=dict an object; a value of
+    another type is a TypeError that names key."""
+    if not isinstance(value := data[key], kind):
+        raise TypeError(f"{key!r} holds {type(value).__name__}, not a JSON "
+                        f"{'object' if kind is dict else 'array'}")
+    return value
 
 
 def _matrix_over_lcm(rows):
@@ -77,37 +87,44 @@ def _common(a, b):
 
 @dataclass
 class LawCheck:
-    """Outcome of checking one law: instance count and counterexamples.
-    judge is the one route for a single instance, judge_residuals for float
-    residuals; tick(n) and fail are the bulk primitives of the table loops,
-    which name each failure in a batch."""
+    """Outcome of checking one law: instance count and counterexamples,
+    written only by judge, judge_all and judge_residuals.  Each failure is
+    one failing instance, so failures <= checked; witnesses are capped."""
 
     law: str
-    checked: int = 0
-    failures: int = 0
-    witnesses: list = field(default_factory=list)
+    checked: int = field(default=0, init=False)
+    failures: int = field(default=0, init=False)
+    witnesses: list = field(default_factory=list, init=False)
     note: str = ""
 
     @property
     def passed(self) -> bool:
         return self.failures == 0
 
-    def tick(self, n: int = 1) -> None:
-        self.checked += n
-
-    def fail(self, **data) -> None:
-        self.failures += 1
-        if len(self.witnesses) < MAX_WITNESSES:
-            self.witnesses.append(data)
-
-    def judge(self, ok, n: int = 1, build=None, **witness) -> None:
-        """Count n instances; if not ok, file the witness data followed by
+    def judge(self, ok, build=None, **witness) -> None:
+        """Count one instance; if not ok, file the witness data followed by
         build()'s keys, so a costly witness is built only on a failure
         that is filed."""
-        self.checked += n
+        self.checked += 1
         if not ok:
-            room = build and len(self.witnesses) < MAX_WITNESSES
-            self.fail(**witness, **(build() if room else {}))
+            self.failures += 1
+            if len(self.witnesses) < MAX_WITNESSES:
+                self.witnesses.append(
+                    {**witness, **(build() if build else {})})
+
+    def judge_all(self, n: int, bad, witness) -> None:
+        """Count n instances, of which the sequence bad lists the distinct
+        failing ones, each a tuple: each is one failure, and witness(*b) is
+        filed for each b while the cap is open.  A passing batch hands an
+        empty bad and builds no witness; more failures than instances is a
+        ValueError."""
+        if k := len(bad):
+            if k > n:
+                raise ValueError(f"{k} failing instances among {n}")
+            self.failures += k
+            room = MAX_WITNESSES - len(self.witnesses)
+            self.witnesses += (witness(*b) for b in bad[:room])
+        self.checked += n
 
     def judge_residuals(self, resids, tol: float, **context) -> None:
         """Judge each sample of the 1-d array resids as one instance, failing
@@ -338,7 +355,7 @@ class FiniteGroupoid:
 
     @classmethod
     def from_json(cls, data) -> "FiniteGroupoid":
-        arrows = list(data["arrows"])
+        arrows = list(_json(data, "arrows"))
         idx = {lbl: i for i, lbl in enumerate(arrows)}
         if len(idx) != len(arrows):
             raise ValueError("duplicate arrow labels")
@@ -349,7 +366,7 @@ class FiniteGroupoid:
             return idx[lbl]
 
         def entries(key, width):
-            for e in data[key]:
+            for e in _json(data, key):
                 if not isinstance(e, (list, tuple)) or len(e) != width:
                     raise TypeError(
                         f"{key} entry {e!r} is not a list of {width} labels"
@@ -368,10 +385,8 @@ class FiniteGroupoid:
             raise ValueError("inverse table does not cover every arrow")
         norm = None
         if "norm" in data:
-            if not isinstance(data["norm"], dict):
-                raise TypeError("norm is not an object of label: value")
             norm = [Fraction(0)] * len(arrows)
-            for lbl, v in data["norm"].items():
+            for lbl, v in _json(data, "norm", dict).items():
                 norm[look(lbl)] = as_fraction(v)
         return cls(arrows, compose, inverse, norm)
 
@@ -385,13 +400,13 @@ def _inverse_laws(labels, compose, inverse) -> tuple:
     categories with inverses."""
     invo = LawCheck("inverse is an involution")
     pairs = LawCheck("(inv g, g) and (g, inv g) compose")
-    invo.tick(len(inverse))
-    pairs.tick(len(inverse))
-    for g, gi in enumerate(inverse):
-        if inverse[gi] != g:
-            invo.fail(g=labels[g], inv=labels[gi])
-        if (gi, g) not in compose or (g, gi) not in compose:
-            pairs.fail(g=labels[g])
+    n = len(inverse)
+    invo.judge_all(n, [(g, gi) for g, gi in enumerate(inverse)
+                       if inverse[gi] != g],
+                   lambda g, gi: dict(g=labels[g], inv=labels[gi]))
+    pairs.judge_all(n, [(g,) for g, gi in enumerate(inverse)
+                        if (gi, g) not in compose or (g, gi) not in compose],
+                    lambda g: dict(g=labels[g]))
     return invo, pairs
 
 
@@ -426,11 +441,9 @@ def _assoc_law(title, labels, compose, rows, after) -> LawCheck:
     (gh)k and g(hk) exist and (gh)k = g(hk).  One tuple of the (gh)k and
     one of the g(hk) per composite; the per-k loop runs only on a mismatch
     or a KeyError (a missing hk is read as the key None)."""
-    assoc = LawCheck(title)
-    assoc.tick(sum(map(len, map(after.__getitem__,
-                                map(itemgetter(1), compose)))))
     lefts = [*map(_gather, after)]
     rights = [_gather([*map(r.get, ks)]) for r, ks in zip(rows, after)]
+    bad = []
     for (g, h), gh in compose.items():
         try:
             if lefts[h](rows[gh]) == rights[h](rows[g]):
@@ -441,7 +454,12 @@ def _assoc_law(title, labels, compose, rows, after) -> LawCheck:
             hk = compose.get((h, k))
             left = compose.get((gh, k))
             if hk is None or left is None or compose.get((g, hk)) != left:
-                assoc.fail(g=labels[g], h=labels[h], k=labels[k])
+                bad.append((g, h, k))
+    assoc = LawCheck(title)
+    assoc.judge_all(sum(map(len, map(after.__getitem__,
+                                     map(itemgetter(1), compose)))),
+                    bad, lambda g, h, k: dict(g=labels[g], h=labels[h],
+                                              k=labels[k]))
     return assoc
 
 
@@ -466,26 +484,27 @@ def validate_groupoid(G: FiniteGroupoid) -> ValidationReport:
     n = len(lbl)
 
     rows, entering = G.rows(), G.fibers()[1]
-    match.tick(n * n)
-    for g in range(n):
-        if rows[g].keys() != set(entering.get(alpha[g], ())):
-            for h in range(n):
-                if ((g, h) in comp) != (alpha[g] == omega[h]):
-                    match.fail(g=lbl[g], h=lbl[h], composable=(g, h) in comp)
+    match.judge_all(n * n, [
+        (g, h) for g in range(n)
+        if rows[g].keys() != set(entering.get(alpha[g], ()))
+        for h in range(n) if ((g, h) in comp) != (alpha[g] == omega[h])],
+        lambda g, h: dict(g=lbl[g], h=lbl[h], composable=(g, h) in comp))
 
-    typing.tick(len(comp))
-    cancel.tick(len(comp))
     gs, hs = [*map(itemgetter(0), comp)], [*map(itemgetter(1), comp)]
     ks, at, inv_ = [*comp.values()], rows.__getitem__, inv.__getitem__
-    if ([*map(alpha.__getitem__, ks)] != [*map(alpha.__getitem__, hs)]
-            or [*map(omega.__getitem__, ks)] != [*map(omega.__getitem__, gs)]
-            or [*map(dict.get, map(at, ks), map(inv_, hs))] != gs
-            or [*map(dict.get, map(at, map(inv_, gs)), ks)] != hs):
-        for (g, h), k in comp.items():
-            if alpha[k] != alpha[h] or omega[k] != omega[g]:
-                typing.fail(g=lbl[g], h=lbl[h], gh=lbl[k])
-            if comp.get((k, inv[h])) != g or comp.get((inv[g], k)) != h:
-                cancel.fail(g=lbl[g], h=lbl[h])
+    suspect = comp.items() if (
+        [*map(alpha.__getitem__, ks)] != [*map(alpha.__getitem__, hs)]
+        or [*map(omega.__getitem__, ks)] != [*map(omega.__getitem__, gs)]
+        or [*map(dict.get, map(at, ks), map(inv_, hs))] != gs
+        or [*map(dict.get, map(at, map(inv_, gs)), ks)] != hs) else ()
+    typing.judge_all(len(comp), [
+        (g, h, k) for (g, h), k in suspect
+        if alpha[k] != alpha[h] or omega[k] != omega[g]],
+        lambda g, h, k: dict(g=lbl[g], h=lbl[h], gh=lbl[k]))
+    cancel.judge_all(len(comp), [
+        (g, h) for (g, h), k in suspect
+        if comp.get((k, inv[h])) != g or comp.get((inv[g], k)) != h],
+        lambda g, h: dict(g=lbl[g], h=lbl[h]))
 
     # (h, k) is composable whenever alpha(h) = omega(k)
     assoc = _assoc_law(titles[2], lbl, comp, rows,
@@ -513,27 +532,23 @@ def _table_laws(labels, compose, inverse, units, tables, titles,
     n_units = len(units.intersection(range(n)))
     for name, d, v in tables:
         tag = {} if name is None else {"seminorm": name}
-        zero.tick(n if name is None else n_units)
-        symm.tick(n)
-        sub.tick(len(compose))
-        for g in range(n):
-            unit = g in units
-            if (name is None or unit) and (v[g] == 0) != unit:
-                zero.fail(**tag, g=labels[g], d=str(d[g]), unit=unit)
-            if v[inverse[g]] != v[g]:
-                symm.fail(**tag, g=labels[g], d=str(d[g]),
-                          d_inv=str(d[inverse[g]]))
-        for (g, h), k in compose.items():
-            if v[k] > v[g] + v[h]:
-                sub.fail(**tag, g=labels[g], h=labels[h], d_gh=str(d[k]),
-                         bound=str(d[g] + d[h]))
+        zero.judge_all(n if name is None else n_units, [
+            (g,) for g in range(n)
+            if (name is None or g in units) and (v[g] == 0) != (g in units)],
+            lambda g: dict(**tag, g=labels[g], d=str(d[g]), unit=g in units))
+        sub.judge_all(len(compose), [
+            (g, h, k) for (g, h), k in compose.items() if v[k] > v[g] + v[h]],
+            lambda g, h, k: dict(**tag, g=labels[g], h=labels[h],
+                                 d_gh=str(d[k]), bound=str(d[g] + d[h])))
+        symm.judge_all(n, [(g,) for g in range(n) if v[inverse[g]] != v[g]],
+                       lambda g: dict(**tag, g=labels[g], d=str(d[g]),
+                                      d_inv=str(d[inverse[g]])))
     if joint is not None:
         ker = LawCheck(joint)
         laws.append(ker)
-        ker.tick(n - n_units)
-        for g in range(n):
-            if g not in units and all(v[g] == 0 for _, _, v in tables):
-                ker.fail(g=labels[g])
+        ker.judge_all(n - n_units, [(g,) for g in range(n) if g not in units
+                                    and all(v[g] == 0 for _, _, v in tables)],
+                      lambda g: dict(g=labels[g]))
     return laws
 
 
@@ -567,16 +582,15 @@ def check_separability(G: FiniteGroupoid) -> ValidationReport:
     rep = ValidationReport(subject="separability").add(law)
     omega = G.endpoints()[1]
     leaving = G.fibers()[0]
-    for x in sorted(leaving):
-        between = {}  # object y > x -> the arrows x -> y
-        for g in leaving[x]:
+    between = {}  # objects (x, y), x < y -> the arrows x -> y
+    for x, gs in leaving.items():
+        for g in gs:
             if omega[g] > x and omega[g] in leaving:
-                between.setdefault(omega[g], []).append(g)
-        law.tick(len(between))
-        for y in sorted(between):
-            zero = [g for g in between[y] if d[g] == 0]
-            if zero:
-                law.fail(x=G.arrows[x], y=G.arrows[y], arrow=G.arrows[zero[0]])
+                between.setdefault((x, omega[g]), []).append(g)
+    law.judge_all(len(between), [
+        (x, y, zero[0]) for x, y in sorted(between)
+        if (zero := [g for g in between[x, y] if d[g] == 0])],
+        lambda x, y, a: dict(x=G.arrows[x], y=G.arrows[y], arrow=G.arrows[a]))
     return rep
 
 
@@ -660,26 +674,24 @@ def check_category_with_inverses(C: CategoryWithInverses) -> ValidationReport:
                        [sorted(r) for r in rows])
     rep.add(stab, assoc, invo, ipair, anti, ends)
 
-    anti.tick(len(comp))
-    stab.tick(2 * n * len(comp))
-    for (g, h), gh in comp.items():
-        if comp.get((inv[h], inv[g])) != inv[gh]:
-            anti.fail(g=C.arrows[g], h=C.arrows[h])
-        for k in range(n):
-            if ((h, k) in comp) != ((gh, k) in comp):
-                stab.fail(side="right", g=C.arrows[g], h=C.arrows[h],
-                          k=C.arrows[k])
-            if ((k, g) in comp) != ((k, gh) in comp):
-                stab.fail(side="left", g=C.arrows[g], h=C.arrows[h],
-                          k=C.arrows[k])
-
-    # L(x) = who can precede x; equal L-sets <=> equal targets
+    anti.judge_all(len(comp), [(g, h) for (g, h), gh in comp.items()
+                               if comp.get((inv[h], inv[g])) != inv[gh]],
+                   lambda g, h: dict(g=C.arrows[g], h=C.arrows[h]))
+    # rows[g] holds who can follow g, L[g] who can precede it: per
+    # composite two set compares, a per-k loop only where one differs
     L = [frozenset(k for k in range(n) if (k, g) in comp) for g in range(n)]
-    ends.tick(n * n)
-    for g in range(n):
-        for k in range(n):
-            if ((inv[g], k) in comp) != (L[k] == L[g]):
-                ends.fail(g=C.arrows[g], k=C.arrows[k])
+    stab.judge_all(2 * n * len(comp), [
+        (side, g, h, k) for (g, h), gh in comp.items()
+        if rows[h].keys() != rows[gh].keys() or L[g] != L[gh]
+        for k in range(n) for side, a, b in (("right", rows[h], rows[gh]),
+                                             ("left", L[g], L[gh]))
+        if (k in a) != (k in b)], lambda side, g, h, k: dict(
+            side=side, g=C.arrows[g], h=C.arrows[h], k=C.arrows[k]))
+
+    # equal L-sets <=> equal targets
+    ends.judge_all(n * n, [(g, k) for g in range(n) for k in range(n)
+                           if ((inv[g], k) in comp) != (L[k] == L[g])],
+                   lambda g, k: dict(g=C.arrows[g], k=C.arrows[k]))
 
     if C.seminorms is not None:
         rep.add(*_table_laws(

@@ -343,14 +343,11 @@ def check_A3(model, sampler, grid=None, tol=1e-8) -> ValidationReport:
     sep_mask = _per_sample(tg, th) > 0.05
     # a NaN distance is degenerate too: it compares False with anything
     degenerate = sep_mask & ~((dt0 > 1e-7) & (finest > 1e-7))
-    nondeg.tick(int(sep_mask.sum()))
-    for i in np.nonzero(degenerate)[0]:
-        nondeg.fail(
-            target_g=tg[i].tolist(),
-            target_h=th[i].tolist(),
-            tangent_distance=float(dt0[i]),
-            rescaled_at_finest=float(finest[i]),
-        )
+    nondeg.judge_all(int(sep_mask.sum()), np.argwhere(degenerate),
+                     lambda i: dict(target_g=tg[i].tolist(),
+                                    target_h=th[i].tolist(),
+                                    tangent_distance=float(dt0[i]),
+                                    rescaled_at_finest=float(finest[i])))
     return rep
 
 

@@ -40,6 +40,7 @@ from .core import (
     SeminormFamily,
     ValidationReport,
     _common,
+    _json,
     _matrix_over_lcm,
     _over_lcm,
     as_fraction,
@@ -226,10 +227,10 @@ class Coupling(_Exact):
 
     @classmethod
     def from_json(cls, data):
-        space = FiniteMetricSpace.from_json(data["space"])
-        mu = Measure(space, data["mu"]) if "mu" in data else None
-        nu = Measure(space, data["nu"]) if "nu" in data else None
-        return cls(space, data["gamma"], mu=mu, nu=nu)
+        space = FiniteMetricSpace.from_json(_json(data, "space", dict))
+        mu, nu = (Measure(space, _json(data, k)) if k in data else None
+                  for k in ("mu", "nu"))
+        return cls(space, _json(data, "gamma"), mu=mu, nu=nu)
 
 
 def _built(space, num, D, mu, nu=None) -> Coupling:
@@ -710,16 +711,22 @@ def check_kantorovich_certificate(mu: Measure, nu: Measure, gamma, u):
 
 
 def _off_marginals(plan, mu, nu):
-    """Witnesses, row i before column i, where the integer plan (g, Dg)
-    is not a coupling of (mu, nu), by integer cross-multiplication."""
-    (g, Dg), (a, La), (b, Lb) = plan, mu._int, nu._int
-    for i, (row, col) in enumerate(zip(g, zip(*g))):
-        if sum(row) * La != a[i] * Dg:
-            yield dict(row=i, sum=str(Fraction(sum(row), Dg)),
-                       marginal=str(mu[i]))
-        if sum(col) * Lb != b[i] * Dg:
-            yield dict(column=i, sum=str(Fraction(sum(col), Dg)),
-                       marginal=str(nu[i]))
+    """Witnesses, the rows before the columns, for each row and column of
+    the integer plan (g, Dg) that breaks the coupling of (mu, nu): its sum
+    is off, by integer cross-multiplication, or else it holds a negative
+    cell, the first one named."""
+    g, Dg = plan
+    signed = min(map(min, g)) < 0  # a negative cell somewhere
+    for side, lines, m in (("row", g, mu), ("column", zip(*g), nu)):
+        w, L = m._int
+        for i, cells in enumerate(lines):
+            if sum(cells) * L != w[i] * Dg:
+                yield {side: i, "sum": str(Fraction(sum(cells), Dg)),
+                       "marginal": str(m[i])}
+            elif signed and min(cells) < 0:
+                j = [v < 0 for v in cells].index(True)
+                yield dict(cell=(i, j) if side == "row" else (j, i),
+                           mass=str(Fraction(cells[j], Dg)))
 
 
 _OUTER = "composites carry their factors' outer marginals"
@@ -746,24 +753,23 @@ def _certify(mu, nu, plan, potential):
     rep.add(marg, lip, gap, slack)
 
     (g, Dg), (ui, Du) = plan, potential
-    marg.tick(2 * n)
     shape = (len(g), *sorted({len(row) for row in g}))  # rows, row lengths
-    for w in (_off_marginals(plan, mu, nu) if shape == (n, n)
-              else [dict(shape=shape)]):
-        marg.fail(**w)
-    for x, row in enumerate(g):
-        for y, v in enumerate(row):
-            if v < 0:
-                marg.fail(cell=(x, y), mass=str(Fraction(v, Dg)))
+    marg.judge_all(2 * n, [(w,) for w in _off_marginals(plan, mu, nu)]
+                   if shape == (n, n) else [({"shape": shape},)], dict)
 
-    lip.tick(n * (n - 1))
-    if len(ui) != n:
-        lip.fail(length=len(ui))
-    elif (w := _lip1_witness(space, potential)) is not None:
-        x, y = w
-        lip.fail(pair=w, difference=str(Fraction(ui[x] - ui[y], Du)),
-                 d=str(space.dist[x][y]))
-    if shape != (n, n) or len(ui) != n:  # the sums below need both whole
+    if len(ui) != n:  # with no pair to count (one point), one instance
+        lip.judge_all(n * (n - 1) or 1, [(len(ui),)], lambda k: dict(length=k))
+        return rep, None, None
+
+    def step(key):  # the witness at a pair (x, y): u(x) - u(y) and d(x, y)
+        return lambda x, y: {key: (x, y), "difference": str(Fraction(
+            ui[x] - ui[y], Du)), "d": str(space.dist[x][y])}
+
+    lip.judge_all(n * (n - 1), [] if _lip1_witness(space, potential) is None
+                  else [(x, y) for x, ux in enumerate(ui)
+                        for y, (uy, dxy) in enumerate(zip(ui, d[x]))
+                        if (ux - uy) * Dd > dxy * Du], step("pair"))
+    if shape != (n, n):  # the sums below need the plan whole
         return rep, None, None
 
     occupied = [
@@ -774,12 +780,9 @@ def _certify(mu, nu, plan, potential):
     gap.judge(primal == dual,
               build=lambda: dict(primal=str(primal), dual=str(dual)))
 
-    for x, y in occupied:
-        slack.tick()
-        if (ui[x] - ui[y]) * Dd != d[x][y] * Du:
-            slack.fail(cell=(x, y),
-                       difference=str(Fraction(ui[x] - ui[y], Du)),
-                       d=str(space.dist[x][y]))
+    slack.judge_all(len(occupied), [
+        (x, y) for x, y in occupied if (ui[x] - ui[y]) * Dd != d[x][y] * Du],
+        step("cell"))
     return rep, primal, dual
 
 
@@ -1105,15 +1108,15 @@ def check_transport(space=None, seed=0, samples=40) -> ValidationReport:
             rsub.judge(seminorm_rho(u, ia) == seminorm_rho(u, a), build=lambda:
                        dict(sample=k, u=u.values, side="inversion"))
 
-        mism.tick()
-        shifted = random_measure(space, rng)
+        shifted, note = random_measure(space, rng), None
         if shifted != a.nu:
             try:
                 compose_plans(a, random_coupling_from(shifted, rng))
-                mism.fail(sample=k, note="mismatch accepted")
+                note = "mismatch accepted"
             except MarginalMismatch as e:
                 if a.nu.weights[e.index] == shifted.weights[e.index]:
-                    mism.fail(sample=k, note="wrong offending index")
+                    note = "wrong offending index"
+        mism.judge(note is None, sample=k, note=note)
 
         # map plans
         f = tuple(rng.randrange(n) for _ in range(n))

@@ -111,11 +111,9 @@ def test_law_check_caps_witnesses():
     from ngd.core import MAX_WITNESSES
 
     c = LawCheck("demo")
-    for k in range(50):
-        c.tick()
-        c.fail(k=k)
-    assert c.failures == 50
-    assert len(c.witnesses) == MAX_WITNESSES
+    c.judge_all(50, [(k,) for k in range(50)], lambda k: {"k": k})
+    assert (c.checked, c.failures) == (50, 50)
+    assert c.witnesses == [{"k": k} for k in range(MAX_WITNESSES)]
     assert not c.passed
 
 
@@ -126,12 +124,54 @@ def _refused():
 def test_judge_counts_every_instance_and_files_only_failures():
     c = LawCheck("demo")
     c.judge(True, sample=0)
-    c.judge(True, n=3, build=_refused)
-    assert (c.checked, c.failures, c.witnesses) == (4, 0, [])
-    c.judge(False, n=2, sample=1, side="post")
-    c.judge(False, n=0, build=lambda: {"note": "extra"})
-    assert (c.checked, c.failures) == (6, 2)
+    c.judge(True, build=_refused)
+    assert (c.checked, c.failures, c.witnesses) == (2, 0, [])
+    c.judge(False, sample=1, side="post")
+    c.judge(False, build=lambda: {"note": "extra"})
+    assert (c.checked, c.failures) == (4, 2)
     assert c.witnesses == [{"sample": 1, "side": "post"}, {"note": "extra"}]
+    # judge counts one instance: an n is witness data, not a count
+    c.judge(False, n=3)
+    assert (c.checked, c.failures) == (5, 3)
+    assert c.witnesses[-1] == {"n": 3}
+
+
+def test_judge_all_counts_n_instances_and_each_failing_one():
+    c = LawCheck("demo")
+    c.judge_all(4, [], _refused)
+    assert (c.checked, c.failures, c.witnesses) == (4, 0, [])
+    c.judge_all(3, [(0, 2), (1, 2)], lambda x, y: {"x": x, "y": y})
+    c.judge_all(0, [], _refused)
+    assert (c.checked, c.failures) == (7, 2)
+    assert c.witnesses == [{"x": 0, "y": 2}, {"x": 1, "y": 2}]
+    assert not c.passed
+
+
+def test_judge_all_builds_witnesses_only_while_the_cap_is_open():
+    built = []
+    c = LawCheck("demo")
+    c.judge(False, k=-1)
+    for k in range(4):
+        c.judge_all(5, [(k,), (k + 10,), (k + 20,)],
+                    lambda b: built.append(b) or {"b": b})
+    assert (c.checked, c.failures) == (21, 13)
+    assert built == [0, 10, 20, 1, 11, 21, 2, 12, 22]
+    assert [w.get("b") for w in c.witnesses] == [None] + built
+
+
+def test_judge_all_refuses_more_failures_than_instances():
+    c = LawCheck("demo")
+    with pytest.raises(ValueError, match="3 failing instances among 2"):
+        c.judge_all(2, [(0,), (1,), (2,)], _refused)
+    assert (c.checked, c.failures, c.witnesses) == (0, 0, [])
+
+
+@pytest.mark.parametrize("count", ["checked", "failures", "witnesses"])
+def test_a_law_starts_at_zero_and_only_its_verbs_count(count):
+    with pytest.raises(TypeError):
+        LawCheck("demo", **{count: 1})
+    c = LawCheck("demo", note="n/a")
+    assert (c.checked, c.failures, c.witnesses, c.passed) == (0, 0, [], True)
 
 
 def test_judge_files_keyword_data_before_the_built_keys():

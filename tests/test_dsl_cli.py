@@ -313,6 +313,19 @@ def test_cli_string_weights_are_exit_two(tmp_path, capsys, change, command):
     assert "malformed input" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("blob", [{"space": 5},
+                                  {"space": 5, "gamma": [["1"]]}])
+@pytest.mark.parametrize("command", [("validate",),
+                                     ("transport", "--action", "norm")])
+def test_cli_names_the_key_of_a_value_of_the_wrong_type(tmp_path, capsys,
+                                                        blob, command):
+    f = tmp_path / "wrong.json"
+    f.write_text(json.dumps(blob))
+    assert run_cli(command[0], str(f), *command[1:]) == 2
+    assert capsys.readouterr().err == (
+        "malformed input: 'space' holds int, not a JSON object\n")
+
+
 @pytest.mark.parametrize("change", [{"mu": "01"}, {"mu": "12"},
                                     {"nu": "01"}])
 def test_cli_kantorovich_string_weights_are_exit_two(tmp_path, capsys,
@@ -418,6 +431,16 @@ def test_cli_report_planted_reads_samples(monkeypatch, capsys):
     monkeypatch.setattr(fixtures, "run_planted_suite", planted)
     run_cli("report", "--suite", "planted", "--seed", "3", "--samples", "120")
     assert seen == {"seed": 3, "samples": 120}
+
+
+@pytest.mark.parametrize("suite, code", [("all", 0), ("planted", 1)])
+def test_no_reported_law_fails_more_instances_than_it_checks(suite, code,
+                                                             capsys):
+    assert run_cli("report", "--suite", suite, "--json") == code
+    laws = [law for rep in json.loads(capsys.readouterr().out)["reports"]
+            for law in rep["laws"]]
+    assert laws and all(law["failures"] <= law["checked"] for law in laws)
+    assert any(law["failures"] for law in laws) == (code == 1)
 
 
 def test_cli_report_transport_green(capsys):

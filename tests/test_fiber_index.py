@@ -122,19 +122,16 @@ def ref_check_double_norm(G, D):
     rinv = LawCheck("right translation preserves d~")
     rep.add(pres, rinv)
     for i, (g, h) in enumerate(D.pairs):
-        pres.tick()
-        if D.norm[i] != G.d(G.m(g, G.inv(h))):
-            pres.fail(pair=D.arrows[i])
+        pres.judge(D.norm[i] == G.d(G.m(g, G.inv(h))), pair=D.arrows[i])
     n = len(G.arrows)
     for g, h in D.pairs:
         for u in range(n):
             if G.omega(u) != G.alpha(g):
                 continue
-            rinv.tick()
             gu, hu = G.m(g, u), G.m(h, u)
             lhs = G.d(G.m(gu, G.inv(hu)))
-            if lhs != G.d(G.m(g, G.inv(h))):
-                rinv.fail(g=G.arrows[g], h=G.arrows[h], u=G.arrows[u])
+            rinv.judge(lhs == G.d(G.m(g, G.inv(h))),
+                       g=G.arrows[g], h=G.arrows[h], u=G.arrows[u])
     return rep
 
 
@@ -177,13 +174,12 @@ def ref_check_fiber_distances(G):
             for h in range(n):
                 if G.alpha(h) != x:
                     continue
-                rinv.tick()
-                if fib[x][(g, h)] != fib[G.alpha(u)][(G.m(g, u), G.m(h, u))]:
-                    rinv.fail(g=G.arrows[g], h=G.arrows[h], u=G.arrows[u])
+                rinv.judge(
+                    fib[x][(g, h)] == fib[G.alpha(u)][(G.m(g, u), G.m(h, u))],
+                    g=G.arrows[g], h=G.arrows[h], u=G.arrows[u])
     for g in range(n):
-        recon.tick()
-        if rec[g] != G.d(g):
-            recon.fail(g=G.arrows[g], got=str(rec[g]), want=str(G.d(g)))
+        recon.judge(rec[g] == G.d(g), build=lambda: dict(
+            g=G.arrows[g], got=str(rec[g]), want=str(G.d(g))))
     return rep
 
 
@@ -201,17 +197,16 @@ def ref_check_separability(G):
             arrows = G.arrows_between(x, y)
             if not arrows:
                 continue
-            law.tick()
             lo = min(d[g] for g in arrows)
-            if lo == 0:
-                g0 = next(g for g in arrows if d[g] == 0)
-                law.fail(x=G.arrows[x], y=G.arrows[y], arrow=G.arrows[g0])
+            law.judge(lo != 0, build=lambda: dict(
+                x=G.arrows[x], y=G.arrows[y],
+                arrow=G.arrows[next(g for g in arrows if d[g] == 0)]))
     return rep
 
 
 def ref_table_laws(labels, compose, inverse, units, tables, titles,
                    joint=None):
-    """The (semi)norm kernel on (name, Fraction values) pairs, one tick
+    """The (semi)norm kernel on (name, Fraction values) pairs, one judge
     per instance."""
     zero, sub, symm = (LawCheck(t) for t in titles)
     laws = [zero, sub, symm]
@@ -221,26 +216,20 @@ def ref_table_laws(labels, compose, inverse, units, tables, titles,
         for g in range(n):
             unit = g in units
             if name is None or unit:
-                zero.tick()
-                if (d[g] == 0) != unit:
-                    zero.fail(**tag, g=labels[g], d=str(d[g]), unit=unit)
-            symm.tick()
-            if d[inverse[g]] != d[g]:
-                symm.fail(**tag, g=labels[g], d=str(d[g]),
-                          d_inv=str(d[inverse[g]]))
+                zero.judge((d[g] == 0) == unit, build=lambda: dict(
+                    **tag, g=labels[g], d=str(d[g]), unit=unit))
+            symm.judge(d[inverse[g]] == d[g], build=lambda: dict(
+                **tag, g=labels[g], d=str(d[g]), d_inv=str(d[inverse[g]])))
         for (g, h), k in compose.items():
-            sub.tick()
-            if d[k] > d[g] + d[h]:
-                sub.fail(**tag, g=labels[g], h=labels[h], d_gh=str(d[k]),
-                         bound=str(d[g] + d[h]))
+            sub.judge(d[k] <= d[g] + d[h], build=lambda: dict(
+                **tag, g=labels[g], h=labels[h], d_gh=str(d[k]),
+                bound=str(d[g] + d[h])))
     if joint is not None:
         ker = LawCheck(joint)
         laws.append(ker)
         for g in range(n):
             if g not in units:
-                ker.tick()
-                if all(t[g] == 0 for _, t in tables):
-                    ker.fail(g=labels[g])
+                ker.judge(any(t[g] != 0 for _, t in tables), g=labels[g])
     return laws
 
 
@@ -281,12 +270,9 @@ def ref_validate_groupoid(G):
     comp = G.compose
 
     for g in range(n):
-        invo.tick()
-        if inv[inv[g]] != g:
-            invo.fail(g=G.arrows[g], inv=G.arrows[inv[g]])
-        pairs.tick()
-        if (inv[g], g) not in comp or (g, inv[g]) not in comp:
-            pairs.fail(g=G.arrows[g])
+        invo.judge(inv[inv[g]] == g, g=G.arrows[g], inv=G.arrows[inv[g]])
+        pairs.judge((inv[g], g) in comp and (g, inv[g]) in comp,
+                    g=G.arrows[g])
 
     if not pairs.passed:
         for c in (typing, match, assoc, cancel):
@@ -298,18 +284,15 @@ def ref_validate_groupoid(G):
 
     for g in range(n):
         for h in range(n):
-            match.tick()
-            if ((g, h) in comp) != (alpha[g] == omega[h]):
-                match.fail(g=G.arrows[g], h=G.arrows[h],
-                           composable=(g, h) in comp)
+            match.judge(((g, h) in comp) == (alpha[g] == omega[h]),
+                        g=G.arrows[g], h=G.arrows[h],
+                        composable=(g, h) in comp)
 
     for (g, h), k in comp.items():
-        typing.tick()
-        if alpha[k] != alpha[h] or omega[k] != omega[g]:
-            typing.fail(g=G.arrows[g], h=G.arrows[h], gh=G.arrows[k])
-        cancel.tick()
-        if comp.get((k, inv[h])) != g or comp.get((inv[g], k)) != h:
-            cancel.fail(g=G.arrows[g], h=G.arrows[h])
+        typing.judge(alpha[k] == alpha[h] and omega[k] == omega[g],
+                     g=G.arrows[g], h=G.arrows[h], gh=G.arrows[k])
+        cancel.judge(comp.get((k, inv[h])) == g and comp.get((inv[g], k)) == h,
+                     g=G.arrows[g], h=G.arrows[h])
 
     by_omega = {}
     for k in range(n):
@@ -317,11 +300,12 @@ def ref_validate_groupoid(G):
 
     for (g, h), gh in comp.items():
         for k in by_omega.get(alpha[h], ()):
-            assoc.tick()
             hk = comp.get((h, k))
             left = comp.get((gh, k))
-            if hk is None or left is None or comp.get((g, hk)) != left:
-                assoc.fail(g=G.arrows[g], h=G.arrows[h], k=G.arrows[k])
+            assoc.judge(
+                hk is not None and left is not None
+                and comp.get((g, hk)) == left,
+                g=G.arrows[g], h=G.arrows[h], k=G.arrows[k])
     return rep
 
 
@@ -339,37 +323,29 @@ def ref_check_strict_category(C, norm=None, joint_kernel=True):
     rep.add(stab, assoc, invo, ipair, anti, ends)
 
     for g in range(n):
-        invo.tick()
-        if inv[inv[g]] != g:
-            invo.fail(g=C.arrows[g])
-        ipair.tick()
-        if (inv[g], g) not in comp or (g, inv[g]) not in comp:
-            ipair.fail(g=C.arrows[g])
+        invo.judge(inv[inv[g]] == g, g=C.arrows[g])
+        ipair.judge((inv[g], g) in comp and (g, inv[g]) in comp,
+                    g=C.arrows[g])
 
     for (g, h), gh in comp.items():
-        anti.tick()
-        if comp.get((inv[h], inv[g])) != inv[gh]:
-            anti.fail(g=C.arrows[g], h=C.arrows[h])
+        anti.judge(comp.get((inv[h], inv[g])) == inv[gh],
+                   g=C.arrows[g], h=C.arrows[h])
         for k in range(n):
-            stab.tick(2)
-            if ((h, k) in comp) != ((gh, k) in comp):
-                stab.fail(side="right", g=C.arrows[g], h=C.arrows[h],
-                          k=C.arrows[k])
-            if ((k, g) in comp) != ((k, gh) in comp):
-                stab.fail(side="left", g=C.arrows[g], h=C.arrows[h],
-                          k=C.arrows[k])
+            names = dict(g=C.arrows[g], h=C.arrows[h], k=C.arrows[k])
+            stab.judge(((h, k) in comp) == ((gh, k) in comp),
+                       side="right", **names)
+            stab.judge(((k, g) in comp) == ((k, gh) in comp),
+                       side="left", **names)
             if (h, k) in comp:
-                assoc.tick()
                 hk = comp[(h, k)]
-                if comp.get((gh, k)) != comp.get((g, hk)) or (gh, k) not in comp:
-                    assoc.fail(g=C.arrows[g], h=C.arrows[h], k=C.arrows[k])
+                assoc.judge(comp.get((gh, k)) == comp.get((g, hk))
+                            and (gh, k) in comp, **names)
 
     L = [frozenset(k for k in range(n) if (k, g) in comp) for g in range(n)]
     for g in range(n):
         for k in range(n):
-            ends.tick()
-            if ((inv[g], k) in comp) != (L[k] == L[g]):
-                ends.fail(g=C.arrows[g], k=C.arrows[k])
+            ends.judge(((inv[g], k) in comp) == (L[k] == L[g]),
+                       g=C.arrows[g], k=C.arrows[k])
 
     units = C.unit_like()
     seminorms = []

@@ -444,12 +444,12 @@ def _recomputed_nondegeneracy(model, sampler, grid):
     degenerate = sep_mask & ~((dt0 > 1e-7) & (finest > 1e-7))
     law = LawCheck("nondegeneracy: distinct arrows keep positive tangent "
                    "distance")
-    law.tick(int(sep_mask.sum()))
-    for i in np.nonzero(degenerate)[0]:
-        law.fail(target_g=model.target(G)[i].tolist(),
-                 target_h=model.target(H)[i].tolist(),
-                 tangent_distance=float(dt0[i]),
-                 rescaled_at_finest=float(finest[i]))
+    for i in np.nonzero(sep_mask)[0]:
+        law.judge(not degenerate[i], build=lambda: dict(
+            target_g=model.target(G)[i].tolist(),
+            target_h=model.target(H)[i].tolist(),
+            tangent_distance=float(dt0[i]),
+            rescaled_at_finest=float(finest[i])))
     return law
 
 

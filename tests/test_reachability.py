@@ -48,11 +48,12 @@ it reaches by name, the table of report suites included.
 
 One law kernel counts.  Outside the methods of `ngd.core.LawCheck`, no
 code in src/ngd assigns to a `.checked` or `.failures` attribute, by `=`,
-`+=` or `setattr`, or adds to a `.witnesses` list: a law counts its
-instances and files its witnesses through `tick`, `fail`, `judge` and
-`judge_residuals`, so that one place decides what an instance, a failure
-and a witness are.  Building a law with `LawCheck(..., checked=1)` is
-construction, not a count, and is allowed.
+`+=` or `setattr`, adds to a `.witnesses` list, or passes one of those
+names as a keyword: a law counts its instances and files its witnesses
+through `judge` (one instance), `judge_all` (an exact batch) and
+`judge_residuals` (a float batch), so that one place decides what an
+instance, a failure and a witness are, and failures never exceed checked.
+A law starts at zero: even `LawCheck(..., checked=1)` is a write.
 """
 
 import argparse
@@ -335,7 +336,8 @@ COUNTS = ("checked", "failures", "witnesses")
 def _count_writes(node):
     """Whether node writes a LawCheck count or adds a witness: assigns to
     an attribute named in COUNTS (or to an item of one), calls setattr
-    with such a name, or calls append, extend or insert on `.witnesses`."""
+    with such a name, passes one as a keyword, or calls append, extend or
+    insert on `.witnesses`."""
     if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
         targets = node.targets if isinstance(node, ast.Assign) else [
             node.target]
@@ -343,6 +345,8 @@ def _count_writes(node):
                    for t in targets for n in ast.walk(t))
     if not isinstance(node, ast.Call):
         return False
+    if any(k.arg in COUNTS for k in node.keywords):
+        return True
     f = node.func
     if isinstance(f, ast.Name) and f.id == "setattr":
         return (len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
@@ -361,8 +365,9 @@ def test_only_the_law_kernel_counts_and_files_witnesses():
     inside = {id(n) for n in ast.walk(kernel)}
     writes = [(p, node) for p in modules for node in ast.walk(trees[p])
               if _count_writes(node)]
-    # the census sees the kernel's own writes: tick, fail, judge_residuals
-    assert sum(id(node) in inside for _, node in writes) >= 4
+    # the census sees the kernel's own writes: each of judge, judge_all
+    # and judge_residuals writes checked, failures and witnesses
+    assert sum(id(node) in inside for _, node in writes) >= 9
     outside = [f"{p.name}:{node.lineno}" for p, node in writes
                if id(node) not in inside]
     assert not outside, "counts written outside LawCheck: " + ", ".join(
@@ -376,8 +381,11 @@ def test_only_the_law_kernel_counts_and_files_witnesses():
     ("law.witnesses.append({})", True),
     ("rep.law(name).witnesses.extend(ws)", True),
     ("setattr(law, 'failures', 2)", True),
-    ("LawCheck('x', checked=1)", False),
-    ("law.tick(3)", False),
+    ("LawCheck('x', checked=1)", True),
+    ("LawCheck('x', note='n/a')", False),
+    ("law.judge(ok, sample=k)", False),
+    ("law.judge_all(3, bad, witness)", False),
+    ("law.judge_residuals(resids, 1e-9)", False),
     ("n = law.checked + law.failures", False),
     ("ws = list(law.witnesses)", False),
 ])

@@ -1285,45 +1285,39 @@ def ref_certificate(mu, nu, gamma, u):
     slack = transport.LawCheck(
         "u(x) - u(y) = d(x, y) on every occupied cell")
     rep.add(marg, lip, gap, slack)
-    rows = [sum(row) for row in gamma]
-    cols = [sum(row[y] for row in gamma) for y in range(n)]
-    for i in range(n):
-        marg.tick(2)
-        if rows[i] != mu[i]:
-            marg.fail(row=i, sum=str(rows[i]), marginal=str(mu[i]))
-        if cols[i] != nu[i]:
-            marg.fail(column=i, sum=str(cols[i]), marginal=str(nu[i]))
+    lines = [("row", i, [(i, y) for y in range(n)], mu[i]) for i in range(n)]
+    lines += [("column", i, [(x, i) for x in range(n)], nu[i])
+              for i in range(n)]
+    for side, i, cells, want in lines:  # each row and column is one instance
+        total = sum(gamma[x][y] for x, y in cells)
+        negative = [(x, y) for x, y in cells if gamma[x][y] < 0]
+        if total != want:
+            marg.judge(False, **{side: i}, sum=str(total), marginal=str(want))
+        else:
+            marg.judge(not negative, build=lambda: dict(
+                cell=negative[0],
+                mass=str(gamma[negative[0][0]][negative[0][1]])))
     for x in range(n):
         for y in range(n):
-            if gamma[x][y] < 0:
-                marg.fail(cell=(x, y), mass=str(gamma[x][y]))
-    lip.tick(n * (n - 1))
-    for x in range(n):
-        bad = [y for y in range(n) if x != y and u[x] - u[y] > d[x][y]]
-        if bad:
-            y = bad[0]
-            lip.fail(pair=(x, y), difference=str(u[x] - u[y]),
-                     d=str(d[x][y]))
-            break
+            if x != y:
+                lip.judge(u[x] - u[y] <= d[x][y], pair=(x, y),
+                          difference=str(u[x] - u[y]), d=str(d[x][y]))
     occupied = [
         (x, y) for x in range(n) for y in range(n) if gamma[x][y] > 0
     ]
     primal = sum(d[x][y] * gamma[x][y] for x, y in occupied)
     dual = sum(u[x] * (mu[x] - nu[x]) for x in range(n))
-    gap.tick()
-    if primal != dual:
-        gap.fail(primal=str(primal), dual=str(dual))
+    gap.judge(primal == dual, primal=str(primal), dual=str(dual))
     for x, y in occupied:
-        slack.tick()
-        if u[x] - u[y] != d[x][y]:
-            slack.fail(cell=(x, y), difference=str(u[x] - u[y]),
-                       d=str(d[x][y]))
+        slack.judge(u[x] - u[y] == d[x][y], cell=(x, y),
+                    difference=str(u[x] - u[y]), d=str(d[x][y]))
     return rep
 
 
 def assert_certificates_agree(mu, nu, gamma, u):
     got = check_kantorovich_certificate(mu, nu, gamma, u)
     assert got.to_json() == ref_certificate(mu, nu, gamma, u).to_json()
+    assert all(law.failures <= law.checked for law in got.laws)
     return got
 
 
@@ -1403,6 +1397,43 @@ def test_certificate_matches_the_fraction_reference_on_random_damage():
                 else:
                     u[x] += unit
                 assert_certificates_agree(mu, nu, g, u)
+
+
+def test_each_row_and_column_fails_the_marginal_law_at_most_once():
+    """The marginal law has 2n instances, the rows and the columns: each
+    fails on its sum, or else on a negative cell it holds, never once per
+    cell.  An all -1 plan breaks every sum; a plan with every sum right
+    and two negative cells fails the two rows and two columns holding
+    them."""
+    third = Fraction(1, 3)
+    even = Measure(uniform_space(3), (third,) * 3)
+    title = "plan is a coupling of (mu, nu), exactly"
+    rep = assert_certificates_agree(even, even, [[-1] * 3] * 3, (0, 0, 0))
+    assert (rep.law(title).checked, rep.law(title).failures) == (6, 6)
+    assert rep.law(title).witnesses == [
+        {side: i, "sum": "-3", "marginal": "1/3"}
+        for side in ("row", "column") for i in range(3)]
+    signed = [[2 * third, -third, 0], [-third, 2 * third, 0], [0, 0, third]]
+    marg = assert_certificates_agree(even, even, signed, (0, 0, 0)).law(title)
+    assert (marg.checked, marg.failures) == (6, 4)
+    assert [w["cell"] for w in marg.witnesses] == [(0, 1), (1, 0), (1, 0),
+                                                   (0, 1)]  # rows, columns
+    assert {w["mass"] for w in marg.witnesses} == {"-1/3"}
+
+
+def test_every_violating_pair_fails_the_lipschitz_law():
+    """n(n - 1) ordered pairs, one failure per pair the potential breaks:
+    u = (0, 5, 10) at mutual distance 1 breaks three."""
+    even = Measure(uniform_space(3), (Fraction(1, 3),) * 3)
+    rep = assert_certificates_agree(even, even, diag_plan(even).gamma,
+                                    (0, 5, 10))
+    assert failing_laws(rep) == ["potential is 1-Lipschitz"]
+    lip = rep.law("potential is 1-Lipschitz")
+    assert (lip.checked, lip.failures) == (6, 3)
+    assert lip.witnesses == [
+        {"pair": (1, 0), "difference": "5", "d": "1"},
+        {"pair": (2, 0), "difference": "10", "d": "1"},
+        {"pair": (2, 1), "difference": "5", "d": "1"}]
 
 
 def test_planted_off_by_one_unit_fails_the_marginal_law_only():
