@@ -174,6 +174,102 @@ def test_cli_eval_model_refusal_is_exit_two(term, flags, col, capsys):
     assert "Traceback" not in err
 
 
+H = ("--model", "heisenberg")
+# one case per term kind and per TermError of the term language: the eval
+# flags, the term, and either its rendered value (exit 0) or its error's
+# (line, col, message) (exit 2)
+TERM_CASES = [
+    ((), "delta(1/2, -(4, 2))", "(-3, -2)"),       # unary minus, an arrow
+    ((), "-d((3, 1))", "-2"),                       # unary minus, a scalar
+    (H, "e", "(0, 0, 0)"),
+    ((), "delta(1/2, e)", "0"),
+    ((), "d(x)", (1, 3, "unbound name 'x'")),
+    ((), "d((3, 1))", "2"),                         # the norm of an arrow
+    ((), "d((3, 1), (5, 1))", "2"),                 # d~ of two arrows
+    (H, "d((1, 0, 0), (0, 1, 0))", "1.68179283051"),
+    ((), "d(2, 5)", "3"),
+    ((), "d(5)", (1, 1, "d(a) takes an arrow; for points use d(x, y)")),
+    (H, "d((1, 2, 3))",
+     (1, 1, "d(a) takes an arrow; for points use d(x, y)")),
+    (H, "delta(1/2, (2, 2, 2))", "(1, 1, 0.5)"),
+    ((), "delta(1/2, (4, 2))", "(3, 2)"),
+    (H, "delta(1/2, ((2, 2, 2), (0, 0, 0)))", "((1, 1, 0.5), (0, 0, 0))"),
+    (H, "inv(1/2, (1, 2, 3))", "(-0.5, -1, -2.25)"),
+    ((), "inv(1/10, (2, 0))", "(-1.8, 0)"),
+    (H, "Delta(1/2, (1, 0, 0), (0, 1, 0))", "(-0.5, 1, -0.25)"),
+    ((), "Delta(1/10, (3, 0), (1, 0))", "(2.1, 0)"),
+    (H, "Sigma(1/2, (1, 0, 0), (0, 1, 0))", "(0.5, 1, 0.25)"),
+    ((), "Sigma(1/10, (3, 0), (1, 0))", "(3.9, 0)"),
+    (H, "dilat(1/2, (1, 1, 1), (3, 3, 3))", "(2, 2, 1.5)"),
+    ((), "dilat(1/2, (1, 0), (3, 0))", "(2, 0)"),
+    (H, "dilat(1/2, ((1, 1, 1), (0, 0, 0)), ((3, 3, 3), (0, 0, 0)))",
+     "((2, 2, 1.5), (0, 0, 0))"),
+    ((), "circ(1/2, 1, 3)", "2"),
+    (H, "circ(1/2, e, (2, 2, 2))", "(1, 1, 0.5)"),
+    ((), "let(g, (3, 1), d(g))", "2"),
+    ((), "lim(eps -> 0, Delta(eps, (3, 0), (1, 0)))", "(2, 0)"),
+    ((), "d((3, 1)) # 2", (1, 11, "unexpected character '#'")),
+    ((), "delta((1, 0), (3, 0))",
+     (1, 7, "expected a scale (a nonzero rational), got arrow")),
+    ((), "delta(0, (3, 0))", (1, 7, "scale must be positive, got 0")),
+    ((), "delta(-1/2, (3, 0))", (1, 7, "scale must be positive, got -1/2")),
+    ((), "((1, 0), 2)",
+     (1, 1, "tuples hold scalars (a point) or two points (an arrow)")),
+    ((), "(1, 2, 3)", (1, 1, "a 3-tuple of scalars fits neither a point "
+                             "(dim 1) nor a 1d arrow")),
+    ((), "delta(1/2, (3, 0), (1, 0))",
+     (1, 20, "delta takes at most 2 arguments")),
+    ((), "d((3, 0), (1, 0), (2, 0))", (1, 19, "d takes at most 2 arguments")),
+    ((), "delta(1/2)", (1, 10, "delta takes 2 arguments, got 1")),
+    ((), "Delta(1/2, (3, 0), 1)",
+     (1, 1, "Delta wants two arrows or two points, got arrow and scalar")),
+    ((), "Sigma(1/2, 1, (3, 0))",
+     (1, 1, "Sigma wants two arrows or two points, got scalar and arrow")),
+    ((), "d((3, 0), 1)", (1, 3, "expected a point, got arrow")),
+    ((), "d(1, (3, 0))", (1, 6, "expected a point, got arrow")),
+    ((), "dilat(1/2, (1, 0), 2)", (1, 12, "expected a point, got arrow")),
+    ((), "dilat(1/2, 2, (1, 0))", (1, 15, "expected a point, got arrow")),
+    ((), "circ(1/2, (1, 0), (3, 0))", (1, 11, "expected a point, got arrow")),
+    ((), "circ(1/2, 1, (3, 0))", (1, 14, "expected a point, got arrow")),
+    (H, "delta(1/2, 5)", (1, 12, "expected a point, got scalar")),
+    (H, "Delta(1/2, 5, (1, 0, 0))", (1, 12, "expected a point, got scalar")),
+    (H, "d((1, 0))", (1, 3, "a 2-tuple of scalars fits neither a point "
+                           "(dim 3) nor a 1d arrow")),
+]
+
+
+def _term_context(flags):
+    return dsl.EvalContext(heisenberg_model() if flags else
+                           euclidean_model(dim=1))
+
+
+@pytest.mark.parametrize(
+    "flags,term,want", TERM_CASES,
+    ids=[("heisenberg: " if f else "") + t for f, t, _ in TERM_CASES])
+def test_each_term_kind_gives_its_value_or_its_positioned_error(
+        flags, term, want, capsys):
+    """dsl.run and `ngd eval` agree on every term kind: the same rendered
+    value at exit 0, or the same positioned TermError at exit 2."""
+    code = run_cli("eval", term, *flags)
+    out, err = capsys.readouterr()
+    if isinstance(want, str):
+        assert dsl.run(term, _term_context(flags))[1] == want
+        assert (code, out.splitlines()[-1], err) == (0, want, "")
+        return
+    with pytest.raises(dsl.TermError) as exc:
+        dsl.run(term, _term_context(flags))
+    assert (exc.value.line, exc.value.col, exc.value.message) == want
+    assert (code, out, err) == (2, "", "line {}, col {}: {}\n".format(*want))
+
+
+def test_a_bound_point_of_the_wrong_dimension_is_a_term_error():
+    ctx = dsl.EvalContext(heisenberg_model(), env={"p": np.zeros(2)})
+    with pytest.raises(dsl.TermError) as exc:
+        dsl.run("d(e, p)", ctx)
+    assert (exc.value.line, exc.value.col, exc.value.message) == (
+        1, 6, "point has 2 coordinates, model has 3")
+
+
 def test_cli_validate_metric_space(tmp_path, capsys):
     f = tmp_path / "space.json"
     f.write_text(json.dumps({

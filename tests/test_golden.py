@@ -14,7 +14,8 @@ analytic report files pin the axioms, irq, limits and planted suites at
 their defaults, residuals printed to 3 significant digits; the planted
 suite is red by design, so it exits 1.  The planted suite's JSON golden
 pins every witness of that red suite; its floats, bare or inside a
-witness, are compared at 3 significant digits."""
+witness, are compared at 3 significant digits.  The eval file pins the
+JSON of a term whose value is an arrow of Heisenberg points."""
 
 import json
 import re
@@ -45,6 +46,8 @@ CASES = [
     (["report", "--suite", "planted", "--json"], "report_planted.json", 1),
     (["validate", SPACE8], "validate_space8.txt", 0),
     (["validate", SPACE8, "--json"], "validate_space8.json", 0),
+    (["eval", "dilat(1/2, ((1, 1, 1), (0, 0, 0)), ((3, 3, 3), (0, 0, 0)))",
+      "--model", "heisenberg", "--json"], "eval_dilat_arrows.json", 0),
 ]
 ROUNDED = {"report_planted.json"}
 FLOAT = re.compile(r"-?\d+\.\d+(?:e[-+]?\d+)?")
