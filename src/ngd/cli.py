@@ -73,12 +73,18 @@ def _emit(reports, args, extra=None):
 
 
 def _load_json(path):
+    """The JSON object in the file at path.  A file that cannot be read
+    exits 2; one whose top level is not an object is a TypeError, which
+    the commands report as malformed input."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         print(f"cannot read {path}: {e}", file=sys.stderr)
         raise SystemExit(2)
+    if not isinstance(data, dict):
+        raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +92,9 @@ def _load_json(path):
 
 
 def cmd_validate(args) -> int:
-    data = _load_json(args.file)
-    if not isinstance(data, dict):
-        print(f"malformed input: expected a JSON object, got "
-              f"{type(data).__name__}", file=sys.stderr)
-        return 2
     reports = []
     try:
+        data = _load_json(args.file)
         if "gamma" in data:
             from . import transport
 
@@ -147,7 +149,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    import numpy as np
     from . import dsl
 
     model = _models_from(args)[0]
@@ -156,9 +157,9 @@ def cmd_eval(args) -> int:
     if args.base:
         try:
             base_node = dsl.parse(args.base)
-            ctx.base = np.asarray(
-                dsl.evaluate(base_node, dsl.EvalContext(model)), dtype=float
-            )
+            ctx.base = dsl._as_point(  # the base is a point of the model
+                dsl.evaluate(base_node, dsl.EvalContext(model)), ctx,
+                base_node)
         except dsl.TermError as e:
             print(f"--base: {e}", file=sys.stderr)
             return 2
@@ -232,14 +233,14 @@ def _coupling_from(data, key="gamma"):
     from . import transport
 
     return transport.Coupling.from_json(data if key == "gamma" else {
-        "space": data["space"], "gamma": _json(data, key)})
+        "space": _json(data, "space", dict), "gamma": _json(data, key)})
 
 
 def cmd_transport(args) -> int:
     from . import transport
 
-    data = _load_json(args.file)
     try:
+        data = _load_json(args.file)
         if args.action == "compose":
             gamma = _coupling_from(data, "gamma")
             gamma_prime = _coupling_from(data, "gamma_prime")

@@ -74,8 +74,12 @@ class FiniteMetricSpace:
 
     @classmethod
     def from_json(cls, data):
-        return cls(points=list(_json(data, "points")),
-                   dist=_json(data, "dist"))
+        dist = _json(data, "dist")
+        for i, row in enumerate(dist):
+            if not isinstance(row, list):
+                raise TypeError(f"'dist' row {i} holds "
+                                f"{type(row).__name__}, not a JSON array")
+        return cls(points=list(_json(data, "points")), dist=dist)
 
 
 def random_metric_space(seed: int, max_points: int = 8) -> FiniteMetricSpace:

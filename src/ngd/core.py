@@ -50,8 +50,10 @@ def as_fraction(value) -> Fraction:
 
 
 def _json(data, key, kind=list):
-    """data[key], a JSON array, or with kind=dict an object; a value of
-    another type is a TypeError that names key."""
+    """data[key], a JSON array, or with kind=dict an object; a missing key
+    or a value of another type is a TypeError that names key."""
+    if key not in data:
+        raise TypeError(f"missing key {key!r}")
     if not isinstance(value := data[key], kind):
         raise TypeError(f"{key!r} holds {type(value).__name__}, not a JSON "
                         f"{'object' if kind is dict else 'array'}")

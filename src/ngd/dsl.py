@@ -11,9 +11,10 @@ take scale limits:
 Numbers are exact rationals ("0.1" means 1/10, "3/4" is allowed).  A
 tuple of scalars is a point of the model's dimension — except in the
 one-dimensional Euclidean default, where a 2-tuple is an arrow written
-(target, source).  A 2-tuple of points is an arrow.  Operations applied
-to arrows act fiberwise; applied to points they act at the context's
-base point (default: the group identity).
+(target, source).  A 2-tuple of points is an arrow.  The parser and the
+evaluator read each operation off one table, OPERATIONS.  On arrows an
+operation acts fiberwise, on points at the context's base point (default:
+the group identity) or at the base dilat and circ name; a mix is an error.
 
 Errors carry 1-based line:column positions, both at parse time (unknown
 name, wrong arity, malformed syntax) and at evaluation time (type
@@ -23,7 +24,8 @@ mismatches), so a caller can point at the offending spot.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -43,17 +45,40 @@ class TermError(ValueError):
         super().__init__(f"line {line}, col {col}: {message}")
 
 
-# the operation table: name -> (min arity, max arity)
-ARITY = {
-    "delta": (2, 2),   # delta(s, a): dilate an arrow (or a point, at base)
-    "dilat": (3, 3),   # dilat(s, base, a): dilate at an explicit base
-    "Delta": (3, 3),   # Delta(s, a, b): approximate difference
-    "Sigma": (3, 3),   # Sigma(s, a, b): approximate sum
-    "inv": (2, 2),     # inv(s, a): approximate inverse
-    "circ": (3, 3),    # circ(s, x, u): the based binary operation on points
-    "d": (1, 2),       # d(a) arrow norm; d(a, b) distance
-    "lim": (2, 2),     # lim(eps -> 0, term)
-    "let": (3, 3),     # let(name, value, body)
+def _arrow_distance(m, a, b=None):
+    """d(a), the norm of an arrow, or d(a, b), their distance d~."""
+    return float(m.norm(a) if b is None else m.dtilde(a, b))
+
+
+def _point_distance(m, base, x, y=None):
+    if y is None:  # evaluate turns this into a term error at the call
+        raise ValueError("d(a) takes an arrow; for points use d(x, y)")
+    return float(m.pdist(x, y))
+
+
+def _dilatation(m, s, base, x, u):
+    """dilat and circ on points: they name their base, x."""
+    return m.point_dilatation(s, x, u)
+
+
+# an operation: its least and most arguments, whether its first argument
+# is a scale, its form on arrows, f(model, [scale,] *arrows), and its form
+# on points, f(model, [scale,] base, *points), base the context's base
+_Op = namedtuple("_Op", "lo hi scaled arrows points",
+                 defaults=(False, None, None))
+
+# the operation table; lim and let bind a name and keep their own code
+OPERATIONS = {
+    "delta": _Op(2, 2, True, lambda m, s, a: m.delta(s, a),
+                 lambda m, s, x, u: m.point_dilatation(s, x, u)),
+    "dilat": _Op(3, 3, True, emergent.arrow_dilatation, _dilatation),
+    "circ": _Op(3, 3, True, None, _dilatation),  # the based operation
+    "Delta": _Op(3, 3, True, emergent.Delta_eps, emergent.Delta3),
+    "Sigma": _Op(3, 3, True, emergent.Sigma_eps, emergent.Sigma3),
+    "inv": _Op(2, 2, True, emergent.inv_eps, emergent.inv3),
+    "d": _Op(1, 2, False, _arrow_distance, _point_distance),
+    "lim": _Op(2, 2),  # lim(eps -> 0, term)
+    "let": _Op(3, 3),  # let(name, value, body)
 }
 
 
@@ -75,12 +100,7 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+Token = namedtuple("Token", "kind text line col")
 
 
 def tokenize(src: str) -> list:
@@ -140,6 +160,14 @@ class Call:
     var: str = ""  # bound name, for lim/let
 
 
+def _rational(t: Token) -> Fraction:
+    try:
+        return Fraction(t.text)
+    except (ValueError, ZeroDivisionError):  # 1/0, 0/0, 1.5/2
+        raise TermError(f"not a rational number: {t.text!r}",
+                        t.line, t.col) from None
+
+
 class _Parser:
     def __init__(self, toks):
         self.toks = toks
@@ -174,11 +202,7 @@ class _Parser:
             return Call("neg", [inner], t.line, t.col)
         if t.kind == "num":
             self.i += 1
-            try:
-                return Num(Fraction(t.text), t.line, t.col)
-            except (ValueError, ZeroDivisionError):  # 1/0, 0/0, 1.5/2
-                raise TermError(f"not a rational number: {t.text!r}",
-                                t.line, t.col) from None
+            return Num(_rational(t), t.line, t.col)
         if t.kind == "lp":
             return self.tuple_or_group()
         if t.kind == "name":
@@ -189,12 +213,17 @@ class _Parser:
         got = t.text or "end of input"
         raise TermError(f"expected a term, found {got!r}", t.line, t.col)
 
-    def tuple_or_group(self):
-        lp = self.take("lp", "'('")
+    def terms(self) -> list:
+        """One or more terms, separated by commas."""
         items = [self.term()]
         while self.peek().kind == "comma":
             self.i += 1
             items.append(self.term())
+        return items
+
+    def tuple_or_group(self):
+        lp = self.take("lp", "'('")
+        items = self.terms()
         self.take("rp", "',' or ')'")
         if len(items) == 1:
             return items[0]  # just grouping
@@ -202,10 +231,10 @@ class _Parser:
 
     def call(self, name_tok: Token):
         name = name_tok.text
-        if name not in ARITY:
+        if name not in OPERATIONS:
             raise TermError(
                 f"unknown operation {name!r} (have: "
-                f"{', '.join(sorted(ARITY))})",
+                f"{', '.join(sorted(OPERATIONS))})",
                 name_tok.line, name_tok.col,
             )
         self.take("lp", "'('")
@@ -215,7 +244,7 @@ class _Parser:
             v = self.take("name", "a scale variable (like eps)")
             self.take("arrow", "'->'")
             z = self.take("num", "the limit point 0")
-            if Fraction(z.text) != 0:
+            if _rational(z) != 0:
                 raise TermError(
                     "limits here go to 0 (scale limits only)", z.line, z.col
                 )
@@ -229,26 +258,18 @@ class _Parser:
             node.args.append(self.term())
             self.take("comma", "','")
             node.args.append(self.term())
-        else:
-            node.args.append(self.term())
-            while self.peek().kind == "comma":
-                self.i += 1
-                node.args.append(self.term())
-
-        t = self.peek()
-        lo, hi = ARITY[name]
-        have = len(node.args) + (1 if name in ("lim", "let") else 0)
-        if t.kind == "rp" and have < lo:
-            raise TermError(
-                f"{name} takes {lo}{'' if lo == hi else f'..{hi}'} "
-                f"arguments, got {have}",
-                t.line, t.col,
-            )
-        if have > hi:
-            a = node.args[hi - (1 if name in ("lim", "let") else 0)]
-            raise TermError(
-                f"{name} takes at most {hi} arguments", a.line, a.col
-            )
+        else:  # the parse above fixes the arguments of lim and let
+            node.args = self.terms()
+            t, have = self.peek(), len(node.args)
+            lo, hi = OPERATIONS[name].lo, OPERATIONS[name].hi
+            if t.kind == "rp" and have < lo:  # then lo == hi: d has lo 1
+                raise TermError(f"{name} takes {lo} arguments, got {have}",
+                                t.line, t.col)
+            if have > hi:
+                a = node.args[hi]
+                raise TermError(
+                    f"{name} takes at most {hi} arguments", a.line, a.col
+                )
         self.take("rp", "',' or ')'")
         return node
 
@@ -270,14 +291,9 @@ def to_text(node) -> str:
     if isinstance(node, Call):
         if node.name == "neg":
             return "-" + to_text(node.args[0])
-        if node.name == "lim":
-            return f"lim({node.var} -> 0, {to_text(node.args[0])})"
-        if node.name == "let":
-            return (f"let({node.var}, {to_text(node.args[0])}, "
-                    f"{to_text(node.args[1])})")
-        return node.name + "(" + ", ".join(
-            to_text(a) for a in node.args
-        ) + ")"
+        binder = {"lim": [f"{node.var} -> 0"], "let": [node.var]}
+        parts = binder.get(node.name, []) + [to_text(a) for a in node.args]
+        return f"{node.name}({', '.join(parts)})"
     raise TypeError(f"not a term node: {node!r}")
 
 
@@ -311,7 +327,7 @@ class EvalContext:
 
 
 def _kind(v) -> str:
-    if isinstance(v, (Fraction, int, float)):
+    if isinstance(v, (Fraction, int, float)) or np.ndim(v) == 0:
         return "scalar"
     v = np.asarray(v)
     if v.ndim == 1:
@@ -342,8 +358,8 @@ def _as_scale(v, node):
             node.line, node.col,
         )
     try:
-        return as_scale(v if isinstance(v, Fraction) else Fraction(v))
-    except (ValueError, ZeroDivisionError) as e:
+        return as_scale(v if isinstance(v, Fraction) else float(v))
+    except (ValueError, OverflowError) as e:
         raise TermError(str(e), node.line, node.col) from None
 
 
@@ -359,63 +375,56 @@ def evaluate(node, ctx: EvalContext):
         if node.name == "e":
             return ctx.model.e()
         raise TermError(f"unbound name {node.name!r}", node.line, node.col)
-    if isinstance(node, Tup):
-        vals = [evaluate(x, ctx) for x in node.items]
-        kinds = [_kind(v) for v in vals]
-        if all(k == "scalar" for k in kinds):
-            dim = ctx.model.dim
-            if len(vals) == dim:
-                return np.array([float(v) for v in vals])
-            if len(vals) == 2 and dim == 1:
-                # 1d special case: (target, source) is an arrow
-                return ctx.model.arrow([float(vals[0])], [float(vals[1])])
-            raise TermError(
-                f"a {len(vals)}-tuple of scalars fits neither a point "
-                f"(dim {dim}) nor a 1d arrow", node.line, node.col,
-            )
-        if len(vals) == 2 and all(k == "point" for k in kinds):
-            return ctx.model.arrow(vals[0], vals[1])
-        raise TermError(
-            "tuples hold scalars (a point) or two points (an arrow)",
-            node.line, node.col,
-        )
-    if isinstance(node, Call):
+    if isinstance(node, (Tup, Call)):
         try:
-            return _apply(node, ctx)
+            return (_tuple if isinstance(node, Tup) else _apply)(node, ctx)
         except TermError:
             raise
-        except ValueError as e:  # the model refused the operands
+        except (ValueError, OverflowError) as e:
+            # the model refused the operands, or a number overflowed a float
             raise TermError(str(e), node.line, node.col) from e
     raise TypeError(f"not a term node: {node!r}")
 
 
-def _apply(node: Call, ctx: EvalContext):
-    name = node.name
-    m = ctx.model
+def _tuple(node: Tup, ctx: EvalContext):
+    vals = [evaluate(x, ctx) for x in node.items]
+    kinds = [_kind(v) for v in vals]
+    if all(k == "scalar" for k in kinds):
+        dim = ctx.model.dim
+        if len(vals) == dim:
+            return np.array([float(v) for v in vals])
+        if len(vals) == 2 and dim == 1:
+            # 1d special case: (target, source) is an arrow
+            return ctx.model.arrow([float(vals[0])], [float(vals[1])])
+        raise TermError(
+            f"a {len(vals)}-tuple of scalars fits neither a point "
+            f"(dim {dim}) nor a 1d arrow", node.line, node.col,
+        )
+    if len(vals) == 2 and all(k == "point" for k in kinds):
+        return ctx.model.arrow(vals[0], vals[1])
+    raise TermError(
+        "tuples hold scalars (a point) or two points (an arrow)",
+        node.line, node.col,
+    )
 
-    if name == "neg":
+
+def _bind(ctx: EvalContext, name, value) -> EvalContext:
+    """ctx with name bound to value; the estimates list stays shared."""
+    return replace(ctx, env={**ctx.env, name: value})
+
+
+def _apply(node: Call, ctx: EvalContext):
+    if node.name == "neg":
         v = evaluate(node.args[0], ctx)
         return -v if _kind(v) == "scalar" else -np.asarray(v, dtype=float)
 
-    if name == "let":
-        bound = dict(ctx.env)
-        bound[node.var] = evaluate(node.args[0], ctx)
-        inner = EvalContext(m, ctx.base, ctx.eps_grid, ctx.tol, bound,
-                            ctx.estimates)
-        return evaluate(node.args[1], inner)
+    if node.name == "let":
+        value = evaluate(node.args[0], ctx)
+        return evaluate(node.args[1], _bind(ctx, node.var, value))
 
-    if name == "lim":
-        body = node.args[0]
-        values, moduli = [], []
-        for s in ctx.eps_grid:
-            bound = dict(ctx.env)
-            bound[node.var] = Fraction(s.modulus)
-            inner = EvalContext(m, ctx.base, ctx.eps_grid, ctx.tol, bound,
-                                ctx.estimates)
-            v = evaluate(body, inner)
-            values.append(float(v) if _kind(v) == "scalar" else
-                          np.asarray(v, dtype=float))
-            moduli.append(float(s.modulus))
+    if node.name == "lim":
+        body, moduli = node.args[0], [s.modulus for s in ctx.eps_grid]
+        values = [evaluate(body, _bind(ctx, node.var, e)) for e in moduli]
         est = limit_of_values(
             f"lim {node.var}->0 of {to_text(body)}", moduli, values,
             tol=ctx.tol,
@@ -423,67 +432,19 @@ def _apply(node: Call, ctx: EvalContext):
         ctx.estimates.append(est)
         return est.value
 
+    op = OPERATIONS[node.name]
     args = [evaluate(a, ctx) for a in node.args]
-
-    if name == "d":
-        if len(args) == 1:
-            if _kind(args[0]) != "arrow":
-                raise TermError(
-                    "d(a) takes an arrow; for points use d(x, y)",
-                    node.line, node.col,
-                )
-            return float(m.norm(args[0]))
-        ka, kb = _kind(args[0]), _kind(args[1])
-        if ka == "arrow" and kb == "arrow":
-            return float(m.dtilde(args[0], args[1]))
-        pa = _as_point(args[0], ctx, node.args[0])
-        pb = _as_point(args[1], ctx, node.args[1])
-        return float(m.pdist(pa, pb))
-
-    if name == "delta":
-        s = _as_scale(args[0], node.args[0])
-        v = args[1]
-        if _kind(v) == "arrow":
-            return m.delta(s, v)
-        return m.point_dilatation(s, ctx.base,
-                                  _as_point(v, ctx, node.args[1]))
-
-    if name in ("dilat", "circ"):  # circ is dilat on points only
-        s = _as_scale(args[0], node.args[0])
-        b, v = args[1], args[2]
-        if name == "dilat" and _kind(b) == "arrow" and _kind(v) == "arrow":
-            return emergent.arrow_dilatation(m, s, b, v)
-        return m.point_dilatation(
-            s, _as_point(b, ctx, node.args[1]),
-            _as_point(v, ctx, node.args[2]),
-        )
-
-    if name in ("Delta", "Sigma"):
-        s = _as_scale(args[0], node.args[0])
-        a, b = args[1], args[2]
-        ka, kb = _kind(a), _kind(b)
-        if ka == "arrow" and kb == "arrow":
-            op = emergent.Delta_eps if name == "Delta" else emergent.Sigma_eps
-            return op(m, s, a, b)
-        if "arrow" in (ka, kb):
-            raise TermError(
-                f"{name} wants two arrows or two points, got {ka} and {kb}",
-                node.line, node.col,
-            )
-        op = emergent.Delta3 if name == "Delta" else emergent.Sigma3
-        return op(m, s, ctx.base,
-                  _as_point(a, ctx, node.args[1]),
-                  _as_point(b, ctx, node.args[2]))
-
-    if name == "inv":
-        s = _as_scale(args[0], node.args[0])
-        v = args[1]
-        if _kind(v) == "arrow":
-            return emergent.inv_eps(m, s, v)
-        return emergent.inv3(m, s, ctx.base,
-                             _as_point(v, ctx, node.args[1]))
-
-    raise TermError(f"unknown operation {name!r}", node.line, node.col)
+    lead = [_as_scale(args[0], node.args[0])] if op.scaled else []
+    operands, nodes = args[len(lead):], node.args[len(lead):]
+    kinds = [_kind(v) for v in operands]
+    if op.arrows and all(k == "arrow" for k in kinds):
+        return op.arrows(ctx.model, *lead, *operands)
+    if "arrow" not in kinds:
+        points = [_as_point(v, ctx, a) for v, a in zip(operands, nodes)]
+        return op.points(ctx.model, *lead, ctx.base, *points)
+    want = "two arrows or two points" if op.arrows else "two points"
+    raise TermError(f"{node.name} wants {want}, got {' and '.join(kinds)}",
+                    node.line, node.col)
 
 
 def _fmt_float(x: float) -> str:
@@ -491,7 +452,7 @@ def _fmt_float(x: float) -> str:
     return "0" if out in ("-0", "-0.0") else out
 
 
-def format_value(v, model) -> str:
+def format_value(v) -> str:
     """Render an evaluation result the way the examples in the docs are
     written: exact rationals as fractions, floats trimmed, 1d arrows as
     (target, source) scalars."""
@@ -505,11 +466,7 @@ def format_value(v, model) -> str:
             return _fmt_float(a[0])
         return "(" + ", ".join(_fmt_float(x) for x in a) + ")"
     if a.ndim == 2 and a.shape[0] == 2:
-        if a.shape[1] == 1:
-            return f"({_fmt_float(a[0, 0])}, {_fmt_float(a[1, 0])})"
-        t = format_value(a[0], model)
-        s = format_value(a[1], model)
-        return f"({t}, {s})"
+        return f"({format_value(a[0])}, {format_value(a[1])})"
     return repr(a)
 
 
@@ -517,4 +474,4 @@ def run(src: str, ctx: EvalContext):
     """parse + evaluate; returns (value, rendered string, estimates)."""
     node = parse(src)
     value = evaluate(node, ctx)
-    return value, format_value(value, ctx.model), list(ctx.estimates)
+    return value, format_value(value), list(ctx.estimates)

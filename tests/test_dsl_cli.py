@@ -41,6 +41,7 @@ def test_print_parse_print_is_idempotent():
         "lim(eps -> 0, Sigma(eps, (1, 0, 0), (0, 1, 0)))",
         "let(a, (3, 0), d(inv(1/2, a)))",
         "circ(1/4, (0, 0, 0), (1, 1, 0))",
+        "delta(1/2, -(3, 0))",
     ]:
         once = dsl.to_text(dsl.parse(src))
         assert dsl.to_text(dsl.parse(once)) == once
@@ -181,6 +182,7 @@ H = ("--model", "heisenberg")
 TERM_CASES = [
     ((), "delta(1/2, -(4, 2))", "(-3, -2)"),       # unary minus, an arrow
     ((), "-d((3, 1))", "-2"),                       # unary minus, a scalar
+    ((), "(1/2)", "1/2"),                           # grouping; exact
     (H, "e", "(0, 0, 0)"),
     ((), "delta(1/2, e)", "0"),
     ((), "d(x)", (1, 3, "unbound name 'x'")),
@@ -225,12 +227,18 @@ TERM_CASES = [
      (1, 1, "Delta wants two arrows or two points, got arrow and scalar")),
     ((), "Sigma(1/2, 1, (3, 0))",
      (1, 1, "Sigma wants two arrows or two points, got scalar and arrow")),
-    ((), "d((3, 0), 1)", (1, 3, "expected a point, got arrow")),
-    ((), "d(1, (3, 0))", (1, 6, "expected a point, got arrow")),
-    ((), "dilat(1/2, (1, 0), 2)", (1, 12, "expected a point, got arrow")),
-    ((), "dilat(1/2, 2, (1, 0))", (1, 15, "expected a point, got arrow")),
-    ((), "circ(1/2, (1, 0), (3, 0))", (1, 11, "expected a point, got arrow")),
-    ((), "circ(1/2, 1, (3, 0))", (1, 14, "expected a point, got arrow")),
+    ((), "d((3, 0), 1)",
+     (1, 1, "d wants two arrows or two points, got arrow and scalar")),
+    ((), "d(1, (3, 0))",
+     (1, 1, "d wants two arrows or two points, got scalar and arrow")),
+    ((), "dilat(1/2, (1, 0), 2)",
+     (1, 1, "dilat wants two arrows or two points, got arrow and scalar")),
+    ((), "dilat(1/2, 2, (1, 0))",
+     (1, 1, "dilat wants two arrows or two points, got scalar and arrow")),
+    ((), "circ(1/2, (1, 0), (3, 0))",
+     (1, 1, "circ wants two points, got arrow and arrow")),
+    ((), "circ(1/2, 1, (3, 0))",
+     (1, 1, "circ wants two points, got scalar and arrow")),
     (H, "delta(1/2, 5)", (1, 12, "expected a point, got scalar")),
     (H, "Delta(1/2, 5, (1, 0, 0))", (1, 12, "expected a point, got scalar")),
     (H, "d((1, 0))", (1, 3, "a 2-tuple of scalars fits neither a point "
@@ -262,12 +270,85 @@ def test_each_term_kind_gives_its_value_or_its_positioned_error(
     assert (code, out, err) == (2, "", "line {}, col {}: {}\n".format(*want))
 
 
-def test_a_bound_point_of_the_wrong_dimension_is_a_term_error():
-    ctx = dsl.EvalContext(heisenberg_model(), env={"p": np.zeros(2)})
+@pytest.mark.parametrize("shape,message,rendered", [
+    ((2,), "point has 2 coordinates, model has 3", "(0, 0)"),
+    ((3, 3), "expected a point, got other", repr(np.zeros((3, 3)))),
+])
+def test_a_bound_value_that_is_no_point_is_a_term_error(shape, message,
+                                                        rendered):
+    """Only a value bound through EvalContext.env can be a point of
+    another dimension, or have another shape than a scalar, a point or an
+    arrow; it evaluates, and renders, as itself."""
+    ctx = dsl.EvalContext(heisenberg_model(), env={"p": np.zeros(shape)})
     with pytest.raises(dsl.TermError) as exc:
         dsl.run("d(e, p)", ctx)
     assert (exc.value.line, exc.value.col, exc.value.message) == (
-        1, 6, "point has 2 coordinates, model has 3")
+        1, 6, message)
+    assert dsl.run("p", ctx)[1] == rendered
+
+
+@pytest.mark.parametrize("term,rendered", [
+    ("lim(eps -> 0, d(2, 5))", "3"),
+    ("delta(lim(eps -> 0, d(2, 5)), (1, 0))", "(3, 0)"),
+    ("(lim(eps -> 0, d(2, 5)), 1)", "(3, 1)"),
+])
+def test_a_scalar_limit_without_an_order_is_a_scalar(term, rendered,
+                                                     capsys):
+    """A constant trace has no fitted order, and its limit is the last
+    value, a 0-d array: it renders, scales and fills a tuple as a number."""
+    assert run_cli("eval", term) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == rendered
+
+
+BIG = "1" + "0" * 400  # exact, but past the largest float
+
+
+@pytest.mark.parametrize("term,col", [
+    (f"({BIG}, 0)", 1),
+    (f"delta({BIG}, (1, 0))", 7),
+    (f"Delta(1/{BIG}, (3, 0), (1, 0))", 1),   # its inverse scale overflows
+    (f"lim(eps -> 0, ({BIG}, 0))", 15),
+])
+def test_a_number_past_the_floats_is_a_term_error(term, col, capsys):
+    assert run_cli("eval", term) == 2
+    assert capsys.readouterr().err == (
+        f"line 1, col {col}: integer division result too large for a "
+        f"float\n")
+    assert run_cli("eval", BIG) == 0  # alone it stays exact
+    assert capsys.readouterr().out == BIG + "\n"
+
+
+def test_an_infinite_distance_is_no_scale(capsys):
+    assert run_cli("eval", f"delta(d((1{BIG[:200]}, 0)), (1, 0))") == 2
+    assert capsys.readouterr().err == (
+        "line 1, col 7: cannot convert Infinity to integer ratio\n")
+
+
+@pytest.mark.parametrize("flags,kind", [
+    (["--model", "heisenberg", "--base", "5"], "scalar"),
+    (["--model", "euclidean", "--dim", "2", "--base", "3"], "scalar"),
+    (["--model", "heisenberg", "--base", "((1, 1, 1), (0, 0, 0))"],
+     "arrow"),
+])
+def test_cli_base_that_is_no_point_is_exit_two(flags, kind, capsys):
+    assert run_cli("eval", "delta(1/2, e)", *flags) == 2
+    assert capsys.readouterr().err == (
+        f"--base: line 1, col 1: expected a point, got {kind}\n")
+
+
+def test_cli_unreadable_file_is_exit_two(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("validate", str(tmp_path / "missing.json"))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("cannot read ")
+
+
+def test_cli_tolerance_flag_decides_a_limit(capsys):
+    """On the grid 2^-1 .. 2^-10, 1 + 2 eps ends 2e-3 from its limit."""
+    argv = ["eval", "lim(eps -> 0, circ(eps, 1, 3))", "--eps-grid", "10"]
+    assert run_cli(*argv) == 1
+    assert run_cli(*argv, "--tol", "1e-2") == 0
+    assert capsys.readouterr().out.endswith("\n1\n")
 
 
 def test_cli_validate_metric_space(tmp_path, capsys):
@@ -393,6 +474,60 @@ def test_cli_validate_keeps_the_report_when_inverse_pairs_fail(tmp_path,
 
 PLAN = {"space": {"points": [0, 1], "dist": [["0", "1"], ["1", "0"]]},
         "gamma": [["0", "0"], ["0", "1"]]}
+
+
+@pytest.mark.parametrize("gamma,head", [
+    (PLAN["gamma"], "d(gamma) = 0\ninvertible transport\n"),
+    ([["1/4", "1/4"], ["1/4", "1/4"]],
+     "d(gamma) = 1/2\nnot an invertible transport\n"),
+])
+def test_cli_validate_prints_a_plans_norm(tmp_path, capsys, gamma, head):
+    f = tmp_path / "plan.json"
+    f.write_text(json.dumps(dict(PLAN, gamma=gamma)))
+    assert run_cli("validate", str(f)) == 0
+    assert capsys.readouterr().out.startswith(
+        head + "== transport plan: PASS\n")
+
+
+@pytest.mark.parametrize("command", [("validate",),
+                                     ("transport", "--action", "norm"),
+                                     ("transport", "--action", "kantorovich")])
+def test_cli_refuses_a_file_that_holds_no_json_object(tmp_path, capsys,
+                                                       command):
+    f = tmp_path / "list.json"
+    f.write_text("[1]")
+    assert run_cli(command[0], str(f), *command[1:]) == 2
+    assert capsys.readouterr().err == (
+        "malformed input: expected a JSON object, got list\n")
+
+
+@pytest.mark.parametrize("blob,command,key", [
+    ({"space": PLAN["space"]}, ("transport", "--action", "norm"), "gamma"),
+    (PLAN["space"], ("transport", "--action", "norm"), "space"),
+    ({"gamma": PLAN["gamma"]}, ("validate",), "space"),
+    ({"space": PLAN["space"], "nu": ["1/2", "1/2"]},
+     ("transport", "--action", "kantorovich"), "mu"),
+    (PLAN, ("transport", "--action", "compose"), "gamma_prime"),
+])
+def test_cli_names_a_missing_key(tmp_path, capsys, blob, command, key):
+    f = tmp_path / "short.json"
+    f.write_text(json.dumps(blob))
+    assert run_cli(command[0], str(f), *command[1:]) == 2
+    assert capsys.readouterr().err == f"malformed input: missing key {key!r}\n"
+
+
+@pytest.mark.parametrize("blob,where", [
+    ({"points": ["a", "b"], "dist": [5, 5]}, "row 0 holds int"),
+    # a string row of the right length once passed as a row of digits
+    ({"points": ["a", "b"], "dist": [["0", "1"], "10"]}, "row 1 holds str"),
+])
+def test_cli_names_a_distance_row_that_is_not_an_array(tmp_path, capsys,
+                                                       blob, where):
+    f = tmp_path / "space.json"
+    f.write_text(json.dumps(blob))
+    assert run_cli("validate", str(f)) == 2
+    assert capsys.readouterr().err == (
+        f"malformed input: 'dist' {where}, not a JSON array\n")
 
 
 @pytest.mark.parametrize("change", [{"mu": "01"}, {"mu": "12"},
@@ -551,7 +686,9 @@ def test_cli_report_transport_green(capsys):
                                         ("--dim", "0"),
                                         ("--dim", "-2"),
                                         ("--tol", "nan"),
-                                        ("--tol", "-1")])
+                                        ("--tol", "-1"),
+                                        ("--samples", "many"),
+                                        ("--tol", "tiny")])
 def test_cli_degenerate_flag_values_are_exit_two(flag, value, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("limits", "--model", "euclidean", flag, value)
@@ -696,6 +833,7 @@ def test_cli_report_ends_quietly_on_a_closed_pipe():
     (["eval", "1.5/2"], "1.5/2", "line 1, col 1"),
     (["eval", "circ(1/2, 1, 3)", "--base", "1/0"], "1/0",
      "--base: line 1, col 1"),
+    (["eval", "lim(eps -> 1/0, eps)"], "1/0", "line 1, col 12"),
 ])
 def test_cli_term_literal_that_is_no_rational_is_exit_two(argv, literal,
                                                           where, capsys):
