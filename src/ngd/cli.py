@@ -29,6 +29,20 @@ from .core import (FiniteGroupoid, LawCheck, ValidationReport, _json,
 # that use them, so validate and transport never load numpy
 
 
+class _Refused(Exception):
+    """Input refused before any check runs; main prints it and returns 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, saying where a term that starts with '-' goes."""
+
+    def error(self, message):
+        if message.endswith("required: expr"):  # argparse took it for a flag
+            message += ("\na term that starts with '-' goes after '--', as "
+                        "in: ngd eval -- \"-(1,2,3)\"")
+        super().error(message)
+
+
 def _models_from(args):
     from .models import euclidean_model, heisenberg_model
 
@@ -50,10 +64,9 @@ def _grid_from(args, models):
         return None
     for model in models:
         if k > model.group.max_grid_depth:
-            print(f"--eps-grid: the {model.name} gauge resolves grids up to "
-                  f"KMAX = {model.group.max_grid_depth}, got {k}",
-                  file=sys.stderr)
-            raise SystemExit(2)
+            raise _Refused(f"--eps-grid: the {model.name} gauge resolves "
+                          f"grids up to KMAX = {model.group.max_grid_depth}, "
+                          f"got {k}")
     return dyadic_grid(kmax=k)
 
 
@@ -74,14 +87,13 @@ def _emit(reports, args, extra=None):
 
 def _load_json(path):
     """The JSON object in the file at path.  A file that cannot be read
-    exits 2; one whose top level is not an object is a TypeError, which
+    is refused; one whose top level is not an object is a TypeError, which
     the commands report as malformed input."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
-        print(f"cannot read {path}: {e}", file=sys.stderr)
-        raise SystemExit(2)
+        raise _Refused(f"cannot read {path}: {e}") from None
     if not isinstance(data, dict):
         raise TypeError(f"expected a JSON object, got {type(data).__name__}")
     return data
@@ -456,7 +468,7 @@ def _at_most(parse, top, why):
 
 @functools.cache  # built on the first main() call, reused after it
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="ngd",
         description="normed groupoids, dilations, and their limit "
                     "structures — validation and evaluation tools",
@@ -528,6 +540,9 @@ def main(argv=None) -> int:
             warnings.filterwarnings("ignore", "(overflow|invalid value) "
                                     "encountered", RuntimeWarning)
             return args.fn(args)
+    except _Refused as e:
+        print(e, file=sys.stderr)
+        return 2
     finally:
         try:
             sys.stdout.write(out.getvalue())

@@ -337,9 +337,21 @@ def _kind(v) -> str:
     return "other"
 
 
+def _past_float(node) -> TermError:
+    return TermError(f"{to_text(node)} is past the largest float",
+                     node.line, node.col)
+
+
+def _float(v, node) -> float:
+    try:
+        return float(v)
+    except OverflowError:  # a rational too large for a float
+        raise _past_float(node) from None
+
+
 def _as_point(v, ctx, node):
     if _kind(v) == "scalar" and ctx.model.dim == 1:
-        return np.array([float(v)])
+        return np.array([_float(v, node)])
     if _kind(v) == "point":
         p = np.asarray(v, dtype=float)
         if p.shape[-1] != ctx.model.dim:
@@ -359,7 +371,9 @@ def _as_scale(v, node):
         )
     try:
         return as_scale(v if isinstance(v, Fraction) else float(v))
-    except (ValueError, OverflowError) as e:
+    except OverflowError:  # too large a rational, or a float that overflowed
+        raise _past_float(node) from None
+    except ValueError as e:
         raise TermError(str(e), node.line, node.col) from None
 
 
@@ -380,8 +394,10 @@ def evaluate(node, ctx: EvalContext):
             return (_tuple if isinstance(node, Tup) else _apply)(node, ctx)
         except TermError:
             raise
-        except (ValueError, OverflowError) as e:
-            # the model refused the operands, or a number overflowed a float
+        except OverflowError as e:  # such as the inverse of a tiny scale
+            raise TermError(f"{to_text(node)} needs a number past the "
+                            f"largest float", node.line, node.col) from e
+        except ValueError as e:  # the model refused the operands
             raise TermError(str(e), node.line, node.col) from e
     raise TypeError(f"not a term node: {node!r}")
 
@@ -390,12 +406,12 @@ def _tuple(node: Tup, ctx: EvalContext):
     vals = [evaluate(x, ctx) for x in node.items]
     kinds = [_kind(v) for v in vals]
     if all(k == "scalar" for k in kinds):
-        dim = ctx.model.dim
+        dim, vals = ctx.model.dim, list(map(_float, vals, node.items))
         if len(vals) == dim:
-            return np.array([float(v) for v in vals])
+            return np.array(vals)
         if len(vals) == 2 and dim == 1:
             # 1d special case: (target, source) is an arrow
-            return ctx.model.arrow([float(vals[0])], [float(vals[1])])
+            return ctx.model.arrow([vals[0]], [vals[1]])
         raise TermError(
             f"a {len(vals)}-tuple of scalars fits neither a point "
             f"(dim {dim}) nor a 1d arrow", node.line, node.col,

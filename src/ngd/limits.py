@@ -204,7 +204,7 @@ def uniform_limits(axioms, fams, candidates, grid=None, tol=1e-8,
     n = max((len(c) for c in cands if c.ndim), default=CHUNK_POINTS)
     residuals = [[] for _ in axioms]
     for chunk in chunks(grid, n):
-        for r, f, c in zip(residuals, fams(ScaleBatch(chunk)), cands):
+        for r, f, c in zip(residuals, fams(ScaleBatch.of(chunk)), cands):
             r += _per_sample(f, c).tolist()
     eps = [s._float for s in grid]
     return [estimate_from_residuals(axiom, eps, r, tol=tol, atol=atol,
@@ -294,6 +294,8 @@ def rescaled_norm(model, scale, a):
 MUS = (Scale(Fraction(1, 2)), Scale(Fraction(1, 4)), Scale(Fraction(3, 4)))
 # the one small scale at which the exact (starred) identities are sampled
 EPS_STAR = Scale(Fraction(1, 10000))
+# the scales s of the fiber scale action
+_ACTION_S = (Scale(Fraction(1, 2)), Scale(Fraction(1, 8)), Scale(Fraction(4)))
 
 
 def check_A3(model, sampler, grid=None, tol=1e-8) -> ValidationReport:
@@ -511,9 +513,8 @@ def fiber_dilatation_structure(model, x=None, sampler=None):
                                    f"({sampler.describe()})")
     act = LawCheck("based dilatations form a scale action fixing the base")
     rep.add(act)
-    rv = [(r, dil(r, u, v)) for r in (Scale(Fraction(1, 2)),
-                                      Scale(Fraction(3, 4)))]  # at every s
-    for s in [Scale(Fraction(1, 2)), Scale(Fraction(1, 8)), Scale(Fraction(4))]:
+    rv = [(r, dil(r, u, v)) for r in MUS[::2]]  # r = 1/2, 3/4, at every s
+    for s in _ACTION_S:
         for r, dv in rv:
             act.judge_residuals(_per_sample(dil(s, u, dv), dil(
                 s.mul(r), u, v)), 1e-9, s=str(s.value), r=str(r.value))
@@ -599,6 +600,6 @@ def check_translation_groupoid(model, rng=None, n=1000) -> ValidationReport:
     u, v, w = (model.sample_points(rng, n, 4.0, center=model.e())
                for _ in range(3))
     rep = ValidationReport(subject=f"translation structure[{model.name}]")
-    for s in (Scale(Fraction(1, 2)), Scale(Fraction(1, 4))):
+    for s in MUS[:2]:  # 1/2 and 1/4
         rep.merge(_translation_laws(model, s, u, v, w))
     return rep

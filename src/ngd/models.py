@@ -503,14 +503,16 @@ class DoubleModel:
 # ---------------------------------------------------------------------------
 # scale-action checks
 
+# the scales of the scale-action laws, and of the induced double dilation
+_A1_SCALES = tuple(map(as_scale, ("1/2", "1/8", 2, 8, "3/4")))
+_MORPHISM_SCALES = tuple(map(as_scale, ("1/2", "1/16", 4)))
+
 
 def check_A1(model, arrows) -> ValidationReport:
     """The dilations are a scale action on arrows that preserves each
     source fiber: alpha(delta_s a) = alpha(a); delta_s delta_r = delta_{sr};
     delta_1 = id."""
     tol = 1e-9
-    scales = [Scale(Fraction(1, 2)), Scale(Fraction(1, 8)),
-              Scale(Fraction(2)), Scale(Fraction(8)), Scale(Fraction(3, 4))]
     rep = ValidationReport(subject=f"A1[{model.name}]")
     fib = LawCheck("delta preserves the source fiber")
     act = LawCheck("delta_s delta_r = delta_{s r}")
@@ -519,10 +521,10 @@ def check_A1(model, arrows) -> ValidationReport:
 
     one.judge_residuals(_per_sample(model.delta(Scale.one(), arrows), arrows),
                         tol)
-    for s in map(batch, chunks(scales, len(arrows))):
+    for s in map(batch, chunks(_A1_SCALES, len(arrows))):
         _judge_rows(fib, s, model.alpha_coords(model.delta(s, arrows)),
                     model.alpha_coords(arrows), tol, {"scale": s})
-    for _, s, r, sr in _pair_chunks(scales, len(arrows)):
+    for _, s, r, sr in _pair_chunks(_A1_SCALES, len(arrows)):
         _judge_rows(act, s, model.delta(s, model.delta(r, arrows)),
                     model.delta(sr, arrows), tol, {"s": s, "r": r})
     return rep
@@ -619,8 +621,7 @@ def check_dilation_morphism(model: PairModel) -> ValidationReport:
     rep = ValidationReport(subject=f"induced double dilation[{model.name}]")
     inter = LawCheck("dif o delta~_s = delta_s o dif")
     rep.add(inter)
-    for s in map(batch, chunks([Scale(Fraction(1, 2)), Scale(Fraction(1, 16)),
-                                Scale(Fraction(4))], len(P))):
+    for s in map(batch, chunks(_MORPHISM_SCALES, len(P))):
         _judge_rows(inter, s, dm.dif_map(dm.delta(s, P)),
                     model.delta(s, dm.dif_map(P)), 1e-9, {"scale": s})
     rep.merge(check_A1(dm, P))

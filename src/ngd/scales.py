@@ -5,13 +5,18 @@ modulus equal to the value.  The dyadic grid 2^-k is a sequence of such
 scales; the analytic checks sweep them in chunks (see chunks), each a
 ScaleBatch or a lone Scale.  Models only ever consume a scale through
 kernel_modulus.
+
+Each product, inverse and chunk batch is built once and shared while its
+operands live: s keeps s.inv(), and s.mul(m) while m lives; a chunk's
+first scale keeps its batch (of the last 8 chunks it heads).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 
 @dataclass(frozen=True)
@@ -20,22 +25,33 @@ class Scale:
 
     value: Fraction
     _float: float = field(init=False, repr=False, compare=False)  # taken once
+    _hash = cached_property(lambda self: hash(self.value))  # a modular pow
+    __hash__ = lambda self: self._hash  # noqa: E731
 
     def __post_init__(self):
         object.__setattr__(self, "value", Fraction(self.value))
         if self.value <= 0:
             raise ValueError(f"scale must be positive, got {self.value}")
         object.__setattr__(self, "_float", float(self.value))
+        object.__setattr__(self, "_memo", {})  # the results it keeps
 
     @property
     def modulus(self) -> Fraction:
         return self.value
 
     def mul(self, other: "Scale") -> "Scale":
-        return Scale(self.value * other.value)
+        hit = self._memo.get(k := id(other))
+        if hit is None or hit[0]() is not other:  # dropped when other dies
+            ref = weakref.ref(other, lambda _, m=self._memo: m.pop(k, None))
+            hit = self._memo[k] = ref, Scale(self.value * other.value)
+        return hit[1]
 
     def inv(self) -> "Scale":
-        return Scale(1 / self.value)
+        return self._memo.get(None) or self._memo.setdefault(
+            None, Scale(1 / self.value))
+
+    def __reduce__(self):  # the results it keeps hold weak references
+        return Scale, (self.value,)
 
     @classmethod
     def one(cls) -> "Scale":
@@ -57,7 +73,18 @@ class ScaleBatch:
 
         self.scales = tuple(scales)
         self.modulus = np.array([[s._float] for s in self.scales])
+        self.modulus.flags.writeable = False  # shared by every caller
         self._inv = None
+
+    @staticmethod
+    def of(scales) -> "ScaleBatch":
+        """The one batch of the chunk scales, kept by its first scale."""
+        memo, key = scales[0]._memo, tuple(map(id, scales))
+        if (hit := memo.get(key)) is None:  # keep 8: a report pass needs 5
+            for old in [k for k in memo if type(k) is tuple][:-7]:
+                memo.pop(old, None)
+            hit = memo[key] = ScaleBatch(scales)
+        return hit
 
     def inv(self) -> "ScaleBatch":
         self._inv = self._inv or ScaleBatch(s.inv() for s in self.scales)
@@ -88,7 +115,7 @@ def chunks(scales, n) -> list:
 def batch(scales):
     """A chunk as the kernels take it: a lone scale as itself (a float to
     the kernels, its results views), several as a ScaleBatch."""
-    return scales[0] if len(scales) == 1 else ScaleBatch(scales)
+    return scales[0] if len(scales) == 1 else ScaleBatch.of(scales)
 
 
 def dyadic_grid(kmax: int = 20) -> list:

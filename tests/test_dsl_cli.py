@@ -303,25 +303,29 @@ def test_a_scalar_limit_without_an_order_is_a_scalar(term, rendered,
 BIG = "1" + "0" * 400  # exact, but past the largest float
 
 
-@pytest.mark.parametrize("term,col", [
-    (f"({BIG}, 0)", 1),
-    (f"delta({BIG}, (1, 0))", 7),
-    (f"Delta(1/{BIG}, (3, 0), (1, 0))", 1),   # its inverse scale overflows
-    (f"lim(eps -> 0, ({BIG}, 0))", 15),
+@pytest.mark.parametrize("term,col,message", [
+    (f"({BIG}, 0)", 2, f"{BIG} is past the largest float"),
+    (f"(1, {BIG}, 0)", 5, f"{BIG} is past the largest float"),
+    (f"delta({BIG}, (1, 0))", 7, f"{BIG} is past the largest float"),
+    (f"d({BIG})", 3, f"{BIG} is past the largest float"),
+    # its inverse scale overflows inside the operation
+    (f"Delta(1/{BIG}, (3, 0), (1, 0))", 1,
+     f"Delta(1/{BIG}, (3, 0), (1, 0)) needs a number past the largest float"),
+    (f"lim(eps -> 0, ({BIG}, 0))", 16, f"{BIG} is past the largest float"),
 ])
-def test_a_number_past_the_floats_is_a_term_error(term, col, capsys):
+def test_a_number_past_the_floats_is_a_term_error(term, col, message,
+                                                  capsys):
     assert run_cli("eval", term) == 2
-    assert capsys.readouterr().err == (
-        f"line 1, col {col}: integer division result too large for a "
-        f"float\n")
+    assert capsys.readouterr().err == f"line 1, col {col}: {message}\n"
     assert run_cli("eval", BIG) == 0  # alone it stays exact
     assert capsys.readouterr().out == BIG + "\n"
 
 
 def test_an_infinite_distance_is_no_scale(capsys):
-    assert run_cli("eval", f"delta(d((1{BIG[:200]}, 0)), (1, 0))") == 2
+    big = f"d((1{BIG[:200]}, 0))"
+    assert run_cli("eval", f"delta({big}, (1, 0))") == 2
     assert capsys.readouterr().err == (
-        "line 1, col 7: cannot convert Infinity to integer ratio\n")
+        f"line 1, col 7: {big} is past the largest float\n")
 
 
 @pytest.mark.parametrize("flags,kind", [
@@ -337,10 +341,30 @@ def test_cli_base_that_is_no_point_is_exit_two(flags, kind, capsys):
 
 
 def test_cli_unreadable_file_is_exit_two(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("validate", str(tmp_path / "missing.json"))
-    assert exc.value.code == 2
+    assert run_cli("validate", str(tmp_path / "missing.json")) == 2
     assert capsys.readouterr().err.startswith("cannot read ")
+
+
+def test_cli_grid_too_deep_for_the_gauge_is_exit_two(capsys):
+    """main returns 2, as for every refused input; it raises nothing."""
+    assert run_cli("report", "--model", "heisenberg", "--eps-grid",
+                   "300") == 2
+    assert capsys.readouterr() == ("", "--eps-grid: the heisenberg gauge "
+                                   "resolves grids up to KMAX = 255, got 300\n")
+
+
+def test_cli_term_that_starts_with_a_minus_goes_after_dashes(capsys):
+    """argparse reads a leading '-' as a flag; the message says where the
+    term goes instead of only that it is missing."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("eval", "-(1,2,3)")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: the following arguments are required: expr\n"
+        "a term that starts with '-' goes after '--', as in: "
+        "ngd eval -- \"-(1,2,3)\"\n")
+    assert run_cli("eval", "--model", "heisenberg", "--", "-(1,2,3)") == 0
+    assert capsys.readouterr().out == "(-1, -2, -3)\n"
 
 
 def test_cli_tolerance_flag_decides_a_limit(capsys):
@@ -751,9 +775,7 @@ def test_cli_eps_grid_at_the_last_normal_float(capsys):
     term = "lim(eps -> 0, Sigma(eps, (3, 0), (1, 0)))"
     ctx = dsl.EvalContext(euclidean_model(), eps_grid=dyadic_grid(kmax=1022))
     assert all(est.passed for est in dsl.run(term, ctx)[2])
-    with pytest.raises(SystemExit) as exc:
-        run_cli("eval", term, "--eps-grid", "1022", "--json")
-    assert exc.value.code == 2
+    assert run_cli("eval", term, "--eps-grid", "1022", "--json") == 2
     assert capsys.readouterr().out == ""
 
 
@@ -788,10 +810,8 @@ def test_cli_eps_grid_stops_at_the_deepest_grid_the_gauge_resolves(
     assert run_cli("limits", "--axiom", "A3", "--model", model, "--samples",
                    "5", "--eps-grid", str(deepest)) == 0
     for command in (["eval", "1"], ["limits"], ["report"]):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(*command, "--model", model, "--eps-grid",
-                    str(deepest + 1))
-        assert exc.value.code == 2
+        assert run_cli(*command, "--model", model, "--eps-grid",
+                       str(deepest + 1)) == 2
     err = capsys.readouterr().err
     assert err.count(f"--eps-grid: the {model} gauge resolves grids up to "
                      f"KMAX = {deepest}, got {deepest + 1}\n") == 3
@@ -800,9 +820,7 @@ def test_cli_eps_grid_stops_at_the_deepest_grid_the_gauge_resolves(
 def test_cli_eps_grid_is_bounded_by_the_models_a_command_runs(capsys):
     """limits runs both carriers under --model all, and eval only the
     first, the Euclidean one."""
-    with pytest.raises(SystemExit) as exc:
-        run_cli("limits", "--eps-grid", "256")
-    assert exc.value.code == 2
+    assert run_cli("limits", "--eps-grid", "256") == 2
     assert "the heisenberg gauge" in capsys.readouterr().err
     assert run_cli("eval", "lim(eps -> 0, Sigma(eps, (3, 0), (1, 0)))",
                    "--eps-grid", "256") == 0

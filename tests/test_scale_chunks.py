@@ -9,7 +9,10 @@ their order included, on the shipped carriers and on the planted ones,
 at cloud sizes from empty to past one chunk: at n = 246 the 25 scale
 pairs of a pair law take two chunks."""
 
+import gc
 import json
+import pickle
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +26,8 @@ from ngd.fixtures import (dropped_correction_heisenberg,
                           nan_below_heisenberg, wrong_exponent_euclidean)
 from ngd.models import (DoubleModel, check_A1, check_dilation_morphism,
                         euclidean_model, heisenberg_model)
-from ngd.scales import CHUNK_POINTS, ScaleBatch, chunks, dyadic_grid
+from ngd.scales import (CHUNK_POINTS, Scale, ScaleBatch, batch, chunks,
+                        dyadic_grid)
 from references import (ref_check_A1, ref_check_based_compat,
                         ref_check_dilation_morphism, ref_check_gamma_irq,
                         ref_check_pplay)
@@ -132,6 +136,70 @@ def test_a_batch_inverts_once():
     assert S.inv().inv().scales == S.scales
     assert np.array_equal(S.inv().inv().modulus, S.modulus)
     assert [s.value for s in S.inv().scales] == [2**k for k in range(1, 6)]
+
+
+SHARED = [Scale(Fraction(3, 7)), dyadic_grid(5)[2], Scale(2**500),
+          Scale(Fraction(1, 3**50))]
+
+
+@pytest.mark.parametrize("s", SHARED, ids=str)
+@pytest.mark.parametrize("m", SHARED, ids=str)
+def test_products_and_inverses_are_shared_and_exact(s, m):
+    """The same operands give the same object, equal to (and hashing as)
+    a Scale built afresh from the exact value."""
+    assert s.mul(m) is s.mul(m) and s.inv() is s.inv()
+    for got, want in ((s.mul(m), Scale(s.value * m.value)),
+                      (s.inv(), Scale(1 / s.value))):
+        assert got == want and hash(got) == hash(want)
+        assert type(got.value) is Fraction and got.value == want.value
+        assert got._float == want._float
+
+
+def test_a_user_scale_is_freed_after_a_grid_scale_multiplied_it():
+    """A product is kept by the left operand only while the right one
+    lives, so the grid's scales hold on to no user scale."""
+    grid = dyadic_grid(5)
+    kept = [len(s._memo) for s in grid]
+    user = Scale(Fraction(5, 9))
+    ref = weakref.ref(user)
+    for s in grid:
+        s.mul(user), user.mul(s), user.inv()
+    product = weakref.ref(grid[0].mul(user))
+    del user
+    gc.collect()
+    assert ref() is None and product() is None
+    assert [len(s._memo) for s in grid] == kept
+
+
+def test_a_scale_that_keeps_results_pickles_as_its_value():
+    s = dyadic_grid(3)[1]
+    s.mul(s), s.inv()
+    t = pickle.loads(pickle.dumps(s))
+    assert t == s and t is not s and t._memo == {}
+    assert t.mul(t) == s.mul(s) and t.inv() == s.inv()
+
+
+def test_a_chunk_has_one_batch_with_a_read_only_column():
+    chunk = dyadic_grid(5)[1:4]
+    S = batch(chunk)
+    assert S is batch(list(chunk)) is ScaleBatch.of(tuple(chunk))
+    assert S.inv() is batch(chunk).inv()
+    with pytest.raises(ValueError):
+        S.modulus[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        S.modulus += 1.0
+    assert S.modulus.tolist() == [[0.25], [0.125], [0.0625]]
+    assert batch(chunk[:1]) is chunk[0]  # a lone scale goes in as itself
+
+
+def test_a_scale_keeps_the_batches_of_its_last_chunks_only():
+    head, grid = Scale(Fraction(1, 3)), dyadic_grid(20)
+    kept = [ScaleBatch.of([head] + grid[:k])
+            for k in range(1, 8 + 3)]
+    assert ScaleBatch.of([head] + grid[:3]) is kept[2]
+    assert ScaleBatch.of([head] + grid[:1]) is not kept[0]  # dropped
+    assert len([k for k in head._memo if type(k) is tuple]) == \
+        8
 
 
 @pytest.mark.parametrize("kmax", [1, 5, 20, 36])
