@@ -99,60 +99,70 @@ def _load_json(path):
     return data
 
 
+def _reads_input(cmd):
+    """cmd, with input that fails to describe a structure reported:
+    malformed input (a KeyError or TypeError) exits 2, and well-formed
+    input describing an invalid structure (a ValueError) exits 1."""
+    @functools.wraps(cmd)
+    def run(args):
+        try:
+            return cmd(args)
+        except (KeyError, TypeError) as e:
+            print(f"malformed input: {e}", file=sys.stderr)
+            return 2
+        except ValueError as e:
+            print(f"invalid structure: {e}", file=sys.stderr)
+            return 1
+    return run
+
+
 # ---------------------------------------------------------------------------
 # validate
 
 
+@_reads_input
 def cmd_validate(args) -> int:
     reports = []
-    try:
-        data = _load_json(args.file)
-        if "gamma" in data:
-            from . import transport
+    data = _load_json(args.file)
+    if "gamma" in data:
+        from . import transport
 
-            gamma = transport.Coupling.from_json(data)
-            law = LawCheck("matrix is a coupling of its declared marginals")
-            law.judge(True)  # from_json refuses any other matrix
-            reports.append(ValidationReport(subject="transport plan").add(law))
-            w = transport.is_invtrans(gamma)
-            extra = {"norm": str(transport.norm_d(gamma)),
-                     "invertible": w is not None}
-            if not args.json:
-                print(f"d(gamma) = {extra['norm']}")
-                print("invertible transport" if w else
-                      "not an invertible transport")
-            return _emit(reports, args, extra=extra)
-        elif "dist" in data or ("space" in data and
-                                "dist" in _json(data, "space", dict)):
-            space = FiniteMetricSpace.from_json(data.get("space", data))
-            G = pair_groupoid(space)
-            reports.append(validate_groupoid(G))
+        gamma = transport.Coupling.from_json(data)
+        law = LawCheck("matrix is a coupling of its declared marginals")
+        law.judge(True)  # from_json refuses any other matrix
+        reports.append(ValidationReport(subject="transport plan").add(law))
+        w = transport.is_invtrans(gamma)
+        extra = {"norm": str(transport.norm_d(gamma)),
+                 "invertible": w is not None}
+        if not args.json:
+            print(f"d(gamma) = {extra['norm']}")
+            print("invertible transport" if w else
+                  "not an invertible transport")
+        return _emit(reports, args, extra=extra)
+    elif "dist" in data or ("space" in data and
+                            "dist" in _json(data, "space", dict)):
+        space = FiniteMetricSpace.from_json(data.get("space", data))
+        G = pair_groupoid(space)
+        reports.append(validate_groupoid(G))
+        reports.append(check_norm(G))
+        reports.append(check_separability(G))
+        reports.append(check_double_norm(G))
+    elif "compose" in data:
+        G = FiniteGroupoid.from_json(data)
+        reports.append(validate_groupoid(G))
+        # the norm laws need alpha, which needs composable inverse pairs
+        if G.norm is not None and reports[0].law(
+                "(inv g, g) and (g, inv g) compose").passed:
             reports.append(check_norm(G))
             reports.append(check_separability(G))
-            reports.append(check_double_norm(G))
-        elif "compose" in data:
-            G = FiniteGroupoid.from_json(data)
-            reports.append(validate_groupoid(G))
-            # the norm laws need alpha, which needs composable inverse pairs
-            if G.norm is not None and reports[0].law(
-                    "(inv g, g) and (g, inv g) compose").passed:
-                reports.append(check_norm(G))
-                reports.append(check_separability(G))
-        else:
-            print(
-                "unrecognized structure: expected a metric space "
-                "(points/dist), groupoid tables (arrows/compose/inverse), "
-                "or a transport plan (gamma)",
-                file=sys.stderr,
-            )
-            return 2
-    except (KeyError, TypeError) as e:
-        print(f"malformed input: {e}", file=sys.stderr)
+    else:
+        print(
+            "unrecognized structure: expected a metric space "
+            "(points/dist), groupoid tables (arrows/compose/inverse), "
+            "or a transport plan (gamma)",
+            file=sys.stderr,
+        )
         return 2
-    except ValueError as e:
-        # well-formed JSON describing an invalid structure
-        print(f"invalid structure: {e}", file=sys.stderr)
-        return 1
     return _emit(reports, args)
 
 
@@ -248,66 +258,60 @@ def _coupling_from(data, key="gamma"):
         "space": _json(data, "space", dict), "gamma": _json(data, key)})
 
 
+@_reads_input
 def cmd_transport(args) -> int:
     from . import transport
 
-    try:
-        data = _load_json(args.file)
-        if args.action == "compose":
-            gamma = _coupling_from(data, "gamma")
-            gamma_prime = _coupling_from(data, "gamma_prime")
-            try:
-                out = transport.compose_plans(gamma, gamma_prime)
-            except transport.MarginalMismatch as e:
-                print(f"not composable: {e}", file=sys.stderr)
-                return 1
-            print(json.dumps(out.to_json(), indent=2) if args.json else
-                  _matrix_text(out))
-        elif args.action == "inverse":
-            out = transport.inverse_plan(_coupling_from(data))
-            print(json.dumps(out.to_json(), indent=2) if args.json else
-                  _matrix_text(out))
-        elif args.action == "norm":
-            norm = str(transport.norm_d(_coupling_from(data)))
-            print(json.dumps({"norm": norm}) if args.json else norm)
-        elif args.action == "classify":
-            w = transport.is_invtrans(_coupling_from(data))
-            if args.json:
-                print(json.dumps({
-                    "invertible": w is not None,
-                    "forward": list(w[0]) if w else None,
-                    "backward": list(w[1]) if w else None,
-                }))
-            elif w is None:
-                print("not an invertible transport")
-            else:
-                print(f"invertible transport: f = {list(w[0])}, "
-                      f"backward g = {list(w[1])}")
-        elif args.action == "kantorovich":
-            space = FiniteMetricSpace.from_json(_json(data, "space", dict))
-            mu, nu = (transport.Measure(space, _json(data, k))
-                      for k in ("mu", "nu"))
-            res = transport.kantorovich(mu, nu)
-            if args.json:
-                print(json.dumps({
-                    "primal": str(res.primal),
-                    "dual": str(res.dual),
-                    "plan": res.plan.to_json()["gamma"],
-                    "potential": [str(v) for v in res.potential.values],
-                    "pivots": res.pivots,
-                    "den_bits": res.den_bits,
-                }, indent=2))
-            else:
-                print(f"value = {res.primal} (primal = dual, exactly)")
-                print(_matrix_text(res.plan))
-                print("potential u* =",
-                      [str(v) for v in res.potential.values])
-    except (KeyError, TypeError) as e:
-        print(f"malformed input: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"invalid structure: {e}", file=sys.stderr)
-        return 1
+    data = _load_json(args.file)
+    if args.action == "compose":
+        gamma = _coupling_from(data, "gamma")
+        gamma_prime = _coupling_from(data, "gamma_prime")
+        try:
+            out = transport.compose_plans(gamma, gamma_prime)
+        except transport.MarginalMismatch as e:
+            print(f"not composable: {e}", file=sys.stderr)
+            return 1
+        print(json.dumps(out.to_json(), indent=2) if args.json else
+              _matrix_text(out))
+    elif args.action == "inverse":
+        out = transport.inverse_plan(_coupling_from(data))
+        print(json.dumps(out.to_json(), indent=2) if args.json else
+              _matrix_text(out))
+    elif args.action == "norm":
+        norm = str(transport.norm_d(_coupling_from(data)))
+        print(json.dumps({"norm": norm}) if args.json else norm)
+    elif args.action == "classify":
+        w = transport.is_invtrans(_coupling_from(data))
+        if args.json:
+            print(json.dumps({
+                "invertible": w is not None,
+                "forward": list(w[0]) if w else None,
+                "backward": list(w[1]) if w else None,
+            }))
+        elif w is None:
+            print("not an invertible transport")
+        else:
+            print(f"invertible transport: f = {list(w[0])}, "
+                  f"backward g = {list(w[1])}")
+    elif args.action == "kantorovich":
+        space = FiniteMetricSpace.from_json(_json(data, "space", dict))
+        mu, nu = (transport.Measure(space, _json(data, k))
+                  for k in ("mu", "nu"))
+        res = transport.kantorovich(mu, nu)
+        if args.json:
+            print(json.dumps({
+                "primal": str(res.primal),
+                "dual": str(res.dual),
+                "plan": res.plan.to_json()["gamma"],
+                "potential": [str(v) for v in res.potential.values],
+                "pivots": res.pivots,
+                "den_bits": res.den_bits,
+            }, indent=2))
+        else:
+            print(f"value = {res.primal} (primal = dual, exactly)")
+            print(_matrix_text(res.plan))
+            print("potential u* =",
+                  [str(v) for v in res.potential.values])
     return 0
 
 
@@ -358,22 +362,15 @@ def _suite_irq(args):
             model, rng, n=args.samples, radius=args.radius
         )
         G = emergent.gamma_irq_from_dilation(model)
-        reports.append(check_rename(
-            emergent.check_irq(G.at(Fraction(1, 2)), x, u), model,
-            "irq at 1/2"))
-        reports.append(check_rename(
-            emergent.check_gamma_irq(G, x, u), model, "scale family"))
-        reports.append(check_rename(
-            emergent.check_pplay(G, (x, u, v, w)), model, "identities"))
-        reports.append(check_rename(
-            emergent.check_based_compat(model, n=min(args.samples, 300)),
-            model, "arrow/point compatibility"))
+        for tag, rep in (
+                ("irq at 1/2", emergent.check_irq(G.at(Fraction(1, 2)), x, u)),
+                ("scale family", emergent.check_gamma_irq(G, x, u)),
+                ("identities", emergent.check_pplay(G, (x, u, v, w))),
+                ("arrow/point compatibility", emergent.check_based_compat(
+                    model, n=min(args.samples, 300)))):
+            rep.subject = f"{tag} [{model.name}]"
+            reports.append(rep)
     return reports
-
-
-def check_rename(rep, model, tag):
-    rep.subject = f"{tag} [{model.name}]"
-    return rep
 
 
 def _suite_limits(args):
@@ -528,7 +525,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse's refusals (2) and --help (0)
+        return e.code
     # stdout is written in one piece at the end, where a reader that has
     # closed the pipe (`ngd report | head -1`) is caught, so the exit code
     # stays the verdict

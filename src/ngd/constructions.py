@@ -152,11 +152,8 @@ def _double_labels(G: FiniteGroupoid) -> list:
 
 
 def _double_of(G: FiniteGroupoid, D):
-    """D, defaulting to the double groupoid of G.  A D given, say one
-    read back from JSON, must have the arrows of G's double groupoid, in
-    order; else ValueError."""
-    if D is None:
-        return double_groupoid(G)
+    """D, once it has the arrows of G's double groupoid, in order, as one
+    read back from JSON may not; else ValueError."""
     labels = _double_labels(G)
     if list(D.arrows) != labels:
         raise ValueError(f"D is not the double groupoid of G: {len(D.arrows)}"

@@ -142,14 +142,11 @@ def estimate_from_residuals(axiom, eps, residuals, tol, atol=1e-13,
 
 def richardson(eps, values, order):
     """One extrapolation step on a geometric grid: cancel the leading
-    eps^order error term of the final value."""
-    v = [np.asarray(x, dtype=float) for x in values]
-    if len(v) < 2 or order is None:
-        return v[-1]
+    eps^order error term of the final value.  Needs two values and
+    (eps[-2] / eps[-1])^order != 1, as limit_of_values guarantees."""
+    v = [np.asarray(x, dtype=float) for x in values[-2:]]
     ratio = float(eps[-2]) / float(eps[-1])
     fac = ratio ** order - 1.0
-    if fac <= 0:
-        return v[-1]
     return v[-1] + (v[-1] - v[-2]) / fac
 
 

@@ -477,13 +477,6 @@ class DoubleModel:
         b = self.second(P)
         return self.pair(b, b)
 
-    def compose(self, P, Q):
-        """(a, b) after (b, c) -> (a, c)."""
-        gap = _maxabs(self.second(P) - self.first(Q))
-        if gap > 1e-8:
-            raise ValueError(f"pairs not composable (gap {gap:.3g})")
-        return self.pair(self.first(P), self.second(Q))
-
     def dif_map(self, P):
         return self.base.dif(self.first(P), self.second(P))
 

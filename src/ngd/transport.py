@@ -212,11 +212,6 @@ class Coupling(_Exact):
                     f"{i}: {declared[i]} != {Fraction(b, D)}")
         return declared
 
-    def support(self) -> list:
-        """Occupied (row, column) pairs."""
-        return [(x, y) for x, row in enumerate(self._int[0])
-                for y, v in enumerate(row) if v > 0]
-
     def to_json(self):
         return {
             "space": self.space.to_json(),

@@ -123,7 +123,7 @@ def check_morphism(M: GroupoidMorphism) -> ValidationReport:
     return rep
 
 
-def double_difference_morphism(G, D=None):
+def double_difference_morphism(G, D):
     """The map (g, h) -> g h^-1 from the double groupoid to G.  Returns a
     GroupoidMorphism; it preserves norms (d~ = d o dif) on the nose,
     which check_double_norm judges through this arrow map.  A D that is

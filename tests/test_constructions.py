@@ -175,6 +175,26 @@ def test_fiber_tables_are_right_invariant():
     assert vals == flat
 
 
+def test_right_translation_counts_nothing_where_no_arrow_leaves_omega():
+    # alpha(u) = e but omega(u) = m(u, inv u) = u, and no arrow leaves u:
+    # only u = e, with e and u leaving omega(e), gives instances
+    G = FiniteGroupoid(["e", "u"], {(0, 0): 0, (0, 1): 0, (1, 0): 1},
+                       [0, 0], [0, 1])
+    assert G.endpoints() == ([0, 0], [0, 1]) and 1 not in G.fibers()[0]
+    law = check_fiber_distances(G).law("d_omega(u)(g,h) = d_alpha(u)(gu, hu)")
+    assert (law.checked, law.failures) == (4, 0)
+
+
+def test_reconstruction_files_the_arrow_whose_unit_law_breaks():
+    # Z/2 with s e = e in place of s: d_alpha(s)(s, e) reads d(e) = 0
+    G = FiniteGroupoid(["e", "s"],
+                       {(0, 0): 0, (0, 1): 1, (1, 0): 0, (1, 1): 0},
+                       [0, 1], [0, 1])
+    law = check_fiber_distances(G).law("d(g) = d_alpha(g)(g, e)")
+    assert (law.checked, law.failures) == (2, 1)
+    assert law.witnesses == [{"g": "s", "got": "0", "want": "1"}]
+
+
 def test_table_checks_compare_integers_not_fractions(monkeypatch):
     # an honest 8-point pair groupoid: the double-norm, fiber and norm
     # checks make O(n^4) comparisons, and none of them may be a Fraction

@@ -98,6 +98,18 @@ def test_norm_refusals(value, text):
     assert str(exc.value) == text
 
 
+def test_a_norm_table_of_the_wrong_length_is_refused():
+    arrows, compose, inverse, norm = z2_tables()
+    with pytest.raises(ValueError, match="^norm table length mismatch$"):
+        FiniteGroupoid(arrows, compose, inverse, norm[:1])
+
+
+def test_check_norm_refuses_a_groupoid_without_a_norm():
+    arrows, compose, inverse, _ = z2_tables()
+    with pytest.raises(ValueError, match="^no norm to check$"):
+        check_norm(FiniteGroupoid(arrows, compose, inverse))
+
+
 def test_the_norm_is_kept_as_fractions_and_over_one_lcm():
     arrows, compose, inverse, _ = z2_tables()
     G = FiniteGroupoid(arrows, compose, inverse, [0, "2/3"])

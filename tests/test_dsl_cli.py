@@ -356,9 +356,7 @@ def test_cli_grid_too_deep_for_the_gauge_is_exit_two(capsys):
 def test_cli_term_that_starts_with_a_minus_goes_after_dashes(capsys):
     """argparse reads a leading '-' as a flag; the message says where the
     term goes instead of only that it is missing."""
-    with pytest.raises(SystemExit) as exc:
-        run_cli("eval", "-(1,2,3)")
-    assert exc.value.code == 2
+    assert run_cli("eval", "-(1,2,3)") == 2
     assert capsys.readouterr().err.endswith(
         "error: the following arguments are required: expr\n"
         "a term that starts with '-' goes after '--', as in: "
@@ -714,9 +712,7 @@ def test_cli_report_transport_green(capsys):
                                         ("--samples", "many"),
                                         ("--tol", "tiny")])
 def test_cli_degenerate_flag_values_are_exit_two(flag, value, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("limits", "--model", "euclidean", flag, value)
-    assert exc.value.code == 2
+    assert run_cli("limits", "--model", "euclidean", flag, value) == 2
     err = capsys.readouterr().err
     assert f"argument {flag}" in err and "Traceback" not in err
 
@@ -755,9 +751,7 @@ def test_cli_largest_radius_runs_without_a_traceback():
 @pytest.mark.parametrize("kmax", ["1023", "1074", "1100"])
 def test_cli_eps_grid_past_the_normal_floats_is_exit_two(command, kmax,
                                                          capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(*command, "--eps-grid", kmax)
-    assert exc.value.code == 2
+    assert run_cli(*command, "--eps-grid", kmax) == 2
     err = capsys.readouterr().err
     assert (f"argument --eps-grid: 2^-KMAX is not a normal float past 1022, "
             f"got {kmax}") in err
@@ -906,10 +900,51 @@ def test_cli_reuses_one_parser_without_leaking_state(capsys):
     for argv in sequence:
         fresh = subprocess.run([sys.executable, "-m", "ngd.cli", *argv],
                                capture_output=True, text=True, timeout=120)
-        try:
-            code = run_cli(*argv)
-        except SystemExit as exc:
-            code = exc.code
-        assert (code, capsys.readouterr().out) == (fresh.returncode,
-                                                   fresh.stdout), argv
+        assert (run_cli(*argv), capsys.readouterr().out) == (
+            fresh.returncode, fresh.stdout), argv
     assert cli.build_parser() is cli.build_parser()
+
+
+# ---------------------------------------------------------------------------
+# refusals deep in the library, each pinned through the command line
+
+TWO = {"points": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]}
+# per case: the argv ("FILE" names a file holding the JSON input), the
+# input, then the exit code, stdout and stderr
+CLI_CASES = [
+    (["validate", "FILE"], dict(TWO, points=["a", "a"]),
+     1, "", "invalid structure: duplicate point labels\n"),
+    (["validate", "FILE"], dict(TWO, dist=[["0", "1"]]),
+     1, "", "invalid structure: distance matrix is not square\n"),
+    (["validate", "FILE"], dict(TWO, dist=[["1", "1"], ["1", "0"]]),
+     1, "", "invalid structure: dist[0][0] != 0\n"),
+    (["validate", "FILE"], dict(TWO, dist=[["0", "0"], ["0", "0"]]),
+     1, "", "invalid structure: dist[0][1] not positive\n"),
+    (["transport", "FILE", "--action", "kantorovich"],
+     {"space": TWO, "mu": ["1"], "nu": ["1/2", "1/2"]},
+     1, "", "invalid structure: 1 weights for 2 points\n"),
+    (["eval", "--model", "heisenberg",
+      "Sigma(1/2, ((1,0,0),(0,0,0)), ((1,0,0),(1,1,1)))"], None,
+     2, "", "line 1, col 1: arrows not composable (endpoint gap 1)\n"),
+    (["eval", "--eps-grid", "1", "lim(eps -> 0, d((3,0)))"], None,
+     1, "[FAIL] lim eps->0 of d((3, 0)) (no data)  -- empty grid\n3\n", ""),
+]
+
+
+@pytest.mark.parametrize("argv,blob,code,out,err", CLI_CASES,
+                         ids=[f"{c[0][0]}: {(c[4] or c[3]).splitlines()[0]}"
+                              for c in CLI_CASES])
+def test_each_deep_refusal_keeps_its_exit_code_and_message(
+        tmp_path, capsys, argv, blob, code, out, err):
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(blob))
+    argv = [str(f) if a == "FILE" else a for a in argv]
+    assert (run_cli(*argv), *capsys.readouterr()) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv,code", [(["report", "--bogus"], 2),
+                                       (["eval", "--help"], 0)])
+def test_main_returns_the_code_argparse_exits_with(argv, code, capsys):
+    assert run_cli(*argv) == code
+    out, err = capsys.readouterr()
+    assert (out if code == 0 else err).startswith("usage: ngd ")

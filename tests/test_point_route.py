@@ -303,9 +303,6 @@ def test_arrow_operations_accept_empty_arrows(model):
                 Sigma_eps(model, s, none, none), inv_eps(model, s, none),
                 dif_eps(model, s, none, none)):
         assert out.shape == (0, 2, model.dim)
-    D = DoubleModel(model)
-    pairs = D.pair(none, none)
-    assert D.compose(pairs, pairs).shape == (0, 2, 2, model.dim)
 
 
 def test_strong_limits_report_on_an_empty_sampler(model):

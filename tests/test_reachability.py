@@ -54,6 +54,11 @@ through `judge` (one instance), `judge_all` (an exact batch) and
 `judge_residuals` (a float batch), so that one place decides what an
 instance, a failure and a witness are, and failures never exceed checked.
 A law starts at zero: even `LawCheck(..., checked=1)` is a write.
+
+Every reason the line census gives names a line.  Each fragment of
+`tests/line_census.py`'s EXPLAINED table occurs in some executable line
+of its module, so that a reason cannot outlive its line and cover a new
+one.
 """
 
 import argparse
@@ -62,6 +67,8 @@ import functools
 from pathlib import Path
 
 import pytest
+
+import line_census
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ngd"
@@ -392,3 +399,13 @@ def test_only_the_law_kernel_counts_and_files_witnesses():
 def test_the_count_census_reads_each_kind_of_write(code, writes):
     tree = ast.parse(code)
     assert any(map(_count_writes, ast.walk(tree))) == writes
+
+
+def test_every_census_reason_names_an_executable_line():
+    for module, reasons in line_census.EXPLAINED.items():
+        path = PACKAGE / module
+        source = path.read_text().splitlines()
+        lines = [source[n - 1] for n in line_census.executable_lines(path)]
+        for fragment in reasons:
+            assert any(fragment in line for line in lines), (module,
+                                                             fragment)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngd import transport
+from ngd import fixtures, transport
 from ngd.constructions import FiniteMetricSpace, random_metric_space
 from ngd.core import _common, _matrix_over_lcm, _over_lcm
 from ngd.fixtures import (composite_off_by_one_unit,
@@ -230,6 +230,19 @@ def test_lip_function_validates():
         LipFunction(line3(), (Fraction(0), Fraction(3), Fraction(0)))
 
 
+def test_a_lip_function_needs_one_value_per_point():
+    with pytest.raises(ValueError, match="^one value per point, please$"):
+        LipFunction(line3(), (Fraction(0), Fraction(1)))
+
+
+def test_plans_on_two_spaces_are_refused():
+    mu = Measure(X2, (Fraction(1, 2), Fraction(1, 2)))
+    nu = Measure(line3(), (Fraction(1, 3),) * 3)
+    with pytest.raises(ValueError, match="^operands live on different "
+                                         "spaces$"):
+        product_plan(mu, nu)
+
+
 def test_seminorm_sees_only_the_marginals():
     mu = Measure(X2, (Fraction(1, 2), Fraction(1, 2)))
     nu = Measure(X2, (Fraction(1, 4), Fraction(3, 4)))
@@ -255,6 +268,14 @@ def test_lip1_vertices_line():
     for v in vs:
         assert v[0] == 0
         assert lip1_witness(line3(), v) is None
+
+
+def test_lip1_vertices_refuses_six_points():
+    space = FiniteMetricSpace(points=list(range(6)),
+                              dist=[[int(i != j) for j in range(6)]
+                                    for i in range(6)])
+    with pytest.raises(ValueError, match="refusing n = 6 > 5$"):
+        lip1_vertices(space)
 
 
 def elimination_lip1_vertices(space):
@@ -481,6 +502,12 @@ def test_solve_lp_rejects_infeasible():
     c = [Fraction(1), Fraction(1)]
     with pytest.raises(ArithmeticError):
         solve_lp(A, b, c)
+
+
+def test_solve_lp_rejects_unbounded():
+    # min -x_1 subject to x_1 - x_2 = 0: x_1 = x_2 grows without bound
+    with pytest.raises(ArithmeticError, match="^LP is unbounded$"):
+        solve_lp([[1, -1]], [0], [-1, 0])
 
 
 def test_solve_lp_handles_redundant_rows():
@@ -838,16 +865,20 @@ def ref_norm_d(gamma):
     """d(x, y) gamma(x, y) summed over the support."""
     d = gamma.space.dist
     total = Fraction(0)
-    for x, y in gamma.support():
-        total += d[x][y] * gamma.gamma[x][y]
+    for x, row in enumerate(gamma.gamma):
+        for y, w in enumerate(row):
+            if w:
+                total += d[x][y] * w
     return total
 
 
 def ref_seminorm_rho(u, gamma):
     """|(u(x) - u(y)) gamma(x, y) summed over the support|."""
     total = Fraction(0)
-    for x, y in gamma.support():
-        total += (u[x] - u[y]) * gamma.gamma[x][y]
+    for x, row in enumerate(gamma.gamma):
+        for y, w in enumerate(row):
+            if w:
+                total += (u[x] - u[y]) * w
     return abs(total)
 
 
@@ -1690,6 +1721,74 @@ def test_duality_and_category_read_integer_forms(monkeypatch):
     assert again.seminorms.values == category.seminorms.values
     assert all(type(v) is Fraction for row in again.seminorms.values
                for v in row)
+
+
+@pytest.mark.parametrize("family,message", [
+    ([3], "family not closed under inverse at s"),
+    ([3, 4], "family not closed: s^T then s"),
+])
+def test_category_from_plans_refuses_a_family_that_is_not_closed(family,
+                                                                 message):
+    _, plans, labels = transport.transport_category_fixture()
+    with pytest.raises(ValueError) as exc:
+        transport.category_from_plans(X2, [plans[i] for i in family],
+                                      [labels[i] for i in family])
+    assert str(exc.value) == message
+
+
+# ---------------------------------------------------------------------------
+# a compose that misses a marginal mismatch, against the checkers built to
+# catch it
+
+
+def _silent(honest):
+    """compose_plans composing a mismatched pair as if it matched."""
+    def compose(gamma, gamma_prime):
+        try:
+            return honest(gamma, gamma_prime)
+        except MarginalMismatch:
+            return gamma
+    return compose
+
+
+def _misnamed(honest):
+    """compose_plans refusing a mismatched pair, but naming a point where
+    the middle marginals agree when there is one."""
+    def compose(gamma, gamma_prime):
+        try:
+            return honest(gamma, gamma_prime)
+        except MarginalMismatch as e:
+            same = (i for i, (a, b) in enumerate(zip(
+                gamma.nu.weights, gamma_prime.mu.weights)) if a == b)
+            raise MarginalMismatch(next(same, e.index), e.left,
+                                   e.right) from None
+    return compose
+
+
+@pytest.mark.parametrize("fault,failing,note", [
+    (_silent, [0, 1, 2], "mismatch accepted"),
+    # seed 18's third sample is the first whose shifted measure agrees
+    # with the plan's second marginal at a point
+    (_misnamed, [2], "wrong offending index"),
+])
+def test_the_mismatch_law_fails_a_compose_that_misses_a_mismatch(
+        fault, failing, note, monkeypatch):
+    monkeypatch.setattr(transport, "compose_plans",
+                        fault(transport.compose_plans))
+    law = check_transport(line3(), seed=18, samples=3).law(
+        "marginal mismatch is rejected, never renormalized")
+    assert law.witnesses == [dict(sample=k, note=note) for k in failing]
+
+
+def test_the_planted_mismatch_is_red_when_composed_silently(monkeypatch):
+    monkeypatch.setattr(fixtures, "compose_plans",
+                        _silent(transport.compose_plans))
+    rep = dict(run_planted_suite())[
+        "mismatched middle marginals vs composability"]
+    (law,) = rep.laws
+    assert law.note == "composed silently — the mismatch went unnoticed"
+    assert (law.checked, law.failures, law.witnesses) == (1, 1,
+                                                          [{"index": None}])
 
 
 # ---------------------------------------------------------------------------
