@@ -224,15 +224,16 @@ def mismatched_transport_pair():
 
 
 def unpivoted_transport_basis():
-    """The exact transport solver stopped before its first pivot.
+    """The northwest-corner basis: feasible, but not optimal.
 
     Three points with c between a and b: d(a, b) = 2, d(a, c) =
     d(b, c) = 1; mu = (1/2, 1/2, 0), nu = (0, 1/2, 1/2).  The
     northwest-corner basis ships a to b and b to c at cost 3/2, while the
     optimum sends a to c and leaves b in place at cost 1/2.  Its plan is
-    a coupling and the c-transform of its tree potential is 1-Lipschitz,
-    so only the zero-gap and complementary-slackness laws of the
-    certificate can catch it.  Returns (mu, nu, gamma, u)."""
+    a coupling and the c-transform of the potential of its strongly
+    feasible tree is 1-Lipschitz, so only the zero-gap and
+    complementary-slackness laws of the certificate can catch it.
+    Returns (mu, nu, gamma, u)."""
     X = FiniteMetricSpace(
         points=["a", "b", "c"],
         dist=[[0, 2, 1], [2, 0, 1], [1, 1, 0]],

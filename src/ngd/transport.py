@@ -15,10 +15,11 @@ Measure(...) check what they are given; the plans the algebra builds
 marginals it guarantees unchecked, and check_transport tests that
 algebra with a counted law: its sampled composites must carry their
 factors' outer marginals.  Kantorovich problems are solved by the
-transportation (network) simplex on integer-scaled data, keeping a
-strongly feasible spanning tree from pivot to pivot, and every answer
-must pass an exact optimality certificate on those integers, so the
-duality gap comes out identically zero rather than merely small.  The
+transportation (network) simplex on integer-scaled data, started from
+the least-cost basis and keeping a strongly feasible spanning tree from
+pivot to pivot, and every answer must pass an exact optimality
+certificate on those integers, so the duality gap comes out identically
+zero rather than merely small.  The
 certified potential attains the sup of rho_u over 1-Lipschitz u, so the
 laws over Lip1 are judged at it.  The dense two-phase simplex solve_lp
 is kept as the reference the tests compare against.
@@ -570,37 +571,84 @@ def _northwest_corner(supply, demand) -> dict:
             y += 1
 
 
+def _least_cost(cost, supply, demand) -> dict:
+    """The least-cost basis as {cell: flow}, cell = x * n + y.
+
+    The cells are visited in increasing cost, ties in row-major order
+    (the sort is stable), and each cell whose row and column are both
+    open books min(supply, demand) and closes exactly one of them: its
+    row when the row runs out, unless it is the last open row, and its
+    column otherwise.  So there are exactly 2n - 1 cells, each closing a
+    line that no later cell touches: they form a spanning tree of the
+    row/column graph.  On a metric cost the diagonal comes first, so the
+    mass a point holds on both sides stays in place."""
+    n = len(supply)
+    a, b = list(supply), list(demand)  # what is left; -1 once closed
+    flat = list(chain.from_iterable(cost))
+    basis, rows, last = {}, n, 2 * n - 1
+    for k in sorted(range(n * n), key=flat.__getitem__):
+        x, y = divmod(k, n)
+        s, t = a[x], b[y]
+        if s < 0 or t < 0:
+            continue
+        if s < t or s == t and rows > 1:
+            basis[k], a[x], b[y], rows = s, -1, t - s, rows - 1
+        else:
+            basis[k], a[x], b[y] = t, s - t, -1
+            if len(basis) == last:
+                return basis
+
+
 def _basis_tree(cost, basis):
-    """The northwest-corner basis as a strongly feasible tree, in place on
-    the basis: (parent, cell, depth, kids, pi), one entry per node.
+    """A basic feasible basis as a strongly feasible tree, in place on the
+    basis: (parent, cell, depth, kids, pi), one entry per node.
 
     Nodes are rows 0..n-1, columns n..2n-1 and an artificial root 2n.
     Cell x * n + y is the arc from row x to column n + y; -1 marks an
     artificial arc, from a node to the root, without flow.  pi[x] -
     pi[n + y] = c(x, y) on tree cells, so a cell's reduced cost is c(x, y)
-    - pi[x] + pi[n + y].  Row 0 hangs from the root at pi = 0, then each
-    cell, in the sweep's order, hangs the row or column it reaches first.
-    A cell hanging a column without flow (one of zero demand, say) points
-    away from the root, which strong feasibility forbids: that column
-    hangs from the root instead, and the cell leaves the basis."""
+    - pi[x] + pi[n + y].  The walk takes the nodes in order: each one it
+    has not reached hangs from the root at pi = 0, and the basis cells
+    are walked out from it, so each component of a forest basis hangs
+    from the root.  A cell hanging a column without flow (one of zero
+    demand, say) points away from the root, which strong feasibility
+    forbids: that column hangs from the root instead, and the cell leaves
+    the basis."""
     n = len(cost)
     root = 2 * n
-    parent, cell = [root] + [None] * root, [-1] * (root + 1)
-    depth, pi = [1] + [0] * root, [0] * (root + 1)
-    kids = [[] for _ in range(root)] + [[0]]
-    for k, flow in list(basis.items()):
+    links = [[] for _ in range(root)]
+    for k in basis:
         x, y = divmod(k, n)
-        if parent[n + y] is None:
-            p, q = x, n + y
-            pi[q] = pi[x] - cost[x][y]
-            if not flow:
-                del basis[k]
-                p, k = root, -1
-        else:
-            p, q = n + y, x
-            pi[x] = pi[p] + cost[x][y]
-        parent[q], cell[q], depth[q] = p, k, depth[p] + 1
-        kids[p].append(q)
+        links[x].append(n + y)
+        links[n + y].append(x)
+    parent, cell = [root] * root + [None], [-1] * (root + 1)
+    depth, pi = [0] * (root + 1), [0] * (root + 1)  # depth 0: not reached
+    kids = [[] for _ in range(root + 1)]
+    top = kids[root]
+    for s in range(root):
+        if depth[s]:
+            continue
+        depth[s] = 1
+        top.append(s)
+        order = [s]
+        for p in order:
+            for q in links[p]:
+                if depth[q]:  # reached: the node p was reached from
+                    continue
+                order.append(q)
+                if q < n:  # a row below its column: the cell points up
+                    pi[q] = pi[p] + cost[q][p - n]
+                    k = q * n + p - n
+                else:
+                    pi[q] = pi[p] - cost[p][q - n]
+                    k = p * n + q - n
+                    if not basis[k]:
+                        del basis[k]
+                        depth[q] = 1
+                        top.append(q)
+                        continue
+                parent[q], cell[q], depth[q] = p, k, depth[p] + 1
+                kids[p].append(q)
     return parent, cell, depth, kids, pi
 
 
@@ -619,8 +667,10 @@ def _pivot_to_optimum(cost, basis, tree) -> int:
     potentials move.
 
     Termination (Cunningham 1976; Ahuja, Magnanti and Orlin 1993, 11.6):
-    the artificial root makes the first tree strongly feasible, and the
-    rule keeps it so.  A pivot with theta > 0 lowers the cost.  One with
+    the first tree is strongly feasible, whatever basis it was walked out
+    of, as the artificial root holds each component of that basis and
+    each column a cell without flow would hang below its row; the rule
+    keeps it so.  A pivot with theta > 0 lowers the cost.  One with
     theta = 0 cannot block on y's side, whose minus arcs point down and
     so carry flow: it lowers every potential on x's side.  The tree fixes
     the potentials, as the root's children keep theirs, so no tree comes
@@ -788,7 +838,7 @@ def kantorovich(mu: Measure, nu: Measure) -> KantorovichResult:
     (mu, nu) — an LP over the transportation polytope.  Dual: maximize
     the mean of u against mu - nu over 1-Lipschitz potentials u.  The
     transportation simplex runs on integer-scaled data from the
-    northwest-corner basis; the optimal basis gives the plan, and the
+    least-cost basis; the optimal basis gives the plan, and the
     c-transform of its column potentials gives u.  The integer pair must
     pass the certificate (exact marginals, u 1-Lipschitz, zero gap,
     complementary slackness), which proves both optimal and sums both."""
@@ -798,7 +848,7 @@ def kantorovich(mu: Measure, nu: Measure) -> KantorovichResult:
     # the weight denominators, costs over D, that of the distances
     supply, demand, L = _common(mu._int, nu._int)
     cost, D = space._int
-    basis = _northwest_corner(supply, demand)
+    basis = _least_cost(cost, supply, demand)
     tree = _basis_tree(cost, basis)
     pivots = _pivot_to_optimum(cost, basis, tree)
     flows, phi = _read_basis(cost, basis, tree[-1])

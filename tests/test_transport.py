@@ -592,13 +592,13 @@ def test_kantorovich_matches_the_dense_lp_oracle():
 
 
 def solve_in_steps(mu, nu):
-    """kantorovich's solver on (mu, nu), step by step: (cost, basis,
-    tree, anchors), the optimal basis and the tree kept with it, and
-    anchors the potentials of the nodes the first tree hung from its
-    root."""
+    """kantorovich's solver on (mu, nu), step by step from its least-cost
+    start: (cost, basis, tree, anchors), the optimal basis and the tree
+    kept with it, and anchors the potentials of the nodes the first tree
+    hung from its root."""
     supply, demand, _ = _common(mu._int, nu._int)
     cost, _ = mu.space._int
-    basis = transport._northwest_corner(supply, demand)
+    basis = transport._least_cost(cost, supply, demand)
     tree = transport._basis_tree(cost, basis)
     parent, cell, depth, kids, pi = tree
     anchors = {q: pi[q] for q in kids[-1]}
@@ -606,9 +606,10 @@ def solve_in_steps(mu, nu):
     return cost, basis, tree, anchors
 
 
-def assert_optimal_tree(cost, basis, tree, anchors):
-    """The tree holds its basis, strongly feasible and optimal, and the
-    potentials it kept are those walked out afresh from the basis."""
+def assert_strong_tree(cost, basis, tree):
+    """The tree holds exactly its basis cells and prices each at zero,
+    and it is strongly feasible: a cell of zero flow points up, from its
+    row to its column above."""
     parent, cell, depth, kids, pi = tree
     n = len(cost)
     root = 2 * n
@@ -616,14 +617,24 @@ def assert_optimal_tree(cost, basis, tree, anchors):
     for q in range(root):
         p = parent[q]
         assert q in kids[p] and depth[q] == depth[p] + 1
-        if cell[q] < 0:  # an artificial arc keeps its first potential
-            assert p == root and pi[q] == anchors[q]
+        if cell[q] < 0:  # an artificial arc
+            assert p == root
             continue
         x, y = divmod(cell[q], n)
         assert {p, q} == {x, n + y} and pi[x] - pi[n + y] == cost[x][y]
-        # a cell of zero flow points up: from its row to its column above
         assert basis[cell[q]] > 0 or q == x
     assert sorted(basis) == sorted(k for k in cell if k >= 0)
+
+
+def assert_optimal_tree(cost, basis, tree, anchors):
+    """The tree holds its basis, strongly feasible and optimal, and the
+    potentials it kept are those walked out afresh from the basis."""
+    assert_strong_tree(cost, basis, tree)
+    kids, pi = tree[3], tree[4]
+    n = len(cost)
+    root = 2 * n
+    # an artificial arc keeps its first potential
+    assert all(pi[q] == anchors[q] for q in kids[root])
     assert min(c - pi[x] + pi[n + y] for x, row in enumerate(cost)
                for y, c in enumerate(row)) == 0
     assert basis_potentials(
@@ -669,12 +680,60 @@ def test_kantorovich_ends_and_certifies_on_degenerate_families():
     assert rooted > 12
 
 
+def test_the_first_tree_holds_the_least_cost_basis_strongly_feasible():
+    """The least-cost start books 2n - 1 cells, a coupling of the two
+    marginals, and the tree walked out of it holds exactly the cells it
+    keeps, strongly feasible and each priced at zero.  Zero-mass points
+    book diagonal cells of zero flow; a column reached through a cell of
+    zero flow hangs from the root instead, and the cell leaves the basis.
+    The optimal basis the solver leaves is a forest once a node hangs
+    from the root: walked out afresh, each component hangs from it."""
+    rng = random.Random(3)
+    problems = []
+    for n in range(1, 9):
+        problems += degenerate_problems(rng, n)
+        X = random_metric_space(n, max_points=8)
+        problems += [(random_measure(X, rng, full_support=False),
+                      random_measure(X, rng, full_support=full))
+                     for full in (True, False)]
+    zero_diagonal = rooted = forests = 0
+    for mu, nu in problems:
+        n = mu.space.n_points()
+        supply, demand, _ = _common(mu._int, nu._int)
+        cost, _ = mu.space._int
+        basis = transport._least_cost(cost, supply, demand)
+        booked = dict(basis)
+        assert len(booked) == 2 * n - 1 and min(booked.values()) >= 0
+        rows, cols = [0] * n, [0] * n
+        for k, v in booked.items():
+            rows[k // n] += v
+            cols[k % n] += v
+        assert (rows, cols) == (supply, demand)
+        zero_diagonal += any(not booked.get(x * n + x, 1) for x in range(n))
+
+        tree = transport._basis_tree(cost, basis)
+        assert_strong_tree(cost, basis, tree)
+        top = tree[3][-1]
+        assert basis.items() <= booked.items()
+        assert len(basis) + len(top) == 2 * n  # one arc above each node
+        rooted += len(top) > 1
+
+        transport._pivot_to_optimum(cost, basis, tree)
+        forest = dict(basis)
+        again = transport._basis_tree(cost, forest)
+        assert_strong_tree(cost, forest, again)
+        assert len(forest) + len(again[3][-1]) == 2 * n
+        forests += len(basis) < 2 * n - 1
+    assert zero_diagonal > 40 and rooted > 40 and forests > 40
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_the_kept_tree_holds_its_basis_potentials(seed):
     """On random problems the kept tree is optimal and its potentials are
-    its basis's.  With full support nothing hangs from the artificial
-    root but row 0: the basis spans, and its potentials are walked out
-    from u_0 = 0, as they were before the solver kept its tree."""
+    its basis's.  With full support and weights whose partial sums never
+    tie, the least-cost start books no cell of zero flow, so nothing
+    hangs from the artificial root but row 0: the basis spans, and its
+    potentials are walked out from u_0 = 0."""
     space = random_metric_space(seed, max_points=9)
     n = space.n_points()
     rng = random.Random(seed)
@@ -697,11 +756,12 @@ def test_kantorovich_on_the_one_point_space():
     assert res.pivots == 0
 
 
-def assert_certified_at(n, seed):
+def assert_certified_at(n, seed, pivots):
     """One solve at n points, far beyond the dense tableaux: random
     rational edge weights closed by exact shortest paths (on numerators
     over 840, the lcm of the weights' denominators), the certificate
-    checked against this test's own d, mu and nu."""
+    checked against this test's own d, mu and nu.  The solver is
+    deterministic, so its pivot count is pinned."""
     rng = random.Random(seed)
     w = [[0] * n for _ in range(n)]
     for x in range(n):
@@ -731,16 +791,16 @@ def assert_certified_at(n, seed):
     cost = sum(d[x][y] * g[x][y] for x in range(n) for y in range(n))
     value = sum(u[x] * (mu[x] - nu[x]) for x in range(n))
     assert cost == value == res.primal == res.dual
-    assert res.pivots > 0
+    assert res.pivots == pivots
     assert res.den_bits == den_bits_of(res) > 1
 
 
 def test_kantorovich_certificate_at_thirty_points():
-    assert_certified_at(30, seed=30)
+    assert_certified_at(30, seed=30, pivots=11)
 
 
 def test_kantorovich_certificate_at_sixty_points():
-    assert_certified_at(60, seed=60)
+    assert_certified_at(60, seed=60, pivots=27)
 
 
 def test_certificate_catches_the_unpivoted_basis(monkeypatch):
@@ -760,13 +820,23 @@ def test_certificate_catches_the_unpivoted_basis(monkeypatch):
         {"primal": "3/2", "dual": "1/2"}
     ]
 
+    # the least-cost start leaves b in place and sends a to c: optimal
     res = kantorovich(mu, nu)
-    # one pivot: (a, c) enters, (a, b) leaves
-    assert res.primal == Fraction(1, 2) and res.pivots == 1
+    assert res.primal == Fraction(1, 2) and res.pivots == 0
     assert check_kantorovich_certificate(
         mu, nu, res.plan.gamma, res.potential.values
     ).passed
 
+    # on a line at 0, 2, 3, 5 the start ships the cheapest move, 3 to 2,
+    # which leaves 0 to 5: cost 3, where 0 to 2 and 3 to 5 cost 2
+    P = [0, 2, 3, 5]
+    line = FiniteMetricSpace(points=P, dist=[[abs(a - b) for b in P]
+                                             for a in P])
+    half = Fraction(1, 2)
+    mu = Measure(line, (half, 0, half, 0))
+    nu = Measure(line, (0, half, 0, half))
+    res = kantorovich(mu, nu)
+    assert res.primal == 2 and res.pivots == 2
     monkeypatch.setattr(transport, "_pivot_to_optimum",
                         lambda cost, basis, tree: 0)
     with pytest.raises(AssertionError, match="certificate failed"):
