@@ -33,10 +33,10 @@ from .limits import BoundedSampler, check_A3
 from .models import EuclideanGroup, HeisenbergGroup, PairModel
 from .scales import batch, chunks, dyadic_grid, kernel_modulus
 from .transport import (_OUTER, Coupling, MarginalMismatch, Measure,
-                        _basis_tree, _built, _judge_outer, _northwest_corner,
-                        _read_basis, check_kantorovich_certificate,
-                        compose_plans, kantorovich, product_plan,
-                        two_point_space)
+                        _basis_tree, _built, _c_transform, _judge_outer,
+                        _least_cost, _read_basis,
+                        check_kantorovich_certificate, compose_plans,
+                        kantorovich, product_plan, two_point_space)
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +227,13 @@ def unpivoted_transport_basis():
     """The northwest-corner basis: feasible, but not optimal.
 
     Three points with c between a and b: d(a, b) = 2, d(a, c) =
-    d(b, c) = 1; mu = (1/2, 1/2, 0), nu = (0, 1/2, 1/2).  The
-    northwest-corner basis ships a to b and b to c at cost 3/2, while the
-    optimum sends a to c and leaves b in place at cost 1/2.  Its plan is
-    a coupling and the c-transform of the potential of its strongly
-    feasible tree is 1-Lipschitz, so only the zero-gap and
-    complementary-slackness laws of the certificate can catch it.
-    Returns (mu, nu, gamma, u)."""
+    d(b, c) = 1; mu = (1/2, 1/2, 0), nu = (0, 1/2, 1/2).  The basis is
+    the least-cost basis of a zero cost, which is the northwest corner:
+    it ships a to b and b to c at cost 3/2, while the optimum sends a to
+    c and leaves b in place at cost 1/2.  Its plan is a coupling and u,
+    the c-transform of its strongly feasible tree's column potentials, is
+    1-Lipschitz, so only the zero-gap and complementary-slackness laws of
+    the certificate can catch it.  Returns (mu, nu, gamma, u)."""
     X = FiniteMetricSpace(
         points=["a", "b", "c"],
         dist=[[0, 2, 1], [2, 0, 1], [1, 1, 0]],
@@ -243,8 +243,9 @@ def unpivoted_transport_basis():
     nu = Measure(X, (0, h, h))
     supply, demand, L = _common(mu._int, nu._int)
     cost, D = X._int
-    basis = _northwest_corner(supply, demand)
-    flows, u = _read_basis(cost, basis, _basis_tree(cost, basis)[-1])
+    basis = _least_cost([[0] * 3] * 3, supply, demand)
+    u = _c_transform(cost, _basis_tree(cost, basis)[-1][3:6])
+    flows = _read_basis(3, basis)
     return (mu, nu, tuple(tuple(Fraction(v, L) for v in row) for row in flows),
             tuple(Fraction(v, D) for v in u))
 

@@ -17,9 +17,10 @@ algebra with a counted law: its sampled composites must carry their
 factors' outer marginals.  Kantorovich problems are solved by the
 transportation (network) simplex on integer-scaled data, started from
 the least-cost basis and keeping a strongly feasible spanning tree from
-pivot to pivot, and every answer must pass an exact optimality
-certificate on those integers, so the duality gap comes out identically
-zero rather than merely small.  The
+pivot to pivot; its last pricing scan is the c-transform of the column
+potentials, the optimal potential.  Every answer must pass an exact
+optimality certificate on those integers, one sweep per law, so the
+duality gap comes out identically zero rather than merely small.  The
 certified potential attains the sup of rho_u over 1-Lipschitz u, so the
 laws over Lip1 are judged at it.  The dense two-phase simplex solve_lp
 is kept as the reference the tests compare against.
@@ -32,7 +33,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, count
-from operator import add, mul, neg, sub
+from operator import add, countOf, eq, le, mul, neg, sub
 
 from .constructions import FiniteMetricSpace
 from .core import (
@@ -72,11 +73,16 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
-def _pairing(u, mu: Measure, nu: Measure) -> Fraction:
-    """sum over x of u(x) (mu(x) - nu(x)), one integer sum; u = (ui, Du)."""
-    ui, Du = u
-    a, b, L = _common(mu._int, nu._int)
-    return Fraction(_dot(ui, map(sub, a, b)), Du * L)
+def _times(v, k):
+    """The integers v times k; v itself when k is 1."""
+    return v if k == 1 else [x * k for x in v]
+
+
+def _pairing(u, mu: Measure, nu: Measure) -> tuple:
+    """sum over x of u(x) (mu(x) - nu(x)) as (numerator, denominator): the
+    integer sums u.mu and u.nu, over Du La Lb; u = (ui, Du)."""
+    (ui, Du), (a, La), (b, Lb) = u, mu._int, nu._int
+    return _dot(ui, a) * Lb - _dot(ui, b) * La, Du * La * Lb
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +122,7 @@ class _Exact:
 def _lowest(num, D):
     """The integer form num / D of a row of rationals in lowest terms."""
     g = math.gcd(D, *num)
-    return tuple(v // g for v in num), D // g
+    return (tuple(num), D) if g == 1 else (tuple(v // g for v in num), D // g)
 
 
 def _reduced(rows, D):
@@ -334,18 +340,21 @@ def norm_d(gamma: Coupling) -> Fraction:
 def lip1_witness(space: FiniteMetricSpace, values):
     """None if the values are 1-Lipschitz, else the first violating
     ordered pair (x, y)."""
-    return _lip1_witness(space, _over_lcm(values))
+    return next(iter(_lip1_pairs(space, _over_lcm(values))), None)
 
 
-def _lip1_witness(space, u):
-    """lip1_witness on the integer form u = (numerators, Du) of the
-    values, compared with the space's integer distances."""
-    (u, Du), (d, Dd) = u, space._int
-    for x, (ux, row) in enumerate(zip(u, d)):
-        for y, (uy, dxy) in enumerate(zip(u, row)):
-            if (ux - uy) * Dd > dxy * Du:
-                return (x, y)
-    return None
+def _lip1_pairs(space, u):
+    """The pairs (x, y), row-major, where the integer form u = (ui, Du)
+    breaks u(x) - u(y) <= d(x, y): none iff u is at most its c-transform,
+    both over lcm(Du, Dd), which one sweep decides; walked only if not."""
+    (ui, Du), (d, Dd) = u, space._int
+    M = math.lcm(Du, Dd)
+    us = _times(ui, M // Du)
+    ds = d if M == Dd else [_times(row, M // Dd) for row in d]
+    if all(map(le, us, _c_transform(ds, us))):
+        return []
+    return [(x, y) for x, (ux, row) in enumerate(zip(us, ds))
+            for y, (dxy, uy) in enumerate(zip(row, us)) if ux - uy > dxy]
 
 
 @dataclass(eq=False)
@@ -363,9 +372,8 @@ class LipFunction(_Exact):
         if len(v) != self.space.n_points():
             raise ValueError("one value per point, please")
         self._int = _over_lcm(v)
-        w = _lip1_witness(self.space, self._int)
-        if w is not None:
-            x, y = w
+        if w := _lip1_pairs(self.space, self._int):
+            x, y = w[0]
             raise ValueError(
                 f"not 1-Lipschitz: u[{x}] - u[{y}] = {v[x] - v[y]} "
                 f"> d = {self.space.dist[x][y]}"
@@ -397,7 +405,7 @@ def seminorm_rho(u, gamma: Coupling) -> Fraction:
     validated as a LipFunction first."""
     if not isinstance(u, LipFunction):
         u = LipFunction(gamma.space, tuple(u))
-    return abs(_pairing(u._int, gamma.mu, gamma.nu))
+    return abs(Fraction(*_pairing(u._int, gamma.mu, gamma.nu)))
 
 
 def is_invtrans(gamma: Coupling):
@@ -547,30 +555,6 @@ class KantorovichResult:
         )
 
 
-def _northwest_corner(supply, demand) -> dict:
-    """The northwest-corner basis as {cell: flow}, cell = x * n + y, in
-    the order the sweep books them.
-
-    Exactly 2n - 1 cells: when a row and a column run out together the
-    sweep steps down and books a degenerate zero cell.  The cells form a
-    staircase, hence a spanning tree of the row/column graph."""
-    n = len(supply)
-    a, b = list(supply), list(demand)
-    basis = {}
-    x = y = 0
-    while True:
-        t = min(a[x], b[y])
-        basis[x * n + y] = t
-        a[x] -= t
-        b[y] -= t
-        if x == y == n - 1:
-            return basis
-        if a[x] == 0 and x < n - 1:
-            x += 1
-        else:
-            y += 1
-
-
 def _least_cost(cost, supply, demand) -> dict:
     """The least-cost basis as {cell: flow}, cell = x * n + y.
 
@@ -652,19 +636,26 @@ def _basis_tree(cost, basis):
     return parent, cell, depth, kids, pi
 
 
-def _pivot_to_optimum(cost, basis, tree) -> int:
-    """The network simplex, in place on the basis and its tree; returns
-    the number of pivots.
+def _c_transform(cost, v):
+    """phi(x) = min_y (c(x, y) + v(y)): one row minimum per row."""
+    return [min(map(add, row, v)) for row in cost]
 
-    The entering cell (x, y) has the most negative reduced cost, the
-    first in row-major order.  Its cycle runs down from the apex of x and
-    y to x, across to y and up again.  The minus arcs, crossed against
-    their direction, are the arcs above rows and the artificial arcs on
-    x's side and the cells above columns on y's; they lose theta, the
-    least flow among them, and the other cells gain it.  The last minus
-    arc of flow theta from the apex leaves (Cunningham's rule).  The
-    subtree it cuts off hangs again from the entering cell, and only its
-    potentials move.
+
+def _pivot_to_optimum(cost, basis, tree) -> tuple:
+    """The network simplex, in place on the basis and its tree; returns
+    (pivots, phi), phi the row minima of the last pricing scan.
+
+    A scan prices row x by phi(x) - pi[x], phi the c-transform of the
+    column potentials.  The entering cell (x, y) has the most negative
+    reduced cost, the first in row-major order, and the scan that finds
+    none ends the solve: its phi is the potential kantorovich certifies.
+    The cell's cycle runs down from the apex of x and y to x, across to y
+    and up again.  The minus arcs, crossed against their direction, are
+    the arcs above rows and the artificial arcs on x's side and the cells
+    above columns on y's; they lose theta, the least flow among them, and
+    the other cells gain it.  The last minus arc of flow theta from the
+    apex leaves (Cunningham's rule).  The subtree it cuts off hangs again
+    from the entering cell, and only its potentials move.
 
     Termination (Cunningham 1976; Ahuja, Magnanti and Orlin 1993, 11.6):
     the first tree is strongly feasible, whatever basis it was walked out
@@ -680,14 +671,14 @@ def _pivot_to_optimum(cost, basis, tree) -> int:
     parent, cell, depth, kids, pi = tree
     n = len(cost)
     for pivots in count():
-        best, cols = 0, pi[n:2 * n]
-        for r, row in enumerate(cost):
-            m = min(map(add, row, cols)) - pi[r]
-            if m < best:
-                best, x = m, r
-        if not best:
-            return pivots
-        y = list(map(add, cost[x], cols)).index(best + pi[x])
+        cols = pi[n:2 * n]
+        phi = _c_transform(cost, cols)
+        reduced = list(map(sub, phi, pi))
+        best = min(reduced)
+        if best >= 0:
+            return pivots, phi
+        x = reduced.index(best)
+        y = list(map(add, cost[x], cols)).index(phi[x])
         a, b, up_x, up_y = x, n + y, [], []
         while a != b:
             if depth[a] >= depth[b]:
@@ -728,18 +719,14 @@ def _pivot_to_optimum(cost, basis, tree) -> int:
             stack += kids[s]
 
 
-def _read_basis(cost, basis, pi):
-    """The plan and the potential a basis stands for: (flows, phi), the
-    plan's flows in the integer-scaled units, and phi the c-transform of
-    the column potentials the tree holds, phi(x) = min_y (c(x, y) +
-    pi[n + y]), over the cost's denominator: 1-Lipschitz by the triangle
-    inequality, and a maximiser when the basis is optimal."""
-    n = len(cost)
-    flows = [[0] * n for _ in range(n)]
+def _read_basis(n, basis):
+    """The plan a basis stands for, n integer rows of flows, as tuples.
+    The potential, phi over the cost's denominator, is the last pricing
+    scan's: 1-Lipschitz by the triangle inequality, and optimal."""
+    flat = [0] * (n * n)
     for k, flow in basis.items():
-        flows[k // n][k % n] = flow
-    cols = pi[n:2 * n]
-    return flows, [min(map(add, row, cols)) for row in cost]
+        flat[k] = flow
+    return tuple(zip(*[iter(flat)] * n))  # n rows of n
 
 
 def check_kantorovich_certificate(mu: Measure, nu: Measure, gamma, u):
@@ -751,7 +738,11 @@ def check_kantorovich_certificate(mu: Measure, nu: Measure, gamma, u):
     pair); the gap sum d.gamma - sum u.(mu - nu) is zero; complementary
     slackness, u(x) - u(y) = d(x, y) on every occupied cell.  Weak duality
     makes a passing pair optimal on both sides, whatever produced it.
-    All sums and comparisons are in integers, each over its own lcm."""
+    All sums and comparisons are in integers, each over its own lcm, and
+    each law is one sweep: the line-sum vectors against the marginals, u
+    against its c-transform, one cross-multiplied gap, and the sum of
+    gamma(x, y) (d(x, y) - u(x) + u(y)), terms >= 0 once u is 1-Lipschitz,
+    against 0.  Lines, pairs and cells are walked only for witnesses."""
     return _certify(mu, nu, _matrix_over_lcm(gamma), _over_lcm(u))[0]
 
 
@@ -759,14 +750,19 @@ def _off_marginals(plan, mu, nu):
     """Witnesses, the rows before the columns, for each row and column of
     the integer plan (g, Dg) that breaks the coupling of (mu, nu): its sum
     is off, by integer cross-multiplication, or else it holds a negative
-    cell, the first one named."""
+    cell, the first one named.  A side's sum vector is compared whole, and
+    its lines walked only if it is off or a cell is negative."""
     g, Dg = plan
-    signed = min(map(min, g)) < 0  # a negative cell somewhere
-    for side, lines, m in (("row", g, mu), ("column", zip(*g), nu)):
-        w, L = m._int
-        for i, cells in enumerate(lines):
-            if sum(cells) * L != w[i] * Dg:
-                yield {side: i, "sum": str(Fraction(sum(cells), Dg)),
+    signed = min(chain.from_iterable(g)) < 0  # a negative cell somewhere
+    for side, lines, m in (("row", g, mu), ("column", list(zip(*g)), nu)):
+        (w, L), sums = m._int, list(map(sum, lines))
+        k = math.gcd(L, Dg)
+        if not signed and all(map(eq, _times(sums, L // k),
+                                  _times(w, Dg // k))):
+            continue
+        for i, (cells, s) in enumerate(zip(lines, sums)):
+            if s * L != w[i] * Dg:
+                yield {side: i, "sum": str(Fraction(s, Dg)),
                        "marginal": str(m[i])}
             elif signed and min(cells) < 0:
                 j = [v < 0 for v in cells].index(True)
@@ -785,7 +781,8 @@ def _judge_outer(law, built, **where):
 
 def _certify(mu, nu, plan, potential):
     """check_kantorovich_certificate on the integer forms (g, Dg) of gamma
-    and (u, Du) of u; returns (report, the primal and dual it summed)."""
+    and (u, Du) of u; returns (report, d.gamma as a Fraction, or None when
+    the plan or the potential is misshapen)."""
     _same_space(mu, nu)
     space = mu.space
     n = space.n_points()
@@ -798,37 +795,38 @@ def _certify(mu, nu, plan, potential):
     rep.add(marg, lip, gap, slack)
 
     (g, Dg), (ui, Du) = plan, potential
-    shape = (len(g), *sorted({len(row) for row in g}))  # rows, row lengths
+    shape = (len(g), *sorted(set(map(len, g))))  # rows, row lengths
     marg.judge_all(2 * n, [(w,) for w in _off_marginals(plan, mu, nu)]
                    if shape == (n, n) else [({"shape": shape},)], dict)
 
     if len(ui) != n:  # with no pair to count (one point), one instance
         lip.judge_all(n * (n - 1) or 1, [(len(ui),)], lambda k: dict(length=k))
-        return rep, None, None
+        return rep, None
 
     def step(key):  # the witness at a pair (x, y): u(x) - u(y) and d(x, y)
         return lambda x, y: {key: (x, y), "difference": str(Fraction(
             ui[x] - ui[y], Du)), "d": str(space.dist[x][y])}
 
-    lip.judge_all(n * (n - 1), [] if _lip1_witness(space, potential) is None
-                  else [(x, y) for x, ux in enumerate(ui)
-                        for y, (uy, dxy) in enumerate(zip(ui, d[x]))
-                        if (ux - uy) * Dd > dxy * Du], step("pair"))
+    bad = _lip1_pairs(space, potential)
+    lip.judge_all(n * (n - 1), bad, step("pair"))
     if shape != (n, n):  # the sums below need the plan whole
-        return rep, None, None
+        return rep, None
 
-    occupied = [
-        (x, y) for x, row in enumerate(g) for y, v in enumerate(row) if v > 0
-    ]
-    primal = Fraction(sum(d[x][y] * g[x][y] for x, y in occupied), Dd * Dg)
-    dual = _pairing(potential, mu, nu)
-    gap.judge(primal == dual,
-              build=lambda: dict(primal=str(primal), dual=str(dual)))
-
-    slack.judge_all(len(occupied), [
-        (x, y) for x, y in occupied if (ui[x] - ui[y]) * Dd != d[x][y] * Du],
-        step("cell"))
-    return rep, primal, dual
+    if not marg.passed and min(chain.from_iterable(g)) < 0:  # read as empty
+        g = [[max(v, 0) for v in row] for row in g]
+    primal = _dot(chain.from_iterable(d), chain.from_iterable(g))
+    dual, D = _pairing(potential, mu, nu)
+    gap.judge(primal * D == dual * Dd * Dg, build=lambda: dict(
+        primal=str(Fraction(primal, Dd * Dg)), dual=str(Fraction(dual, D))))
+    # sum g (d(x, y) - u(x) + u(y)) = d.g - u.(row sums - column sums)
+    tight = not bad and primal * Du == Dd * _dot(
+        ui, map(sub, map(sum, g), map(sum, zip(*g))))
+    slack.judge_all(n * n - countOf(chain.from_iterable(g), 0), [] if tight
+                    else [(x, y) for x, (ux, row, cells) in
+                          enumerate(zip(ui, d, g)) for y, (dxy, uy, v) in
+                          enumerate(zip(row, ui, cells))
+                          if v and (ux - uy) * Dd != dxy * Du], step("cell"))
+    return rep, Fraction(primal, Dd * Dg)
 
 
 def kantorovich(mu: Measure, nu: Measure) -> KantorovichResult:
@@ -838,10 +836,10 @@ def kantorovich(mu: Measure, nu: Measure) -> KantorovichResult:
     (mu, nu) — an LP over the transportation polytope.  Dual: maximize
     the mean of u against mu - nu over 1-Lipschitz potentials u.  The
     transportation simplex runs on integer-scaled data from the
-    least-cost basis; the optimal basis gives the plan, and the
-    c-transform of its column potentials gives u.  The integer pair must
-    pass the certificate (exact marginals, u 1-Lipschitz, zero gap,
-    complementary slackness), which proves both optimal and sums both."""
+    least-cost basis; the optimal basis gives the plan, and the last
+    pricing scan, the c-transform of its column potentials, gives u.  The
+    pair must pass the certificate (exact marginals, u 1-Lipschitz, zero
+    gap, complementary slackness), whose one value is both sides'."""
     _same_space(mu, nu)
     space = mu.space
     # the problem on plain ints: supplies and demands over L, the lcm of
@@ -849,23 +847,21 @@ def kantorovich(mu: Measure, nu: Measure) -> KantorovichResult:
     supply, demand, L = _common(mu._int, nu._int)
     cost, D = space._int
     basis = _least_cost(cost, supply, demand)
-    tree = _basis_tree(cost, basis)
-    pivots = _pivot_to_optimum(cost, basis, tree)
-    flows, phi = _read_basis(cost, basis, tree[-1])
-    rep, primal, dual = _certify(mu, nu, (flows, L), (phi, D))
+    pivots, phi = _pivot_to_optimum(cost, basis, _basis_tree(cost, basis))
+    # in lowest terms, as checked plans are: a factor of L and every flow
+    # would divide L / (mu's denominator) and L / (nu's), which are coprime
+    plan = _read_basis(len(cost), basis), L
+    rep, value = _certify(mu, nu, plan, (phi, D))
     if not rep.passed:
         raise AssertionError(
             "transport certificate failed (this is an internal error: "
             "the solver is exact)\n" + rep.summary()
         )
     # the certificate has judged the plan's marginals and signs and phi
-    # 1-Lipschitz: no second pass; in lowest terms (only basis cells carry
-    # flow), each _int is the one a checked construction holds
-    g = math.gcd(L, *basis.values())
-    plan = _built(space, tuple(tuple(v // g for v in row) for row in flows),
-                  L // g, mu, nu)
-    return KantorovichResult(plan, LipFunction._of(space, _lowest(phi, D)),
-                             primal, dual, pivots)
+    # 1-Lipschitz: no second pass; its zero gap makes value both sides'
+    return KantorovichResult(_built(space, *plan, mu, nu),
+                             LipFunction._of(space, _lowest(phi, D)),
+                             value, value, pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -943,10 +939,10 @@ def random_coupling_from(
 def random_coupling_between(mu: Measure, nu: Measure, rng) -> Coupling:
     """A random plan with BOTH marginals prescribed.  Visit the cells in a
     random order assigning each a random fraction of the feasible mass,
-    then zero out whatever is left with the northwest-corner rule (the
-    leftover row and column masses always balance, so it lands
-    exactly).  Masses are integers over L 8^(n^2): each of the n^2
-    cells takes eighths of what is left, so every amount stays whole."""
+    then zero out what is left with the least-cost basis of a zero cost,
+    the northwest corner (the leftover row and column masses balance, so
+    it lands exactly).  Masses are integers over L 8^(n^2): each of the
+    n^2 cells takes eighths of what is left, so amounts stay whole."""
     rows, cols, L = _common(mu._int, nu._int)
     n, E = len(rows), 8 ** (len(rows) ** 2)
     rows, cols = [v * E for v in rows], [v * E for v in cols]
@@ -961,7 +957,7 @@ def random_coupling_between(mu: Measure, nu: Measure, rng) -> Coupling:
         g[x][y] += t
         rows[x] -= t
         cols[y] -= t
-    for k, t in _northwest_corner(rows, cols).items():
+    for k, t in _least_cost([[0] * n] * n, rows, cols).items():
         g[k // n][k % n] += t
     return _built(mu.space, *_reduced(g, L * E), mu, nu)
 

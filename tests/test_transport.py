@@ -680,6 +680,37 @@ def test_kantorovich_ends_and_certifies_on_degenerate_families():
     assert rooted > 12
 
 
+def test_least_cost_on_a_zero_cost_books_the_northwest_staircase():
+    """On a zero cost every cell ties, so the stable sort visits them in
+    row-major order, and the least-cost basis is the northwest corner:
+    2n - 1 cells from (0, 0) to (n - 1, n - 1), in booking order, each
+    one step right of or below the last, and their flows a coupling of
+    the two margins.  A staircase is a spanning tree, so those margins
+    fix its flows.  Zero entries, and all-zero margins, included."""
+    rng = random.Random(5)
+    for n in range(1, 8):
+        zero = [[0] * n] * n
+        for k in range(80):
+            supply, demand = [0] * n, [0] * n  # k = 0: all-zero margins
+            if k:
+                supply = [rng.randint(0, 6) * (rng.random() < 0.7)
+                          for _ in range(n)]
+                for _ in range(sum(supply)):
+                    demand[rng.randrange(n)] += 1
+            basis = transport._least_cost(zero, supply, demand)
+            cells = [divmod(c, n) for c in basis]
+            assert len(cells) == 2 * n - 1
+            assert cells[0] == (0, 0) and cells[-1] == (n - 1, n - 1)
+            assert all((x1 - x0, y1 - y0) in ((0, 1), (1, 0))
+                       for (x0, y0), (x1, y1) in zip(cells, cells[1:]))
+            rows, cols = [0] * n, [0] * n
+            for (x, y), flow in zip(cells, basis.values()):
+                assert flow >= 0
+                rows[x] += flow
+                cols[y] += flow
+            assert (rows, cols) == (supply, demand)
+
+
 def test_the_first_tree_holds_the_least_cost_basis_strongly_feasible():
     """The least-cost start books 2n - 1 cells, a coupling of the two
     marginals, and the tree walked out of it holds exactly the cells it
@@ -790,7 +821,7 @@ def assert_certified_at(n, seed, pivots):
     )
     cost = sum(d[x][y] * g[x][y] for x in range(n) for y in range(n))
     value = sum(u[x] * (mu[x] - nu[x]) for x in range(n))
-    assert cost == value == res.primal == res.dual
+    assert cost == value == res.primal == res.dual == norm_d(res.plan)
     assert res.pivots == pivots
     assert res.den_bits == den_bits_of(res) > 1
 
@@ -837,8 +868,9 @@ def test_certificate_catches_the_unpivoted_basis(monkeypatch):
     nu = Measure(line, (0, half, 0, half))
     res = kantorovich(mu, nu)
     assert res.primal == 2 and res.pivots == 2
-    monkeypatch.setattr(transport, "_pivot_to_optimum",
-                        lambda cost, basis, tree: 0)
+    monkeypatch.setattr(  # no pivot: phi is the first tree's c-transform
+        transport, "_pivot_to_optimum", lambda cost, basis, tree: (
+            0, transport._c_transform(cost, tree[-1][4:8])))
     with pytest.raises(AssertionError, match="certificate failed"):
         kantorovich(mu, nu)
 
@@ -851,6 +883,56 @@ def test_certificate_names_a_lipschitz_witness_and_a_bad_marginal():
     assert rep.law("potential is 1-Lipschitz").witnesses[0]["pair"] == (0, 1)
     marg = rep.law("plan is a coupling of (mu, nu), exactly")
     assert marg.witnesses[0] == {"column": 0, "sum": "1/2", "marginal": "1/4"}
+
+
+def test_certificate_takes_u_and_d_over_one_lcm_for_the_lipschitz_sweep():
+    """d is over halves.  u over thirds takes both sides over 6, u over
+    quarters scales d alone, and u over 1 scales u alone; each fails at
+    its one bad pair, with the Fraction reference agreeing."""
+    h = Fraction(1, 2)
+    halves = FiniteMetricSpace(points=[0, 1, 2],
+                               dist=[[0, h, 1], [h, 0, h], [1, h, 0]])
+    gamma = ((0, 0, 1), (0,) * 3, (0,) * 3)
+    for u, pair, difference in (
+            ((Fraction(2, 3), 0, Fraction(1, 3)), (0, 1), "2/3"),
+            ((0, Fraction(3, 4), Fraction(1, 4)), (1, 0), "3/4"),
+            ((1, 0, 0), (0, 1), "1")):
+        rep = assert_certificates_agree(
+            point_mass(halves, 0), point_mass(halves, 2), gamma, u)
+        lip = rep.law("potential is 1-Lipschitz")
+        assert (lip.checked, lip.failures) == (6, 1)
+        assert lip.witnesses[0] == {"pair": pair, "difference": difference,
+                                    "d": "1/2"}
+
+
+def test_certificate_names_an_off_sum_before_a_negative_cell():
+    """Row 0 has an off sum and a negative cell: its sum is its witness,
+    and the lines are walked on to name the negative cells of row 2 and
+    of columns 0 and 1, and column 2's sum.  The gap and slackness laws
+    read the plan's negative cells as empty: they see 5 occupied cells,
+    cost 5/6, against u = 0."""
+    space = line3()
+    third, sixth = Fraction(1, 3), Fraction(1, 6)
+    spread = Measure(space, (third,) * 3)
+    gamma = ((3 * sixth, -sixth, 2 * sixth), (0, 2 * sixth, 0),
+             (-sixth, sixth, 2 * sixth))
+    rep = assert_certificates_agree(spread, spread, gamma, (0, 0, 0))
+    marg = rep.law("plan is a coupling of (mu, nu), exactly")
+    assert (marg.checked, marg.failures) == (6, 5)
+    assert marg.witnesses == [
+        {"row": 0, "sum": "2/3", "marginal": "1/3"},
+        {"cell": (2, 0), "mass": "-1/6"},
+        {"cell": (2, 0), "mass": "-1/6"},
+        {"cell": (0, 1), "mass": "-1/6"},
+        {"column": 2, "sum": "2/3", "marginal": "1/3"},
+    ]
+    assert rep.law("potential is 1-Lipschitz").passed
+    gap = rep.law("sum d gamma = sum u (mu - nu), exactly")
+    assert gap.witnesses == [{"primal": "5/6", "dual": "0"}]
+    slack = rep.law("u(x) - u(y) = d(x, y) on every occupied cell")
+    assert (slack.checked, slack.failures) == (5, 2)
+    assert slack.witnesses[0] == {"cell": (0, 2), "difference": "0",
+                                  "d": "2"}
 
 
 def test_kantorovich_result_unpacks_to_four_and_counts_pivots():
@@ -868,20 +950,29 @@ def test_kantorovich_result_unpacks_to_four_and_counts_pivots():
 def test_kantorovich_judges_its_potential_lipschitz_once(monkeypatch):
     # the certificate judges the potential; the result does not judge it
     # again, yet holds the same LipFunction a checked construction gives
-    # in the integer form the certificate reads: one call, on phi over D
-    calls, core = [], transport._lip1_witness
+    # in the integer form the certificate reads: one call, on phi over D,
+    # and phi is the row minima of the last pricing scan
+    calls, core = [], transport._lip1_pairs
+    scans, c_transform = [], transport._c_transform
 
     def counted(space, u):
         calls.append(u)
         return core(space, u)
 
-    monkeypatch.setattr(transport, "_lip1_witness", counted)
+    def scanned(cost, v):
+        scans.append(c_transform(cost, v))
+        return scans[-1]
+
+    monkeypatch.setattr(transport, "_lip1_pairs", counted)
+    monkeypatch.setattr(transport, "_c_transform", scanned)
     space = random_metric_space(3, max_points=6)
     rng = random.Random(3)
     res = kantorovich(random_measure(space, rng), random_measure(space, rng))
     assert len(calls) == 1
     (num, D), = calls
     assert D == space._int[1]
+    assert num is scans[res.pivots]  # the last scan's, before the sweep's
+    assert len(scans) == res.pivots + 2
     assert tuple(Fraction(v, D) for v in num) == res.potential.values
     assert res.potential == LipFunction(space, res.potential.values)
     assert all(type(v) is Fraction for v in res.potential.values)
@@ -1254,7 +1345,7 @@ def kantorovich_reference(mu, nu):
     the way the plan used to be built: (gamma, mu weights, nu weights)."""
     *_, L = _common(mu._int, nu._int)
     cost, basis, tree, _ = solve_in_steps(mu, nu)
-    flows, _ = transport._read_basis(cost, basis, tree[-1])
+    flows = transport._read_basis(len(cost), basis)
     return (tuple(tuple(Fraction(v, L) for v in row) for row in flows),
             mu.weights, nu.weights)
 
@@ -1923,6 +2014,13 @@ def _dual_off_by_one(honest):
     return solve
 
 
+def _numerator_off_by_one(honest):
+    def pairing(*args):
+        num, D = honest(*args)
+        return num + 1, D
+    return pairing
+
+
 TRANSPORT_FAULTS = [
     ("norm_d less 10", "norm_d", lambda h: lambda g: h(g) - 10, _battery),
     ("norm_d zero", "norm_d", lambda h: lambda g: h(g) * 0, _battery),
@@ -1936,7 +2034,8 @@ TRANSPORT_FAULTS = [
     ("map_plan sends every point to 0", "map_plan",
      lambda h: lambda f, mu: h([0] * len(f), mu), _battery),
     ("seminorm_rho signed and cubed", "seminorm_rho",
-     lambda h: lambda u, g: transport._pairing(u._int, g.mu, g.nu) ** 3,
+     lambda h: lambda u, g: Fraction(
+         *transport._pairing(u._int, g.mu, g.nu)) ** 3,
      _battery),
     ("marginal differences swapped", "_marginal_differences",
      lambda h: lambda a, b, ab, ia: h(a, b, ia, ab), _battery),
@@ -1946,8 +2045,8 @@ TRANSPORT_FAULTS = [
      _battery),
     ("random_coupling_between ignores nu", "random_coupling_between",
      lambda h: lambda mu, nu, rng: diag_plan(mu), _battery),
-    ("certificate pairing off by one", "_pairing",
-     lambda h: lambda *a: h(*a) + 1, _certificate),
+    ("certificate pairing off by one", "_pairing", _numerator_off_by_one,
+     _certificate),
 ]
 
 
